@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -15,6 +16,11 @@ DEFAULT_STRUCTURE_CAP = 14  # exhaustive pair scans are O(n^2 * 2^n)
 MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
 
 ORACLE_CAP = 9              # n! join orders; anything larger is impractical
+
+# Peak bytes per coalition of the exact engine: the value table and the size
+# weights, plus the mask array and up to three same-length temporaries of a
+# batch table, 8 bytes each.
+EXACT_BYTES_PER_COALITION = 6 * 8
 
 
 class RosterTooLargeError(ValueError):
@@ -94,12 +100,19 @@ class CoalitionGame:
     The characteristic function must be pure: the same coalition always maps
     to the same value, independent of evaluation order, so results never
     depend on how the engine happens to enumerate coalitions.
+
+    `table`, when given, is the batch form of `value`: it maps a `uint64`
+    array of coalition masks, in any order, to a `float64` array of their
+    values with the same shape. The exhaustive computations use it in place
+    of one `value` call per coalition; `value` stays the reference it must
+    agree with.
     """
 
     n_players: int
     value: Callable[[Coalition], float]
     label: str = ""
     players: tuple[PlayerId, ...] = ()
+    table: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.n_players < 1:
@@ -176,16 +189,92 @@ def marginal_value(game: CoalitionGame, coalition: Coalition, player: int) -> fl
     return game.value(coalition.add(player)) - game.value(Coalition(coalition))
 
 
+def mask_weight_sum(masks: np.ndarray, weights: Sequence[float],
+                    first_bit: int = 0) -> np.ndarray:
+    """Per mask, the sum of weights[i] over the set bits first_bit + i.
+
+    Works a byte of players at a time: each byte's 256 subset sums are
+    tabulated with `math.fsum` and gathered, so there is one pass over the
+    masks per 8 players and no (masks x players) bit matrix.
+    """
+    total = np.zeros(masks.shape)
+    for lo in range(0, len(weights), 8):
+        chunk = weights[lo:lo + 8]
+        subset_sums = np.array([
+            math.fsum(w for b, w in enumerate(chunk) if (m >> b) & 1)
+            for m in range(1 << len(chunk))])
+        byte = (masks >> np.uint64(first_bit + lo)) & np.uint64((1 << len(chunk)) - 1)
+        total += subset_sums[byte]
+    return total
+
+
+def zero_without_founder(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Zero, in place, the values of coalitions that lack player 0."""
+    values[(masks & np.uint64(1)) == 0] = 0.0
+    return values
+
+
+def founder_count_table(level: Callable[[int], float],
+                        n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch table of a founder-gated crowd-count game with n crowd members.
+
+    A coalition holding player 0 and m of players 1..n is worth level(m);
+    one without player 0 is worth zero. The n + 1 levels are computed per
+    call, so building the game stays O(1) at any roster size.
+    """
+    def table(masks: np.ndarray) -> np.ndarray:
+        levels = np.array([level(m) for m in range(n + 1)], dtype=np.float64)
+        values = levels[np.bitwise_count(masks >> np.uint64(1))]
+        return zero_without_founder(values, masks)
+
+    return table
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
-    """Characteristic function evaluated on all 2^n coalitions, indexed by mask."""
+    """Characteristic function evaluated on all 2^n coalitions, indexed by mask.
+
+    Uses the game's batch `table` when it has one, else one `value` call per
+    coalition. Refuses, before allocating, a roster above the cap or one
+    whose tables would not fit in physical memory.
+    """
     n = game.n_players
     if n > cap:
         raise RosterTooLargeError(
             f"full coalition table needs 2^{n} evaluations, above the cap of {cap} players")
+    need, physical = (1 << n) * EXACT_BYTES_PER_COALITION, _physical_memory()
+    if physical is not None and need > physical:
+        raise RosterTooLargeError(
+            f"exact engine needs {need} bytes for 2^{n} coalitions, more than the "
+            f"{physical} bytes of physical memory")
     size = 1 << n
+    if game.table is not None:
+        values = np.asarray(game.table(np.arange(size, dtype=np.uint64)), dtype=np.float64)
+        if values.shape != (size,):
+            raise ValueError(
+                f"batch table of {game.label or 'game'} returned shape {values.shape}, "
+                f"expected ({size},)")
+        return values
     value = game.value
     return np.fromiter((value(Coalition(m)) for m in range(size)),
                        dtype=np.float64, count=size)
+
+
+def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a mask-indexed table without and with player i, paired by coalition."""
+    v = values.reshape(-1, 2, 1 << i)
+    return v[:, 0, :], v[:, 1, :]
+
+
+def _split_pair(values: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A mask-indexed table viewed as [.., bit j, .., bit i, ..] for i < j."""
+    return values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
 
 
 def shapley_exact(game: CoalitionGame, *, cap: int | None = None) -> Allocation:
@@ -201,16 +290,16 @@ def shapley_exact(game: CoalitionGame, *, cap: int | None = None) -> Allocation:
             f"exact engine capped at {cap} players, got {n}; "
             "use shapley_sample for larger rosters")
     values = coalition_value_table(game, cap=cap)
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.intp)
-    # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!
-    weights = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
+    # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!; the grand coalition's
+    # weight is never read
+    by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)] + [0.0])
+    weights = by_size[np.bitwise_count(np.arange(1 << n, dtype=np.uint64))]
     payoffs = []
     for i in range(n):
-        bit = np.int64(1 << i)
-        without = masks[(masks & bit) == 0]
-        gains = values[without | bit] - values[without]
-        payoffs.append(float(np.sum(weights[sizes[without]] * gains)))
+        without, with_i = _split(values, i)
+        gains = with_i - without
+        gains *= _split(weights, i)[0]
+        payoffs.append(float(np.sum(gains)))
     return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
 
 
@@ -256,7 +345,8 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
             return 0.0
         return float(crowd_value(s.size - 1))
 
-    return CoalitionGame(n + 1, value, label or "anonymous crowd game", players)
+    return CoalitionGame(n + 1, value, label or "anonymous crowd game", players,
+                         founder_count_table(lambda m: float(crowd_value(m)), n))
 
 
 def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:
@@ -360,23 +450,18 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
     exhaustive = n <= detect_cap
     if exhaustive:
         values = coalition_value_table(game, cap=detect_cap)
-        masks = np.arange(1 << n, dtype=np.int64)
         detect_tol = 1e-12 * max(1.0, abs(grand))
         found_nulls = []
         for i in range(n):
-            bit = np.int64(1 << i)
-            without = masks[(masks & bit) == 0]
-            if np.max(np.abs(values[without | bit] - values[without])) <= detect_tol:
+            without, with_i = _split(values, i)
+            if np.max(np.abs(with_i - without)) <= detect_tol:
                 found_nulls.append(i)
         nulls = tuple(found_nulls)
         found_pairs = []
         for i in range(n):
             for j in range(i + 1, n):
-                both = np.int64((1 << i) | (1 << j))
-                free = masks[(masks & both) == 0]
-                gap = np.abs(values[free | np.int64(1 << i)]
-                             - values[free | np.int64(1 << j)])
-                if np.max(gap) <= detect_tol:
+                v = _split_pair(values, i, j)
+                if np.max(np.abs(v[:, 0, :, 1, :] - v[:, 1, :, 0, :])) <= detect_tol:
                     found_pairs.append((i, j))
         pairs = tuple(found_pairs)
 
@@ -396,12 +481,17 @@ def add_games(game_a: CoalitionGame, game_b: CoalitionGame,
         raise ValueError(
             f"roster mismatch: {game_a.n_players} vs {game_b.n_players} players")
     value_a, value_b = game_a.value, game_b.value
+    table_a, table_b = game_a.table, game_b.table
 
     def value(s: Coalition) -> float:
         return value_a(s) + value_b(s)
 
+    def table(masks: np.ndarray) -> np.ndarray:
+        return table_a(masks) + table_b(masks)
+
     return CoalitionGame(game_a.n_players, value,
-                         label or f"{game_a.label} + {game_b.label}", game_a.players)
+                         label or f"{game_a.label} + {game_b.label}", game_a.players,
+                         table if table_a is not None and table_b is not None else None)
 
 
 @dataclass(frozen=True)
@@ -435,14 +525,11 @@ def is_supermodular(game: CoalitionGame, *, cap: int | None = None,
         raise RosterTooLargeError(
             f"supermodularity scan capped at {cap} players, got {n}")
     values = coalition_value_table(game, cap=cap)
-    masks = np.arange(1 << n, dtype=np.int64)
     for i in range(n):
-        bit_i = np.int64(1 << i)
         for j in range(i + 1, n):
-            bit_j = np.int64(1 << j)
-            free = masks[(masks & (bit_i | bit_j)) == 0]
-            grown = values[free | bit_i | bit_j] - values[free | bit_j]
-            base = values[free | bit_i] - values[free]
+            v = _split_pair(values, i, j)
+            grown = v[:, 1, :, 1, :] - v[:, 1, :, 0, :]
+            base = v[:, 0, :, 1, :] - v[:, 0, :, 0, :]
             if np.any(grown - base < -tol):
                 return False
     return True

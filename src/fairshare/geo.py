@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping
 
+import numpy as np
+
 from fairshare.core import (
     Allocation,
     Coalition,
@@ -25,6 +27,8 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
+    mask_weight_sum,
+    zero_without_founder,
 )
 
 GeoVariant = Literal["lin", "met"]
@@ -142,6 +146,11 @@ def _agent_players(census: DiskCensus, offset: int = 0) -> list[PlayerId]:
             for i in range(1, census.num_agents + 1)]
 
 
+def _mass_value(rho: float, variant: GeoVariant, mass):
+    """Linear or quadratic value of an effective mass (a float or an array)."""
+    return rho * mass * mass if variant == "met" else rho * mass
+
+
 def geo_game(census: DiskCensus, rho: float, variant: GeoVariant) -> CoalitionGame:
     """Agent-only game (player i-1 is agent i) for the exact engine."""
     _check_variant(variant)
@@ -150,11 +159,13 @@ def geo_game(census: DiskCensus, rho: float, variant: GeoVariant) -> CoalitionGa
     sizes = effective_sizes(census)
 
     def value(s: Coalition) -> float:
-        mass = math.fsum(sizes[i] for i in s.members())
-        return rho * mass * mass if variant == "met" else rho * mass
+        return _mass_value(rho, variant, math.fsum(sizes[i] for i in s.members()))
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        return _mass_value(rho, variant, mask_weight_sum(masks, sizes))
 
     return CoalitionGame(census.num_agents, value, f"geo {variant}",
-                         tuple(_agent_players(census)))
+                         tuple(_agent_players(census)), table)
 
 
 def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocation:
@@ -196,13 +207,31 @@ def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
 
 def geo_founder_game(census: DiskCensus, rho: float,
                      variant: GeoVariant) -> CoalitionGame:
+    """Founder-gated game for the exact engine and the sampler.
+
+    Its value equals `geo_founder_value`, from effective sizes computed once
+    here instead of a census rescan per member per coalition.
+    """
     _check_variant(variant)
     if variant == "met" and rho <= 0:
         raise ValueError(f"value scale must be positive, got {rho}")
     players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(_agent_players(census, 1))
-    return CoalitionGame(census.num_agents + 1,
-                         lambda s: geo_founder_value(census, rho, variant, s),
-                         f"geo founder {variant}", players)
+    sizes = effective_sizes(census)
+    n_players = census.num_agents + 1
+
+    def value(s: Coalition) -> float:
+        if int(s) >> n_players:
+            raise ValueError("coalition contains players outside the founder roster")
+        if 0 not in s:
+            return 0.0
+        return _mass_value(rho, variant,
+                           math.fsum(sizes[p - 1] for p in s.members() if p > 0))
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        mass = mask_weight_sum(masks, sizes, first_bit=1)
+        return zero_without_founder(_mass_value(rho, variant, mass), masks)
+
+    return CoalitionGame(n_players, value, f"geo founder {variant}", players, table)
 
 
 def geo_founder_shapley(census: DiskCensus, rho: float,

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from fairshare.core import (
     Allocation,
@@ -22,6 +24,9 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
+    founder_count_table,
+    mask_weight_sum,
+    zero_without_founder,
 )
 
 FOUNDER_INDEX = 0
@@ -39,6 +44,16 @@ def crowd_count(s: Coalition) -> int:
 def power_sum(n: int, k: int) -> int:
     """Sum of s^k for s = 0..n, accumulated in exact integer arithmetic."""
     return sum(s ** k for s in range(n + 1))
+
+
+def _crowd_count_table(value: Callable[[Coalition], float],
+                       n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch table of a founder-gated game that depends only on the crowd count.
+
+    Level m is the scalar value of the founder plus members 1..m, so the
+    table agrees with `value` exactly.
+    """
+    return founder_count_table(lambda m: value(Coalition((2 << m) - 1)), n)
 
 
 def _css_players(n: int) -> tuple[PlayerId, ...]:
@@ -181,10 +196,13 @@ def value_single(params: SingleCssParams, s: Coalition) -> float:
 
 
 def single_game(params: SingleCssParams) -> CoalitionGame:
+    def value(s: Coalition) -> float:
+        return value_single(params, s)
+
     return CoalitionGame(
-        params.n + 1, lambda s: value_single(params, s),
+        params.n + 1, value,
         f"single CSS (n={params.n}, k={params.k}, rho={params.rho})",
-        _css_players(params.n))
+        _css_players(params.n), _crowd_count_table(value, params.n))
 
 
 def closed_single(params: SingleCssParams) -> ShareReport:
@@ -211,10 +229,14 @@ def value_weighted(params: WeightedCssParams, s: Coalition) -> float:
 
 
 def weighted_game(params: WeightedCssParams) -> CoalitionGame:
+    def table(masks: np.ndarray) -> np.ndarray:
+        total = mask_weight_sum(masks, params.work_units(), first_bit=1)
+        return zero_without_founder(params.rho * total ** params.k, masks)
+
     return CoalitionGame(
         params.n + 1, lambda s: value_weighted(params, s),
         f"weighted CSS (n={params.n}, alpha={params.alpha}, rho={params.rho})",
-        _css_players(params.n))
+        _css_players(params.n), table)
 
 
 def cross_term_weight(n: int) -> Fraction:
@@ -264,10 +286,12 @@ def value_profit(params: ProfitCssParams, s: Coalition) -> float:
 
 
 def profit_game(params: ProfitCssParams) -> CoalitionGame:
+    def value(s: Coalition) -> float:
+        return value_profit(params, s)
+
     return CoalitionGame(
-        params.n + 1, lambda s: value_profit(params, s),
-        f"profit CSS (n={params.n}, k={params.k})",
-        _css_players(params.n))
+        params.n + 1, value, f"profit CSS (n={params.n}, k={params.k})",
+        _css_players(params.n), _crowd_count_table(value, params.n))
 
 
 def closed_profit(params: ProfitCssParams) -> ShareReport:

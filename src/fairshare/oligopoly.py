@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from fairshare.core import (
     Allocation,
     Coalition,
@@ -23,6 +25,7 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
+    mask_weight_sum,
 )
 
 
@@ -128,11 +131,28 @@ def value_coarse(graph: OligopolyGraph, members: Iterable[str | int] | Coalition
     return graph.rho * total
 
 
+def _add_where_all(total: np.ndarray, masks: np.ndarray, bits: int,
+                   term: float | np.ndarray) -> None:
+    """Add `term`, in place, to the entries whose mask holds every bit in `bits`."""
+    bits = np.uint64(bits)
+    np.add(total, term, out=total, where=(masks & bits) == bits)
+
+
+def coarse_table(graph: OligopolyGraph, masks: np.ndarray) -> np.ndarray:
+    """`value_coarse` of every vertex-set mask: presence bits plus edge terms."""
+    sizes = graph.crowd_sizes
+    total = mask_weight_sum(masks, [float(n * n) for n in sizes])
+    for a, b in graph.edges:
+        _add_where_all(total, masks, (1 << a) | (1 << b), float(2 * sizes[a] * sizes[b]))
+    total *= graph.rho
+    return total
+
+
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
     players = tuple(
         PlayerId(i, PlayerTag.CSS_VERTEX, vid) for i, vid in enumerate(graph.vertex_ids))
     return CoalitionGame(graph.n_vertices, lambda s: value_coarse(graph, s),
-                         "coarse oligopoly", players)
+                         "coarse oligopoly", players, lambda m: coarse_table(graph, m))
 
 
 def shapley_coarse(graph: OligopolyGraph) -> Allocation:
@@ -207,6 +227,28 @@ def value_fine(graph: OligopolyGraph, roster: FineGrainRoster, s: Coalition) -> 
     return graph.rho * total
 
 
+def fine_table(graph: OligopolyGraph, roster: FineGrainRoster,
+               masks: np.ndarray) -> np.ndarray:
+    """`value_fine` of every player mask.
+
+    Each vertex's present crowd is the popcount of the mask over its minor
+    block; its square counts when the major is present, and each agreement
+    adds twice the product of its endpoints' crowds when both majors are.
+    """
+    blocks = [np.uint64(sum(1 << p for p in block)) for block in roster.minors_of_vertex]
+    total = np.zeros(masks.shape)
+    for v in range(graph.n_vertices):
+        crowd = np.bitwise_count(masks & blocks[v]).astype(np.float64)
+        _add_where_all(total, masks, 1 << v, crowd * crowd)
+        crowd *= 2.0
+        for a, b in graph.edges:
+            if a == v:
+                _add_where_all(total, masks, (1 << a) | (1 << b),
+                               crowd * np.bitwise_count(masks & blocks[b]))
+    total *= graph.rho
+    return total
+
+
 def fine_game(graph: OligopolyGraph) -> tuple[CoalitionGame, FineGrainRoster]:
     roster = fine_roster(graph)
     players = []
@@ -217,7 +259,8 @@ def fine_game(graph: OligopolyGraph) -> tuple[CoalitionGame, FineGrainRoster]:
             players.append(PlayerId(p, PlayerTag.CROWD, f"{vid}/u{j}"))
     game = CoalitionGame(roster.n_players,
                          lambda s: value_fine(graph, roster, s),
-                         "fine oligopoly", tuple(players))
+                         "fine oligopoly", tuple(players),
+                         lambda m: fine_table(graph, roster, m))
     return game, roster
 
 
