@@ -21,9 +21,10 @@ from fairshare.core import (
     shapley_sample,
 )
 from fairshare.empirical import load_revenue_records, parse_window, revenue_share
-from fairshare.models import CssParams, share_sweep
+from fairshare.models import share_sweep
 from fairshare.reports import EmpiricalReport, SolveReport, SweepReport, emit
 from fairshare.scenarios import (
+    MODELS,
     SampleConfig,
     Scenario,
     ScenarioError,
@@ -118,10 +119,12 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
 
 
 def sweep_scenario(scenario: Scenario, n_values: Sequence[int]) -> SweepReport:
-    if not isinstance(scenario.params, CssParams):
+    if not hasattr(scenario.params, "closed_at"):  # see models.CssParams
+        *names, last = [name for name, spec in MODELS.items()
+                        if hasattr(spec.parse, "closed_at")]
         raise ScenarioError(
             [f"model: '{scenario.model}' does not support sweeping; "
-             "use single, weighted, or profit"])
+             f"use {', '.join(names)}, or {last}"])
     table = share_sweep(scenario.params, list(n_values))
     return SweepReport(scenario_to_data(scenario), table)
 

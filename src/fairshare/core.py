@@ -208,26 +208,39 @@ def mask_weight_sum(masks: np.ndarray, weights: Sequence[float],
     return total
 
 
-def zero_without_founder(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Zero, in place, the values of coalitions that lack player 0."""
-    values[(masks & np.uint64(1)) == 0] = 0.0
-    return values
+def crowd_players(n: int) -> tuple[PlayerId, ...]:
+    """Founder "g" as player 0, then crowd members "u1".."un" as players 1..n."""
+    return (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(
+        PlayerId(i, PlayerTag.CROWD, f"u{i}") for i in range(1, n + 1))
 
 
-def founder_count_table(level: Callable[[int], float],
-                        n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch table of a founder-gated crowd-count game with n crowd members.
+def mass_game(units: Sequence[float], worth: Callable, label: str,
+              players: tuple[PlayerId, ...], *, founder: bool) -> CoalitionGame:
+    """Game worth `worth(mass)`, where mass sums the units of the players present.
 
-    A coalition holding player 0 and m of players 1..n is worth level(m);
-    one without player 0 is worth zero. The n + 1 levels are computed per
-    call, so building the game stays O(1) at any roster size.
+    Without a founder, player i carries units[i]. With one, player 0 gates
+    the game: a coalition without it is worth zero, and player i carries
+    units[i - 1]. `worth` maps a float or an array alike, so the scalar
+    `value` and the batch `table` share it.
     """
-    def table(masks: np.ndarray) -> np.ndarray:
-        levels = np.array([level(m) for m in range(n + 1)], dtype=np.float64)
-        values = levels[np.bitwise_count(masks >> np.uint64(1))]
-        return zero_without_founder(values, masks)
+    first = int(founder)
+    n_players = len(units) + first
 
-    return table
+    def value(s: Coalition) -> float:
+        mask = int(s)
+        if mask >> n_players:
+            raise ValueError("coalition contains players outside the roster")
+        if founder and not mask & 1:
+            return 0.0
+        return worth(math.fsum(units[p] for p in Coalition(mask >> first).members()))
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        values = worth(mask_weight_sum(masks, units, first_bit=first))
+        if founder:
+            values[(masks & np.uint64(1)) == 0] = 0.0
+        return values
+
+    return CoalitionGame(n_players, value, label, players, table)
 
 
 def _physical_memory() -> int | None:
@@ -333,20 +346,26 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
     """Founder-gated game whose value depends only on the crowd head count.
 
     Player 0 is the founder; a coalition without it is worth zero, one with
-    it and s crowd members is worth crowd_value(s).
+    it and s crowd members is worth crowd_value(s). The batch table computes
+    its n + 1 levels per call, so building the game stays O(1) at any n.
     """
     if n < 1:
         raise DegenerateCrowdError(f"need at least one crowd member, got n={n}")
-    players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(
-        PlayerId(i, PlayerTag.CROWD, f"u{i}") for i in range(1, n + 1))
 
     def value(s: Coalition) -> float:
-        if 0 not in s:
+        mask = int(s)
+        if not mask & 1:
             return 0.0
-        return float(crowd_value(s.size - 1))
+        return float(crowd_value(mask.bit_count() - 1))
 
-    return CoalitionGame(n + 1, value, label or "anonymous crowd game", players,
-                         founder_count_table(lambda m: float(crowd_value(m)), n))
+    def table(masks: np.ndarray) -> np.ndarray:
+        levels = np.array([float(crowd_value(m)) for m in range(n + 1)])
+        values = levels[np.bitwise_count(masks >> np.uint64(1))]
+        values[(masks & np.uint64(1)) == 0] = 0.0
+        return values
+
+    return CoalitionGame(n + 1, value, label or "anonymous crowd game",
+                         crowd_players(n), table)
 
 
 def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:

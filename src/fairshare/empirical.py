@@ -147,6 +147,8 @@ class ShareEstimate:
 def revenue_share(records: Iterable[RevenueRecord], payout_total: float,
                   window: Sequence[HalfYear], entity: str) -> ShareEstimate:
     """Payout as a fraction of windowed revenue, with the band check."""
+    if not math.isfinite(payout_total):
+        raise ValueError(f"payout must be a finite number, got {payout_total}")
     if payout_total < 0:
         raise ValueError(f"payout cannot be negative, got {payout_total}")
     if not window:

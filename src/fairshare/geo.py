@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping
-
-import numpy as np
+from typing import Callable, Iterable, Literal, Mapping
 
 from fairshare.core import (
     Allocation,
@@ -27,21 +25,21 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
-    mask_weight_sum,
-    zero_without_founder,
+    mass_game,
 )
+from fairshare.models import WeightedCssParams, closed_weighted
 
 GeoVariant = Literal["lin", "met"]
 
 # one user's placement: the ids of every disk covering it (empty = uncovered)
 UserPlacement = Iterable[int]
 
-_VARIANTS = ("lin", "met")
+GEO_VARIANTS = ("lin", "met")
 
 
 def _check_variant(variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant not in GEO_VARIANTS:
+        raise ValueError(f"variant must be one of {GEO_VARIANTS}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -146,26 +144,21 @@ def _agent_players(census: DiskCensus, offset: int = 0) -> list[PlayerId]:
             for i in range(1, census.num_agents + 1)]
 
 
-def _mass_value(rho: float, variant: GeoVariant, mass):
+def _worth(rho: float, variant: GeoVariant) -> Callable:
     """Linear or quadratic value of an effective mass (a float or an array)."""
-    return rho * mass * mass if variant == "met" else rho * mass
+    _check_variant(variant)
+    if variant == "lin":
+        return lambda mass: rho * mass
+    if rho <= 0:
+        raise ValueError(f"value scale must be positive, got {rho}")
+    return lambda mass: rho * mass * mass
 
 
 def geo_game(census: DiskCensus, rho: float, variant: GeoVariant) -> CoalitionGame:
     """Agent-only game (player i-1 is agent i) for the exact engine."""
-    _check_variant(variant)
-    if variant == "met" and rho <= 0:
-        raise ValueError(f"value scale must be positive, got {rho}")
-    sizes = effective_sizes(census)
-
-    def value(s: Coalition) -> float:
-        return _mass_value(rho, variant, math.fsum(sizes[i] for i in s.members()))
-
-    def table(masks: np.ndarray) -> np.ndarray:
-        return _mass_value(rho, variant, mask_weight_sum(masks, sizes))
-
-    return CoalitionGame(census.num_agents, value, f"geo {variant}",
-                         tuple(_agent_players(census)), table)
+    worth = _worth(rho, variant)
+    return mass_game(effective_sizes(census), worth, f"geo {variant}",
+                     tuple(_agent_players(census)), founder=False)
 
 
 def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocation:
@@ -212,26 +205,10 @@ def geo_founder_game(census: DiskCensus, rho: float,
     Its value equals `geo_founder_value`, from effective sizes computed once
     here instead of a census rescan per member per coalition.
     """
-    _check_variant(variant)
-    if variant == "met" and rho <= 0:
-        raise ValueError(f"value scale must be positive, got {rho}")
+    worth = _worth(rho, variant)
     players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(_agent_players(census, 1))
-    sizes = effective_sizes(census)
-    n_players = census.num_agents + 1
-
-    def value(s: Coalition) -> float:
-        if int(s) >> n_players:
-            raise ValueError("coalition contains players outside the founder roster")
-        if 0 not in s:
-            return 0.0
-        return _mass_value(rho, variant,
-                           math.fsum(sizes[p - 1] for p in s.members() if p > 0))
-
-    def table(masks: np.ndarray) -> np.ndarray:
-        mass = mask_weight_sum(masks, sizes, first_bit=1)
-        return zero_without_founder(_mass_value(rho, variant, mass), masks)
-
-    return CoalitionGame(n_players, value, f"geo founder {variant}", players, table)
+    return mass_game(effective_sizes(census), worth, f"geo founder {variant}",
+                     players, founder=True)
 
 
 def geo_founder_shapley(census: DiskCensus, rho: float,
@@ -240,21 +217,19 @@ def geo_founder_shapley(census: DiskCensus, rho: float,
 
     Linear: the founder takes half the total mass, each agent half its own.
     Quadratic: the founder takes rho * (total^2/3 + sum n_i^2 / 6) and agent
-    i takes rho * (2 total n_i / 3 - n_i^2 / 6); exactly the work-weighted
-    closed form with the effective sizes as work units.
+    i takes rho * (2 total n_i / 3 - n_i^2 / 6), which is the work-weighted
+    closed form with the effective sizes as work units, so it is computed
+    by `closed_weighted`.
     """
     _check_variant(variant)
     sizes = effective_sizes(census)
-    total = math.fsum(sizes)
-    if variant == "lin":
-        founder = rho * total / 2
-        agents = tuple(rho * n / 2 for n in sizes)
-        grand = rho * total
-    else:
+    if variant == "met":
         if rho <= 0:
             raise ValueError(f"value scale must be positive, got {rho}")
-        sq = math.fsum(n * n for n in sizes)
-        founder = rho * (total * total / 3 + sq / 6)
-        agents = tuple(rho * (2 * total * n / 3 - n * n / 6) for n in sizes)
-        grand = rho * total * total
-    return Allocation((founder,) + agents, grand, Method.CLOSED_FORM)
+        if not any(sizes):  # no users, so no positive work unit either
+            return Allocation((0.0,) * (len(sizes) + 1), 0.0, Method.CLOSED_FORM)
+        return closed_weighted(WeightedCssParams(sizes, rho=rho)).as_allocation()
+    total = math.fsum(sizes)
+    founder = rho * total / 2
+    agents = tuple(rho * n / 2 for n in sizes)
+    return Allocation((founder,) + agents, rho * total, Method.CLOSED_FORM)

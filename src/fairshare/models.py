@@ -13,20 +13,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Protocol, Sequence
 
 from fairshare.core import (
     Allocation,
     Coalition,
     CoalitionGame,
     Method,
-    PlayerId,
-    PlayerTag,
-    founder_count_table,
-    mask_weight_sum,
-    zero_without_founder,
+    anonymous_game,
+    crowd_players,
+    mass_game,
 )
 
 FOUNDER_INDEX = 0
@@ -46,21 +42,6 @@ def power_sum(n: int, k: int) -> int:
     return sum(s ** k for s in range(n + 1))
 
 
-def _crowd_count_table(value: Callable[[Coalition], float],
-                       n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch table of a founder-gated game that depends only on the crowd count.
-
-    Level m is the scalar value of the founder plus members 1..m, so the
-    table agrees with `value` exactly.
-    """
-    return founder_count_table(lambda m: value(Coalition((2 << m) - 1)), n)
-
-
-def _css_players(n: int) -> tuple[PlayerId, ...]:
-    return (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(
-        PlayerId(i, PlayerTag.CROWD, f"u{i}") for i in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class SingleCssParams:
     """Identical-crowd revenue model: a founder-gated coalition of m crowd
@@ -77,6 +58,9 @@ class SingleCssParams:
             raise ValueError(f"exponent must be an integer >= 1, got {self.k}")
         if self.rho <= 0:
             raise ValueError(f"value scale must be positive, got {self.rho}")
+
+    def closed_at(self, n: int) -> ShareReport:
+        return closed_single(dataclasses.replace(self, n=n))
 
 
 @dataclass(frozen=True)
@@ -117,6 +101,12 @@ class WeightedCssParams:
         total = math.fsum(units)
         return tuple(u / total for u in units)
 
+    def closed_at(self, n: int) -> ShareReport:
+        # the weight pattern repeats cyclically up to n members, so a
+        # uniform base stays uniform at every n
+        return closed_weighted(dataclasses.replace(
+            self, weights=tuple(islice(cycle(self.weights), n))))
+
 
 @dataclass(frozen=True)
 class ProfitCssParams:
@@ -139,6 +129,9 @@ class ProfitCssParams:
             raise ValueError(f"value scale must be positive, got {self.rho}")
         if self.founder_cost < 0 or self.member_cost < 0:
             raise ValueError("costs must be nonnegative")
+
+    def closed_at(self, n: int) -> ShareReport:
+        return closed_profit(dataclasses.replace(self, n=n))
 
 
 @dataclass(frozen=True)
@@ -196,13 +189,9 @@ def value_single(params: SingleCssParams, s: Coalition) -> float:
 
 
 def single_game(params: SingleCssParams) -> CoalitionGame:
-    def value(s: Coalition) -> float:
-        return value_single(params, s)
-
-    return CoalitionGame(
-        params.n + 1, value,
-        f"single CSS (n={params.n}, k={params.k}, rho={params.rho})",
-        _css_players(params.n), _crowd_count_table(value, params.n))
+    rho, k = params.rho, params.k
+    return anonymous_game(lambda m: rho * m ** k, params.n,
+                          f"single CSS (n={params.n}, k={k}, rho={rho})")
 
 
 def closed_single(params: SingleCssParams) -> ShareReport:
@@ -229,14 +218,11 @@ def value_weighted(params: WeightedCssParams, s: Coalition) -> float:
 
 
 def weighted_game(params: WeightedCssParams) -> CoalitionGame:
-    def table(masks: np.ndarray) -> np.ndarray:
-        total = mask_weight_sum(masks, params.work_units(), first_bit=1)
-        return zero_without_founder(params.rho * total ** params.k, masks)
-
-    return CoalitionGame(
-        params.n + 1, lambda s: value_weighted(params, s),
-        f"weighted CSS (n={params.n}, alpha={params.alpha}, rho={params.rho})",
-        _css_players(params.n), table)
+    rho, k = params.rho, params.k
+    return mass_game(
+        params.work_units(), lambda total: rho * total ** k,
+        f"weighted CSS (n={params.n}, alpha={params.alpha}, rho={rho})",
+        crowd_players(params.n), founder=True)
 
 
 def cross_term_weight(n: int) -> Fraction:
@@ -286,12 +272,10 @@ def value_profit(params: ProfitCssParams, s: Coalition) -> float:
 
 
 def profit_game(params: ProfitCssParams) -> CoalitionGame:
-    def value(s: Coalition) -> float:
-        return value_profit(params, s)
-
-    return CoalitionGame(
-        params.n + 1, value, f"profit CSS (n={params.n}, k={params.k})",
-        _css_players(params.n), _crowd_count_table(value, params.n))
+    rho, k = params.rho, params.k
+    cost = params.founder_cost + params.member_cost
+    return anonymous_game(lambda m: rho * m ** k - cost * m, params.n,
+                          f"profit CSS (n={params.n}, k={k})")
 
 
 def closed_profit(params: ProfitCssParams) -> ShareReport:
@@ -318,7 +302,10 @@ def closed_profit(params: ProfitCssParams) -> ShareReport:
 
 # --- convergence sweeps -------------------------------------------------------
 
-CssParams = SingleCssParams | WeightedCssParams | ProfitCssParams
+class CssParams(Protocol):
+    """A single-CSS model with a closed form at any crowd size."""
+
+    def closed_at(self, n: int) -> ShareReport: ...
 
 
 @dataclass(frozen=True)
@@ -350,22 +337,6 @@ class SweepTable:
         return all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
-def _resize(params: CssParams, n: int) -> CssParams:
-    if isinstance(params, (SingleCssParams, ProfitCssParams)):
-        return dataclasses.replace(params, n=n)
-    # weighted: repeat the weight pattern cyclically up to the requested size,
-    # so a uniform base stays uniform at every n
-    return dataclasses.replace(params, weights=tuple(islice(cycle(params.weights), n)))
-
-
-def _closed(params: CssParams) -> ShareReport:
-    if isinstance(params, SingleCssParams):
-        return closed_single(params)
-    if isinstance(params, WeightedCssParams):
-        return closed_weighted(params)
-    return closed_profit(params)
-
-
 def share_sweep(params: CssParams, n_values: Iterable[int]) -> SweepTable:
     """Closed-form share reports across crowd sizes, for limit diagnostics."""
     sizes = list(n_values)
@@ -375,5 +346,5 @@ def share_sweep(params: CssParams, n_values: Iterable[int]) -> SweepTable:
         raise ValueError("n_values must be strictly ascending")
     if any(n < 1 for n in sizes):
         raise ValueError("crowd sizes must be >= 1")
-    rows = tuple(SweepRow(n, _closed(_resize(params, n))) for n in sizes)
+    rows = tuple(SweepRow(n, params.closed_at(n)) for n in sizes)
     return SweepTable(type(params).__name__, rows)

@@ -7,19 +7,22 @@ its parameters and the solution method(s) to run:
      "method": "all", "sample": {"permutations": 20000, "seed": 0}}
 
 `validate_scenario_data` reports every violation it can find rather than
-stopping at the first, so a file can be fixed in one pass.
+stopping at the first, so a file can be fixed in one pass. Every model is
+one `ModelSpec` entry in `MODELS`, and the functions here look it up there.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from fairshare.core import Allocation, CoalitionGame
 from fairshare.geo import (
+    GEO_VARIANTS,
     DiskCensus,
     geo_founder_game,
     geo_founder_shapley,
@@ -47,10 +50,7 @@ from fairshare.oligopoly import (
     shapley_fine_closed,
 )
 
-MODELS = ("single", "weighted", "profit", "oligopoly_coarse", "oligopoly_fine",
-          "geo", "geo_founder")
 METHODS = ("closed", "exact", "sample", "all")
-GEO_VARIANTS = ("lin", "met")
 
 DEFAULT_PERMUTATIONS = 20_000
 
@@ -92,42 +92,42 @@ def _is_int(x: Any) -> bool:
 
 
 def _is_num(x: Any) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """A finite int or float that a float can hold (no NaN, no infinities)."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _check_int(params: dict, key: str, errors: list[str], *, prefix: str,
-               minimum: int | None = None, required: bool = True,
-               default: int | None = None) -> int | None:
+               minimum: int | None = None, required: bool = True) -> int | None:
     if key not in params:
         if required:
             errors.append(f"{prefix}.{key}: missing required field")
-        return default
+        return None
     value = params[key]
     if not _is_int(value):
         errors.append(f"{prefix}.{key}: expected an integer, got {value!r}")
-        return default
+        return None
     if minimum is not None and value < minimum:
         errors.append(f"{prefix}.{key}: must be >= {minimum}, got {value}")
-        return default
+        return None
     return value
 
 
 def _check_num(params: dict, key: str, errors: list[str], *, prefix: str,
-               default: float | None = None, positive: bool = False,
-               nonnegative: bool = False) -> float | None:
+               positive: bool = False, nonnegative: bool = False) -> None:
     if key not in params:
-        return default
+        return
     value = params[key]
     if not _is_num(value):
-        errors.append(f"{prefix}.{key}: expected a number, got {value!r}")
-        return default
-    if positive and value <= 0:
+        errors.append(f"{prefix}.{key}: expected a finite number, got {value!r}")
+    elif positive and value <= 0:
         errors.append(f"{prefix}.{key}: must be positive, got {value}")
-        return default
-    if nonnegative and value < 0:
+    elif nonnegative and value < 0:
         errors.append(f"{prefix}.{key}: must be nonnegative, got {value}")
-        return default
-    return float(value)
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], errors: list[str],
@@ -137,16 +137,28 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], errors: list[str],
             errors.append(f"{prefix}.{key}: unknown field")
 
 
-def _validate_single(params: dict, errors: list[str], prefix: str) -> None:
-    _check_keys(params, ("n", "k", "rho"), errors, prefix)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _validate_single(params: dict, errors: list[str], prefix: str, method: str,
+                     cls: type = SingleCssParams) -> None:
+    _check_keys(params, _field_names(cls), errors, prefix)
     _check_int(params, "n", errors, prefix=prefix, minimum=1)
     _check_int(params, "k", errors, prefix=prefix, minimum=1)
     _check_num(params, "rho", errors, prefix=prefix, positive=True)
 
 
+def _validate_profit(params: dict, errors: list[str], prefix: str,
+                     method: str) -> None:
+    _validate_single(params, errors, prefix, method, ProfitCssParams)
+    _check_num(params, "founder_cost", errors, prefix=prefix, nonnegative=True)
+    _check_num(params, "member_cost", errors, prefix=prefix, nonnegative=True)
+
+
 def _validate_weighted(params: dict, errors: list[str], prefix: str,
                        method: str) -> None:
-    _check_keys(params, ("weights", "alpha", "rho", "k"), errors, prefix)
+    _check_keys(params, _field_names(WeightedCssParams), errors, prefix)
     weights = params.get("weights")
     if weights is None:
         errors.append(f"{prefix}.weights: missing required field")
@@ -155,30 +167,21 @@ def _validate_weighted(params: dict, errors: list[str], prefix: str,
     else:
         bad = [w for w in weights if not _is_num(w) or w < 0]
         if bad:
-            errors.append(f"{prefix}.weights: entries must be nonnegative numbers")
+            errors.append(
+                f"{prefix}.weights: entries must be finite nonnegative numbers")
         elif not any(w > 0 for w in weights):
             errors.append(f"{prefix}.weights: at least one weight must be positive")
     _check_num(params, "alpha", errors, prefix=prefix, positive=True)
     _check_num(params, "rho", errors, prefix=prefix, positive=True)
-    k = _check_int(params, "k", errors, prefix=prefix, minimum=1,
-                   required=False, default=2)
+    k = _check_int(params, "k", errors, prefix=prefix, minimum=1, required=False)
     if k is not None and k != 2 and method in ("closed", "all"):
         errors.append(
             f"{prefix}.k: the weighted closed form requires k=2 (got {k}); "
             "use method 'exact' or 'sample'")
 
 
-def _validate_profit(params: dict, errors: list[str], prefix: str) -> None:
-    _check_keys(params, ("n", "k", "rho", "founder_cost", "member_cost"),
-                errors, prefix)
-    _check_int(params, "n", errors, prefix=prefix, minimum=1)
-    _check_int(params, "k", errors, prefix=prefix, minimum=1)
-    _check_num(params, "rho", errors, prefix=prefix, positive=True)
-    _check_num(params, "founder_cost", errors, prefix=prefix, nonnegative=True)
-    _check_num(params, "member_cost", errors, prefix=prefix, nonnegative=True)
-
-
-def _validate_graph(params: dict, errors: list[str], prefix: str) -> None:
+def _validate_graph(params: dict, errors: list[str], prefix: str,
+                    method: str) -> None:
     _check_keys(params, ("vertices", "edges", "rho"), errors, prefix)
     vertices = params.get("vertices")
     ids: set[str] = set()
@@ -225,6 +228,20 @@ def _validate_graph(params: dict, errors: list[str], prefix: str) -> None:
         else:
             seen_edges.add(frozenset((a, b)))
     _check_num(params, "rho", errors, prefix=prefix, positive=True)
+
+
+def _validate_fine(params: dict, errors: list[str], prefix: str,
+                   method: str) -> None:
+    _validate_graph(params, errors, prefix, method)
+    vertices = params.get("vertices")
+    if method in ("closed", "all") and isinstance(vertices, list):
+        empty = [v.get("id") for v in vertices
+                 if isinstance(v, dict) and _is_int(v.get("size")) and v["size"] == 0]
+        if empty:
+            errors.append(
+                f"{prefix}.vertices: the fine-grain closed form needs every crowd "
+                f"nonempty, but vertices {empty} have none; use method 'exact' "
+                "or 'sample'")
 
 
 def _validate_census(census: Any, errors: list[str], prefix: str) -> None:
@@ -279,8 +296,9 @@ def _parse_subset_key(key: Any) -> tuple[int, ...] | None:
     return ids
 
 
-def _validate_geo(params: dict, errors: list[str], prefix: str) -> None:
-    _check_keys(params, ("census", "variant", "rho"), errors, prefix)
+def _validate_geo(params: dict, errors: list[str], prefix: str,
+                  method: str) -> None:
+    _check_keys(params, _field_names(GeoParams), errors, prefix)
     if "census" not in params:
         errors.append(f"{prefix}.census: missing required field")
     else:
@@ -294,6 +312,87 @@ def _validate_geo(params: dict, errors: list[str], prefix: str) -> None:
     _check_num(params, "rho", errors, prefix=prefix, positive=True)
 
 
+# --- parsing and dumping ------------------------------------------------------------
+
+def _dump_fields(params: Any) -> dict:
+    """A flat params dataclass as JSON-ready data, tuples as lists."""
+    raw = {}
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        raw[field.name] = list(value) if isinstance(value, tuple) else value
+    return raw
+
+
+def _parse_graph(vertices: list[dict], **rest: Any) -> OligopolyGraph:
+    return OligopolyGraph.from_spec([(v["id"], v["size"]) for v in vertices], **rest)
+
+
+def _dump_graph(graph: OligopolyGraph) -> dict:
+    return {"vertices": [{"id": vid, "size": size}
+                         for vid, size in zip(graph.vertex_ids, graph.crowd_sizes)],
+            "edges": [[graph.vertex_ids[a], graph.vertex_ids[b]] for a, b in graph.edges],
+            "rho": graph.rho}
+
+
+def _parse_geo(census: dict, **rest: Any) -> GeoParams:
+    if "placements" in census:
+        parsed = region_census(census["placements"], census["m"])
+    else:
+        parsed = DiskCensus(census["m"], {frozenset(_parse_subset_key(key)): count
+                                          for key, count in census["d"].items()})
+    return GeoParams(parsed, **rest)
+
+
+def _dump_geo(params: GeoParams) -> dict:
+    census = params.census
+    return {"census": {"m": census.num_agents,
+                       "d": {",".join(map(str, sorted(subset))): count
+                             for subset, count in sorted(
+                                 census.counts.items(), key=lambda kv: sorted(kv[0]))}},
+            "variant": params.variant, "rho": params.rho}
+
+
+# --- the model registry ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything the scenario layer knows of one value model.
+
+    `validate(params, errors, prefix, method)` appends every violation in a
+    raw params object; `parse(**params)` builds the typed params from a
+    valid one and `dump` is its inverse. `game` builds the coalition game
+    and `closed` the closed-form result: a ShareReport for a single-CSS
+    model, whose params are `CssParams` and so support `share_sweep`, and
+    an Allocation otherwise.
+    """
+
+    validate: Callable[[dict, list[str], str, str], None]
+    parse: Callable[..., Any]
+    dump: Callable[[Any], dict]
+    game: Callable[[Any], CoalitionGame]
+    closed: Callable[[Any], ShareReport | Allocation]
+
+
+MODELS: dict[str, ModelSpec] = {
+    "single": ModelSpec(_validate_single, SingleCssParams, _dump_fields,
+                        single_game, closed_single),
+    "weighted": ModelSpec(_validate_weighted, WeightedCssParams, _dump_fields,
+                          weighted_game, closed_weighted),
+    "profit": ModelSpec(_validate_profit, ProfitCssParams, _dump_fields,
+                        profit_game, closed_profit),
+    "oligopoly_coarse": ModelSpec(_validate_graph, _parse_graph, _dump_graph,
+                                  coarse_game, shapley_coarse),
+    "oligopoly_fine": ModelSpec(_validate_fine, _parse_graph, _dump_graph,
+                                lambda graph: fine_game(graph)[0], shapley_fine_closed),
+    "geo": ModelSpec(_validate_geo, _parse_geo, _dump_geo,
+                     lambda p: geo_game(p.census, p.rho, p.variant),
+                     lambda p: geo_shapley(p.census, p.rho, p.variant)),
+    "geo_founder": ModelSpec(_validate_geo, _parse_geo, _dump_geo,
+                             lambda p: geo_founder_game(p.census, p.rho, p.variant),
+                             lambda p: geo_founder_shapley(p.census, p.rho, p.variant)),
+}
+
+
 def validate_scenario_data(data: Any) -> list[str]:
     """Collect every schema or invariant violation in a scenario object."""
     if not isinstance(data, dict):
@@ -302,9 +401,10 @@ def validate_scenario_data(data: Any) -> list[str]:
     _check_keys(data, ("model", "params", "method", "sample", "label"),
                 errors, "scenario")
     model = data.get("model")
+    spec = MODELS.get(model) if isinstance(model, str) else None
     if model is None:
         errors.append("model: missing required field")
-    elif model not in MODELS:
+    elif spec is None:
         errors.append(f"model: expected one of {list(MODELS)}, got {model!r}")
     method = data.get("method", "closed")
     if method not in METHODS:
@@ -327,31 +427,9 @@ def validate_scenario_data(data: Any) -> list[str]:
         errors.append("params: missing required field")
     elif not isinstance(params, dict):
         errors.append("params: expected an object")
-    elif model in MODELS:
-        validator = {
-            "single": _validate_single,
-            "profit": _validate_profit,
-            "oligopoly_coarse": _validate_graph,
-            "oligopoly_fine": _validate_graph,
-            "geo": _validate_geo,
-            "geo_founder": _validate_geo,
-        }
-        if model == "weighted":
-            _validate_weighted(params, errors, "params", method)
-        else:
-            validator[model](params, errors, "params")
+    elif spec is not None:
+        spec.validate(params, errors, "params", method)
     return errors
-
-
-# --- parsing --------------------------------------------------------------------
-
-def _parse_census(census: dict) -> DiskCensus:
-    m = census["m"]
-    if "placements" in census:
-        return region_census(census["placements"], m)
-    counts = {frozenset(_parse_subset_key(key)): count
-              for key, count in census["d"].items()}
-    return DiskCensus(m, counts)
 
 
 def parse_scenario(data: Any) -> Scenario:
@@ -360,30 +438,10 @@ def parse_scenario(data: Any) -> Scenario:
     if errors:
         raise ScenarioError(errors)
     model = data["model"]
-    raw = data["params"]
-    params: Any
-    if model == "single":
-        params = SingleCssParams(raw["n"], raw["k"], raw.get("rho", 1.0))
-    elif model == "weighted":
-        params = WeightedCssParams(tuple(raw["weights"]), raw.get("alpha", 1.0),
-                                   raw.get("rho", 1.0), raw.get("k", 2))
-    elif model == "profit":
-        params = ProfitCssParams(raw["n"], raw["k"], raw.get("rho", 1.0),
-                                 raw.get("founder_cost", 0.0),
-                                 raw.get("member_cost", 0.0))
-    elif model in ("oligopoly_coarse", "oligopoly_fine"):
-        params = OligopolyGraph.from_spec(
-            [(v["id"], v["size"]) for v in raw["vertices"]],
-            [tuple(edge) for edge in raw.get("edges", [])],
-            raw.get("rho", 1.0))
-    else:
-        params = GeoParams(_parse_census(raw["census"]), raw["variant"],
-                           raw.get("rho", 1.0))
+    params = MODELS[model].parse(**data["params"])
     sample = None
     if data.get("sample") is not None:
-        sample = SampleConfig(
-            data["sample"].get("permutations", DEFAULT_PERMUTATIONS),
-            data["sample"].get("seed", 0))
+        sample = SampleConfig(**data["sample"])
     return Scenario(model, params, data.get("method", "closed"), sample,
                     data.get("label", ""))
 
@@ -400,31 +458,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def scenario_to_data(scenario: Scenario) -> dict:
     """Canonical JSON-ready form of a scenario (inverse of parse_scenario)."""
-    params = scenario.params
-    if isinstance(params, SingleCssParams):
-        raw: dict[str, Any] = {"n": params.n, "k": params.k, "rho": params.rho}
-    elif isinstance(params, WeightedCssParams):
-        raw = {"weights": list(params.weights), "alpha": params.alpha,
-               "rho": params.rho, "k": params.k}
-    elif isinstance(params, ProfitCssParams):
-        raw = {"n": params.n, "k": params.k, "rho": params.rho,
-               "founder_cost": params.founder_cost,
-               "member_cost": params.member_cost}
-    elif isinstance(params, OligopolyGraph):
-        raw = {"vertices": [{"id": vid, "size": size}
-                            for vid, size in zip(params.vertex_ids, params.crowd_sizes)],
-               "edges": [[params.vertex_ids[a], params.vertex_ids[b]]
-                         for a, b in params.edges],
-               "rho": params.rho}
-    else:
-        census = params.census
-        raw = {"census": {"m": census.num_agents,
-                          "d": {",".join(map(str, sorted(subset))): count
-                                for subset, count in sorted(
-                                    census.counts.items(),
-                                    key=lambda kv: sorted(kv[0]))}},
-               "variant": params.variant, "rho": params.rho}
-    data: dict[str, Any] = {"model": scenario.model, "params": raw,
+    data: dict[str, Any] = {"model": scenario.model,
+                            "params": MODELS[scenario.model].dump(scenario.params),
                             "method": scenario.method}
     if scenario.sample is not None:
         data["sample"] = {"permutations": scenario.sample.permutations,
@@ -438,44 +473,17 @@ def scenario_to_data(scenario: Scenario) -> dict:
 
 def build_game(scenario: Scenario) -> CoalitionGame:
     """The scenario's game for the exact engine or the sampler."""
-    params = scenario.params
-    if scenario.model == "single":
-        return single_game(params)
-    if scenario.model == "weighted":
-        return weighted_game(params)
-    if scenario.model == "profit":
-        return profit_game(params)
-    if scenario.model == "oligopoly_coarse":
-        return coarse_game(params)
-    if scenario.model == "oligopoly_fine":
-        return fine_game(params)[0]
-    if scenario.model == "geo":
-        return geo_game(params.census, params.rho, params.variant)
-    return geo_founder_game(params.census, params.rho, params.variant)
+    return MODELS[scenario.model].game(scenario.params)
 
 
 def closed_report(scenario: Scenario) -> ShareReport | None:
     """Share diagnostics for the models that define them."""
-    params = scenario.params
-    if scenario.model == "single":
-        return closed_single(params)
-    if scenario.model == "weighted":
-        return closed_weighted(params)
-    if scenario.model == "profit":
-        return closed_profit(params)
-    return None
+    if not hasattr(scenario.params, "closed_at"):  # not CssParams
+        return None
+    return MODELS[scenario.model].closed(scenario.params)
 
 
 def closed_allocation(scenario: Scenario) -> Allocation:
     """The scenario's closed-form allocation."""
-    params = scenario.params
-    report = closed_report(scenario)
-    if report is not None:
-        return report.as_allocation()
-    if scenario.model == "oligopoly_coarse":
-        return shapley_coarse(params)
-    if scenario.model == "oligopoly_fine":
-        return shapley_fine_closed(params)
-    if scenario.model == "geo":
-        return geo_shapley(params.census, params.rho, params.variant)
-    return geo_founder_shapley(params.census, params.rho, params.variant)
+    closed = MODELS[scenario.model].closed(scenario.params)
+    return closed.as_allocation() if isinstance(closed, ShareReport) else closed

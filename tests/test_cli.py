@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fairshare import cli, core
 from fairshare.cli import (
     EXIT_CAP,
     EXIT_IO,
@@ -15,7 +16,7 @@ from fairshare.cli import (
     solve_scenario,
     sweep_scenario,
 )
-from fairshare.core import DEFAULT_EXACT_CAP
+from fairshare.core import DEFAULT_EXACT_CAP, CoalitionGame, shapley_exact
 from fairshare.scenarios import ScenarioError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -130,6 +131,18 @@ def test_cli_validate_ok(capsys):
     assert "ok:" in capsys.readouterr().out
 
 
+def test_cli_validate_rejects_huge_and_nan_numbers(tmp_path, capsys):
+    for rho in (10 ** 400, float("nan")):
+        path = write_scenario(tmp_path, {"model": "single",
+                                         "params": {"n": 3, "k": 2, "rho": rho}})
+        assert main(["validate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "params.rho" in capsys.readouterr().err
+    path = write_scenario(tmp_path, {"model": "weighted",
+                                     "params": {"weights": [1.0, 10 ** 400]}})
+    assert main(["solve", "--scenario", str(path)]) == EXIT_VALIDATION
+    assert "params.weights" in capsys.readouterr().err
+
+
 # --- flags and environment -----------------------------------------------------------
 
 
@@ -221,6 +234,13 @@ def test_cli_empirical_zero_payout(capsys):
     assert "outside" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("payout", ["nan", "inf", "-inf"])
+def test_cli_empirical_non_finite_payout(capsys, payout):
+    code = main(["empirical", f"--payout={payout}", "--window", "2019"])
+    assert code == EXIT_VALIDATION
+    assert "payout" in capsys.readouterr().err
+
+
 def test_cli_empirical_missing_year(capsys):
     code = main(["empirical", "--payout", "1", "--window", "1999"])
     assert code == EXIT_VALIDATION
@@ -237,3 +257,34 @@ def test_cli_empirical_custom_records(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["share"] == pytest.approx(7.6 / 11.4)
     assert payload["inside_band"] is True
+
+
+# --- names the benchmark tracer wraps -------------------------------------------------
+
+# name on fairshare.cli -> module that defines it; the tracer wraps these
+# attributes of fairshare.cli and names each span after the defining module
+TRACED_NAMES = {
+    "main": "cli", "load_scenario": "scenarios", "build_game": "scenarios",
+    "closed_allocation": "scenarios", "closed_report": "scenarios",
+    "shapley_exact": "core", "shapley_sample": "core", "check_axioms": "core",
+    "share_sweep": "models", "revenue_share": "empirical", "emit": "reports",
+}
+
+
+def test_traced_names_live_on_cli_with_their_modules():
+    for name, module in TRACED_NAMES.items():
+        assert getattr(cli, name).__module__ == f"fairshare.{module}", name
+
+
+def test_exact_engine_reaches_the_table_through_core(monkeypatch):
+    calls = []
+    table = core.coalition_value_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(core, "coalition_value_table", counted)
+    game = CoalitionGame(3, lambda s: float(s.size ** 2))
+    core.check_axioms(game, shapley_exact(game))
+    assert calls == [game, game]

@@ -289,3 +289,13 @@ def test_geo_founder_met_share_near_one_third_when_spread():
     alloc = geo_founder_shapley(census, rho=1.0, variant="met")
     share = alloc.payoffs[0] / alloc.grand_value
     assert share == pytest.approx(1 / 3 + 1 / (6 * 8), abs=1e-12)
+
+
+def test_geo_founder_met_empty_census_pays_nothing():
+    # no users: the weighted closed form has no positive work unit to use
+    for variant in ("lin", "met"):
+        alloc = geo_founder_shapley(DiskCensus(3, {}), rho=1.0, variant=variant)
+        assert alloc.payoffs == (0.0,) * 4
+        assert alloc.grand_value == 0.0
+    with pytest.raises(ValueError, match="positive"):
+        geo_founder_shapley(DiskCensus(3, {}), rho=0.0, variant="met")

@@ -1,15 +1,21 @@
 """Tests for scenario-file validation, parsing, and round-tripping."""
 
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.geo import DiskCensus
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
+from fairshare.core import shapley_exact
 from fairshare.scenarios import (
+    MODELS,
     GeoParams,
     SampleConfig,
     Scenario,
@@ -142,6 +148,48 @@ def test_census_key_validation():
     assert any("1..2" in e for e in validate_scenario_data(data))
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400, -(10 ** 400)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "huge", "-huge"])
+@pytest.mark.parametrize("model, params, key", [
+    ("single", {"n": 3, "k": 2}, "rho"),
+    ("profit", {"n": 3, "k": 2}, "founder_cost"),
+    ("profit", {"n": 3, "k": 2}, "member_cost"),
+    ("weighted", {"weights": [1.0, 2.0]}, "alpha"),
+    ("weighted", {"weights": [1.0, 2.0]}, "rho"),
+    ("oligopoly_coarse", {"vertices": [{"id": "A", "size": 1}]}, "rho"),
+    ("geo", {"census": {"m": 1, "d": {"1": 2}}, "variant": "met"}, "rho"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_non_finite_numbers_rejected(model, params, key, bad):
+    data = {"model": model, "params": dict(params, **{key: bad})}
+    errors = validate_scenario_data(data)
+    assert any(f"params.{key}" in e and "finite" in e for e in errors), errors
+    with pytest.raises(ScenarioError):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "huge", "-huge"])
+def test_non_finite_weights_rejected(bad):
+    data = {"model": "weighted", "params": {"weights": [1.0, bad]}}
+    assert any("params.weights" in e and "finite" in e
+               for e in validate_scenario_data(data))
+
+
+def test_fine_closed_form_needs_nonempty_crowds():
+    params = {"vertices": [{"id": "a", "size": 0}, {"id": "b", "size": 2}],
+              "edges": [["a", "b"]]}
+    for method in ("closed", "all"):
+        errors = validate_scenario_data(
+            {"model": "oligopoly_fine", "params": params, "method": method})
+        assert any("params.vertices" in e and "['a']" in e for e in errors), errors
+    for method in ("exact", "sample"):
+        data = {"model": "oligopoly_fine", "params": params, "method": method}
+        assert validate_scenario_data(data) == []
+    # the coarse model has no such prerequisite
+    assert validate_scenario_data({"model": "oligopoly_coarse", "params": params}) == []
+
+
 def test_geo_variant_required_and_checked():
     data = {"model": "geo", "params": {"census": {"m": 1, "d": {"1": 2}}}}
     assert any("variant" in e for e in validate_scenario_data(data))
@@ -255,3 +303,83 @@ def test_closed_allocation_dispatch():
     assert alloc.payoffs[0] == pytest.approx(3.5)
     diamond = load_scenario(SCENARIO_DIR / "oligopoly_diamond.json")
     assert closed_allocation(diamond).payoffs == (6.0, 20.0, 18.0, 24.0)
+
+
+# --- properties of the scenario layer -------------------------------------------------
+
+BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 10 ** 400, -(10 ** 400),
+              "1", None, True, [], {}, [1.0], {"x": 1}, -1, 0, 0.5]
+
+
+def _containers(node):
+    """Every dict and list inside a scenario, the scenario itself first."""
+    out = [node] if isinstance(node, (dict, list)) else []
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        out += _containers(child)
+    return out
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A generated valid scenario with up to three keys dropped, added or retyped."""
+    data = random_scenario_data(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(_containers(data)))
+        action = draw(st.sampled_from(("drop", "add", "replace")))
+        value = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(("bogus", "n", "rho", "census", "model")))] = value
+        elif node:
+            slot = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else list(range(len(node)))))
+            if action == "drop":
+                del node[slot]
+            else:
+                node[slot] = value
+    return data
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in _numbers(child)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios())
+def test_parse_returns_or_raises_scenario_error(data):
+    try:
+        scenario = parse_scenario(data)
+    except ScenarioError:
+        assert validate_scenario_data(data) != []
+        return
+    assert validate_scenario_data(data) == []
+    rewritten = scenario_to_data(scenario)
+    assert scenario_to_data(parse_scenario(rewritten)) == rewritten
+    # an accepted scenario holds only numbers a float can carry
+    for number in _numbers(rewritten["params"]):
+        assert isinstance(number, int) or math.isfinite(number), number
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_form_equals_exact_on_generated_scenarios(seed):
+    data = random_scenario_data(np.random.default_rng(seed))
+    data["method"] = "closed"
+    scenario = parse_scenario(data)
+    game = build_game(scenario)
+    if game.n_players > 10:
+        return
+    closed = closed_allocation(scenario)
+    exact = shapley_exact(game)
+    assert max(abs(a - b) for a, b in zip(closed.payoffs, exact.payoffs)) <= 1e-9
+    assert abs(closed.grand_value - exact.grand_value) <= 1e-9
+
+
+def test_generator_covers_every_model():
+    rng = np.random.default_rng(3)
+    seen = {random_scenario_data(rng)["model"] for _ in range(200)}
+    assert seen == set(MODELS)
