@@ -184,6 +184,13 @@ def _sample_override(args: argparse.Namespace,
                      scenario: Scenario) -> SampleConfig | None:
     if args.seed is None and args.permutations is None:
         return None
+    errors = []
+    if args.seed is not None and args.seed < 0:
+        errors.append(f"--seed: must be >= 0, got {args.seed}")
+    if args.permutations is not None and args.permutations < 1:
+        errors.append(f"--permutations: must be >= 1, got {args.permutations}")
+    if errors:
+        raise ScenarioError(errors)
     base = scenario.sample or SampleConfig()
     return SampleConfig(
         permutations=args.permutations if args.permutations is not None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -16,6 +17,10 @@ DEFAULT_STRUCTURE_CAP = 14  # exhaustive pair scans are O(n^2 * 2^n)
 MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
 
 ORACLE_CAP = 9              # n! join orders; anything larger is impractical
+
+# Coalition masks per sampler block: 64 KB per block-sized array, however
+# many join orders are drawn.
+_SAMPLE_BLOCK_MASKS = 8192
 
 # Peak bytes per coalition of the exact engine: the value table and the size
 # weights, plus the mask array and up to three same-length temporaries of a
@@ -189,23 +194,34 @@ def marginal_value(game: CoalitionGame, coalition: Coalition, player: int) -> fl
     return game.value(coalition.add(player)) - game.value(Coalition(coalition))
 
 
-def mask_weight_sum(masks: np.ndarray, weights: Sequence[float],
-                    first_bit: int = 0) -> np.ndarray:
-    """Per mask, the sum of weights[i] over the set bits first_bit + i.
+def weight_sum_table(weights: Sequence[float],
+                     first_bit: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch function giving, per mask, the sum of weights[i] over set bits first_bit + i.
 
     Works a byte of players at a time: each byte's 256 subset sums are
-    tabulated with `math.fsum` and gathered, so there is one pass over the
-    masks per 8 players and no (masks x players) bit matrix.
+    tabulated with `math.fsum` on the first call and kept for later ones,
+    and every call gathers them, so there is one pass over the masks per 8
+    players and no (masks x players) bit matrix.
     """
-    total = np.zeros(masks.shape)
-    for lo in range(0, len(weights), 8):
-        chunk = weights[lo:lo + 8]
-        subset_sums = np.array([
-            math.fsum(w for b, w in enumerate(chunk) if (m >> b) & 1)
-            for m in range(1 << len(chunk))])
-        byte = (masks >> np.uint64(first_bit + lo)) & np.uint64((1 << len(chunk)) - 1)
-        total += subset_sums[byte]
-    return total
+    @functools.cache
+    def byte_sums() -> list[tuple[np.uint64, np.uint64, np.ndarray]]:
+        out = []
+        for lo in range(0, len(weights), 8):
+            chunk = weights[lo:lo + 8]
+            subset_sums = np.array([
+                math.fsum(w for b, w in enumerate(chunk) if (m >> b) & 1)
+                for m in range(1 << len(chunk))])
+            out.append((np.uint64(first_bit + lo), np.uint64((1 << len(chunk)) - 1),
+                        subset_sums))
+        return out
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        total = np.zeros(masks.shape)
+        for shift, low_bits, subset_sums in byte_sums():
+            total += subset_sums[(masks >> shift) & low_bits]
+        return total
+
+    return table
 
 
 def crowd_players(n: int) -> tuple[PlayerId, ...]:
@@ -225,6 +241,7 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
     """
     first = int(founder)
     n_players = len(units) + first
+    mass = weight_sum_table(units, first_bit=first)
 
     def value(s: Coalition) -> float:
         mask = int(s)
@@ -235,7 +252,7 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
         return worth(math.fsum(units[p] for p in Coalition(mask >> first).members()))
 
     def table(masks: np.ndarray) -> np.ndarray:
-        values = worth(mask_weight_sum(masks, units, first_bit=first))
+        values = worth(mass(masks))
         if founder:
             values[(masks & np.uint64(1)) == 0] = 0.0
         return values
@@ -389,39 +406,58 @@ def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[floa
     return founder, member
 
 
+def _scalar_table(value: Callable[[Coalition], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch form of a scalar characteristic function: one `value` call per mask."""
+    def table(masks: np.ndarray) -> np.ndarray:
+        return np.fromiter((value(Coalition(m)) for m in masks.tolist()),
+                           dtype=np.float64, count=masks.size)
+    return table
+
+
+def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added one row at a time, in order."""
+    return np.add.accumulate(np.vstack((total, rows)), axis=0)[-1]
+
+
 def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> Allocation:
     """Monte Carlo Shapley estimate from uniform random join orders.
 
     Unbiased and deterministic for a fixed seed. Standard errors are the
     sample standard deviation of each player's observed marginals divided
     by sqrt(n_permutations) (zero when only one permutation is drawn).
+
+    Join orders are drawn and evaluated in blocks: each block's prefix
+    coalitions go to one `table` call (or one `value` call each for a game
+    without a table). The draws, and the order in which marginals are
+    summed, are those of one `rng.permutation(n)` per join order.
     """
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
     n = game.n_players
     value = game.value
+    table = game.table or _scalar_table(value)
     rng = np.random.default_rng(seed)
-    sums = [0.0] * n
-    sumsq = [0.0] * n
+    sums = np.zeros(n)
+    sumsq = np.zeros(n)
     empty = value(EMPTY_COALITION)
-    for _ in range(n_permutations):
-        mask = 0
-        prev = empty
-        for p in rng.permutation(n).tolist():
-            mask |= 1 << p
-            cur = value(Coalition(mask))
-            gain = cur - prev
-            sums[p] += gain
-            sumsq[p] += gain * gain
-            prev = cur
-    payoffs = tuple(s / n_permutations for s in sums)
+    block = max(1, _SAMPLE_BLOCK_MASKS // n)
+    for start in range(0, n_permutations, block):
+        rows = min(block, n_permutations - start)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (rows, 1)), axis=1)
+        masks = np.bitwise_or.accumulate(np.uint64(1) << perms, axis=1)
+        values = np.asarray(table(masks.ravel()), dtype=np.float64).reshape(rows, n)
+        gains = np.empty_like(values)
+        np.put_along_axis(gains, perms, np.diff(values, axis=1, prepend=empty), axis=1)
+        sums = _running_total(sums, gains)
+        sumsq = _running_total(sumsq, gains * gains)
+    payoffs = tuple(s / n_permutations for s in sums.tolist())
     if n_permutations == 1:
         stderr = (0.0,) * n
     else:
         stderr = tuple(
             math.sqrt(max(0.0, (sq - n_permutations * m * m) / (n_permutations - 1))
                       / n_permutations)
-            for sq, m in zip(sumsq, payoffs))
+            for sq, m in zip(sumsq.tolist(), payoffs))
     grand = value(game.grand_coalition)
     return Allocation(payoffs, grand, Method.SAMPLED, stderr)
 

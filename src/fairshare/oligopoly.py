@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
-    mask_weight_sum,
+    weight_sum_table,
 )
 
 
@@ -138,21 +138,29 @@ def _add_where_all(total: np.ndarray, masks: np.ndarray, bits: int,
     np.add(total, term, out=total, where=(masks & bits) == bits)
 
 
-def coarse_table(graph: OligopolyGraph, masks: np.ndarray) -> np.ndarray:
-    """`value_coarse` of every vertex-set mask: presence bits plus edge terms."""
+def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch `value_coarse` over vertex-set masks: presence bits plus edge terms.
+
+    The vertex terms' byte subset sums are tabulated on the first call and reused.
+    """
     sizes = graph.crowd_sizes
-    total = mask_weight_sum(masks, [float(n * n) for n in sizes])
-    for a, b in graph.edges:
-        _add_where_all(total, masks, (1 << a) | (1 << b), float(2 * sizes[a] * sizes[b]))
-    total *= graph.rho
-    return total
+    vertex_sum = weight_sum_table([float(n * n) for n in sizes])
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        total = vertex_sum(masks)
+        for a, b in graph.edges:
+            _add_where_all(total, masks, (1 << a) | (1 << b), float(2 * sizes[a] * sizes[b]))
+        total *= graph.rho
+        return total
+
+    return table
 
 
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
     players = tuple(
         PlayerId(i, PlayerTag.CSS_VERTEX, vid) for i, vid in enumerate(graph.vertex_ids))
     return CoalitionGame(graph.n_vertices, lambda s: value_coarse(graph, s),
-                         "coarse oligopoly", players, lambda m: coarse_table(graph, m))
+                         "coarse oligopoly", players, coarse_table(graph))
 
 
 def shapley_coarse(graph: OligopolyGraph) -> Allocation:

@@ -421,7 +421,8 @@ def validate_scenario_data(data: Any) -> list[str]:
             _check_keys(sample, ("permutations", "seed"), errors, "sample")
             _check_int(sample, "permutations", errors, prefix="sample",
                        minimum=1, required=False)
-            _check_int(sample, "seed", errors, prefix="sample", required=False)
+            _check_int(sample, "seed", errors, prefix="sample",
+                       minimum=0, required=False)
     params = data.get("params")
     if params is None:
         errors.append("params: missing required field")

@@ -188,6 +188,24 @@ def test_cli_sampler_flag_overrides(tmp_path, capsys):
     assert payload["allocations"]["sampled"]["stderr"] is not None
 
 
+def test_cli_negative_sample_seed_names_field(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "model": "single", "params": {"n": 3, "k": 2}, "method": "sample",
+        "sample": {"permutations": 10, "seed": -1}})
+    for command in ("validate", "solve"):
+        assert main([command, "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "sample.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, bad", [("--seed", "-3"), ("--permutations", "0")])
+def test_cli_bad_sampler_flag_names_flag(tmp_path, capsys, flag, bad):
+    path = write_scenario(tmp_path, {
+        "model": "single", "params": {"n": 3, "k": 2}, "method": "sample"})
+    code = main(["solve", "--scenario", str(path), flag, bad])
+    assert code == EXIT_VALIDATION
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_sweep_unsupported_model(capsys):
     code = main(["sweep", "--scenario",
                  str(SCENARIO_DIR / "geo_founder_lin.json"),

@@ -1,10 +1,13 @@
 """Tests for the coalition engine, estimators, and axiom checks."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fairshare import core
 from fairshare.core import (
     Allocation,
     Coalition,
@@ -20,14 +23,25 @@ from fairshare.core import (
     check_axioms,
     check_linearity,
     coalition_value_table,
+    crowd_players,
     is_supermodular,
     marginal_value,
+    mass_game,
     shapley_anonymous,
     shapley_exact,
     shapley_permutation_average,
     shapley_sample,
 )
-from fairshare.models import SingleCssParams, WeightedCssParams, single_game, weighted_game
+from fairshare.geo import DiskCensus, geo_founder_game, geo_game
+from fairshare.models import (
+    ProfitCssParams,
+    SingleCssParams,
+    WeightedCssParams,
+    profit_game,
+    single_game,
+    weighted_game,
+)
+from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game
 
 
 def additive_game(n):
@@ -248,6 +262,147 @@ def test_sample_error_shrinks_with_more_permutations():
 def test_sample_rejects_zero_permutations():
     with pytest.raises(ValueError):
         shapley_sample(additive_game(3), 0)
+
+
+# --- batched sampler against the per-permutation loop ----------------------------
+
+
+def loop_shapley_sample(game, n_permutations, seed=0):
+    """The sampler as one scalar `value` call per player per join order (the oracle)."""
+    n = game.n_players
+    value = game.value
+    rng = np.random.default_rng(seed)
+    sums = [0.0] * n
+    sumsq = [0.0] * n
+    empty = value(EMPTY_COALITION)
+    for _ in range(n_permutations):
+        mask = 0
+        prev = empty
+        for p in rng.permutation(n).tolist():
+            mask |= 1 << p
+            cur = value(Coalition(mask))
+            gain = cur - prev
+            sums[p] += gain
+            sumsq[p] += gain * gain
+            prev = cur
+    payoffs = tuple(s / n_permutations for s in sums)
+    if n_permutations == 1:
+        stderr = (0.0,) * n
+    else:
+        stderr = tuple(
+            math.sqrt(max(0.0, (sq - n_permutations * m * m) / (n_permutations - 1))
+                      / n_permutations)
+            for sq, m in zip(sumsq, payoffs))
+    return Allocation(payoffs, value(game.grand_coalition), Method.SAMPLED, stderr)
+
+
+def sample_block(game):
+    return core._SAMPLE_BLOCK_MASKS // game.n_players
+
+
+GRAPH = OligopolyGraph.from_spec(
+    [(f"v{i}", size) for i, size in enumerate((3, 5, 2, 4, 1, 6, 2, 3, 4, 2, 5, 1))],
+    [("v0", "v1"), ("v1", "v2"), ("v0", "v3"), ("v4", "v9"), ("v8", "v11"),
+     ("v5", "v10"), ("v2", "v7")], rho=1.25)
+FINE_GRAPH = OligopolyGraph.from_spec(
+    [("a", 9), ("b", 7), ("c", 8)], [("a", "b"), ("b", "c")], rho=0.75)
+CENSUS = DiskCensus(20, {frozenset({i, i % 20 + 1}): 3 * i % 7 + 1 for i in range(1, 21)}
+                    | {frozenset({1, 5, 9}): 4, frozenset({12}): 9})
+
+EXACT_SAMPLER_GAMES = {
+    "single": lambda: single_game(SingleCssParams(n=30, k=2, rho=1.5)),
+    "profit": lambda: profit_game(ProfitCssParams(n=25, k=3, rho=1.0,
+                                                  founder_cost=2.0, member_cost=0.3)),
+    "oligopoly_coarse": lambda: coarse_game(GRAPH),
+    "oligopoly_fine": lambda: fine_game(FINE_GRAPH)[0],
+    "mass_8_units": lambda: mass_game((0.3, 1.7, 2.2, 0.9, 1.1, 0.1, 3.3, 0.7),
+                                      lambda m: 1.5 * m * m, "mass", crowd_players(8),
+                                      founder=True),
+}
+
+FLOAT_SAMPLER_GAMES = {
+    "weighted": lambda: weighted_game(WeightedCssParams(
+        tuple(0.2 + 0.37 * i % 2.9 for i in range(30)), alpha=1.3, rho=1.1, k=2)),
+    "geo": lambda: geo_game(CENSUS, 0.8, "met"),
+    "geo_founder": lambda: geo_founder_game(CENSUS, 1.3, "met"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(EXACT_SAMPLER_GAMES))
+def test_batched_sampler_is_bit_identical_to_the_loop(model):
+    game = EXACT_SAMPLER_GAMES[model]()
+    assert game.table is not None
+    assert shapley_sample(game, 700, seed=11) == loop_shapley_sample(game, 700, seed=11)
+
+
+@pytest.mark.parametrize("model", sorted(FLOAT_SAMPLER_GAMES))
+def test_batched_sampler_matches_the_loop_on_float_masses(model):
+    game = FLOAT_SAMPLER_GAMES[model]()
+    assert game.n_players > 8
+    batched = shapley_sample(game, 300, seed=11)
+    looped = loop_shapley_sample(game, 300, seed=11)
+    assert batched.grand_value == looped.grand_value
+    np.testing.assert_allclose(batched.payoffs, looped.payoffs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(batched.stderr, looped.stderr, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_batched_sampler_block_edges(offset):
+    game = single_game(SingleCssParams(n=30, k=2, rho=1.0))
+    n_permutations = 1 if offset is None else sample_block(game) + offset
+    assert (shapley_sample(game, n_permutations, seed=4)
+            == loop_shapley_sample(game, n_permutations, seed=4))
+
+
+def test_batched_sampler_covers_bit_63():
+    game = anonymous_game(lambda s: float(s * s + 1), 63)
+    assert game.n_players == 64
+    n_permutations = sample_block(game) + 2
+    assert (shapley_sample(game, n_permutations, seed=6)
+            == loop_shapley_sample(game, n_permutations, seed=6))
+
+
+def test_scalar_only_game_samples_like_its_table():
+    game = EXACT_SAMPLER_GAMES["oligopoly_fine"]()
+    scalar_only = dataclasses.replace(game, table=None)
+    assert shapley_sample(scalar_only, 300, seed=2) == shapley_sample(game, 300, seed=2)
+
+
+@pytest.mark.parametrize("n, rows", [(1, 5), (7, 1), (7, 50), (64, 3)])
+def test_permuted_block_matches_successive_permutations(n, rows):
+    # the batched sampler draws a block with `permuted`; seeded output relies on
+    # it giving the same orders and generator state as one `permutation` per row
+    block_rng, loop_rng = np.random.default_rng(21), np.random.default_rng(21)
+    block = block_rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (rows, 1)), axis=1)
+    loop = np.array([loop_rng.permutation(n) for _ in range(rows)])
+    np.testing.assert_array_equal(block, loop)
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_table_game_sampler_calls_value_only_for_empty_and_grand():
+    game = single_game(SingleCssParams(n=30, k=2, rho=1.0))
+    calls = []
+
+    def value(s, scalar=game.value):
+        calls.append(int(s))
+        return scalar(s)
+
+    game = dataclasses.replace(game, value=value)
+    shapley_sample(game, 3 * sample_block(game) + 5, seed=1)
+    assert calls == [0, int(game.grand_coalition)]
+
+
+def test_sampler_memory_is_bounded_by_its_block():
+    # unblocked, the 100,000 x 64 mask array alone would take 51 MB
+    game = anonymous_game(lambda s: float(s), 63)
+    tracemalloc.start()
+    try:
+        alloc = shapley_sample(game, 100_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert alloc.total() == pytest.approx(63.0, rel=1e-9)
 
 
 # --- axiom checks ---------------------------------------------------------------
