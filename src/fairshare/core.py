@@ -98,6 +98,29 @@ class Coalition(int):
 EMPTY_COALITION = Coalition(0)
 
 
+def _scalar_table(value: Callable[[Coalition], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch form of a scalar `value`: one call per mask, listed a block at a time."""
+    def table(masks: np.ndarray) -> np.ndarray:
+        blocks = (masks[i:i + _SAMPLE_BLOCK_MASKS].tolist()
+                  for i in range(0, masks.size, _SAMPLE_BLOCK_MASKS))
+        return np.fromiter((value(Coalition(m)) for m in itertools.chain.from_iterable(blocks)),
+                           dtype=np.float64, count=masks.size)
+    table.derived = True
+    return table
+
+
+def _table_value(table: Callable[[np.ndarray], np.ndarray],
+                 n_players: int) -> Callable[[Coalition], float]:
+    """Scalar form of a batch characteristic function: one one-mask table call."""
+    def value(s: Coalition) -> float:
+        mask = int(s)
+        if mask >> n_players:
+            raise ValueError("coalition contains players outside the roster")
+        return float(table(np.array([mask], dtype=np.uint64))[0])
+    value.derived = True
+    return value
+
+
 @dataclass(frozen=True)
 class CoalitionGame:
     """A roster plus a characteristic function mapping coalitions to value.
@@ -106,15 +129,18 @@ class CoalitionGame:
     to the same value, independent of evaluation order, so results never
     depend on how the engine happens to enumerate coalitions.
 
-    `table`, when given, is the batch form of `value`: it maps a `uint64`
-    array of coalition masks, in any order, to a `float64` array of their
-    values with the same shape. The exhaustive computations use it in place
-    of one `value` call per coalition; `value` stays the reference it must
-    agree with.
+    It is given as `value`, one coalition at a time, or as `table`, which
+    maps a `uint64` array of coalition masks, in any order, to a `float64`
+    array of their values with the same shape. Construction fills in the
+    missing one: a scalar `value` is wrapped into a table of one call per
+    mask, and a table-only game gets a `value` that makes a one-mask table
+    call. One filled in this way is derived again whenever the other is
+    present, so `dataclasses.replace` of the given one replaces what the game
+    computes. Every computation in this module reads only `table`.
     """
 
     n_players: int
-    value: Callable[[Coalition], float]
+    value: Callable[[Coalition], float] | None = None
     label: str = ""
     players: tuple[PlayerId, ...] = ()
     table: Callable[[np.ndarray], np.ndarray] | None = None
@@ -134,6 +160,14 @@ class CoalitionGame:
             object.__setattr__(
                 self, "players",
                 tuple(PlayerId(i) for i in range(self.n_players)))
+        # a derived function (dataclasses.replace passes it back in) is derived again
+        value, table = self.value, self.table
+        if value is not None and getattr(table, "derived", table is None):
+            object.__setattr__(self, "table", _scalar_table(value))
+        elif table is not None and getattr(value, "derived", value is None):
+            object.__setattr__(self, "value", _table_value(table, self.n_players))
+        elif table is None:
+            raise ValueError("a game needs a value or a table")
 
     @property
     def grand_coalition(self) -> Coalition:
@@ -142,7 +176,6 @@ class CoalitionGame:
 
 class Method(Enum):
     EXACT = "exact"
-    ANONYMOUS = "anonymous"
     CLOSED_FORM = "closed_form"
     SAMPLED = "sampled"
 
@@ -236,20 +269,10 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
 
     Without a founder, player i carries units[i]. With one, player 0 gates
     the game: a coalition without it is worth zero, and player i carries
-    units[i - 1]. `worth` maps a float or an array alike, so the scalar
-    `value` and the batch `table` share it.
+    units[i - 1]. `worth` maps an array of masses to their values.
     """
     first = int(founder)
-    n_players = len(units) + first
     mass = weight_sum_table(units, first_bit=first)
-
-    def value(s: Coalition) -> float:
-        mask = int(s)
-        if mask >> n_players:
-            raise ValueError("coalition contains players outside the roster")
-        if founder and not mask & 1:
-            return 0.0
-        return worth(math.fsum(units[p] for p in Coalition(mask >> first).members()))
 
     def table(masks: np.ndarray) -> np.ndarray:
         values = worth(mass(masks))
@@ -257,7 +280,7 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
             values[(masks & np.uint64(1)) == 0] = 0.0
         return values
 
-    return CoalitionGame(n_players, value, label, players, table)
+    return CoalitionGame(len(units) + first, label=label, players=players, table=table)
 
 
 def _physical_memory() -> int | None:
@@ -270,30 +293,26 @@ def _physical_memory() -> int | None:
 def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
     """Characteristic function evaluated on all 2^n coalitions, indexed by mask.
 
-    Uses the game's batch `table` when it has one, else one `value` call per
-    coalition. Refuses, before allocating, a roster above the cap or one
-    whose tables would not fit in physical memory.
+    One call of the game's batch `table`. Refuses, before allocating, a
+    roster above the cap or one whose tables would not fit in physical memory.
     """
     n = game.n_players
     if n > cap:
         raise RosterTooLargeError(
-            f"full coalition table needs 2^{n} evaluations, above the cap of {cap} players")
+            f"full coalition table needs 2^{n} evaluations, above the cap of {cap} "
+            "players; use shapley_sample for larger rosters")
     need, physical = (1 << n) * EXACT_BYTES_PER_COALITION, _physical_memory()
     if physical is not None and need > physical:
         raise RosterTooLargeError(
             f"exact engine needs {need} bytes for 2^{n} coalitions, more than the "
             f"{physical} bytes of physical memory")
     size = 1 << n
-    if game.table is not None:
-        values = np.asarray(game.table(np.arange(size, dtype=np.uint64)), dtype=np.float64)
-        if values.shape != (size,):
-            raise ValueError(
-                f"batch table of {game.label or 'game'} returned shape {values.shape}, "
-                f"expected ({size},)")
-        return values
-    value = game.value
-    return np.fromiter((value(Coalition(m)) for m in range(size)),
-                       dtype=np.float64, count=size)
+    values = np.asarray(game.table(np.arange(size, dtype=np.uint64)), dtype=np.float64)
+    if values.shape != (size,):
+        raise ValueError(
+            f"batch table of {game.label or 'game'} returned shape {values.shape}, "
+            f"expected ({size},)")
+    return values
 
 
 def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,13 +332,8 @@ def shapley_exact(game: CoalitionGame, *, cap: int | None = None) -> Allocation:
     Player i receives sum over coalitions S not containing i of
     |S|! (n-|S|-1)! / n! times the marginal value of joining S.
     """
-    cap = DEFAULT_EXACT_CAP if cap is None else cap
+    values = coalition_value_table(game, cap=DEFAULT_EXACT_CAP if cap is None else cap)
     n = game.n_players
-    if n > cap:
-        raise RosterTooLargeError(
-            f"exact engine capped at {cap} players, got {n}; "
-            "use shapley_sample for larger rosters")
-    values = coalition_value_table(game, cap=cap)
     # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!; the grand coalition's
     # weight is never read
     by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)] + [0.0])
@@ -343,7 +357,7 @@ def shapley_permutation_average(game: CoalitionGame, *, cap: int = ORACLE_CAP) -
     if n > cap:
         raise RosterTooLargeError(
             f"permutation average enumerates {n}! orders, capped at {cap} players")
-    values = coalition_value_table(game, cap=max(cap, n))
+    values = coalition_value_table(game, cap=cap)
     totals = [0.0] * n
     for perm in itertools.permutations(range(n)):
         mask = 0
@@ -369,20 +383,14 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
     if n < 1:
         raise DegenerateCrowdError(f"need at least one crowd member, got n={n}")
 
-    def value(s: Coalition) -> float:
-        mask = int(s)
-        if not mask & 1:
-            return 0.0
-        return float(crowd_value(mask.bit_count() - 1))
-
     def table(masks: np.ndarray) -> np.ndarray:
         levels = np.array([float(crowd_value(m)) for m in range(n + 1)])
         values = levels[np.bitwise_count(masks >> np.uint64(1))]
         values[(masks & np.uint64(1)) == 0] = 0.0
         return values
 
-    return CoalitionGame(n + 1, value, label or "anonymous crowd game",
-                         crowd_players(n), table)
+    return CoalitionGame(n + 1, label=label or "anonymous crowd game",
+                         players=crowd_players(n), table=table)
 
 
 def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:
@@ -406,14 +414,6 @@ def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[floa
     return founder, member
 
 
-def _scalar_table(value: Callable[[Coalition], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch form of a scalar characteristic function: one `value` call per mask."""
-    def table(masks: np.ndarray) -> np.ndarray:
-        return np.fromiter((value(Coalition(m)) for m in masks.tolist()),
-                           dtype=np.float64, count=masks.size)
-    return table
-
-
 def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """total + rows[0] + rows[1] + ..., added one row at a time, in order."""
     return np.add.accumulate(np.vstack((total, rows)), axis=0)[-1]
@@ -424,22 +424,25 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
 
     Unbiased and deterministic for a fixed seed. Standard errors are the
     sample standard deviation of each player's observed marginals divided
-    by sqrt(n_permutations) (zero when only one permutation is drawn).
+    by sqrt(n_permutations) (zero when only one permutation is drawn). The
+    squares are taken about each player's marginal in the first join order
+    (shifted data, Chan, Golub & LeVeque 1983), so a constant marginal gets
+    zero up to rounding, not the difference of two large nearly equal sums.
 
     Join orders are drawn and evaluated in blocks: each block's prefix
-    coalitions go to one `table` call (or one `value` call each for a game
-    without a table). The draws, and the order in which marginals are
-    summed, are those of one `rng.permutation(n)` per join order.
+    coalitions go to one `table` call. The draws, and the order in which
+    marginals are summed, are those of one `rng.permutation(n)` per join
+    order.
     """
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
     n = game.n_players
-    value = game.value
-    table = game.table or _scalar_table(value)
+    table = game.table
     rng = np.random.default_rng(seed)
     sums = np.zeros(n)
     sumsq = np.zeros(n)
-    empty = value(EMPTY_COALITION)
+    ends = np.array([0, int(game.grand_coalition)], dtype=np.uint64)
+    empty, grand = np.asarray(table(ends), dtype=np.float64).tolist()
     block = max(1, _SAMPLE_BLOCK_MASKS // n)
     for start in range(0, n_permutations, block):
         rows = min(block, n_permutations - start)
@@ -448,17 +451,19 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
         values = np.asarray(table(masks.ravel()), dtype=np.float64).reshape(rows, n)
         gains = np.empty_like(values)
         np.put_along_axis(gains, perms, np.diff(values, axis=1, prepend=empty), axis=1)
+        if start == 0:
+            shift = gains[0]
         sums = _running_total(sums, gains)
-        sumsq = _running_total(sumsq, gains * gains)
+        deviations = gains - shift
+        sumsq = _running_total(sumsq, deviations * deviations)
     payoffs = tuple(s / n_permutations for s in sums.tolist())
     if n_permutations == 1:
         stderr = (0.0,) * n
     else:
         stderr = tuple(
-            math.sqrt(max(0.0, (sq - n_permutations * m * m) / (n_permutations - 1))
-                      / n_permutations)
-            for sq, m in zip(sumsq.tolist(), payoffs))
-    grand = value(game.grand_coalition)
+            math.sqrt(max(0.0, (sq - n_permutations * (m - c) * (m - c))
+                          / (n_permutations - 1)) / n_permutations)
+            for sq, m, c in zip(sumsq.tolist(), payoffs, shift.tolist()))
     return Allocation(payoffs, grand, Method.SAMPLED, stderr)
 
 
@@ -506,12 +511,8 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
     if exhaustive:
         values = coalition_value_table(game, cap=detect_cap)
         detect_tol = 1e-12 * max(1.0, abs(grand))
-        found_nulls = []
-        for i in range(n):
-            without, with_i = _split(values, i)
-            if np.max(np.abs(with_i - without)) <= detect_tol:
-                found_nulls.append(i)
-        nulls = tuple(found_nulls)
+        nulls = tuple(i for i in range(n)
+                      if np.max(np.abs(np.subtract(*_split(values, i)))) <= detect_tol)
         found_pairs = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -535,18 +536,10 @@ def add_games(game_a: CoalitionGame, game_b: CoalitionGame,
     if game_a.n_players != game_b.n_players:
         raise ValueError(
             f"roster mismatch: {game_a.n_players} vs {game_b.n_players} players")
-    value_a, value_b = game_a.value, game_b.value
     table_a, table_b = game_a.table, game_b.table
-
-    def value(s: Coalition) -> float:
-        return value_a(s) + value_b(s)
-
-    def table(masks: np.ndarray) -> np.ndarray:
-        return table_a(masks) + table_b(masks)
-
-    return CoalitionGame(game_a.n_players, value,
-                         label or f"{game_a.label} + {game_b.label}", game_a.players,
-                         table if table_a is not None and table_b is not None else None)
+    return CoalitionGame(game_a.n_players, label=label or f"{game_a.label} + {game_b.label}",
+                         players=game_a.players,
+                         table=lambda masks: table_a(masks) + table_b(masks))
 
 
 @dataclass(frozen=True)
@@ -574,12 +567,8 @@ def is_supermodular(game: CoalitionGame, *, cap: int | None = None,
     Uses the pairwise form: for every i != j and every S avoiding both,
     v(S+i+j) - v(S+j) >= v(S+i) - v(S), within tol.
     """
-    cap = DEFAULT_STRUCTURE_CAP if cap is None else cap
+    values = coalition_value_table(game, cap=DEFAULT_STRUCTURE_CAP if cap is None else cap)
     n = game.n_players
-    if n > cap:
-        raise RosterTooLargeError(
-            f"supermodularity scan capped at {cap} players, got {n}")
-    values = coalition_value_table(game, cap=cap)
     for i in range(n):
         for j in range(i + 1, n):
             v = _split_pair(values, i, j)

@@ -159,8 +159,8 @@ def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
     players = tuple(
         PlayerId(i, PlayerTag.CSS_VERTEX, vid) for i, vid in enumerate(graph.vertex_ids))
-    return CoalitionGame(graph.n_vertices, lambda s: value_coarse(graph, s),
-                         "coarse oligopoly", players, coarse_table(graph))
+    return CoalitionGame(graph.n_vertices, label="coarse oligopoly", players=players,
+                         table=coarse_table(graph))
 
 
 def shapley_coarse(graph: OligopolyGraph) -> Allocation:
@@ -265,10 +265,8 @@ def fine_game(graph: OligopolyGraph) -> tuple[CoalitionGame, FineGrainRoster]:
     for v, vid in enumerate(graph.vertex_ids):
         for j, p in enumerate(roster.minors_of_vertex[v], start=1):
             players.append(PlayerId(p, PlayerTag.CROWD, f"{vid}/u{j}"))
-    game = CoalitionGame(roster.n_players,
-                         lambda s: value_fine(graph, roster, s),
-                         "fine oligopoly", tuple(players),
-                         lambda m: fine_table(graph, roster, m))
+    game = CoalitionGame(roster.n_players, label="fine oligopoly", players=tuple(players),
+                         table=lambda m: fine_table(graph, roster, m))
     return game, roster
 
 

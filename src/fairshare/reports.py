@@ -67,9 +67,6 @@ class SolveReport:
                 return key, self.allocations[key]
         raise ValueError("report holds no allocations")
 
-    def max_discrepancy(self) -> float | None:
-        return max(self.discrepancies.values()) if self.discrepancies else None
-
     def to_payload(self) -> dict:
         payload: dict[str, Any] = {
             "scenario": self.scenario,

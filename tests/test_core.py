@@ -1,6 +1,7 @@
 """Tests for the coalition engine, estimators, and axiom checks."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -32,16 +33,21 @@ from fairshare.core import (
     shapley_permutation_average,
     shapley_sample,
 )
-from fairshare.geo import DiskCensus, geo_founder_game, geo_game
+from fairshare.geo import DiskCensus, geo_founder_game, geo_founder_value, geo_game, nu_met
 from fairshare.models import (
     ProfitCssParams,
     SingleCssParams,
     WeightedCssParams,
+    crowd_count,
+    founder_present,
     profit_game,
     single_game,
+    value_profit,
+    value_single,
+    value_weighted,
     weighted_game,
 )
-from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game
+from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game, value_coarse, value_fine
 
 
 def additive_game(n):
@@ -88,6 +94,8 @@ def test_game_roster_validation():
     with pytest.raises(ValueError):
         CoalitionGame(2, lambda s: 0.0,
                       players=(PlayerId(0), PlayerId(0)))
+    with pytest.raises(ValueError, match="value or a table"):
+        CoalitionGame(3)
     game = CoalitionGame(3, lambda s: 0.0)
     assert [p.index for p in game.players] == [0, 1, 2]
     assert game.grand_coalition.members() == (0, 1, 2)
@@ -267,13 +275,16 @@ def test_sample_rejects_zero_permutations():
 # --- batched sampler against the per-permutation loop ----------------------------
 
 
-def loop_shapley_sample(game, n_permutations, seed=0):
-    """The sampler as one scalar `value` call per player per join order (the oracle)."""
-    n = game.n_players
-    value = game.value
+def loop_shapley_sample(value, n, n_permutations, seed=0):
+    """The sampler as one call of a scalar `value` per player per join order (the oracle).
+
+    `value` is a model's reference function, not a bundled game's `value`,
+    which is itself a call of the game's table.
+    """
     rng = np.random.default_rng(seed)
     sums = [0.0] * n
     sumsq = [0.0] * n
+    shift = {}  # each player's marginal in the first join order
     empty = value(EMPTY_COALITION)
     for _ in range(n_permutations):
         mask = 0
@@ -283,17 +294,18 @@ def loop_shapley_sample(game, n_permutations, seed=0):
             cur = value(Coalition(mask))
             gain = cur - prev
             sums[p] += gain
-            sumsq[p] += gain * gain
+            deviation = gain - shift.setdefault(p, gain)
+            sumsq[p] += deviation * deviation
             prev = cur
     payoffs = tuple(s / n_permutations for s in sums)
     if n_permutations == 1:
         stderr = (0.0,) * n
     else:
         stderr = tuple(
-            math.sqrt(max(0.0, (sq - n_permutations * m * m) / (n_permutations - 1))
-                      / n_permutations)
-            for sq, m in zip(sumsq, payoffs))
-    return Allocation(payoffs, value(game.grand_coalition), Method.SAMPLED, stderr)
+            math.sqrt(max(0.0, (sq - n_permutations * (m - shift[p]) * (m - shift[p]))
+                          / (n_permutations - 1)) / n_permutations)
+            for p, (sq, m) in enumerate(zip(sumsq, payoffs)))
+    return Allocation(payoffs, value(Coalition((1 << n) - 1)), Method.SAMPLED, stderr)
 
 
 def sample_block(game):
@@ -309,38 +321,57 @@ FINE_GRAPH = OligopolyGraph.from_spec(
 CENSUS = DiskCensus(20, {frozenset({i, i % 20 + 1}): 3 * i % 7 + 1 for i in range(1, 21)}
                     | {frozenset({1, 5, 9}): 4, frozenset({12}): 9})
 
+SINGLE = SingleCssParams(n=30, k=2, rho=1.5)
+PROFIT = ProfitCssParams(n=25, k=3, rho=1.0, founder_cost=2.0, member_cost=0.3)
+UNITS = (0.3, 1.7, 2.2, 0.9, 1.1, 0.1, 3.3, 0.7)
+WEIGHTED = WeightedCssParams(tuple(0.2 + 0.37 * i % 2.9 for i in range(30)),
+                             alpha=1.3, rho=1.1, k=2)
+
+
+def mass_reference(s):
+    if not founder_present(s):
+        return 0.0
+    mass = math.fsum(UNITS[p - 1] for p in s.members() if p)
+    return 1.5 * mass * mass
+
+
+def fine_pair(graph):
+    game, roster = fine_game(graph)
+    return game, functools.partial(value_fine, graph, roster)
+
+
+# each entry builds a game and its model's reference scalar function
 EXACT_SAMPLER_GAMES = {
-    "single": lambda: single_game(SingleCssParams(n=30, k=2, rho=1.5)),
-    "profit": lambda: profit_game(ProfitCssParams(n=25, k=3, rho=1.0,
-                                                  founder_cost=2.0, member_cost=0.3)),
-    "oligopoly_coarse": lambda: coarse_game(GRAPH),
-    "oligopoly_fine": lambda: fine_game(FINE_GRAPH)[0],
-    "mass_8_units": lambda: mass_game((0.3, 1.7, 2.2, 0.9, 1.1, 0.1, 3.3, 0.7),
-                                      lambda m: 1.5 * m * m, "mass", crowd_players(8),
-                                      founder=True),
+    "single": lambda: (single_game(SINGLE), functools.partial(value_single, SINGLE)),
+    "profit": lambda: (profit_game(PROFIT), functools.partial(value_profit, PROFIT)),
+    "oligopoly_coarse": lambda: (coarse_game(GRAPH), functools.partial(value_coarse, GRAPH)),
+    "oligopoly_fine": lambda: fine_pair(FINE_GRAPH),
+    "mass_8_units": lambda: (mass_game(UNITS, lambda m: 1.5 * m * m, "mass",
+                                       crowd_players(8), founder=True), mass_reference),
 }
 
 FLOAT_SAMPLER_GAMES = {
-    "weighted": lambda: weighted_game(WeightedCssParams(
-        tuple(0.2 + 0.37 * i % 2.9 for i in range(30)), alpha=1.3, rho=1.1, k=2)),
-    "geo": lambda: geo_game(CENSUS, 0.8, "met"),
-    "geo_founder": lambda: geo_founder_game(CENSUS, 1.3, "met"),
+    "weighted": lambda: (weighted_game(WEIGHTED), functools.partial(value_weighted, WEIGHTED)),
+    "geo": lambda: (geo_game(CENSUS, 0.8, "met"),
+                    lambda s: nu_met(CENSUS, [p + 1 for p in s.members()], 0.8)),
+    "geo_founder": lambda: (geo_founder_game(CENSUS, 1.3, "met"),
+                            functools.partial(geo_founder_value, CENSUS, 1.3, "met")),
 }
 
 
 @pytest.mark.parametrize("model", sorted(EXACT_SAMPLER_GAMES))
 def test_batched_sampler_is_bit_identical_to_the_loop(model):
-    game = EXACT_SAMPLER_GAMES[model]()
-    assert game.table is not None
-    assert shapley_sample(game, 700, seed=11) == loop_shapley_sample(game, 700, seed=11)
+    game, reference = EXACT_SAMPLER_GAMES[model]()
+    assert (shapley_sample(game, 700, seed=11)
+            == loop_shapley_sample(reference, game.n_players, 700, seed=11))
 
 
 @pytest.mark.parametrize("model", sorted(FLOAT_SAMPLER_GAMES))
 def test_batched_sampler_matches_the_loop_on_float_masses(model):
-    game = FLOAT_SAMPLER_GAMES[model]()
+    game, reference = FLOAT_SAMPLER_GAMES[model]()
     assert game.n_players > 8
     batched = shapley_sample(game, 300, seed=11)
-    looped = loop_shapley_sample(game, 300, seed=11)
+    looped = loop_shapley_sample(reference, game.n_players, 300, seed=11)
     assert batched.grand_value == looped.grand_value
     np.testing.assert_allclose(batched.payoffs, looped.payoffs, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(batched.stderr, looped.stderr, rtol=1e-9, atol=0.0)
@@ -348,24 +379,49 @@ def test_batched_sampler_matches_the_loop_on_float_masses(model):
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
 def test_batched_sampler_block_edges(offset):
-    game = single_game(SingleCssParams(n=30, k=2, rho=1.0))
+    params = SingleCssParams(n=30, k=2, rho=1.0)
+    game = single_game(params)
     n_permutations = 1 if offset is None else sample_block(game) + offset
     assert (shapley_sample(game, n_permutations, seed=4)
-            == loop_shapley_sample(game, n_permutations, seed=4))
+            == loop_shapley_sample(functools.partial(value_single, params), game.n_players,
+                                   n_permutations, seed=4))
 
 
 def test_batched_sampler_covers_bit_63():
     game = anonymous_game(lambda s: float(s * s + 1), 63)
     assert game.n_players == 64
     n_permutations = sample_block(game) + 2
+
+    def reference(s):
+        return float(crowd_count(s) ** 2 + 1) if founder_present(s) else 0.0
+
     assert (shapley_sample(game, n_permutations, seed=6)
-            == loop_shapley_sample(game, n_permutations, seed=6))
+            == loop_shapley_sample(reference, 64, n_permutations, seed=6))
 
 
 def test_scalar_only_game_samples_like_its_table():
-    game = EXACT_SAMPLER_GAMES["oligopoly_fine"]()
-    scalar_only = dataclasses.replace(game, table=None)
+    game, reference = fine_pair(FINE_GRAPH)
+    scalar_only = CoalitionGame(game.n_players, reference)
     assert shapley_sample(scalar_only, 300, seed=2) == shapley_sample(game, 300, seed=2)
+
+
+def test_replaced_function_is_the_one_computed_with():
+    # dataclasses.replace passes the derived function back in; it must not
+    # outlive the function it was derived from
+    scalar = CoalitionGame(3, lambda s: float(s.size))
+    zero = dataclasses.replace(scalar, value=lambda s: 0.0)
+    assert shapley_exact(zero).payoffs == (0.0, 0.0, 0.0)
+    assert shapley_sample(zero, 10).payoffs == (0.0, 0.0, 0.0)
+    assert check_axioms(zero, shapley_exact(zero)).null_players == (0, 1, 2)
+    assert not is_supermodular(dataclasses.replace(scalar, value=lambda s: math.sqrt(s.size)))
+    batch = CoalitionGame(3, table=lambda masks: np.bitwise_count(masks).astype(float))
+    doubled = dataclasses.replace(batch, table=lambda masks: 2.0 * np.bitwise_count(masks))
+    assert doubled.value(Coalition(0b111)) == 6.0
+    assert marginal_value(doubled, Coalition(0b1), 1) == 2.0
+    with pytest.raises(ValueError, match="outside the roster"):
+        doubled.value(Coalition(0b1000))
+    # a table taken from another game keeps computing that game's values
+    assert CoalitionGame(3, table=scalar.table).value(Coalition(0b11)) == 2.0
 
 
 @pytest.mark.parametrize("n, rows", [(1, 5), (7, 1), (7, 50), (64, 3)])
@@ -379,7 +435,7 @@ def test_permuted_block_matches_successive_permutations(n, rows):
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
-def test_table_game_sampler_calls_value_only_for_empty_and_grand():
+def test_table_game_sampler_makes_no_value_calls():
     game = single_game(SingleCssParams(n=30, k=2, rho=1.0))
     calls = []
 
@@ -389,7 +445,15 @@ def test_table_game_sampler_calls_value_only_for_empty_and_grand():
 
     game = dataclasses.replace(game, value=value)
     shapley_sample(game, 3 * sample_block(game) + 5, seed=1)
-    assert calls == [0, int(game.grand_coalition)]
+    assert calls == []
+
+
+def test_sampler_stderr_does_not_cancel_on_an_additive_game():
+    # a geo `lin` game of singleton disks is additive: every marginal is
+    # constant, so the true stderr is 0
+    census = DiskCensus(48, {frozenset({i}): 7 * i % 23 + 1 for i in range(1, 49)})
+    alloc = shapley_sample(geo_game(census, 0.37, "lin"), 500, seed=11)
+    assert max(alloc.stderr) <= 1e-12 * max(abs(p) for p in alloc.payoffs)
 
 
 def test_sampler_memory_is_bounded_by_its_block():
@@ -494,7 +558,7 @@ def test_supermodular_cap_error():
 
 
 def test_value_table_matches_direct_evaluation():
-    game = single_game(SingleCssParams(n=3, k=2, rho=2.0))
-    table = coalition_value_table(game)
+    params = SingleCssParams(n=3, k=2, rho=2.0)
+    table = coalition_value_table(single_game(params))
     for mask in range(1 << 4):
-        assert table[mask] == game.value(Coalition(mask))
+        assert table[mask] == value_single(params, Coalition(mask))

@@ -1,11 +1,14 @@
-"""Batch coalition tables against the scalar characteristic function.
+"""Batch coalition tables against the models' reference functions.
 
-The scalar `value` of a game is the reference; a game's optional batch
-`table` must agree with it on every coalition, in any mask order. The
-exhaustive computations must give the same results with or without a table.
+A bundled game carries only its batch `table`; its model's public scalar
+function (`value_single`, `value_coarse`, `nu_met`, ...) is the reference
+the table must agree with on every coalition, in any mask order. The
+exhaustive computations must give the same results on a scalar-only game
+built from the reference.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -30,17 +33,18 @@ from fairshare.core import (
     shapley_permutation_average,
     shapley_sample,
 )
-from fairshare.geo import DiskCensus, geo_founder_game, geo_founder_value, geo_game
+from fairshare.geo import DiskCensus, geo_founder_game, geo_founder_value, nu_lin, nu_met
 from fairshare.models import (
     ProfitCssParams,
     SingleCssParams,
     WeightedCssParams,
-    profit_game,
-    single_game,
+    value_profit,
+    value_single,
+    value_weighted,
     weighted_game,
 )
-from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game
-from fairshare.scenarios import build_game, load_scenario
+from fairshare.oligopoly import OligopolyGraph, fine_roster, value_coarse, value_fine
+from fairshare.scenarios import MODELS, GeoParams, build_game, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -50,30 +54,51 @@ def shuffled_masks(n, seed=0):
     return np.random.default_rng(seed).permutation(np.arange(1 << n, dtype=np.uint64))
 
 
-def assert_table_matches_value(game):
+def geo_value(params, s):
+    # player i - 1 is agent i
+    nu = nu_met if params.variant == "met" else nu_lin
+    return nu(params.census, [p + 1 for p in s.members()], params.rho)
+
+
+REFERENCES = {
+    "single": lambda p: functools.partial(value_single, p),
+    "profit": lambda p: functools.partial(value_profit, p),
+    "weighted": lambda p: functools.partial(value_weighted, p),
+    "oligopoly_coarse": lambda g: functools.partial(value_coarse, g),
+    "oligopoly_fine": lambda g: functools.partial(value_fine, g, fine_roster(g)),
+    "geo": lambda p: functools.partial(geo_value, p),
+    "geo_founder": lambda p: functools.partial(geo_founder_value, p.census, p.rho, p.variant),
+}
+
+
+def assert_table_matches(game, reference):
     masks = shuffled_masks(game.n_players)
     batch = game.table(masks)
     assert batch.dtype == np.float64 and batch.shape == masks.shape
-    scalar = np.array([game.value(Coalition(int(m))) for m in masks])
+    scalar = np.array([reference(Coalition(int(m))) for m in masks])
     np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0)
 
 
-def scalar_only(game):
-    return dataclasses.replace(game, table=None)
+def bundled(path):
+    """A bundled scenario's game and its model's reference function."""
+    scenario = load_scenario(path)
+    return build_game(scenario), REFERENCES[scenario.model](scenario.params)
+
+
+def scalar_only(game, reference):
+    return CoalitionGame(game.n_players, reference, game.label, game.players)
 
 
 def failing_value(*args):
     raise AssertionError("scalar value called on the batch path")
 
 
-# --- table == scalar value ------------------------------------------------------
+# --- table == reference scalar value -----------------------------------------------
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_bundled_table_matches_scalar_value(path):
-    game = build_game(load_scenario(path))
-    assert game.table is not None
-    assert_table_matches_value(game)
+    assert_table_matches(*bundled(path))
 
 
 rhos = st.floats(0.1, 5.0)
@@ -109,30 +134,28 @@ def censuses(draw, max_agents):
 weights = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=9).filter(
     lambda ws: any(w > 0 for w in ws))
 
-GAMES = {
-    "single": st.builds(lambda n, k, rho: single_game(SingleCssParams(n, k, rho)),
-                        st.integers(1, 9), st.integers(1, 4), rhos),
-    "profit": st.builds(
-        lambda n, k, rho, fc, mc: profit_game(ProfitCssParams(n, k, rho, fc, mc)),
-        st.integers(1, 9), st.integers(1, 4), rhos, st.floats(0, 5), st.floats(0, 5)),
-    "weighted": st.builds(
-        lambda ws, alpha, rho, k: weighted_game(WeightedCssParams(tuple(ws), alpha, rho, k)),
-        weights, st.floats(0.25, 3.0), rhos, st.integers(1, 3)),
-    "oligopoly_coarse": st.builds(coarse_game, graphs(10, sizes)),
-    "oligopoly_fine": st.builds(lambda g: fine_game(g)[0], fine_graphs()),
-    "geo": st.builds(geo_game, censuses(10), rhos, st.sampled_from(["lin", "met"])),
-    "geo_founder": st.builds(geo_founder_game, censuses(9), rhos,
-                             st.sampled_from(["lin", "met"])),
+variants = st.sampled_from(["lin", "met"])
+PARAMS = {
+    "single": st.builds(SingleCssParams, st.integers(1, 9), st.integers(1, 4), rhos),
+    "profit": st.builds(ProfitCssParams, st.integers(1, 9), st.integers(1, 4), rhos,
+                        st.floats(0, 5), st.floats(0, 5)),
+    "weighted": st.builds(lambda ws, alpha, rho, k: WeightedCssParams(tuple(ws), alpha, rho, k),
+                          weights, st.floats(0.25, 3.0), rhos, st.integers(1, 3)),
+    "oligopoly_coarse": graphs(10, sizes),
+    "oligopoly_fine": fine_graphs(),
+    "geo": st.builds(GeoParams, censuses(10), variants, rhos),
+    "geo_founder": st.builds(GeoParams, censuses(9), variants, rhos),
 }
 
 
-@pytest.mark.parametrize("model", sorted(GAMES))
+@pytest.mark.parametrize("model", sorted(PARAMS))
 def test_generated_table_matches_scalar_value(model):
     @settings(max_examples=40, deadline=None)
-    @given(GAMES[model])
-    def check(game):
+    @given(PARAMS[model])
+    def check(params):
+        game = MODELS[model].game(params)
         assert game.n_players <= 10
-        assert_table_matches_value(game)
+        assert_table_matches(game, REFERENCES[model](params))
 
     check()
 
@@ -151,13 +174,28 @@ def test_table_path_makes_no_scalar_calls():
     assert is_supermodular(batch_only)
 
 
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_bundled_games_are_computed_from_the_table_alone(path):
+    # the benchmark tracer counts evaluations by replacing `value` this way
+    calls = []
+
+    def counting(s):
+        calls.append(int(s))
+        return 0.0
+
+    game = dataclasses.replace(build_game(load_scenario(path)), value=counting)
+    check_axioms(game, shapley_exact(game))
+    shapley_sample(game, 20, seed=1)
+    assert calls == []
+
+
 # --- scalar-only games keep their results -----------------------------------------
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_scalar_only_game_gives_same_results(path):
-    game = build_game(load_scenario(path))
-    plain = scalar_only(game)
+    game, reference = bundled(path)
+    plain = scalar_only(game, reference)
     batch, scalar = shapley_exact(game), shapley_exact(plain)
     np.testing.assert_allclose(batch.payoffs, scalar.payoffs, rtol=1e-12, atol=1e-12)
     axioms, plain_axioms = check_axioms(game, batch), check_axioms(plain, scalar)
@@ -201,15 +239,18 @@ def test_scalar_only_supermodularity():
 
 
 def test_add_games_keeps_the_batch_path():
-    game_a = build_game(load_scenario(SCENARIO_DIR / "geo_founder_lin.json"))
-    game_b = build_game(load_scenario(SCENARIO_DIR / "geo_founder_met.json"))
-    total = add_games(game_a, game_b)
-    assert total.table is not None
-    assert_table_matches_value(total)
+    game_a, reference_a = bundled(SCENARIO_DIR / "geo_founder_lin.json")
+    game_b, reference_b = bundled(SCENARIO_DIR / "geo_founder_met.json")
+
+    def reference(s):
+        return reference_a(s) + reference_b(s)
+
+    assert_table_matches(add_games(game_a, game_b), reference)
     batch_a = dataclasses.replace(game_a, value=failing_value)
     batch_b = dataclasses.replace(game_b, value=failing_value)
     assert check_linearity(batch_a, batch_b).ok
-    assert add_games(game_a, scalar_only(game_b)).table is None
+    # a scalar-only operand is wrapped into a table when it is built
+    assert_table_matches(add_games(game_a, scalar_only(game_b, reference_b)), reference)
 
 
 # --- memory guard ---------------------------------------------------------------
