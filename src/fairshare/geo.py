@@ -109,7 +109,14 @@ def effective_size(census: DiskCensus, agent: int) -> float:
 
 
 def effective_sizes(census: DiskCensus) -> tuple[float, ...]:
-    return tuple(effective_size(census, i) for i in range(1, census.num_agents + 1))
+    """Every agent's `effective_size` bit for bit, from one pass over the
+    census (`math.fsum` is correctly rounded in any term order)."""
+    terms: dict[int, list[float]] = {}
+    for subset, count in census.counts.items():
+        share = count / len(subset)
+        for i in subset:
+            terms.setdefault(i, []).append(share)
+    return tuple(math.fsum(terms.get(i, ())) for i in range(1, census.num_agents + 1))
 
 
 def _agent_set(census: DiskCensus, agents: Iterable[int]) -> tuple[int, ...]:

@@ -59,6 +59,11 @@ class SingleCssParams:
         if self.rho <= 0:
             raise ValueError(f"value scale must be positive, got {self.rho}")
 
+    @property
+    def cost(self) -> float:
+        """Cost per crowd member, netted off the revenue: none here."""
+        return 0.0
+
     def closed_at(self, n: int) -> ShareReport:
         return closed_single(dataclasses.replace(self, n=n))
 
@@ -109,29 +114,22 @@ class WeightedCssParams:
 
 
 @dataclass(frozen=True)
-class ProfitCssParams:
-    """Profit model: revenue rho * m^k minus per-member costs, where the
+class ProfitCssParams(SingleCssParams):
+    """Profit model: the revenue model net of per-member costs, where the
     founder pays founder_cost and each member pays member_cost per head.
     The grand-coalition profit may be negative; reports flag that case."""
 
-    n: int
-    k: int
-    rho: float = 1.0
     founder_cost: float = 0.0
     member_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"crowd size must be >= 1, got {self.n}")
-        if self.k < 1 or not isinstance(self.k, int):
-            raise ValueError(f"exponent must be an integer >= 1, got {self.k}")
-        if self.rho <= 0:
-            raise ValueError(f"value scale must be positive, got {self.rho}")
+        super().__post_init__()
         if self.founder_cost < 0 or self.member_cost < 0:
             raise ValueError("costs must be nonnegative")
 
-    def closed_at(self, n: int) -> ShareReport:
-        return closed_profit(dataclasses.replace(self, n=n))
+    @property
+    def cost(self) -> float:
+        return self.founder_cost + self.member_cost
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def _share_report(founder_payoff: float, member_payoffs: Sequence[float],
                        degenerate, founder_share, crowd_share, ratio, asymptote)
 
 
-# --- identical-crowd revenue model -----------------------------------------
+# --- identical-crowd model, revenue net of any per-member cost ------------
 
 def value_single(params: SingleCssParams, s: Coalition) -> float:
     if not founder_present(s):
@@ -189,22 +187,29 @@ def value_single(params: SingleCssParams, s: Coalition) -> float:
 
 
 def single_game(params: SingleCssParams) -> CoalitionGame:
-    rho, k = params.rho, params.k
-    return anonymous_game(lambda m: rho * m ** k, params.n,
-                          f"single CSS (n={params.n}, k={k}, rho={rho})")
+    """The crowd-count game rho * m^k - cost * m, for revenue and profit alike."""
+    rho, k, cost = params.rho, params.k, params.cost
+    return anonymous_game(lambda m: rho * m ** k - cost * m, params.n,
+                          f"crowd CSS (n={params.n}, k={k}, rho={rho}, cost={cost})")
 
 
 def closed_single(params: SingleCssParams) -> ShareReport:
-    """Exact founder/member payoffs of the identical-crowd revenue game.
+    """Exact founder/member payoffs of the crowd-count game.
 
-    The founder averages rho * s^k over crowd counts s = 0..n; members split
-    the remainder equally. The limiting founder share is 1/(k+1).
+    The founder averages rho * s^k - cost * s over crowd counts s = 0..n:
+    rho * powersum/(n+1) minus half the total cost. Members split the rest
+    equally. With r = cost n / (rho n^k), the asymptote diagnostic is the
+    large-n share (1 - (k+1) r/2) / ((k+1)(1 - r)), so 1/(k+1) without costs,
+    and undefined when the grand value is not positive.
     """
-    n, k, rho = params.n, params.k, params.rho
-    founder = rho * (power_sum(n, k) / (n + 1))
-    grand = rho * float(n ** k)
+    n, k, rho, cost = params.n, params.k, params.rho, params.cost
+    founder = rho * (power_sum(n, k) / (n + 1)) - cost * (n / 2)
+    revenue = rho * float(n ** k)
+    grand = revenue - cost * n
     member = (grand - founder) / n
-    return _share_report(founder, (member,) * n, grand, 1.0 / (k + 1))
+    r = cost * n / revenue
+    asymptote = (1 - (k + 1) * r / 2) / ((k + 1) * (1 - r)) if grand > 0 else None
+    return _share_report(founder, (member,) * n, grand, asymptote)
 
 
 # --- work-weighted revenue model --------------------------------------------
@@ -229,7 +234,8 @@ def cross_term_weight(n: int) -> Fraction:
     """Exact pair coupling sum(s(s-1), s=2..n) / ((n+1) n (n-1)) for n >= 2.
 
     Evaluates to exactly 1/3 for every n, which is what makes the quadratic
-    closed form below exact at finite n rather than only in the limit.
+    closed form below exact at finite n rather than only in the limit;
+    `closed_weighted` uses that constant instead of this sum.
     """
     if n < 2:
         raise ValueError("pair coupling needs at least two crowd members")
@@ -249,11 +255,9 @@ def closed_weighted(params: WeightedCssParams) -> ShareReport:
         raise ValueError(
             f"closed form requires k=2, got k={params.k}; use the exact engine")
     units = params.work_units()
-    n = len(units)
     total = math.fsum(units)
-    coupling = float(2 * cross_term_weight(n)) if n >= 2 else 0.0
     members = tuple(
-        params.rho * (u * u / 2.0 + coupling * u * (total - u)) for u in units)
+        params.rho * (u * u / 2.0 + 2.0 / 3.0 * u * (total - u)) for u in units)
     grand = params.rho * total * total
     founder = grand - math.fsum(members)
     shares = params.work_shares()
@@ -261,7 +265,7 @@ def closed_weighted(params: WeightedCssParams) -> ShareReport:
     return _share_report(founder, members, grand, asymptote)
 
 
-# --- profit model ------------------------------------------------------------
+# --- profit model: the crowd-count game above, with costs -------------------
 
 def value_profit(params: ProfitCssParams, s: Coalition) -> float:
     if not founder_present(s):
@@ -271,33 +275,8 @@ def value_profit(params: ProfitCssParams, s: Coalition) -> float:
             - (params.founder_cost + params.member_cost) * m)
 
 
-def profit_game(params: ProfitCssParams) -> CoalitionGame:
-    rho, k = params.rho, params.k
-    cost = params.founder_cost + params.member_cost
-    return anonymous_game(lambda m: rho * m ** k - cost * m, params.n,
-                          f"profit CSS (n={params.n}, k={k})")
-
-
-def closed_profit(params: ProfitCssParams) -> ShareReport:
-    """Exact founder/member payoffs of the profit game.
-
-    Linearity splits the game into the revenue part and a linear cost part,
-    so the founder gets rho * powersum/(n+1) minus half the total cost.
-    The asymptote diagnostic is the large-n share approximation
-    (rho n^k/(k+1) - cost n/2) / (rho n^k - cost n), undefined when the
-    denominator is not positive.
-    """
-    n, k, rho = params.n, params.k, params.rho
-    cost = params.founder_cost + params.member_cost
-    founder = (rho * power_sum(n, k) - cost * (n * (n + 1) / 2)) / (n + 1)
-    grand = rho * float(n ** k) - cost * n
-    member = (grand - founder) / n
-    approx_denom = rho * float(n ** k) - cost * n
-    if approx_denom > 0:
-        asymptote = (rho * float(n ** k) / (k + 1) - cost * n / 2) / approx_denom
-    else:
-        asymptote = None
-    return _share_report(founder, (member,) * n, grand, asymptote)
+profit_game = single_game
+closed_profit = closed_single
 
 
 # --- convergence sweeps -------------------------------------------------------

@@ -53,6 +53,7 @@ from fairshare.oligopoly import (
 METHODS = ("closed", "exact", "sample", "all")
 
 DEFAULT_PERMUTATIONS = 20_000
+MAX_CENSUS_AGENTS = 1_000_000  # effective sizes take O(m) time and memory
 
 
 class ScenarioError(ValueError):
@@ -250,6 +251,8 @@ def _validate_census(census: Any, errors: list[str], prefix: str) -> None:
         return
     _check_keys(census, ("m", "d", "placements"), errors, prefix)
     m = _check_int(census, "m", errors, prefix=prefix, minimum=1)
+    if m is not None and m > MAX_CENSUS_AGENTS:
+        errors.append(f"{prefix}.m: must be <= {MAX_CENSUS_AGENTS}, got {m}")
     has_d = "d" in census
     has_placements = "placements" in census
     if has_d == has_placements:

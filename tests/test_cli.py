@@ -1,6 +1,7 @@
 """End-to-end tests of the command line and its exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,18 @@ def test_cli_validation_lists_every_error(tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "params.n" in err and "params.k" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--method", "closed"]])
+def test_cli_census_agent_count_is_capped(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, {
+        "model": "geo", "method": "closed",
+        "params": {"census": {"m": 100_000_000, "d": {"1": 5}}, "variant": "lin"}})
+    start = time.perf_counter()
+    code = main([command[0], "--scenario", str(path), *command[1:]])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATION
+    assert "params.census.m" in capsys.readouterr().err
 
 
 def test_cli_cap_exceeded(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.core import Coalition, shapley_exact
 from fairshare.geo import (
@@ -130,6 +132,21 @@ def test_effective_sizes_conserve_users():
         census = random_census(rng)
         assert math.fsum(effective_sizes(census)) == pytest.approx(
             census.total_users, abs=1e-9)
+
+
+@st.composite
+def censuses(draw):
+    m = draw(st.integers(1, 12))
+    counts = draw(st.dictionaries(st.frozensets(st.integers(1, m), min_size=1),
+                                  st.integers(0, 10 ** 6), max_size=20))
+    return DiskCensus(m, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(censuses())
+def test_effective_sizes_equal_the_per_agent_sizes(census):
+    assert effective_sizes(census) == tuple(
+        effective_size(census, i) for i in range(1, census.num_agents + 1))
 
 
 def test_effective_size_rejects_unknown_agent():

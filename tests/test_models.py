@@ -3,8 +3,12 @@
 import math
 from fractions import Fraction
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.core import Coalition, shapley_exact
 from fairshare.models import (
@@ -259,6 +263,60 @@ def test_closed_profit_matches_exact_engine(founder_cost, member_cost):
                                      founder_cost=founder_cost,
                                      member_cost=member_cost)
             assert_matches_exact(closed_profit(params), profit_game(params))
+
+
+def test_profit_is_single_with_costs():
+    assert issubclass(ProfitCssParams, SingleCssParams)
+    assert profit_game is single_game and closed_profit is closed_single
+    assert SingleCssParams(n=3, k=2).cost == 0.0
+    assert ProfitCssParams(n=3, k=2, founder_cost=0.5, member_cost=0.25).cost == 0.75
+    # the cost is derived, not a field, so the scenario schema is unchanged
+    assert [f.name for f in dataclasses.fields(ProfitCssParams)] == [
+        "n", "k", "rho", "founder_cost", "member_cost"]
+    with pytest.raises(ValueError, match="crowd size"):
+        ProfitCssParams(n=0, k=2)
+    with pytest.raises(ValueError, match="costs"):
+        ProfitCssParams(n=2, k=2, member_cost=-0.1)
+
+
+# --- the paper's band at finite n ---------------------------------------------------
+
+RHOS = st.floats(min_value=1e-300, max_value=1e200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 8), RHOS)
+def test_costless_profit_report_equals_single(n, k, rho):
+    assert closed_profit(ProfitCssParams(n=n, k=k, rho=rho)) == \
+        closed_single(SingleCssParams(n=n, k=k, rho=rho))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 4), RHOS)
+def test_single_crowd_share_is_half_at_k1(n, rho):
+    report = closed_single(SingleCssParams(n=n, k=1, rho=rho))
+    assert abs(report.crowd_share - 0.5) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 4), RHOS)
+def test_single_crowd_share_at_k2(n, rho):
+    report = closed_single(SingleCssParams(n=n, k=2, rho=rho))
+    assert abs(report.crowd_share - (4 * n - 1) / (6 * n)) <= 1e-12
+
+
+WEIGHT_LISTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=100.0)),
+    min_size=1, max_size=40).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WEIGHT_LISTS, st.floats(min_value=0.1, max_value=3.0), RHOS)
+def test_weighted_crowd_share_at_k2(weights, alpha, rho):
+    params = WeightedCssParams(weights=tuple(weights), alpha=alpha, rho=rho)
+    report = closed_weighted(params)
+    band = 2 / 3 - math.fsum(f * f for f in params.work_shares()) / 6
+    assert abs(report.crowd_share - band) <= 1e-12
 
 
 # --- scale equivariance ----------------------------------------------------------

@@ -15,6 +15,7 @@ from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
 from fairshare.core import shapley_exact
 from fairshare.scenarios import (
+    MAX_CENSUS_AGENTS,
     MODELS,
     GeoParams,
     SampleConfig,
@@ -146,6 +147,16 @@ def test_census_key_validation():
     data = {"model": "geo", "params": {
         "census": {"m": 2, "d": {"1,5": 3}}, "variant": "met"}}
     assert any("1..2" in e for e in validate_scenario_data(data))
+
+
+def test_census_agent_count_has_an_upper_bound():
+    def census_data(m):
+        return {"model": "geo", "params": {
+            "census": {"m": m, "d": {"1": 3}}, "variant": "lin"}}
+    assert validate_scenario_data(census_data(MAX_CENSUS_AGENTS)) == []
+    assert validate_scenario_data(census_data(MAX_CENSUS_AGENTS + 1)) == [
+        f"params.census.m: must be <= {MAX_CENSUS_AGENTS}, "
+        f"got {MAX_CENSUS_AGENTS + 1}"]
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400, -(10 ** 400)]
