@@ -75,8 +75,11 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
     method = scenario.method
     allocations = {}
     notes = []
+    report = None
     if method in ("closed", "all"):
-        allocations["closed_form"] = closed_allocation(scenario)
+        report = closed_report(scenario)
+        allocations["closed_form"] = (closed_allocation(scenario) if report is None
+                                      else report.as_allocation())
     if method in ("exact", "all"):
         if game.n_players <= cap:
             allocations["exact"] = shapley_exact(game, cap=cap)
@@ -104,7 +107,6 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
         axioms = check_axioms(game, reference)
 
     diagnostics = None
-    report = closed_report(scenario) if "closed_form" in allocations else None
     if report is not None:
         diagnostics = {
             "founder_share": report.founder_share,

@@ -121,6 +121,15 @@ def _table_value(table: Callable[[np.ndarray], np.ndarray],
     return value
 
 
+def check_roster_size(n_players: int) -> None:
+    """Refuse a roster that a coalition mask cannot hold. Builders call this
+    before any per-player work, so a huge count in a small input costs nothing."""
+    if n_players < 1:
+        raise ValueError(f"a game needs at least one player, got {n_players}")
+    if n_players > MAX_PLAYERS:
+        raise ValueError(f"at most {MAX_PLAYERS} players are supported, got {n_players}")
+
+
 @dataclass(frozen=True)
 class CoalitionGame:
     """A roster plus a characteristic function mapping coalitions to value.
@@ -146,11 +155,7 @@ class CoalitionGame:
     table: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_players < 1:
-            raise ValueError(f"a game needs at least one player, got {self.n_players}")
-        if self.n_players > MAX_PLAYERS:
-            raise ValueError(
-                f"at most {MAX_PLAYERS} players are supported, got {self.n_players}")
+        check_roster_size(self.n_players)
         if self.players:
             if len(self.players) != self.n_players:
                 raise ValueError("player roster length does not match n_players")
@@ -259,6 +264,7 @@ def weight_sum_table(weights: Sequence[float],
 
 def crowd_players(n: int) -> tuple[PlayerId, ...]:
     """Founder "g" as player 0, then crowd members "u1".."un" as players 1..n."""
+    check_roster_size(n + 1)
     return (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(
         PlayerId(i, PlayerTag.CROWD, f"u{i}") for i in range(1, n + 1))
 

@@ -25,6 +25,7 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
+    check_roster_size,
     mass_game,
 )
 from fairshare.models import WeightedCssParams, closed_weighted
@@ -35,11 +36,6 @@ GeoVariant = Literal["lin", "met"]
 UserPlacement = Iterable[int]
 
 GEO_VARIANTS = ("lin", "met")
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in GEO_VARIANTS:
-        raise ValueError(f"variant must be one of {GEO_VARIANTS}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -119,53 +115,48 @@ def effective_sizes(census: DiskCensus) -> tuple[float, ...]:
     return tuple(math.fsum(terms.get(i, ())) for i in range(1, census.num_agents + 1))
 
 
-def _agent_set(census: DiskCensus, agents: Iterable[int]) -> tuple[int, ...]:
-    out = []
-    for i in agents:
-        i = int(i)
-        if not 1 <= i <= census.num_agents:
-            raise ValueError(f"agent id {i} outside 1..{census.num_agents}")
-        out.append(i)
-    if len(set(out)) != len(out):
+def _worth(rho: float, variant: GeoVariant) -> Callable:
+    """Linear or quadratic value of an effective mass (a float or an array):
+    the one definition of the geo value and the one check of variant and rho."""
+    if variant not in GEO_VARIANTS:
+        raise ValueError(f"variant must be one of {GEO_VARIANTS}, got {variant!r}")
+    if rho <= 0:
+        raise ValueError(f"value scale must be positive, got {rho}")
+    if variant == "lin":
+        return lambda mass: rho * mass
+    return lambda mass: rho * mass * mass
+
+
+def _mass(census: DiskCensus, agents: Iterable[int]) -> float:
+    """Effective user mass of a coalition of distinct agents."""
+    members = [int(i) for i in agents]
+    if len(set(members)) != len(members):
         raise ValueError("duplicate agent ids in coalition")
-    return tuple(out)
+    return math.fsum(effective_size(census, i) for i in members)
 
 
 def nu_lin(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
     """Linear coalition value: rho times the coalition's effective user mass."""
-    members = _agent_set(census, agents)
-    return rho * math.fsum(effective_size(census, i) for i in members)
+    return _worth(rho, "lin")(_mass(census, agents))
 
 
 def nu_met(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
     """Quadratic coalition value: rho times the squared effective user mass."""
-    if rho <= 0:
-        raise ValueError(f"value scale must be positive, got {rho}")
-    members = _agent_set(census, agents)
-    mass = math.fsum(effective_size(census, i) for i in members)
-    return rho * mass * mass
+    return _worth(rho, "met")(_mass(census, agents))
 
 
-def _agent_players(census: DiskCensus, offset: int = 0) -> list[PlayerId]:
-    return [PlayerId(i - 1 + offset, PlayerTag.CSS_VERTEX, str(i))
-            for i in range(1, census.num_agents + 1)]
-
-
-def _worth(rho: float, variant: GeoVariant) -> Callable:
-    """Linear or quadratic value of an effective mass (a float or an array)."""
-    _check_variant(variant)
-    if variant == "lin":
-        return lambda mass: rho * mass
-    if rho <= 0:
-        raise ValueError(f"value scale must be positive, got {rho}")
-    return lambda mass: rho * mass * mass
+def _agent_players(census: DiskCensus, offset: int = 0) -> tuple[PlayerId, ...]:
+    check_roster_size(census.num_agents + offset)
+    return tuple(PlayerId(i - 1 + offset, PlayerTag.CSS_VERTEX, str(i))
+                 for i in range(1, census.num_agents + 1))
 
 
 def geo_game(census: DiskCensus, rho: float, variant: GeoVariant) -> CoalitionGame:
     """Agent-only game (player i-1 is agent i) for the exact engine."""
     worth = _worth(rho, variant)
-    return mass_game(effective_sizes(census), worth, f"geo {variant}",
-                     tuple(_agent_players(census)), founder=False)
+    players = _agent_players(census)  # the roster check precedes the O(m) sizes
+    return mass_game(effective_sizes(census), worth, f"geo {variant}", players,
+                     founder=False)
 
 
 def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocation:
@@ -174,18 +165,14 @@ def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocati
     The quadratic case is the complete-agreement-graph network game over the
     effective sizes, hence each agent earns its size times the total mass.
     """
-    _check_variant(variant)
+    worth = _worth(rho, variant)
     sizes = effective_sizes(census)
     total = math.fsum(sizes)
     if variant == "lin":
-        payoffs = tuple(rho * n for n in sizes)
-        grand = rho * total
+        payoffs = tuple(worth(n) for n in sizes)
     else:
-        if rho <= 0:
-            raise ValueError(f"value scale must be positive, got {rho}")
         payoffs = tuple(rho * n * total for n in sizes)
-        grand = rho * total * total
-    return Allocation(payoffs, grand, Method.CLOSED_FORM)
+    return Allocation(payoffs, worth(total), Method.CLOSED_FORM)
 
 
 # --- founder-augmented variants ----------------------------------------------
@@ -196,13 +183,12 @@ def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
 
     Player 0 is the founder; player i >= 1 is agent i.
     """
-    _check_variant(variant)
+    worth = _worth(rho, variant)
     if int(s) >> (census.num_agents + 1):
         raise ValueError("coalition contains players outside the founder roster")
     if 0 not in s:
         return 0.0
-    agents = [p for p in s.members() if p > 0]
-    return (nu_met if variant == "met" else nu_lin)(census, agents, rho)
+    return worth(_mass(census, [p for p in s.members() if p > 0]))
 
 
 def geo_founder_game(census: DiskCensus, rho: float,
@@ -213,7 +199,7 @@ def geo_founder_game(census: DiskCensus, rho: float,
     here instead of a census rescan per member per coalition.
     """
     worth = _worth(rho, variant)
-    players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(_agent_players(census, 1))
+    players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + _agent_players(census, 1)
     return mass_game(effective_sizes(census), worth, f"geo founder {variant}",
                      players, founder=True)
 
@@ -222,21 +208,18 @@ def geo_founder_shapley(census: DiskCensus, rho: float,
                         variant: GeoVariant) -> Allocation:
     """Closed-form founder-augmented payoffs (founder first, then agents).
 
-    Linear: the founder takes half the total mass, each agent half its own.
+    Linear: the founder takes half the total worth, each agent half its own.
     Quadratic: the founder takes rho * (total^2/3 + sum n_i^2 / 6) and agent
     i takes rho * (2 total n_i / 3 - n_i^2 / 6), which is the work-weighted
     closed form with the effective sizes as work units, so it is computed
     by `closed_weighted`.
     """
-    _check_variant(variant)
+    worth = _worth(rho, variant)
     sizes = effective_sizes(census)
     if variant == "met":
-        if rho <= 0:
-            raise ValueError(f"value scale must be positive, got {rho}")
         if not any(sizes):  # no users, so no positive work unit either
             return Allocation((0.0,) * (len(sizes) + 1), 0.0, Method.CLOSED_FORM)
         return closed_weighted(WeightedCssParams(sizes, rho=rho)).as_allocation()
-    total = math.fsum(sizes)
-    founder = rho * total / 2
-    agents = tuple(rho * n / 2 for n in sizes)
-    return Allocation((founder,) + agents, rho * total, Method.CLOSED_FORM)
+    grand = worth(math.fsum(sizes))
+    agents = tuple(worth(n) / 2 for n in sizes)
+    return Allocation((grand / 2,) + agents, grand, Method.CLOSED_FORM)

@@ -25,7 +25,8 @@ from fairshare.core import (
     mass_game,
 )
 
-FOUNDER_INDEX = 0
+# n^k overflows a float for every n >= 2 above this exponent
+MAX_EXPONENT = 1023
 
 
 def founder_present(s: Coalition) -> bool:
@@ -56,6 +57,8 @@ class SingleCssParams:
             raise ValueError(f"crowd size must be >= 1, got {self.n}")
         if self.k < 1 or not isinstance(self.k, int):
             raise ValueError(f"exponent must be an integer >= 1, got {self.k}")
+        if self.k > MAX_EXPONENT:
+            raise ValueError(f"exponent must be <= {MAX_EXPONENT}, got {self.k}")
         if self.rho <= 0:
             raise ValueError(f"value scale must be positive, got {self.rho}")
 
@@ -183,7 +186,8 @@ def _share_report(founder_payoff: float, member_payoffs: Sequence[float],
 def value_single(params: SingleCssParams, s: Coalition) -> float:
     if not founder_present(s):
         return 0.0
-    return params.rho * crowd_count(s) ** params.k
+    m = crowd_count(s)
+    return params.rho * m ** params.k - params.cost * m
 
 
 def single_game(params: SingleCssParams) -> CoalitionGame:
@@ -256,25 +260,25 @@ def closed_weighted(params: WeightedCssParams) -> ShareReport:
             f"closed form requires k=2, got k={params.k}; use the exact engine")
     units = params.work_units()
     total = math.fsum(units)
-    members = tuple(
-        params.rho * (u * u / 2.0 + 2.0 / 3.0 * u * (total - u)) for u in units)
-    grand = params.rho * total * total
+    # A rho below 1/2 is replaced by its mantissa, and the payoffs are scaled
+    # back by its power of two at the end, which is exact. So a tiny rho
+    # cannot make the payoffs subnormal, and the shares imprecise.
+    exponent = min(math.frexp(params.rho)[1], 0)
+    rho = math.ldexp(params.rho, -exponent)
+    members = tuple(rho * (u * u / 2.0 + 2.0 / 3.0 * u * (total - u)) for u in units)
+    grand = rho * total * total
     founder = grand - math.fsum(members)
     shares = params.work_shares()
     asymptote = 1.0 / 3.0 + math.fsum(f * f for f in shares) / 6.0
-    return _share_report(founder, members, grand, asymptote)
+    return dataclasses.replace(
+        _share_report(founder, members, grand, asymptote),
+        founder_payoff=math.ldexp(founder, exponent), grand_value=math.ldexp(grand, exponent),
+        member_payoffs=tuple(math.ldexp(m, exponent) for m in members))
 
 
 # --- profit model: the crowd-count game above, with costs -------------------
 
-def value_profit(params: ProfitCssParams, s: Coalition) -> float:
-    if not founder_present(s):
-        return 0.0
-    m = crowd_count(s)
-    return (params.rho * m ** params.k
-            - (params.founder_cost + params.member_cost) * m)
-
-
+value_profit = value_single
 profit_game = single_game
 closed_profit = closed_single
 
@@ -302,7 +306,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    label: str
     rows: tuple[SweepRow, ...]
 
     def gaps_monotone(self) -> bool | None:
@@ -326,4 +329,4 @@ def share_sweep(params: CssParams, n_values: Iterable[int]) -> SweepTable:
     if any(n < 1 for n in sizes):
         raise ValueError("crowd sizes must be >= 1")
     rows = tuple(SweepRow(n, params.closed_at(n)) for n in sizes)
-    return SweepTable(type(params).__name__, rows)
+    return SweepTable(rows)

@@ -12,7 +12,6 @@ every founder and every crowd member a separate agent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -25,7 +24,7 @@ from fairshare.core import (
     Method,
     PlayerId,
     PlayerTag,
-    weight_sum_table,
+    check_roster_size,
 )
 
 
@@ -75,8 +74,6 @@ class OligopolyGraph:
         ids = tuple(str(v) for v, _ in vertices)
         sizes = tuple(int(n) for _, n in vertices)
         index = {v: i for i, v in enumerate(ids)}
-        if len(index) != len(ids):
-            raise ValueError("duplicate vertex ids")
         idx_edges = []
         for a, b in edges:
             if a not in index:
@@ -131,29 +128,29 @@ def value_coarse(graph: OligopolyGraph, members: Iterable[str | int] | Coalition
     return graph.rho * total
 
 
-def _add_where_all(total: np.ndarray, masks: np.ndarray, bits: int,
-                   term: float | np.ndarray) -> None:
-    """Add `term`, in place, to the entries whose mask holds every bit in `bits`."""
-    bits = np.uint64(bits)
-    np.add(total, term, out=total, where=(masks & bits) == bits)
+def _network_table(graph: OligopolyGraph, masks: np.ndarray,
+                   mass: Sequence[float | np.ndarray]) -> np.ndarray:
+    """rho * (sum of mass[v]^2 over present vertices + 2 mass[a] mass[b] over
+    agreements with both ends present), per mask; vertex v is present when
+    bit v is set.
+
+    `mass[v]` is a number or an array with one entry per mask. Every term is
+    an integer, so the sum is exact before the one product with rho.
+    """
+    total = np.zeros(masks.shape)
+    terms = [(v, v, 1.0) for v in range(graph.n_vertices)]
+    for a, b, factor in terms + [(a, b, 2.0) for a, b in graph.edges]:
+        present = np.uint64((1 << a) | (1 << b))
+        term = np.multiply(mass[a], mass[b], dtype=np.float64) * factor
+        total += ((masks & present) == present) * term
+    total *= graph.rho
+    return total
 
 
 def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch `value_coarse` over vertex-set masks: presence bits plus edge terms.
-
-    The vertex terms' byte subset sums are tabulated on the first call and reused.
-    """
-    sizes = graph.crowd_sizes
-    vertex_sum = weight_sum_table([float(n * n) for n in sizes])
-
-    def table(masks: np.ndarray) -> np.ndarray:
-        total = vertex_sum(masks)
-        for a, b in graph.edges:
-            _add_where_all(total, masks, (1 << a) | (1 << b), float(2 * sizes[a] * sizes[b]))
-        total *= graph.rho
-        return total
-
-    return table
+    """Batch `value_coarse` over vertex-set masks: every crowd is whole."""
+    mass = [float(n) for n in graph.crowd_sizes]
+    return lambda masks: _network_table(graph, masks, mass)
 
 
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
@@ -237,27 +234,14 @@ def value_fine(graph: OligopolyGraph, roster: FineGrainRoster, s: Coalition) -> 
 
 def fine_table(graph: OligopolyGraph, roster: FineGrainRoster,
                masks: np.ndarray) -> np.ndarray:
-    """`value_fine` of every player mask.
-
-    Each vertex's present crowd is the popcount of the mask over its minor
-    block; its square counts when the major is present, and each agreement
-    adds twice the product of its endpoints' crowds when both majors are.
-    """
+    """`value_fine` of every player mask: the network value with each major as
+    its system's presence bit and the popcount of its minor block as the mass."""
     blocks = [np.uint64(sum(1 << p for p in block)) for block in roster.minors_of_vertex]
-    total = np.zeros(masks.shape)
-    for v in range(graph.n_vertices):
-        crowd = np.bitwise_count(masks & blocks[v]).astype(np.float64)
-        _add_where_all(total, masks, 1 << v, crowd * crowd)
-        crowd *= 2.0
-        for a, b in graph.edges:
-            if a == v:
-                _add_where_all(total, masks, (1 << a) | (1 << b),
-                               crowd * np.bitwise_count(masks & blocks[b]))
-    total *= graph.rho
-    return total
+    return _network_table(graph, masks, [np.bitwise_count(masks & b) for b in blocks])
 
 
 def fine_game(graph: OligopolyGraph) -> tuple[CoalitionGame, FineGrainRoster]:
+    check_roster_size(graph.n_vertices + sum(graph.crowd_sizes))
     roster = fine_roster(graph)
     players = []
     for v, vid in enumerate(graph.vertex_ids):
@@ -294,9 +278,7 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
         minor = graph.rho * ((4 * n_v - 1) / 6 + neighbor_mass / 2)
         for p in roster.minors_of_vertex[v]:
             payoffs[p] = minor
-    grand = graph.rho * (
-        sum(n * n for n in sizes)
-        + 2 * sum(sizes[a] * sizes[b] for a, b in graph.edges))
+    grand = value_coarse(graph, range(graph.n_vertices))
     return Allocation(tuple(payoffs), grand, Method.CLOSED_FORM)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from fairshare.core import Allocation, AxiomReport, PlayerId
-from fairshare.empirical import ShareEstimate
+from fairshare.empirical import BAND, ShareEstimate
 from fairshare.models import SweepTable
 
 ALLOCATION_CSV_HEADER = ("player_id", "tag", "payoff", "share")
@@ -194,14 +194,13 @@ class EmpiricalReport:
 
     def to_payload(self) -> dict:
         est = self.estimate
-        low, high = 0.5, 2.0 / 3.0
         return {
             "entity": est.entity,
             "payout": est.payout,
             "window": [h.label() for h in est.window],
             "window_revenue": est.window_revenue,
             "share": est.share,
-            "band": [low, high],
+            "band": list(BAND),
             "inside_band": est.inside_band,
             "distance_to_band": est.distance_to_band,
         }

@@ -31,6 +31,7 @@ from fairshare.geo import (
     region_census,
 )
 from fairshare.models import (
+    MAX_EXPONENT,
     ProfitCssParams,
     ShareReport,
     SingleCssParams,
@@ -146,7 +147,9 @@ def _validate_single(params: dict, errors: list[str], prefix: str, method: str,
                      cls: type = SingleCssParams) -> None:
     _check_keys(params, _field_names(cls), errors, prefix)
     _check_int(params, "n", errors, prefix=prefix, minimum=1)
-    _check_int(params, "k", errors, prefix=prefix, minimum=1)
+    k = _check_int(params, "k", errors, prefix=prefix, minimum=1)
+    if k is not None and k > MAX_EXPONENT:
+        errors.append(f"{prefix}.k: must be <= {MAX_EXPONENT}, got {k}")
     _check_num(params, "rho", errors, prefix=prefix, positive=True)
 
 

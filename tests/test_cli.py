@@ -116,6 +116,56 @@ def test_cli_census_agent_count_is_capped(tmp_path, capsys, command):
     assert "params.census.m" in capsys.readouterr().err
 
 
+HUGE_ROSTERS = {
+    "single": {"n": 100_000_000, "k": 2},
+    "profit": {"n": 100_000_000, "k": 2, "member_cost": 0.5},
+    "oligopoly_fine": {"vertices": [{"id": "a", "size": 100_000_000}]},
+    "geo_founder": {"census": {"m": 1_000_000, "d": {"1": 5}}, "variant": "met"},
+}
+
+
+@pytest.mark.parametrize("method", ["closed", "all"])
+@pytest.mark.parametrize("model", sorted(HUGE_ROSTERS))
+def test_cli_huge_roster_is_refused_before_per_player_work(tmp_path, capsys, model, method):
+    path = write_scenario(tmp_path, {"model": model, "params": HUGE_ROSTERS[model],
+                                     "method": method})
+    start = time.perf_counter()
+    code = main(["solve", "--scenario", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATION
+    assert "at most 64 players are supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["single", "profit"])
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--method", "closed"]])
+def test_cli_exponent_is_capped(tmp_path, capsys, model, command):
+    for n, k in ((3, 100_000_000), (1, 1024)):
+        path = write_scenario(tmp_path, {"model": model, "params": {"n": n, "k": k}})
+        start = time.perf_counter()
+        code = main([command[0], "--scenario", str(path), *command[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION
+        assert f"params.k: must be <= 1023, got {k}" in capsys.readouterr().err
+
+
+def test_solve_runs_a_share_report_closed_form_once(monkeypatch):
+    calls = []
+    closed_report = cli.closed_report
+
+    def counted(scenario):
+        calls.append(scenario.model)
+        return closed_report(scenario)
+
+    def unused(scenario):
+        raise AssertionError("closed_allocation called for a model with a share report")
+
+    monkeypatch.setattr(cli, "closed_report", counted)
+    monkeypatch.setattr(cli, "closed_allocation", unused)
+    report = solve_scenario(load_scenario(SCENARIO_DIR / "single_metcalfe.json"))
+    assert calls == ["single"]
+    assert report.diagnostics["founder_share"] is not None
+
+
 def test_cli_cap_exceeded(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "model": "single", "params": {"n": 8, "k": 2}, "method": "exact"})

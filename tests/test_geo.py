@@ -184,6 +184,32 @@ def test_nu_met_rejects_nonpositive_rho():
         nu_met(five_disk_census(), [1], rho=0.0)
 
 
+GEO_FUNCTIONS = {
+    "nu_lin": lambda census, rho, variant: nu_lin(census, [1], rho),
+    "nu_met": lambda census, rho, variant: nu_met(census, [1], rho),
+    "geo_game": geo_game,
+    "geo_shapley": geo_shapley,
+    "geo_founder_game": geo_founder_game,
+    "geo_founder_shapley": geo_founder_shapley,
+    "geo_founder_value": lambda census, rho, variant: geo_founder_value(
+        census, rho, variant, Coalition.from_members([0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEO_FUNCTIONS))
+@pytest.mark.parametrize("rho", [0.0, -1.5])
+@pytest.mark.parametrize("variant", ["lin", "met"])
+def test_every_geo_function_rejects_nonpositive_rho(name, rho, variant):
+    with pytest.raises(ValueError, match="value scale must be positive"):
+        GEO_FUNCTIONS[name](five_disk_census(), rho, variant)
+
+
+@pytest.mark.parametrize("name", sorted(set(GEO_FUNCTIONS) - {"nu_lin", "nu_met"}))
+def test_every_geo_function_rejects_an_unknown_variant(name):
+    with pytest.raises(ValueError, match="variant must be one of"):
+        GEO_FUNCTIONS[name](five_disk_census(), 1.0, "quadratic")
+
+
 def test_agent_sets_are_validated():
     census = five_disk_census()
     with pytest.raises(ValueError):

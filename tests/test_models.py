@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fairshare.core import Coalition, shapley_exact
 from fairshare.models import (
+    MAX_EXPONENT,
     ProfitCssParams,
     SingleCssParams,
     WeightedCssParams,
@@ -219,6 +220,16 @@ def test_value_profit_cases():
     assert value_profit(params, Coalition.from_members([0])) == 0.0
 
 
+@pytest.mark.parametrize("cls", [SingleCssParams, ProfitCssParams])
+def test_exponent_is_bounded_where_n_to_the_k_leaves_the_float_range(cls):
+    assert float(2 ** MAX_EXPONENT) < math.inf
+    with pytest.raises(OverflowError):
+        float(2 ** (MAX_EXPONENT + 1))
+    assert cls(n=1, k=MAX_EXPONENT).k == MAX_EXPONENT
+    with pytest.raises(ValueError, match="exponent must be <= 1023"):
+        cls(n=1, k=MAX_EXPONENT + 1)
+
+
 def test_closed_profit_small_example():
     params = ProfitCssParams(n=3, k=2, rho=1.0, founder_cost=1.0)
     report = closed_profit(params)
@@ -268,6 +279,7 @@ def test_closed_profit_matches_exact_engine(founder_cost, member_cost):
 def test_profit_is_single_with_costs():
     assert issubclass(ProfitCssParams, SingleCssParams)
     assert profit_game is single_game and closed_profit is closed_single
+    assert value_profit is value_single
     assert SingleCssParams(n=3, k=2).cost == 0.0
     assert ProfitCssParams(n=3, k=2, founder_cost=0.5, member_cost=0.25).cost == 0.75
     # the cost is derived, not a field, so the scenario schema is unchanged
@@ -317,6 +329,14 @@ def test_weighted_crowd_share_at_k2(weights, alpha, rho):
     report = closed_weighted(params)
     band = 2 / 3 - math.fsum(f * f for f in params.work_shares()) / 6
     assert abs(report.crowd_share - band) <= 1e-12
+
+
+def test_weighted_shares_keep_their_digits_when_the_payoffs_are_subnormal():
+    # rho * T^2 = 1e-312 is below the normal float range
+    params = WeightedCssParams(weights=(0.01,), alpha=3.0, rho=1e-300)
+    report = closed_weighted(params)
+    assert abs(report.crowd_share - 0.5) <= 1e-12
+    assert report.grand_value == pytest.approx(1e-312, rel=1e-9)
 
 
 # --- scale equivariance ----------------------------------------------------------

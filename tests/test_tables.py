@@ -101,6 +101,29 @@ def test_bundled_table_matches_scalar_value(path):
     assert_table_matches(*bundled(path))
 
 
+FOURTEEN_PLAYER_GRAPHS = {
+    # coarse: 14 systems on a ring with chords; fine: 3 majors and 11 minors
+    "oligopoly_coarse": OligopolyGraph.from_spec(
+        [(f"v{i}", (3 * i) % 7) for i in range(14)],
+        [(f"v{i}", f"v{(i + 1) % 14}") for i in range(14)] + [("v0", "v7"), ("v3", "v11")],
+        rho=1.37),
+    "oligopoly_fine": OligopolyGraph.from_spec(
+        [("A", 5), ("B", 4), ("C", 2)], [("A", "B"), ("B", "C")], rho=1.37),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FOURTEEN_PLAYER_GRAPHS))
+def test_network_table_equals_its_reference_bit_for_bit(model):
+    # every network sum is an exact integer before the one product with rho
+    graph = FOURTEEN_PLAYER_GRAPHS[model]
+    game = MODELS[model].game(graph)
+    assert game.n_players == 14
+    reference = REFERENCES[model](graph)
+    masks = np.arange(1 << 14, dtype=np.uint64)
+    expected = np.array([reference(Coalition(int(m))) for m in masks])
+    assert np.array_equal(game.table(masks), expected)
+
+
 rhos = st.floats(0.1, 5.0)
 sizes = st.integers(0, 20)
 
