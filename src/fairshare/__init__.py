@@ -41,7 +41,6 @@ from fairshare.models import (
     share_sweep,
 )
 from fairshare.oligopoly import (
-    FineGrainRoster,
     OligopolyGraph,
     fine_major_ratio,
     shapley_coarse,

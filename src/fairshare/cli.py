@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from fairshare.core import (
     DEFAULT_EXACT_CAP,
@@ -61,6 +64,12 @@ def _max_gap(a, b) -> float:
     return max(abs(x - y) for x, y in zip(a.payoffs, b.payoffs))
 
 
+def _check_finite(where: str, numbers: Sequence[float]) -> None:
+    """Refuse a result a float cannot hold: JSON has no NaN or Infinity."""
+    if not all(map(math.isfinite, numbers)):
+        raise ScenarioError([f"{where}: result is not finite (a value overflows a float)"])
+
+
 def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
                    sample_config: SampleConfig | None = None) -> SolveReport:
     """Run the scenario's requested method(s) and assemble a report.
@@ -76,23 +85,29 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
     allocations = {}
     notes = []
     report = None
-    if method in ("closed", "all"):
-        report = closed_report(scenario)
-        allocations["closed_form"] = (closed_allocation(scenario) if report is None
-                                      else report.as_allocation())
-    if method in ("exact", "all"):
-        if game.n_players <= cap:
-            allocations["exact"] = shapley_exact(game, cap=cap)
-        elif method == "exact":
-            raise RosterTooLargeError(
-                f"exact method requested for {game.n_players} players, above the "
-                f"cap of {cap}; raise --exact-cap or use method 'sample'")
-        else:
-            notes.append(
-                f"exact engine skipped: {game.n_players} players above cap {cap}")
-    if method == "sample" or (method == "all" and sample_cfg is not None):
-        cfg = sample_cfg or SampleConfig()
-        allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
+    # an overflow is refused below, by name, rather than warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method in ("closed", "all"):
+            report = closed_report(scenario)
+            allocations["closed_form"] = (closed_allocation(scenario) if report is None
+                                          else report.as_allocation())
+        if method in ("exact", "all"):
+            if game.n_players <= cap:
+                allocations["exact"] = shapley_exact(game, cap=cap)
+            elif method == "exact":
+                raise RosterTooLargeError(
+                    f"exact method requested for {game.n_players} players, above the "
+                    f"cap of {cap}; raise --exact-cap or use method 'sample'")
+            else:
+                notes.append(
+                    f"exact engine skipped: {game.n_players} players above cap {cap}")
+        if method == "sample" or (method == "all" and sample_cfg is not None):
+            cfg = sample_cfg or SampleConfig()
+            allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
+
+    for key, alloc in allocations.items():
+        _check_finite(key, alloc.payoffs + (alloc.grand_value,) + (alloc.stderr or ())
+                      + (alloc.shares() or ()))
 
     keys = list(allocations)
     discrepancies = {}
@@ -128,6 +143,10 @@ def sweep_scenario(scenario: Scenario, n_values: Sequence[int]) -> SweepReport:
             [f"model: '{scenario.model}' does not support sweeping; "
              f"use {', '.join(names)}, or {last}"])
     table = share_sweep(scenario.params, list(n_values))
+    for row in table.rows:
+        report = row.report  # a degenerate row has no shares
+        _check_finite(f"n={row.n}", (report.founder_payoff, report.grand_value,
+                                     report.founder_share or 0.0, report.crowd_share or 0.0))
     return SweepReport(scenario_to_data(scenario), table)
 
 

@@ -98,29 +98,6 @@ class Coalition(int):
 EMPTY_COALITION = Coalition(0)
 
 
-def _scalar_table(value: Callable[[Coalition], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch form of a scalar `value`: one call per mask, listed a block at a time."""
-    def table(masks: np.ndarray) -> np.ndarray:
-        blocks = (masks[i:i + _SAMPLE_BLOCK_MASKS].tolist()
-                  for i in range(0, masks.size, _SAMPLE_BLOCK_MASKS))
-        return np.fromiter((value(Coalition(m)) for m in itertools.chain.from_iterable(blocks)),
-                           dtype=np.float64, count=masks.size)
-    table.derived = True
-    return table
-
-
-def _table_value(table: Callable[[np.ndarray], np.ndarray],
-                 n_players: int) -> Callable[[Coalition], float]:
-    """Scalar form of a batch characteristic function: one one-mask table call."""
-    def value(s: Coalition) -> float:
-        mask = int(s)
-        if mask >> n_players:
-            raise ValueError("coalition contains players outside the roster")
-        return float(table(np.array([mask], dtype=np.uint64))[0])
-    value.derived = True
-    return value
-
-
 def check_roster_size(n_players: int) -> None:
     """Refuse a roster that a coalition mask cannot hold. Builders call this
     before any per-player work, so a huge count in a small input costs nothing."""
@@ -140,12 +117,9 @@ class CoalitionGame:
 
     It is given as `value`, one coalition at a time, or as `table`, which
     maps a `uint64` array of coalition masks, in any order, to a `float64`
-    array of their values with the same shape. Construction fills in the
-    missing one: a scalar `value` is wrapped into a table of one call per
-    mask, and a table-only game gets a `value` that makes a one-mask table
-    call. One filled in this way is derived again whenever the other is
-    present, so `dataclasses.replace` of the given one replaces what the game
-    computes. Every computation in this module reads only `table`.
+    array of their values with the same shape. Both fields are kept as
+    given; every computation in this module reads the game through
+    `evaluate`, which uses the table when there is one.
     """
 
     n_players: int
@@ -165,14 +139,18 @@ class CoalitionGame:
             object.__setattr__(
                 self, "players",
                 tuple(PlayerId(i) for i in range(self.n_players)))
-        # a derived function (dataclasses.replace passes it back in) is derived again
-        value, table = self.value, self.table
-        if value is not None and getattr(table, "derived", table is None):
-            object.__setattr__(self, "table", _scalar_table(value))
-        elif table is not None and getattr(value, "derived", value is None):
-            object.__setattr__(self, "value", _table_value(table, self.n_players))
-        elif table is None:
+        if self.value is None and self.table is None:
             raise ValueError("a game needs a value or a table")
+
+    def evaluate(self, masks: np.ndarray) -> np.ndarray:
+        """Values of a `uint64` array of coalition masks: the table's, or one
+        `value` call per mask, listed a block at a time."""
+        if self.table is not None:
+            return np.asarray(self.table(masks), dtype=np.float64)
+        blocks = (masks[i:i + _SAMPLE_BLOCK_MASKS].tolist()
+                  for i in range(0, masks.size, _SAMPLE_BLOCK_MASKS))
+        coalitions = map(Coalition, itertools.chain.from_iterable(blocks))
+        return np.fromiter(map(self.value, coalitions), dtype=np.float64, count=masks.size)
 
     @property
     def grand_coalition(self) -> Coalition:
@@ -229,7 +207,8 @@ def marginal_value(game: CoalitionGame, coalition: Coalition, player: int) -> fl
         raise ValueError("coalition contains players outside the roster")
     if player in coalition:
         raise ValueError(f"player {player} is already in the coalition")
-    return game.value(coalition.add(player)) - game.value(Coalition(coalition))
+    joined, alone = game.evaluate(np.array([coalition.add(player), coalition], dtype=np.uint64))
+    return float(joined) - float(alone)
 
 
 def weight_sum_table(weights: Sequence[float],
@@ -299,8 +278,8 @@ def _physical_memory() -> int | None:
 def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
     """Characteristic function evaluated on all 2^n coalitions, indexed by mask.
 
-    One call of the game's batch `table`. Refuses, before allocating, a
-    roster above the cap or one whose tables would not fit in physical memory.
+    One `evaluate` call. Refuses, before allocating, a roster above the cap
+    or one whose tables would not fit in physical memory.
     """
     n = game.n_players
     if n > cap:
@@ -313,7 +292,7 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
             f"exact engine needs {need} bytes for 2^{n} coalitions, more than the "
             f"{physical} bytes of physical memory")
     size = 1 << n
-    values = np.asarray(game.table(np.arange(size, dtype=np.uint64)), dtype=np.float64)
+    values = game.evaluate(np.arange(size, dtype=np.uint64))
     if values.shape != (size,):
         raise ValueError(
             f"batch table of {game.label or 'game'} returned shape {values.shape}, "
@@ -436,25 +415,24 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     zero up to rounding, not the difference of two large nearly equal sums.
 
     Join orders are drawn and evaluated in blocks: each block's prefix
-    coalitions go to one `table` call. The draws, and the order in which
+    coalitions go to one `evaluate` call. The draws, and the order in which
     marginals are summed, are those of one `rng.permutation(n)` per join
     order.
     """
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
     n = game.n_players
-    table = game.table
     rng = np.random.default_rng(seed)
     sums = np.zeros(n)
     sumsq = np.zeros(n)
     ends = np.array([0, int(game.grand_coalition)], dtype=np.uint64)
-    empty, grand = np.asarray(table(ends), dtype=np.float64).tolist()
+    empty, grand = game.evaluate(ends).tolist()
     block = max(1, _SAMPLE_BLOCK_MASKS // n)
     for start in range(0, n_permutations, block):
         rows = min(block, n_permutations - start)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (rows, 1)), axis=1)
         masks = np.bitwise_or.accumulate(np.uint64(1) << perms, axis=1)
-        values = np.asarray(table(masks.ravel()), dtype=np.float64).reshape(rows, n)
+        values = game.evaluate(masks.ravel()).reshape(rows, n)
         gains = np.empty_like(values)
         np.put_along_axis(gains, perms, np.diff(values, axis=1, prepend=empty), axis=1)
         if start == 0:
@@ -542,10 +520,9 @@ def add_games(game_a: CoalitionGame, game_b: CoalitionGame,
     if game_a.n_players != game_b.n_players:
         raise ValueError(
             f"roster mismatch: {game_a.n_players} vs {game_b.n_players} players")
-    table_a, table_b = game_a.table, game_b.table
     return CoalitionGame(game_a.n_players, label=label or f"{game_a.label} + {game_b.label}",
                          players=game_a.players,
-                         table=lambda masks: table_a(masks) + table_b(masks))
+                         table=lambda masks: game_a.evaluate(masks) + game_b.evaluate(masks))
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,9 @@ def closed_single(params: SingleCssParams) -> ShareReport:
     and undefined when the grand value is not positive.
     """
     n, k, rho, cost = params.n, params.k, params.rho, params.cost
-    founder = rho * (power_sum(n, k) / (n + 1)) - cost * (n / 2)
+    # n ** k overflows a float before the power sum does, so fail before summing
     revenue = rho * float(n ** k)
+    founder = rho * (power_sum(n, k) / (n + 1)) - cost * (n / 2)
     grand = revenue - cost * n
     member = (grand - founder) / n
     r = cost * n / revenue

@@ -12,7 +12,8 @@ every founder and every crowd member a separate agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -99,13 +100,8 @@ class OligopolyGraph:
         return int(vertex)
 
     def neighbors(self, vertex: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == vertex:
-                out.append(b)
-            elif b == vertex:
-                out.append(a)
-        return tuple(sorted(out))
+        # the other end of each agreement at `vertex`
+        return tuple(sorted(a + b - vertex for a, b in self.edges if vertex in (a, b)))
 
     def vertex_set(self, members: Iterable[str | int] | Coalition) -> frozenset[int]:
         if isinstance(members, Coalition):
@@ -173,85 +169,42 @@ def shapley_coarse(graph: OligopolyGraph) -> Allocation:
 
 # --- fine grain: founders and crowd members as separate agents ----------------
 
-@dataclass(frozen=True)
-class FineGrainRoster:
-    """Dense player indexing for the fine-grain game.
-
-    Majors occupy indices 0..V-1 in vertex order; each vertex's minors
-    follow as a contiguous block.
-    """
-
-    major_of_vertex: tuple[int, ...]
-    minors_of_vertex: tuple[tuple[int, ...], ...]
-    vertex_of_player: tuple[int, ...]
-    is_major: tuple[bool, ...]
-
-    @property
-    def n_players(self) -> int:
-        return len(self.vertex_of_player)
+def minor_blocks(graph: OligopolyGraph) -> tuple[range, ...]:
+    """Each vertex's crowd members as a range of player indices: the V majors
+    come first, then one contiguous block per vertex, in vertex order."""
+    starts = itertools.accumulate(graph.crowd_sizes, initial=graph.n_vertices)
+    return tuple(range(start, start + n) for start, n in zip(starts, graph.crowd_sizes))
 
 
-def fine_roster(graph: OligopolyGraph) -> FineGrainRoster:
-    n_vertices = graph.n_vertices
-    majors = tuple(range(n_vertices))
-    minors = []
-    vertex_of = list(range(n_vertices))
-    next_index = n_vertices
-    for v in range(n_vertices):
-        block = tuple(range(next_index, next_index + graph.crowd_sizes[v]))
-        minors.append(block)
-        vertex_of.extend([v] * graph.crowd_sizes[v])
-        next_index += graph.crowd_sizes[v]
-    is_major = tuple(i < n_vertices for i in range(next_index))
-    return FineGrainRoster(majors, tuple(minors), tuple(vertex_of), is_major)
-
-
-def value_fine(graph: OligopolyGraph, roster: FineGrainRoster, s: Coalition) -> float:
-    """Coalition value with founders and crowd members as separate agents.
-
-    Only systems whose major is present count; each contributes the square
-    of its present crowd, and each agreement between two present majors
-    contributes twice the product of their present crowds.
-    """
-    if int(s) >> roster.n_players:
+def value_fine(graph: OligopolyGraph, s: Coalition) -> float:
+    """Coalition value with founders and crowd members as separate agents: the
+    coarse value of the systems whose major is present, each sized by the
+    members of its crowd that are present."""
+    blocks = minor_blocks(graph)
+    mask = int(s)
+    if mask >> blocks[-1].stop:
         raise ValueError("coalition contains players outside the fine-grain roster")
-    present_crowd = [0] * graph.n_vertices
-    majors_present = 0
-    for p in s.members():
-        if roster.is_major[p]:
-            majors_present |= 1 << p
-        else:
-            present_crowd[roster.vertex_of_player[p]] += 1
-    total = 0
-    for v in range(graph.n_vertices):
-        if (majors_present >> v) & 1:
-            total += present_crowd[v] ** 2
-    for a, b in graph.edges:
-        if (majors_present >> a) & 1 and (majors_present >> b) & 1:
-            total += 2 * present_crowd[a] * present_crowd[b]
-    return graph.rho * total
+    crowd = tuple((mask >> b.start & ((1 << len(b)) - 1)).bit_count() for b in blocks)
+    majors = Coalition(mask & ((1 << graph.n_vertices) - 1))
+    return value_coarse(replace(graph, crowd_sizes=crowd), majors)
 
 
-def fine_table(graph: OligopolyGraph, roster: FineGrainRoster,
-               masks: np.ndarray) -> np.ndarray:
-    """`value_fine` of every player mask: the network value with each major as
-    its system's presence bit and the popcount of its minor block as the mass."""
-    blocks = [np.uint64(sum(1 << p for p in block)) for block in roster.minors_of_vertex]
-    return _network_table(graph, masks, [np.bitwise_count(masks & b) for b in blocks])
+def fine_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch `value_fine` over player masks: the network value with each major
+    as its system's presence bit and the popcount of its minor block as the mass."""
+    blocks = [np.uint64(((1 << len(b)) - 1) << b.start) for b in minor_blocks(graph)]
+    return lambda masks: _network_table(graph, masks, [np.bitwise_count(masks & b)
+                                                       for b in blocks])
 
 
-def fine_game(graph: OligopolyGraph) -> tuple[CoalitionGame, FineGrainRoster]:
+def fine_game(graph: OligopolyGraph) -> CoalitionGame:
     check_roster_size(graph.n_vertices + sum(graph.crowd_sizes))
-    roster = fine_roster(graph)
-    players = []
-    for v, vid in enumerate(graph.vertex_ids):
-        players.append(PlayerId(v, PlayerTag.FOUNDER, vid))
-    for v, vid in enumerate(graph.vertex_ids):
-        for j, p in enumerate(roster.minors_of_vertex[v], start=1):
-            players.append(PlayerId(p, PlayerTag.CROWD, f"{vid}/u{j}"))
-    game = CoalitionGame(roster.n_players, label="fine oligopoly", players=tuple(players),
-                         table=lambda m: fine_table(graph, roster, m))
-    return game, roster
+    players = [PlayerId(v, PlayerTag.FOUNDER, vid) for v, vid in enumerate(graph.vertex_ids)]
+    for vid, block in zip(graph.vertex_ids, minor_blocks(graph)):
+        players += (PlayerId(p, PlayerTag.CROWD, f"{vid}/u{j}")
+                    for j, p in enumerate(block, start=1))
+    return CoalitionGame(len(players), label="fine oligopoly", players=tuple(players),
+                         table=fine_table(graph))
 
 
 def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
@@ -269,14 +222,14 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
         raise ValueError(
             f"fine-grain closed form needs every crowd nonempty; vertices {empty} "
             "have none (the exact engine still handles such rosters)")
-    roster = fine_roster(graph)
-    payoffs = [0.0] * roster.n_players
+    blocks = minor_blocks(graph)
+    payoffs = [0.0] * blocks[-1].stop
     for v in range(graph.n_vertices):
         n_v = sizes[v]
         neighbor_mass = sum(sizes[w] for w in graph.neighbors(v))
         payoffs[v] = graph.rho * (n_v * (2 * n_v + 1) / 6 + n_v * neighbor_mass / 2)
         minor = graph.rho * ((4 * n_v - 1) / 6 + neighbor_mass / 2)
-        for p in roster.minors_of_vertex[v]:
+        for p in blocks[v]:
             payoffs[p] = minor
     grand = value_coarse(graph, range(graph.n_vertices))
     return Allocation(tuple(payoffs), grand, Method.CLOSED_FORM)

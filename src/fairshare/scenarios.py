@@ -389,7 +389,7 @@ MODELS: dict[str, ModelSpec] = {
     "oligopoly_coarse": ModelSpec(_validate_graph, _parse_graph, _dump_graph,
                                   coarse_game, shapley_coarse),
     "oligopoly_fine": ModelSpec(_validate_fine, _parse_graph, _dump_graph,
-                                lambda graph: fine_game(graph)[0], shapley_fine_closed),
+                                fine_game, shapley_fine_closed),
     "geo": ModelSpec(_validate_geo, _parse_geo, _dump_geo,
                      lambda p: geo_game(p.census, p.rho, p.variant),
                      lambda p: geo_shapley(p.census, p.rho, p.variant)),

@@ -156,7 +156,7 @@ def test_criterion_1_oracle_equivalence():
     for i in range(instances):
         graph = random_fine_graph(rng)
         compare_payoffs(f"fine#{i}", shapley_fine_closed(graph),
-                        shapley_exact(fine_game(graph)[0]), failures)
+                        shapley_exact(fine_game(graph)), failures)
     for variant in ("lin", "met"):
         for i in range(instances):
             census = random_census(rng)
@@ -310,7 +310,7 @@ def model_zoo():
         [("A", 1), ("B", 2), ("C", 3), ("D", 4)],
         [("A", "B"), ("C", "B"), ("C", "A"), ("B", "D")]))
     yield "fine", fine_game(OligopolyGraph.from_spec(
-        [("v", 2), ("w", 2)], [("v", "w")]))[0]
+        [("v", 2), ("w", 2)], [("v", "w")]))
     census = DiskCensus(3, {frozenset({1}): 4, frozenset({1, 2}): 2,
                             frozenset({2, 3}): 3, frozenset({3}): 1})
     yield "geo met", geo_game(census, 1.0, "met")

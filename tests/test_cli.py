@@ -148,6 +148,48 @@ def test_cli_exponent_is_capped(tmp_path, capsys, model, command):
         assert f"params.k: must be <= 1023, got {k}" in capsys.readouterr().err
 
 
+NON_FINITE = {
+    # inf ** 2 - inf ** 2 makes the exact payoffs [inf, nan, nan]
+    "weighted exact": ({"model": "weighted", "method": "exact",
+                        "params": {"weights": [1.0, 2.0], "k": 5000}}, "exact"),
+    "coarse closed": ({"model": "oligopoly_coarse", "method": "closed",
+                       "params": {"vertices": [{"id": "a", "size": 10 ** 11}],
+                                  "rho": 1e300}}, "closed_form"),
+    "geo met": ({"model": "geo", "method": "closed",
+                 "params": {"census": {"m": 2, "d": {"1": 4}}, "variant": "met",
+                            "rho": 1e308}}, "closed_form"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_cli_solve_refuses_a_non_finite_result(tmp_path, capsys, case):
+    data, key = NON_FINITE[case]
+    path = write_scenario(tmp_path, data)
+    assert main(["solve", "--scenario", str(path), "--format", "json"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {key}: result is not finite" in captured.err
+
+
+def test_cli_sweep_refuses_a_non_finite_row(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"model": "single", "params": {"n": 3, "k": 2,
+                                                                   "rho": 1e307}})
+    code = main(["sweep", "--scenario", str(path), "--n-values", "2,100"])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: n=100: result is not finite" in captured.err
+
+
+def test_cli_sweep_overflow_fails_before_the_power_sum(tmp_path):
+    # power_sum(100000, 1023) alone takes seconds; n ** k overflows first
+    path = write_scenario(tmp_path, {"model": "single", "params": {"n": 2, "k": 1023}})
+    start = time.perf_counter()
+    with pytest.raises(OverflowError):
+        main(["sweep", "--scenario", str(path), "--n-values", "2,100000"])
+    assert time.perf_counter() - start < 1.0
+
+
 def test_solve_runs_a_share_report_closed_form_once(monkeypatch):
     calls = []
     closed_report = cli.closed_report

@@ -1,0 +1,33 @@
+"""Tests for tools/compare_outputs.py, the output-identity check of two trees."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "tools" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_tree_matches_itself_on_the_known_defects():
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("known_defects",))
+    assert (n_ops, differ) == (16, [])
+
+
+def test_a_changed_tree_is_listed_op_by_op(tmp_path):
+    package = tmp_path / "fairshare"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv):\n    print(argv[0])\n    return 0\n")
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", tmp_path, 5, ("known_defects",))
+    assert n_ops == 16 and len(differ) == 16
+    assert differ[0].startswith(
+        "known_defects/0000-solve-single-n11: exit, stdout differ ('OverflowError: ")
+    assert differ[0].endswith("' -> 0)")

@@ -336,8 +336,7 @@ def mass_reference(s):
 
 
 def fine_pair(graph):
-    game, roster = fine_game(graph)
-    return game, functools.partial(value_fine, graph, roster)
+    return fine_game(graph), functools.partial(value_fine, graph)
 
 
 # each entry builds a game and its model's reference scalar function
@@ -405,9 +404,18 @@ def test_scalar_only_game_samples_like_its_table():
     assert shapley_sample(scalar_only, 300, seed=2) == shapley_sample(game, 300, seed=2)
 
 
+def test_a_game_keeps_its_functions_as_given():
+    scalar = CoalitionGame(3, lambda s: float(s.size))
+    batch = single_game(SingleCssParams(n=4, k=2, rho=1.0))
+    assert scalar.table is None and scalar.value is not None
+    assert batch.value is None and batch.table is not None
+    masks = np.arange(8, dtype=np.uint64)
+    assert scalar.evaluate(masks).tolist() == [float(int(m).bit_count()) for m in masks]
+
+
 def test_replaced_function_is_the_one_computed_with():
-    # dataclasses.replace passes the derived function back in; it must not
-    # outlive the function it was derived from
+    # both fields are kept as given, so dataclasses.replace of either one
+    # replaces what the game computes
     scalar = CoalitionGame(3, lambda s: float(s.size))
     zero = dataclasses.replace(scalar, value=lambda s: 0.0)
     assert shapley_exact(zero).payoffs == (0.0, 0.0, 0.0)
@@ -416,12 +424,36 @@ def test_replaced_function_is_the_one_computed_with():
     assert not is_supermodular(dataclasses.replace(scalar, value=lambda s: math.sqrt(s.size)))
     batch = CoalitionGame(3, table=lambda masks: np.bitwise_count(masks).astype(float))
     doubled = dataclasses.replace(batch, table=lambda masks: 2.0 * np.bitwise_count(masks))
-    assert doubled.value(Coalition(0b111)) == 6.0
+    assert doubled.evaluate(np.array([0b111], dtype=np.uint64)).tolist() == [6.0]
     assert marginal_value(doubled, Coalition(0b1), 1) == 2.0
     with pytest.raises(ValueError, match="outside the roster"):
-        doubled.value(Coalition(0b1000))
-    # a table taken from another game keeps computing that game's values
-    assert CoalitionGame(3, table=scalar.table).value(Coalition(0b11)) == 2.0
+        marginal_value(doubled, Coalition(0b1000), 0)
+    assert shapley_exact(doubled).payoffs == (2.0, 2.0, 2.0)
+    assert shapley_sample(doubled, 10).payoffs == (2.0, 2.0, 2.0)
+    assert check_axioms(doubled, shapley_exact(doubled)).symmetric_pairs == (
+        (0, 1), (0, 2), (1, 2))
+    squared = dataclasses.replace(batch, table=lambda masks: np.bitwise_count(masks) ** 2.0)
+    assert is_supermodular(squared) and not is_supermodular(
+        dataclasses.replace(squared, table=lambda masks: np.sqrt(np.bitwise_count(masks))))
+    # a value given beside a table is never called: the table is what computes
+    calls = []
+
+    def counting(s):
+        calls.append(int(s))
+        return 0.0
+
+    counted = dataclasses.replace(squared, value=counting)
+    assert shapley_exact(counted) == shapley_exact(squared)
+    assert shapley_sample(counted, 10) == shapley_sample(squared, 10)
+    assert check_axioms(counted, shapley_exact(counted)).null_players == ()
+    assert is_supermodular(counted)
+    assert marginal_value(counted, Coalition(0b1), 1) == 3.0
+    assert calls == []
+    # another game's evaluate serves as a table; its absent table does not
+    borrowed = CoalitionGame(3, table=scalar.evaluate)
+    assert borrowed.evaluate(np.array([0b11], dtype=np.uint64)).tolist() == [2.0]
+    with pytest.raises(ValueError, match="a value or a table"):
+        CoalitionGame(3, table=scalar.table)
 
 
 @pytest.mark.parametrize("n, rows", [(1, 5), (7, 1), (7, 50), (64, 3)])

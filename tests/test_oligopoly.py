@@ -8,6 +8,7 @@ import pytest
 from fairshare.core import (
     Coalition,
     CoalitionGame,
+    PlayerTag,
     check_axioms,
     shapley_exact,
 )
@@ -16,12 +17,13 @@ from fairshare.oligopoly import (
     coarse_game,
     fine_game,
     fine_major_ratio,
-    fine_roster,
+    minor_blocks,
     shapley_coarse,
     shapley_fine_closed,
     value_coarse,
     value_fine,
 )
+from fairshare.scenarios import MODELS
 
 
 def diamond_graph(rho=1.0):
@@ -169,26 +171,58 @@ def pair_graph(rho=1.0):
 
 def test_value_fine_gates_on_major():
     graph = pair_graph()
-    roster = fine_roster(graph)
     # crowd members of v (players 2,3) without their major are worthless
-    assert value_fine(graph, roster, Coalition.from_members([2, 3])) == 0.0
+    assert value_fine(graph, Coalition.from_members([2, 3])) == 0.0
     # majors alone have no crowd to network
-    assert value_fine(graph, roster, Coalition.from_members([0, 1])) == 0.0
+    assert value_fine(graph, Coalition.from_members([0, 1])) == 0.0
 
 
 def test_value_fine_full_pair():
     graph = pair_graph()
-    roster = fine_roster(graph)
-    full = Coalition.from_members(range(roster.n_players))
-    assert value_fine(graph, roster, full) == 16.0
+    full = Coalition.from_members(range(fine_game(graph).n_players))
+    assert value_fine(graph, full) == 16.0
 
 
 def test_value_fine_partial_crowds():
     graph = pair_graph()
-    roster = fine_roster(graph)
     # one member of each crowd present: 1 + 1 + 2*1*1
     s = Coalition.from_members([0, 1, 2, 4])
-    assert value_fine(graph, roster, s) == 4.0
+    assert value_fine(graph, s) == 4.0
+
+
+def zero_crowd_graph():
+    # "z" has no crowd, so its founder adds nothing anywhere
+    return OligopolyGraph.from_spec([("a", 2), ("z", 0), ("b", 1)],
+                                    [("a", "z"), ("z", "b"), ("a", "b")], rho=1.25)
+
+
+def test_fine_game_roster_follows_the_minor_blocks():
+    graph = zero_crowd_graph()
+    assert minor_blocks(graph) == (range(3, 5), range(5, 5), range(5, 6))
+    game = fine_game(graph)
+    assert [(p.index, p.tag, p.name) for p in game.players] == [
+        (0, PlayerTag.FOUNDER, "a"), (1, PlayerTag.FOUNDER, "z"), (2, PlayerTag.FOUNDER, "b"),
+        (3, PlayerTag.CROWD, "a/u1"), (4, PlayerTag.CROWD, "a/u2"), (5, PlayerTag.CROWD, "b/u1")]
+
+
+def test_fine_game_with_an_empty_crowd_solves_exactly():
+    # a null founder leaves everyone else's payoff as in the graph without it
+    exact = shapley_exact(MODELS["oligopoly_fine"].game(zero_crowd_graph()))
+    assert exact.payoffs[1] == 0.0
+    without = shapley_fine_closed(OligopolyGraph.from_spec(
+        [("a", 2), ("b", 1)], [("a", "b")], rho=1.25))
+    assert exact.grand_value == without.grand_value
+    kept = exact.payoffs[:1] + exact.payoffs[2:]
+    assert kept == pytest.approx(without.payoffs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("graph", [pair_graph(1.5), zero_crowd_graph(), diamond_graph(0.5)],
+                         ids=["pair", "empty crowd", "diamond"])
+def test_value_fine_is_the_game_on_every_mask(graph):
+    game = fine_game(graph)
+    masks = np.arange(1 << game.n_players, dtype=np.uint64)
+    expected = [value_fine(graph, Coalition(int(m))) for m in masks]
+    assert game.evaluate(masks).tolist() == expected
 
 
 # --- fine-grain closed form ----------------------------------------------------------
@@ -221,8 +255,7 @@ def test_shapley_fine_matches_exact_on_random_configs():
     for _ in range(40):
         graph = random_fine_graph(rng)
         closed = shapley_fine_closed(graph)
-        game, _ = fine_game(graph)
-        exact = shapley_exact(game)
+        exact = shapley_exact(fine_game(graph))
         assert closed.grand_value == pytest.approx(exact.grand_value, rel=1e-12)
         for a, b in zip(closed.payoffs, exact.payoffs):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
@@ -233,15 +266,15 @@ def test_fine_game_decomposes_into_vertex_and_edge_pieces():
     # payoffs must add up piece by piece (linearity)
     graph = OligopolyGraph.from_spec(
         [("v", 2), ("w", 1), ("x", 2)], [("v", "w"), ("w", "x")], rho=1.0)
-    game, roster = fine_game(graph)
-    n = roster.n_players
+    game = fine_game(graph)
+    n = game.n_players
+    blocks = minor_blocks(graph)
 
     def vertex_piece(v):
         def value(s):
             if v not in s:
                 return 0.0
-            crowd = sum(1 for p in s.members() if not roster.is_major[p]
-                        and roster.vertex_of_player[p] == v)
+            crowd = sum(1 for p in s.members() if p in blocks[v])
             return float(crowd ** 2)
         return CoalitionGame(n, value)
 
@@ -249,10 +282,8 @@ def test_fine_game_decomposes_into_vertex_and_edge_pieces():
         def value(s):
             if a not in s or b not in s:
                 return 0.0
-            crowd_a = sum(1 for p in s.members() if not roster.is_major[p]
-                          and roster.vertex_of_player[p] == a)
-            crowd_b = sum(1 for p in s.members() if not roster.is_major[p]
-                          and roster.vertex_of_player[p] == b)
+            crowd_a = sum(1 for p in s.members() if p in blocks[a])
+            crowd_b = sum(1 for p in s.members() if p in blocks[b])
             return 2.0 * crowd_a * crowd_b
         return CoalitionGame(n, value)
 
@@ -269,8 +300,7 @@ def test_fine_game_decomposes_into_vertex_and_edge_pieces():
 
 def test_fine_allocations_satisfy_axioms():
     graph = pair_graph(rho=1.5)
-    game, _ = fine_game(graph)
-    report = check_axioms(game, shapley_fine_closed(graph))
+    report = check_axioms(fine_game(graph), shapley_fine_closed(graph))
     assert report.all_ok
 
 

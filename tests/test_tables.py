@@ -29,6 +29,7 @@ from fairshare.core import (
     check_linearity,
     coalition_value_table,
     is_supermodular,
+    marginal_value,
     shapley_exact,
     shapley_permutation_average,
     shapley_sample,
@@ -43,7 +44,7 @@ from fairshare.models import (
     value_weighted,
     weighted_game,
 )
-from fairshare.oligopoly import OligopolyGraph, fine_roster, value_coarse, value_fine
+from fairshare.oligopoly import OligopolyGraph, value_coarse, value_fine
 from fairshare.scenarios import MODELS, GeoParams, build_game, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -65,7 +66,7 @@ REFERENCES = {
     "profit": lambda p: functools.partial(value_profit, p),
     "weighted": lambda p: functools.partial(value_weighted, p),
     "oligopoly_coarse": lambda g: functools.partial(value_coarse, g),
-    "oligopoly_fine": lambda g: functools.partial(value_fine, g, fine_roster(g)),
+    "oligopoly_fine": lambda g: functools.partial(value_fine, g),
     "geo": lambda p: functools.partial(geo_value, p),
     "geo_founder": lambda p: functools.partial(geo_founder_value, p.census, p.rho, p.variant),
 }
@@ -305,10 +306,10 @@ def test_geo_founder_value_uses_sizes_computed_once(monkeypatch):
         game = geo_founder_game(census, 1.5, variant)
         reference = CoalitionGame(
             game.n_players, lambda s, v=variant: geo_founder_value(census, 1.5, v, s))
-        for mask in range(1 << game.n_players):
-            assert game.value(Coalition(mask)) == reference.value(Coalition(mask))
+        masks = np.arange(1 << game.n_players, dtype=np.uint64)
+        assert np.array_equal(game.evaluate(masks), reference.evaluate(masks))
         assert shapley_sample(game, 50, 3) == shapley_sample(reference, 50, 3)
     monkeypatch.setattr(geo, "effective_size", failing_value)
-    game.value(game.grand_coalition)
+    game.evaluate(np.array([game.grand_coalition], dtype=np.uint64))
     with pytest.raises(ValueError, match="outside"):
-        game.value(Coalition(1 << game.n_players))
+        marginal_value(game, Coalition(1 << game.n_players), 0)

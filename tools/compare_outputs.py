@@ -1,0 +1,100 @@
+"""Compare the CLI output of two source trees over the benchmark's operations.
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC --seed N
+
+OLD_SRC and NEW_SRC are directories holding a `fairshare` package. Every
+operation of the timed workloads and of `known_defects` is built with
+`perfbench/gen.py` at the seed, its scenario files are written once, and the
+operations are run through each tree's `fairshare.cli.main`, in one
+subprocess per tree, as the benchmark runs them. An uncaught exception is
+recorded as its type and message in place of the exit code. The scenario
+directory is replaced by a fixed placeholder in stdout and stderr. Each
+operation whose exit code, stdout or stderr differs is listed, and the exit
+status is 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402
+
+WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects")
+PLACEHOLDER = "<scenario-dir>"
+
+# Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
+# stderr] per operation.
+_RUN_ALL = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from fairshare.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _run_all(src: Path, argvs: list[list[str]], work_dir: Path) -> list[list]:
+    done = subprocess.run([sys.executable, "-c", _RUN_ALL, str(src)],
+                          input=json.dumps(argvs), capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"running the operations from {src} failed:\n{done.stderr}")
+    return [[code, *(text.replace(str(work_dir), PLACEHOLDER) for text in (out, err))]
+            for code, out, err in json.loads(done.stdout)]
+
+
+def compare(old_src: Path, new_src: Path, seed: int,
+            workloads: tuple[str, ...] = WORKLOADS) -> tuple[int, list[str]]:
+    """The number of operations run, and one line per operation that differs."""
+    bundled = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "scenarios").glob("*.json"))}
+    with tempfile.TemporaryDirectory() as tmp:
+        work_dir = Path(tmp)
+        ops, argvs = [], []
+        for name in workloads:
+            workload = gen.build_workload(name, seed, bundled)
+            gen.write_files(workload, work_dir / name)
+            ops += [f"{name}/{op.op_id}" for op in workload.ops]
+            argvs += [op.argv(work_dir / name) for op in workload.ops]
+        old = _run_all(old_src, argvs, work_dir)
+        new = _run_all(new_src, argvs, work_dir)
+    differ = []
+    for op, a, b in zip(ops, old, new):
+        fields = [field for field, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+        if fields:
+            detail = f" ({a[0]!r} -> {b[0]!r})" if "exit" in fields else ""
+            differ.append(f"{op}: {', '.join(fields)} differ{detail}")
+    return len(ops), differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    n_ops, differ = compare(args.old_src.resolve(), args.new_src.resolve(), args.seed)
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {n_ops} operations differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
