@@ -8,7 +8,6 @@ FAIRSHARE_EXACT_CAP environment variable, then the built-in default.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -27,7 +26,8 @@ from fairshare.empirical import load_revenue_records, parse_window, revenue_shar
 from fairshare.models import share_sweep
 from fairshare.reports import EmpiricalReport, SolveReport, SweepReport, emit
 from fairshare.scenarios import (
-    MODELS,
+    METHODS,
+    SWEEPABLE,
     SampleConfig,
     Scenario,
     ScenarioError,
@@ -35,6 +35,7 @@ from fairshare.scenarios import (
     closed_allocation,
     closed_report,
     load_scenario,
+    parse_scenario,
     scenario_to_data,
     validate_scenario_data,
 )
@@ -70,17 +71,15 @@ def _check_finite(where: str, numbers: Sequence[float]) -> None:
         raise ScenarioError([f"{where}: result is not finite (a value overflows a float)"])
 
 
-def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
-                   sample_config: SampleConfig | None = None) -> SolveReport:
+def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> SolveReport:
     """Run the scenario's requested method(s) and assemble a report.
 
     method=all runs the closed form, the exact engine (when the roster fits
-    under the cap), the sampler (when a sample config exists), the axiom
-    checks, and the cross-method discrepancy table.
+    under the cap), the sampler (when the scenario has a sample config), the
+    axiom checks, and the cross-method discrepancy table.
     """
     cap = resolve_exact_cap(exact_cap)
     game = build_game(scenario)
-    sample_cfg = sample_config or scenario.sample
     method = scenario.method
     allocations = {}
     notes = []
@@ -101,8 +100,8 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
             else:
                 notes.append(
                     f"exact engine skipped: {game.n_players} players above cap {cap}")
-        if method == "sample" or (method == "all" and sample_cfg is not None):
-            cfg = sample_cfg or SampleConfig()
+        if method == "sample" or (method == "all" and scenario.sample is not None):
+            cfg = scenario.sample or SampleConfig()
             allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
 
     for key, alloc in allocations.items():
@@ -136,9 +135,8 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None,
 
 
 def sweep_scenario(scenario: Scenario, n_values: Sequence[int]) -> SweepReport:
-    if not hasattr(scenario.params, "closed_at"):  # see models.CssParams
-        *names, last = [name for name, spec in MODELS.items()
-                        if hasattr(spec.parse, "closed_at")]
+    if scenario.model not in SWEEPABLE:
+        *names, last = SWEEPABLE
         raise ScenarioError(
             [f"model: '{scenario.model}' does not support sweeping; "
              f"use {', '.join(names)}, or {last}"])
@@ -167,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="allocate one scenario")
     solve.add_argument("--scenario", required=True, metavar="PATH")
-    solve.add_argument("--method", choices=("closed", "exact", "sample", "all"),
+    solve.add_argument("--method", choices=METHODS,
                        default=None, help="override the scenario's method")
     solve.add_argument("--seed", type=int, default=None,
                        help="sampler seed override")
@@ -201,30 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sample_override(args: argparse.Namespace,
-                     scenario: Scenario) -> SampleConfig | None:
-    if args.seed is None and args.permutations is None:
-        return None
-    errors = []
-    if args.seed is not None and args.seed < 0:
-        errors.append(f"--seed: must be >= 0, got {args.seed}")
-    if args.permutations is not None and args.permutations < 1:
-        errors.append(f"--permutations: must be >= 1, got {args.permutations}")
+def _apply_flags(args: argparse.Namespace, scenario: Scenario) -> Scenario:
+    """The scenario with the solve flags written into its data and parsed again,
+    so that a flag is validated and echoed like the same value in the file."""
+    floors = {"seed": 0, "permutations": 1}
+    sample = {key: getattr(args, key) for key in floors if getattr(args, key) is not None}
+    errors = [f"--{key}: must be >= {floors[key]}, got {value}"
+              for key, value in sample.items() if value < floors[key]]
     if errors:
         raise ScenarioError(errors)
-    base = scenario.sample or SampleConfig()
-    return SampleConfig(
-        permutations=args.permutations if args.permutations is not None
-        else base.permutations,
-        seed=args.seed if args.seed is not None else base.seed)
+    if args.method is None and not sample:
+        return scenario
+    data = scenario_to_data(scenario)
+    data["method"] = args.method or data["method"]
+    if sample:
+        data["sample"] = {**data.get("sample", {}), **sample}
+    return parse_scenario(data)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.method is not None:
-        scenario = dataclasses.replace(scenario, method=args.method)
-    report = solve_scenario(scenario, exact_cap=args.exact_cap,
-                            sample_config=_sample_override(args, scenario))
+    scenario = _apply_flags(args, load_scenario(args.scenario))
+    report = solve_scenario(scenario, exact_cap=args.exact_cap)
     emit(report, args.format, args.out)
     return EXIT_OK
 

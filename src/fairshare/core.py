@@ -475,19 +475,18 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
     Null players and interchangeable pairs are detected by exhaustive scan
     of the coalition table when the roster is within `detect_cap`; above it
     only efficiency is checked and the report is marked non-exhaustive.
-    Sampled allocations get a 3-stderr slack on every payoff comparison.
+    Payoffs compare within `tol * max(1, |grand|)` plus 3 stderr if sampled.
     """
     n = game.n_players
     if allocation.n_players != n:
         raise ValueError("allocation does not match the game roster")
     detect_cap = DEFAULT_STRUCTURE_CAP if detect_cap is None else detect_cap
     grand = allocation.grand_value
-    sampled = allocation.method is Method.SAMPLED
-    stderr = allocation.stderr if sampled else (0.0,) * n
+    stderr = allocation.stderr or (0.0,) * n  # present exactly when sampled
+    slack = tol * max(1.0, abs(grand))
 
-    eff_tol = tol * max(1.0, abs(grand)) + 3.0 * math.fsum(stderr)
     efficiency_gap = abs(allocation.total() - grand)
-    efficiency_ok = efficiency_gap <= eff_tol
+    efficiency_ok = efficiency_gap <= slack + 3.0 * math.fsum(stderr)
 
     nulls: tuple[int, ...] = ()
     pairs: tuple[tuple[int, int], ...] = ()
@@ -506,9 +505,9 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
         pairs = tuple(found_pairs)
 
     payoffs = allocation.payoffs
-    null_ok = all(abs(payoffs[i]) <= tol + 3.0 * stderr[i] for i in nulls)
+    null_ok = all(abs(payoffs[i]) <= slack + 3.0 * stderr[i] for i in nulls)
     symmetry_ok = all(
-        abs(payoffs[i] - payoffs[j]) <= tol + 3.0 * (stderr[i] + stderr[j])
+        abs(payoffs[i] - payoffs[j]) <= slack + 3.0 * (stderr[i] + stderr[j])
         for i, j in pairs)
     return AxiomReport(efficiency_ok, efficiency_gap, nulls, null_ok,
                        pairs, symmetry_ok, exhaustive)
@@ -540,7 +539,7 @@ def check_linearity(game_a: CoalitionGame, game_b: CoalitionGame, *,
     max_gap = max(
         abs(s - (a + b))
         for s, a, b in zip(alloc_sum.payoffs, alloc_a.payoffs, alloc_b.payoffs))
-    return LinearityReport(max_gap, max_gap <= tol)
+    return LinearityReport(max_gap, max_gap <= tol * max(1.0, abs(alloc_sum.grand_value)))
 
 
 def is_supermodular(game: CoalitionGame, *, cap: int | None = None,
@@ -548,15 +547,16 @@ def is_supermodular(game: CoalitionGame, *, cap: int | None = None,
     """True iff marginal contributions never shrink as coalitions grow.
 
     Uses the pairwise form: for every i != j and every S avoiding both,
-    v(S+i+j) - v(S+j) >= v(S+i) - v(S), within tol.
+    v(S+i+j) - v(S+j) >= v(S+i) - v(S), within `tol * max(1, max |v(S)|)`.
     """
     values = coalition_value_table(game, cap=DEFAULT_STRUCTURE_CAP if cap is None else cap)
+    slack = tol * max(1.0, float(np.max(np.abs(values))))
     n = game.n_players
     for i in range(n):
         for j in range(i + 1, n):
             v = _split_pair(values, i, j)
             grown = v[:, 1, :, 1, :] - v[:, 1, :, 0, :]
             base = v[:, 0, :, 1, :] - v[:, 0, :, 0, :]
-            if np.any(grown - base < -tol):
+            if np.any(grown - base < -slack):
                 return False
     return True

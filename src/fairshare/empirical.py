@@ -172,7 +172,9 @@ def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord,
     else:
         text = Path(path).read_text(encoding="utf-8")
     data = json.loads(text)
-    rows = data["records"] if isinstance(data, dict) else data
+    rows = data.get("records") if isinstance(data, dict) else data
+    if not isinstance(rows, list):
+        raise ValueError(f'{path}: expected a list of records or {{"records": [...]}}')
     records = []
     for pos, row in enumerate(rows):
         try:

@@ -398,6 +398,9 @@ MODELS: dict[str, ModelSpec] = {
                              lambda p: geo_founder_shapley(p.census, p.rho, p.variant)),
 }
 
+# the models whose params sweep: `CssParams`, which define `closed_at`
+SWEEPABLE = tuple(name for name, spec in MODELS.items() if hasattr(spec.parse, "closed_at"))
+
 
 def validate_scenario_data(data: Any) -> list[str]:
     """Collect every schema or invariant violation in a scenario object."""
@@ -485,7 +488,7 @@ def build_game(scenario: Scenario) -> CoalitionGame:
 
 def closed_report(scenario: Scenario) -> ShareReport | None:
     """Share diagnostics for the models that define them."""
-    if not hasattr(scenario.params, "closed_at"):  # not CssParams
+    if scenario.model not in SWEEPABLE:
         return None
     return MODELS[scenario.model].closed(scenario.params)
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line and its exit codes."""
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -18,9 +19,11 @@ from fairshare.cli import (
     sweep_scenario,
 )
 from fairshare.core import DEFAULT_EXACT_CAP, CoalitionGame, shapley_exact
-from fairshare.scenarios import ScenarioError, load_scenario, parse_scenario
+from fairshare.scenarios import METHODS, ScenarioError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
+METCALFE = str(SCENARIO_DIR / "single_metcalfe.json")
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -289,7 +292,7 @@ def test_cli_sampler_flag_overrides(tmp_path, capsys):
                  "--seed", "9", "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["scenario"].get("sample") is None  # file had no config
+    assert payload["scenario"]["sample"] == {"permutations": 50, "seed": 9}
     assert payload["allocations"]["sampled"]["stderr"] is not None
 
 
@@ -309,6 +312,72 @@ def test_cli_bad_sampler_flag_names_flag(tmp_path, capsys, flag, bad):
     code = main(["solve", "--scenario", str(path), flag, bad])
     assert code == EXIT_VALIDATION
     assert flag in capsys.readouterr().err
+
+
+def run_json(capsys, *argv):
+    """Exit code, stdout and stderr of one `solve --format json` call."""
+    code = main(["solve", *argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_method_flag_runs_like_the_method_in_the_file(tmp_path, capsys, path, method):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edited = write_scenario(tmp_path, {**data, "method": method})
+    assert (run_json(capsys, "--scenario", str(path), "--method", method)
+            == run_json(capsys, "--scenario", str(edited)))
+
+
+@pytest.mark.parametrize("data, method, field", [
+    ({"model": "weighted", "params": {"weights": [1.0, 2.0], "k": 3}, "method": "exact"},
+     "closed", "params.k"),
+    ({"model": "oligopoly_fine", "method": "sample",
+      "params": {"vertices": [{"id": "a", "size": 2}, {"id": "b", "size": 0}],
+                 "edges": [["a", "b"]]}},
+     "all", "params.vertices"),
+])
+def test_method_flag_is_validated_like_the_file(tmp_path, capsys, data, method, field):
+    path = write_scenario(tmp_path, data)
+    assert main(["solve", "--scenario", str(path), "--method", method]) == EXIT_VALIDATION
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+def test_solving_the_echoed_scenario_reproduces_the_output(tmp_path, capsys):
+    first = run_json(capsys, "--scenario", METCALFE, "--seed", "9", "--permutations", "50")
+    echoed = json.loads(first[1])["scenario"]
+    assert first[0] == EXIT_OK and echoed["sample"] == {"permutations": 50, "seed": 9}
+    assert run_json(capsys, "--scenario", str(write_scenario(tmp_path, echoed))) == first
+
+
+def recorder(function, calls):
+    """`function`, recording the arguments of each call by parameter name."""
+    def probe(*args, **kwargs):
+        calls.append(inspect.signature(function).bind(*args, **kwargs).arguments)
+        return function(*args, **kwargs)
+    return probe
+
+
+def test_emit_and_the_sampler_are_called_through_cli(monkeypatch, capsys):
+    # the benchmark wraps these two names on fairshare.cli to watch each solve
+    emitted, sampled = [], []
+    monkeypatch.setattr(cli, "emit", recorder(cli.emit, emitted))
+    monkeypatch.setattr(cli, "shapley_sample", recorder(cli.shapley_sample, sampled))
+    assert main(["solve", "--scenario", METCALFE]) == EXIT_OK
+    assert (len(emitted), len(sampled)) == (1, 1)
+    assert main(["solve", "--scenario", METCALFE, "--seed", "9", "--permutations", "50"]) == 0
+    assert len(emitted) == 2
+    assert (sampled[-1]["n_permutations"], sampled[-1]["seed"]) == (50, 9)
+    capsys.readouterr()
+
+
+def test_cli_audits_a_large_symmetric_game(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"model": "weighted", "method": "all", "params": {
+        "weights": [1.3, 0.7, 2.9, 1.3, 0.7, 1.1, 1.3, 0.7, 2.2, 1.3], "rho": 1e9}})
+    code, out, _ = run_json(capsys, "--scenario", str(path))
+    axioms = json.loads(out)["axioms"]
+    assert code == EXIT_OK and axioms["symmetric_pairs"] and axioms["all_ok"]
 
 
 def test_cli_sweep_unsupported_model(capsys):
@@ -380,6 +449,16 @@ def test_cli_empirical_custom_records(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["share"] == pytest.approx(7.6 / 11.4)
     assert payload["inside_band"] is True
+
+
+@pytest.mark.parametrize("content", [{"rows": []}, 5, {"records": 5}],
+                         ids=["no records key", "a number", "records not a list"])
+def test_cli_empirical_records_of_the_wrong_shape(tmp_path, capsys, content):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    code = main(["empirical", "--records", str(path), "--payout", "1", "--window", "2021"])
+    assert code == EXIT_VALIDATION
+    assert f"error: {path}: expected a list" in capsys.readouterr().err
 
 
 # --- names the benchmark tracer wraps -------------------------------------------------

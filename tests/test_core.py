@@ -15,6 +15,7 @@ from fairshare.core import (
     CoalitionGame,
     DegenerateCrowdError,
     EMPTY_COALITION,
+    EXACT_BYTES_PER_COALITION,
     Method,
     PlayerId,
     PlayerTag,
@@ -189,6 +190,40 @@ def test_exact_efficiency_on_random_games():
         game = random_table_game(rng, n)
         alloc = shapley_exact(game)
         assert alloc.total() == pytest.approx(alloc.grand_value, abs=1e-9)
+
+
+def ring_census(m):
+    """Each agent covers users of its own and shares some with the next."""
+    counts = {frozenset({i}): 3 for i in range(1, m + 1)}
+    counts.update({frozenset({i, i % m + 1}): 2 for i in range(1, m + 1)})
+    return DiskCensus(m, counts)
+
+
+SIXTEEN_PLAYER_GAMES = {
+    "single": lambda: single_game(SingleCssParams(n=15, k=2, rho=1.0)),
+    "profit": lambda: profit_game(ProfitCssParams(15, 2, 1.0, 0.4, 0.1)),
+    "weighted": lambda: weighted_game(WeightedCssParams(tuple(0.5 + i / 10 for i in range(15)))),
+    "oligopoly_coarse": lambda: coarse_game(OligopolyGraph.from_spec(
+        [(f"s{v}", v % 5 + 1) for v in range(16)], [(f"s{v}", f"s{v + 1}") for v in range(15)])),
+    "oligopoly_fine": lambda: fine_game(OligopolyGraph.from_spec(
+        [("a", 4), ("b", 3), ("c", 3), ("d", 2)], [("a", "b"), ("b", "c"), ("c", "d")])),
+    "geo": lambda: geo_game(ring_census(16), 0.8, "met"),
+    "geo_founder": lambda: geo_founder_game(ring_census(15), 1.3, "met"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SIXTEEN_PLAYER_GAMES))
+def test_exact_memory_stays_within_the_guard(model):
+    # the cap check multiplies 2^n by this constant before anything is allocated
+    game = SIXTEEN_PLAYER_GAMES[model]()
+    assert game.n_players == 16
+    tracemalloc.start()
+    try:
+        shapley_exact(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 16 <= EXACT_BYTES_PER_COALITION
 
 
 # --- anonymous closed form ----------------------------------------------------
@@ -537,6 +572,33 @@ def test_axioms_sampled_gets_stderr_slack():
     report = check_axioms(game, shapley_sample(game, 4_000, seed=2))
     assert report.efficiency_ok
     assert report.symmetry_ok
+
+
+SCALED_UNITS = (1.3, 0.7, 2.9, 1.3, 0.7, 1.1, 1.3, 0.7, 2.2, 1.3, 0.7, 0.0)
+
+
+def audit_verdicts(scale):
+    """Every audit verdict on an additive and a quadratic game scaled by `scale`."""
+    additive, quadratic = (mass_game(SCALED_UNITS, worth, "mass", crowd_players(11),
+                                     founder=False)
+                           for worth in (lambda m: scale * m, lambda m: scale * m * m))
+    verdicts = [check_linearity(additive, quadratic).ok]
+    for game in (additive, quadratic):
+        verdicts.append(is_supermodular(game))
+        for alloc in (shapley_exact(game), shapley_sample(game, 200, seed=1)):
+            report = check_axioms(game, alloc)
+            verdicts.append((report.efficiency_ok, report.null_ok, report.symmetry_ok,
+                             report.null_players, report.symmetric_pairs))
+    return verdicts
+
+
+def test_audit_verdicts_do_not_depend_on_the_scale():
+    # multiplying by 2^e scales every value and payoff exactly
+    expected = audit_verdicts(1.0)
+    assert all(v is True or v[:3] == (True, True, True) for v in expected)
+    assert expected[2][3] == (11,) and (0, 3) in expected[2][4]
+    for e in range(41):
+        assert audit_verdicts(2.0 ** e) == expected, e
 
 
 def test_axioms_above_detect_cap_is_not_exhaustive():
