@@ -8,6 +8,7 @@ FAIRSHARE_EXACT_CAP environment variable, then the built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -199,6 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses (each fills a new Namespace, and no
+# action here has a mutable default), so one parser, built on first use, serves all
+_parser = functools.cache(build_parser)
+
+
 def _apply_flags(args: argparse.Namespace, scenario: Scenario) -> Scenario:
     """The scenario with the solve flags written into its data and parsed again,
     so that a flag is validated and echoed like the same value in the file."""
@@ -256,7 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"solve": _cmd_solve, "sweep": _cmd_sweep,
                 "empirical": _cmd_empirical, "validate": _cmd_validate}
     try:

@@ -171,7 +171,10 @@ def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord,
             encoding="utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     rows = data.get("records") if isinstance(data, dict) else data
     if not isinstance(rows, list):
         raise ValueError(f'{path}: expected a list of records or {{"records": [...]}}')
@@ -182,5 +185,5 @@ def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord,
                 int(row["year"]), str(row["entity"]), float(row["revenue"]),
                 float(row["payout"]) if row.get("payout") is not None else None))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad revenue record at index {pos}: {exc}") from exc
+            raise ValueError(f"{path}: bad revenue record at index {pos}: {exc}") from exc
     return tuple(records)

@@ -9,6 +9,7 @@ work-weighted, optionally net of per-member costs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +39,46 @@ def crowd_count(s: Coalition) -> int:
     return (int(s) >> 1).bit_count()
 
 
+@functools.cache
+def _faulhaber(k: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients c_0..c_k and a divisor d with sum(s^k, s=1..n) =
+    (c_0 n^(k+1) + c_1 n^k + ... + c_k n) / d, by Faulhaber's formula
+    c_j / d = C(k+1, j) B_j / (k+1), over the exact Bernoulli numbers B_j
+    (B_1 = +1/2) of the recurrence sum(C(m+1, j) B_j, j=0..m) = m + 1."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, k + 1):
+        bernoulli.append(1 - sum(math.comb(m + 1, j) * b for j, b in enumerate(bernoulli)
+                                 if b) / (m + 1))
+    terms = [math.comb(k + 1, j) * b / (k + 1) for j, b in enumerate(bernoulli)]
+    divisor = math.lcm(*(t.denominator for t in terms))
+    return tuple(int(t * divisor) for t in terms), divisor
+
+
 def power_sum(n: int, k: int) -> int:
-    """Sum of s^k for s = 0..n, accumulated in exact integer arithmetic."""
-    return sum(s ** k for s in range(n + 1))
+    """Sum of s^k for s = 0..n, in exact integer arithmetic: summed directly up
+    to n = k, cheaper there than building the Faulhaber coefficients, and above
+    it the Faulhaber polynomial by Horner, in O(k) integer operations."""
+    if n <= k:
+        return sum(s ** k for s in range(n + 1))
+    coefficients, divisor = _faulhaber(k)
+    total = 0
+    for c in coefficients:
+        total = total * n + c
+    return total * n // divisor + (k == 0)  # the s = 0 term is 0^0 = 1 at k = 0
+
+
+def repeated_fsum(pattern: Sequence[float], n: int) -> float:
+    """`math.fsum` of `pattern` repeated in order to n terms, in O(len(pattern)):
+    the exact sum q * sum(pattern) + sum(pattern[:r]), with n = q len + r,
+    rounded once as fsum rounds it (an overflow raises with another message)."""
+    q, r = divmod(n, len(pattern))
+    if q <= 1:  # a short repeat costs no more than the pattern
+        return math.fsum(islice(cycle(pattern), n))
+    if not all(map(math.isfinite, pattern)):
+        # fsum starts afresh after each inf or nan, so two copies of the pattern
+        # hold every run of finite terms the n-term list holds: same result
+        return math.fsum(pattern * 2)
+    return float(q * sum(map(Fraction, pattern)) + sum(map(Fraction, pattern[:r])))
 
 
 @dataclass(frozen=True)
@@ -110,10 +148,7 @@ class WeightedCssParams:
         return tuple(u / total for u in units)
 
     def closed_at(self, n: int) -> ShareReport:
-        # the weight pattern repeats cyclically up to n members, so a
-        # uniform base stays uniform at every n
-        return closed_weighted(dataclasses.replace(
-            self, weights=tuple(islice(cycle(self.weights), n))))
+        return closed_weighted(self, n)
 
 
 @dataclass(frozen=True)
@@ -139,14 +174,15 @@ class ProfitCssParams(SingleCssParams):
 class ShareReport:
     """Founder/crowd division of a single-CSS game, with share diagnostics.
 
-    Shares and the founder-to-crowd ratio are suppressed (None, degenerate
-    flag set) when the grand value is not positive, where fractions of the
-    total would mislead. `asymptotic_founder_share` carries the model's
-    limiting share diagnostic.
+    The n member payoffs are `member_pattern` repeated in order. Shares and
+    the founder-to-crowd ratio are suppressed (None, degenerate flag set)
+    when the grand value is not positive, where fractions of the total would
+    mislead. `asymptotic_founder_share` carries the limiting share diagnostic.
     """
 
     founder_payoff: float
-    member_payoffs: tuple[float, ...]
+    member_pattern: tuple[float, ...]
+    n: int
     grand_value: float
     degenerate: bool
     founder_share: float | None
@@ -155,19 +191,19 @@ class ShareReport:
     asymptotic_founder_share: float | None
 
     @property
-    def n(self) -> int:
-        return len(self.member_payoffs)
+    def member_payoffs(self) -> tuple[float, ...]:
+        return tuple(islice(cycle(self.member_pattern), self.n))
 
     @property
     def crowd_payoff(self) -> float:
-        return math.fsum(self.member_payoffs)
+        return repeated_fsum(self.member_pattern, self.n)
 
     def as_allocation(self) -> Allocation:
         return Allocation((self.founder_payoff,) + self.member_payoffs,
                           self.grand_value, Method.CLOSED_FORM)
 
 
-def _share_report(founder_payoff: float, member_payoffs: Sequence[float],
+def _share_report(founder_payoff: float, member_pattern: tuple[float, ...], n: int,
                   grand_value: float, asymptote: float | None) -> ShareReport:
     degenerate = grand_value <= 0.0
     if degenerate:
@@ -175,9 +211,9 @@ def _share_report(founder_payoff: float, member_payoffs: Sequence[float],
     else:
         founder_share = founder_payoff / grand_value
         crowd_share = 1.0 - founder_share
-    crowd_total = math.fsum(member_payoffs)
+    crowd_total = repeated_fsum(member_pattern, n)
     ratio = founder_payoff / crowd_total if crowd_total != 0.0 else None
-    return ShareReport(founder_payoff, tuple(member_payoffs), grand_value,
+    return ShareReport(founder_payoff, member_pattern, n, grand_value,
                        degenerate, founder_share, crowd_share, ratio, asymptote)
 
 
@@ -214,7 +250,7 @@ def closed_single(params: SingleCssParams) -> ShareReport:
     member = (grand - founder) / n
     r = cost * n / revenue
     asymptote = (1 - (k + 1) * r / 2) / ((k + 1) * (1 - r)) if grand > 0 else None
-    return _share_report(founder, (member,) * n, grand, asymptote)
+    return _share_report(founder, (member,), n, grand, asymptote)
 
 
 # --- work-weighted revenue model --------------------------------------------
@@ -248,19 +284,24 @@ def cross_term_weight(n: int) -> Fraction:
                     (n + 1) * n * (n - 1))
 
 
-def closed_weighted(params: WeightedCssParams) -> ShareReport:
+def closed_weighted(params: WeightedCssParams, n: int | None = None) -> ShareReport:
     """Exact per-member payoffs of the quadratic work-weighted game.
 
     Member i earns rho * (u_i^2 / 2 + 2c * u_i * (T - u_i)) where u_i is its
     work unit, T the total, and c the exact pair coupling (identically 1/3).
     The founder keeps the remainder of rho * T^2. Limiting founder share is
     1/3 + sum(f_i^2)/6 over work shares f_i.
+
+    A crowd of n members (default: one per weight) repeats the weights in
+    order, so a uniform pattern stays uniform at every n.
     """
     if params.k != 2:
         raise ValueError(
             f"closed form requires k=2, got k={params.k}; use the exact engine")
-    units = params.work_units()
-    total = math.fsum(units)
+    n = params.n if n is None else n
+    # a crowd shorter than the pattern takes its first n weights, validated again
+    units = dataclasses.replace(params, weights=params.weights[:n]).work_units()
+    total = repeated_fsum(units, n)
     # A rho below 1/2 is replaced by its mantissa, and the payoffs are scaled
     # back by its power of two at the end, which is exact. So a tiny rho
     # cannot make the payoffs subnormal, and the shares imprecise.
@@ -268,13 +309,13 @@ def closed_weighted(params: WeightedCssParams) -> ShareReport:
     rho = math.ldexp(params.rho, -exponent)
     members = tuple(rho * (u * u / 2.0 + 2.0 / 3.0 * u * (total - u)) for u in units)
     grand = rho * total * total
-    founder = grand - math.fsum(members)
-    shares = params.work_shares()
-    asymptote = 1.0 / 3.0 + math.fsum(f * f for f in shares) / 6.0
+    founder = grand - repeated_fsum(members, n)
+    shares = tuple(u / total for u in units)
+    asymptote = 1.0 / 3.0 + repeated_fsum(tuple(f * f for f in shares), n) / 6.0
     return dataclasses.replace(
-        _share_report(founder, members, grand, asymptote),
+        _share_report(founder, members, n, grand, asymptote),
         founder_payoff=math.ldexp(founder, exponent), grand_value=math.ldexp(grand, exponent),
-        member_payoffs=tuple(math.ldexp(m, exponent) for m in members))
+        member_pattern=tuple(math.ldexp(m, exponent) for m in members))
 
 
 # --- profit model: the crowd-count game above, with costs -------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line and its exit codes."""
 
+import argparse
 import inspect
 import json
 import time
@@ -184,6 +185,18 @@ def test_cli_sweep_refuses_a_non_finite_row(tmp_path, capsys):
     assert "error: n=100: result is not finite" in captured.err
 
 
+def test_cli_sweep_refuses_overflowing_weighted_payoffs_at_any_n(tmp_path, capsys):
+    # the payoffs leave the float range at n = 10^12, and the sums of the
+    # repeated infinite member payoffs must not walk the crowd
+    path = write_scenario(tmp_path, {"model": "weighted",
+                                     "params": {"weights": [1e150, 2.0]}})
+    start = time.perf_counter()
+    code = main(["sweep", "--scenario", str(path), "--n-values", "2,10," + str(10 ** 12)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATION
+    assert f"error: n={10 ** 12}: result is not finite" in capsys.readouterr().err
+
+
 def test_cli_sweep_overflow_fails_before_the_power_sum(tmp_path):
     # power_sum(100000, 1023) alone takes seconds; n ** k overflows first
     path = write_scenario(tmp_path, {"model": "single", "params": {"n": 2, "k": 1023}})
@@ -312,6 +325,56 @@ def test_cli_bad_sampler_flag_names_flag(tmp_path, capsys, flag, bad):
     code = main(["solve", "--scenario", str(path), flag, bad])
     assert code == EXIT_VALIDATION
     assert flag in capsys.readouterr().err
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def run_main(capsys, argv):
+    """Exit code, stdout and stderr of one `main` call, argparse errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("first, first_code, then", [
+    (["solve", "--scenario", METCALFE, "--out", "{out}"], EXIT_OK,
+     ["solve", "--scenario", METCALFE]),
+    (["solve", "--scenario", METCALFE, "--method", "exact"], EXIT_OK,
+     ["solve", "--scenario", METCALFE, "--format", "json"]),
+    (["solve", "--scenario", METCALFE, "--seed", "9", "--permutations", "50"], EXIT_OK,
+     ["solve", "--scenario", METCALFE, "--format", "json"]),
+    (["sweep", "--scenario", METCALFE, "--n-values"], 2,
+     ["sweep", "--scenario", METCALFE, "--n-values", "10,100"]),
+], ids=["out", "method", "sample flags", "argparse error"])
+def test_the_cached_parser_carries_nothing_to_the_next_call(tmp_path, capsys, first,
+                                                            first_code, then):
+    first = [arg.replace("{out}", str(tmp_path / "report.txt")) for arg in first]
+    assert run_main(capsys, first)[0] == first_code
+    after = run_main(capsys, then)
+    cli._parser.cache_clear()
+    assert after == run_main(capsys, then)  # the same call through a fresh parser
+    code, out, _ = after
+    assert code == EXIT_OK and out
+    if "--format" in then:
+        echoed = json.loads(out)["scenario"]
+        assert echoed["method"] == "all"
+        assert echoed["sample"] == {"permutations": 2000, "seed": 7}
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    assert main(["validate", "--scenario", METCALFE]) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["validate", "--scenario", METCALFE]) == EXIT_OK
+    assert capsys.readouterr().out.count("ok:") == 2
 
 
 def run_json(capsys, *argv):
@@ -459,6 +522,22 @@ def test_cli_empirical_records_of_the_wrong_shape(tmp_path, capsys, content):
     code = main(["empirical", "--records", str(path), "--payout", "1", "--window", "2021"])
     assert code == EXIT_VALIDATION
     assert f"error: {path}: expected a list" in capsys.readouterr().err
+
+
+def test_cli_empirical_records_that_are_not_json_name_the_file(tmp_path, capsys):
+    path = tmp_path / "records.json"
+    path.write_text("{", encoding="utf-8")
+    code = main(["empirical", "--records", str(path), "--payout", "1", "--window", "2021"])
+    assert code == EXIT_VALIDATION
+    assert f"error: {path}: not valid JSON (" in capsys.readouterr().err
+
+
+def test_cli_empirical_bad_record_names_the_file(tmp_path, capsys):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{"year": 2021, "entity": "Z"}]), encoding="utf-8")
+    code = main(["empirical", "--records", str(path), "--payout", "1", "--window", "2021"])
+    assert code == EXIT_VALIDATION
+    assert f"error: {path}: bad revenue record at index 0" in capsys.readouterr().err
 
 
 # --- names the benchmark tracer wraps -------------------------------------------------

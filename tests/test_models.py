@@ -1,13 +1,16 @@
 """Tests for the single-system value models and closed-form allocators."""
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
+from itertools import cycle, islice
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairshare.core import Coalition, shapley_exact
@@ -23,6 +26,7 @@ from fairshare.models import (
     crowd_count,
     power_sum,
     profit_game,
+    repeated_fsum,
     share_sweep,
     single_game,
     value_profit,
@@ -93,6 +97,46 @@ def test_power_sum_matches_faulhaber():
     for n in range(0, 60):
         for k in (1, 2, 3):
             assert power_sum(n, k) == faulhaber(n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 40))
+def test_power_sum_equals_the_direct_sum(n, k):
+    # n <= k sums directly and n > k evaluates the Faulhaber polynomial
+    for m in (n, k, k + 1):
+        assert power_sum(m, k) == sum(s ** k for s in range(m + 1))
+
+
+MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+PATTERNS = st.lists(st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x)),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PATTERNS, st.integers(1, 2000))
+def test_repeated_fsum_equals_fsum_of_the_list(pattern, n):
+    assert repeated_fsum(pattern, n) == math.fsum(list(islice(cycle(pattern), n)))
+
+
+def fsum_outcome(total):
+    """A sum's value, with nan comparable, or the error it raised."""
+    try:
+        value = total()
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+    return "nan" if math.isnan(value) else value
+
+
+SPECIALS = st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(SPECIALS, MAGNITUDES), min_size=1, max_size=8).filter(
+    lambda p: not all(map(math.isfinite, p))), st.integers(1, 2000))
+def test_repeated_fsum_follows_fsum_on_inf_and_nan(pattern, n):
+    # inf + -inf raises, nan wins, and a run of large finite terms overflows
+    assert fsum_outcome(lambda: repeated_fsum(pattern, n)) == \
+        fsum_outcome(lambda: math.fsum(list(islice(cycle(pattern), n))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
@@ -304,14 +348,14 @@ def test_costless_profit_report_equals_single(n, k, rho):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10 ** 4), RHOS)
+@given(st.integers(1, 10 ** 9), RHOS)
 def test_single_crowd_share_is_half_at_k1(n, rho):
     report = closed_single(SingleCssParams(n=n, k=1, rho=rho))
     assert abs(report.crowd_share - 0.5) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10 ** 4), RHOS)
+@given(st.integers(1, 10 ** 9), RHOS)
 def test_single_crowd_share_at_k2(n, rho):
     report = closed_single(SingleCssParams(n=n, k=2, rho=rho))
     assert abs(report.crowd_share - (4 * n - 1) / (6 * n)) <= 1e-12
@@ -329,6 +373,21 @@ def test_weighted_crowd_share_at_k2(weights, alpha, rho):
     report = closed_weighted(params)
     band = 2 / 3 - math.fsum(f * f for f in params.work_shares()) / 6
     assert abs(report.crowd_share - band) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(WEIGHT_LISTS.map(lambda w: w[:8]).filter(any), st.integers(1, 10 ** 9),
+       st.floats(min_value=0.1, max_value=3.0), RHOS)
+def test_weighted_crowd_share_at_k2_for_a_cycled_crowd(weights, n, alpha, rho):
+    params = WeightedCssParams(weights=tuple(weights), alpha=alpha, rho=rho)
+    assume(any(params.weights[:n]))
+    report = params.closed_at(n)
+    # sum of f_i^2 over the n members of the cycled crowd, exactly
+    q, r = divmod(n, len(weights))
+    units = [Fraction(u) for u in params.work_units()]
+    total = q * sum(units) + sum(units[:r])
+    squares = (q * sum(u * u for u in units) + sum(u * u for u in units[:r])) / total ** 2
+    assert abs(report.crowd_share - (2 / 3 - float(squares) / 6)) <= 1e-12
 
 
 def test_weighted_shares_keep_their_digits_when_the_payoffs_are_subnormal():
@@ -362,6 +421,54 @@ def test_rho_scales_all_payoffs(scale):
     revenue_founder = scaled_profit.founder_payoff - base_profit.founder_payoff
     assert revenue_founder == pytest.approx(
         (scale - 1) * 1.3 * power_sum(4, 2) / 5, rel=1e-12)
+
+
+# --- reports that hold one payoff per distinct member ------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 4), RHOS,
+       st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.0, max_value=5.0))
+def test_single_member_payoffs_are_the_old_n_tuple(n, k, rho, founder_cost, member_cost):
+    report = closed_profit(ProfitCssParams(n=n, k=k, rho=rho, founder_cost=founder_cost,
+                                           member_cost=member_cost))
+    assert report.member_payoffs == report.member_pattern * n
+    assert report.crowd_payoff == math.fsum(report.member_pattern * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WEIGHT_LISTS.map(lambda w: w[:8]).filter(any), st.integers(1, 300),
+       st.floats(min_value=0.1, max_value=3.0), RHOS)
+def test_weighted_report_at_n_is_the_report_of_the_cycled_weights(weights, n, alpha, rho):
+    params = WeightedCssParams(weights=tuple(weights), alpha=alpha, rho=rho)
+    assume(any(params.weights[:n]))
+    cycled = dataclasses.replace(params, weights=tuple(islice(cycle(params.weights), n)))
+    listed = closed_weighted(cycled)
+    report = params.closed_at(n)
+    assert report.member_payoffs == listed.member_payoffs
+    assert report.crowd_payoff == listed.crowd_payoff
+    for field in ("founder_payoff", "grand_value", "founder_share", "crowd_share",
+                  "founder_to_crowd_ratio", "asymptotic_founder_share", "degenerate", "n"):
+        assert getattr(report, field) == getattr(listed, field), field
+
+
+@pytest.mark.parametrize("params", [SingleCssParams(n=1, k=2, rho=1.3),
+                                    WeightedCssParams(weights=(1.0, 2.0, 0.5), rho=1.3)],
+                         ids=["single", "weighted"])
+def test_sweep_to_a_billion_costs_what_a_small_one_does(params):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        table = share_sweep(params, [10, 10 ** 6, 10 ** 9])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    assert [row.report.n for row in table.rows] == [10, 10 ** 6, 10 ** 9]
+    assert table.rows[-1].report.founder_share == pytest.approx(
+        table.rows[-1].report.asymptotic_founder_share, abs=1e-8)
 
 
 # --- sweeps ------------------------------------------------------------------------
