@@ -3,7 +3,6 @@
 from fairshare.core import (
     Allocation,
     AxiomReport,
-    Coalition,
     CoalitionGame,
     DegenerateCrowdError,
     LinearityReport,
@@ -15,19 +14,13 @@ from fairshare.core import (
     check_axioms,
     check_linearity,
     is_supermodular,
-    marginal_value,
-    shapley_anonymous,
     shapley_exact,
-    shapley_permutation_average,
     shapley_sample,
 )
 from fairshare.geo import (
     DiskCensus,
-    effective_size,
     geo_founder_shapley,
     geo_shapley,
-    nu_lin,
-    nu_met,
     region_census,
 )
 from fairshare.models import (
@@ -45,8 +38,6 @@ from fairshare.oligopoly import (
     fine_major_ratio,
     shapley_coarse,
     shapley_fine_closed,
-    value_coarse,
-    value_fine,
 )
 
 __version__ = "0.1.0"

@@ -8,15 +8,13 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 DEFAULT_EXACT_CAP = 22      # 2^22 coalition evaluations, seconds-scale
 DEFAULT_STRUCTURE_CAP = 14  # exhaustive pair scans are O(n^2 * 2^n)
 MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
-
-ORACLE_CAP = 9              # n! join orders; anything larger is impractical
 
 # Coalition masks per sampler block: 64 KB per block-sized array, however
 # many join orders are drawn.
@@ -54,50 +52,6 @@ class PlayerId:
         return self.name or str(self.index)
 
 
-class Coalition(int):
-    """A set of player indices packed into an int: player i <-> bit i."""
-
-    __slots__ = ()
-
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "Coalition":
-        mask = 0
-        for i in members:
-            i = int(i)
-            if not 0 <= i < MAX_PLAYERS:
-                raise ValueError(f"player index out of range [0, {MAX_PLAYERS}): {i}")
-            mask |= 1 << i
-        return cls(mask)
-
-    @property
-    def size(self) -> int:
-        return int(self).bit_count()
-
-    def members(self) -> tuple[int, ...]:
-        mask = int(self)
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
-
-    def __contains__(self, player: int) -> bool:
-        return (self >> player) & 1 == 1
-
-    def add(self, player: int) -> "Coalition":
-        return Coalition(self | (1 << player))
-
-    def remove(self, player: int) -> "Coalition":
-        return Coalition(self & ~(1 << player))
-
-    def __repr__(self) -> str:
-        return f"Coalition({{{', '.join(map(str, self.members()))}}})"
-
-
-EMPTY_COALITION = Coalition(0)
-
-
 def check_roster_size(n_players: int) -> None:
     """Refuse a roster that a coalition mask cannot hold. Builders call this
     before any per-player work, so a huge count in a small input costs nothing."""
@@ -115,15 +69,16 @@ class CoalitionGame:
     to the same value, independent of evaluation order, so results never
     depend on how the engine happens to enumerate coalitions.
 
-    It is given as `value`, one coalition at a time, or as `table`, which
-    maps a `uint64` array of coalition masks, in any order, to a `float64`
-    array of their values with the same shape. Both fields are kept as
-    given; every computation in this module reads the game through
-    `evaluate`, which uses the table when there is one.
+    It is given as `value`, called with one coalition mask at a time as an
+    `int` (bit i is player i), or as `table`, which maps a `uint64` array of
+    coalition masks, in any order, to a `float64` array of their values with
+    the same shape. Both fields are kept as given; every computation in this
+    module reads the game through `evaluate`, which uses the table when there
+    is one.
     """
 
     n_players: int
-    value: Callable[[Coalition], float] | None = None
+    value: Callable[[int], float] | None = None
     label: str = ""
     players: tuple[PlayerId, ...] = ()
     table: Callable[[np.ndarray], np.ndarray] | None = None
@@ -149,12 +104,12 @@ class CoalitionGame:
             return np.asarray(self.table(masks), dtype=np.float64)
         blocks = (masks[i:i + _SAMPLE_BLOCK_MASKS].tolist()
                   for i in range(0, masks.size, _SAMPLE_BLOCK_MASKS))
-        coalitions = map(Coalition, itertools.chain.from_iterable(blocks))
-        return np.fromiter(map(self.value, coalitions), dtype=np.float64, count=masks.size)
+        return np.fromiter(map(self.value, itertools.chain.from_iterable(blocks)),
+                           dtype=np.float64, count=masks.size)
 
     @property
-    def grand_coalition(self) -> Coalition:
-        return Coalition((1 << self.n_players) - 1)
+    def grand_coalition(self) -> int:
+        return (1 << self.n_players) - 1
 
 
 class Method(Enum):
@@ -197,18 +152,6 @@ class Allocation:
         if self.grand_value <= 0.0:
             return None
         return tuple(p / self.grand_value for p in self.payoffs)
-
-
-def marginal_value(game: CoalitionGame, coalition: Coalition, player: int) -> float:
-    """Value added by `player` when joining `coalition`."""
-    if not 0 <= player < game.n_players:
-        raise ValueError(f"player {player} outside roster of {game.n_players}")
-    if int(coalition) & ~int(game.grand_coalition):
-        raise ValueError("coalition contains players outside the roster")
-    if player in coalition:
-        raise ValueError(f"player {player} is already in the coalition")
-    joined, alone = game.evaluate(np.array([coalition.add(player), coalition], dtype=np.uint64))
-    return float(joined) - float(alone)
 
 
 def weight_sum_table(weights: Sequence[float],
@@ -332,31 +275,6 @@ def shapley_exact(game: CoalitionGame, *, cap: int | None = None) -> Allocation:
     return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
 
 
-def shapley_permutation_average(game: CoalitionGame, *, cap: int = ORACLE_CAP) -> Allocation:
-    """Exact Shapley payoffs by enumerating all n! join orders.
-
-    Independent cross-check for `shapley_exact`; factorially slower, so the
-    cap is tight.
-    """
-    n = game.n_players
-    if n > cap:
-        raise RosterTooLargeError(
-            f"permutation average enumerates {n}! orders, capped at {cap} players")
-    values = coalition_value_table(game, cap=cap)
-    totals = [0.0] * n
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        prev = values[0]
-        for p in perm:
-            mask |= 1 << p
-            cur = values[mask]
-            totals[p] += cur - prev
-            prev = cur
-    n_orders = math.factorial(n)
-    payoffs = tuple(t / n_orders for t in totals)
-    return Allocation(payoffs, float(values[-1]), Method.EXACT)
-
-
 def anonymous_game(crowd_value: Callable[[int], float], n: int,
                    label: str = "") -> CoalitionGame:
     """Founder-gated game whose value depends only on the crowd head count.
@@ -376,27 +294,6 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
 
     return CoalitionGame(n + 1, label=label or "anonymous crowd game",
                          players=crowd_players(n), table=table)
-
-
-def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:
-    """Closed-form (founder, per-member) payoffs for crowd-count games.
-
-    founder = average of crowd_value(s) over s = 0..n,
-    member  = (crowd_value(n) - founder) / n.
-    Matches `shapley_exact` on the induced (n+1)-player game.
-    """
-    if n < 0:
-        raise ValueError(f"crowd size must be nonnegative, got {n}")
-    if n == 0:
-        raise DegenerateCrowdError(
-            "no crowd members: the founder takes crowd_value(0) and the "
-            "per-member payoff is undefined")
-    levels = [float(crowd_value(s)) for s in range(n + 1)]
-    if not all(math.isfinite(v) for v in levels):
-        raise ValueError("crowd_value must be finite on 0..n")
-    founder = math.fsum(levels) / (n + 1)
-    member = (levels[n] - founder) / n
-    return founder, member
 
 
 def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:

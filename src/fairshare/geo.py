@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Literal, Mapping
 
 from fairshare.core import (
     Allocation,
-    Coalition,
     CoalitionGame,
     Method,
     PlayerId,
@@ -96,17 +95,10 @@ def region_census(placements: Iterable[UserPlacement], num_agents: int) -> DiskC
     return DiskCensus(num_agents, counts, uncovered)
 
 
-def effective_size(census: DiskCensus, agent: int) -> float:
-    """Equal-split user mass of one agent: sum of d_S / |S| over S containing it."""
-    if not 1 <= agent <= census.num_agents:
-        raise ValueError(f"agent id {agent} outside 1..{census.num_agents}")
-    return math.fsum(count / len(subset)
-                     for subset, count in census.counts.items() if agent in subset)
-
-
 def effective_sizes(census: DiskCensus) -> tuple[float, ...]:
-    """Every agent's `effective_size` bit for bit, from one pass over the
-    census (`math.fsum` is correctly rounded in any term order)."""
+    """Every agent's equal-split user mass, the `math.fsum` of d_S / |S| over
+    the subsets S containing it, from one pass over the census (`math.fsum`
+    is correctly rounded in any term order)."""
     terms: dict[int, list[float]] = {}
     for subset, count in census.counts.items():
         share = count / len(subset)
@@ -125,24 +117,6 @@ def _worth(rho: float, variant: GeoVariant) -> Callable:
     if variant == "lin":
         return lambda mass: rho * mass
     return lambda mass: rho * mass * mass
-
-
-def _mass(census: DiskCensus, agents: Iterable[int]) -> float:
-    """Effective user mass of a coalition of distinct agents."""
-    members = [int(i) for i in agents]
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate agent ids in coalition")
-    return math.fsum(effective_size(census, i) for i in members)
-
-
-def nu_lin(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
-    """Linear coalition value: rho times the coalition's effective user mass."""
-    return _worth(rho, "lin")(_mass(census, agents))
-
-
-def nu_met(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
-    """Quadratic coalition value: rho times the squared effective user mass."""
-    return _worth(rho, "met")(_mass(census, agents))
 
 
 def _agent_players(census: DiskCensus, offset: int = 0) -> tuple[PlayerId, ...]:
@@ -177,26 +151,11 @@ def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocati
 
 # --- founder-augmented variants ----------------------------------------------
 
-def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
-                      s: Coalition) -> float:
-    """Founder-gated value: zero without player 0, else the agent-only value.
-
-    Player 0 is the founder; player i >= 1 is agent i.
-    """
-    worth = _worth(rho, variant)
-    if int(s) >> (census.num_agents + 1):
-        raise ValueError("coalition contains players outside the founder roster")
-    if 0 not in s:
-        return 0.0
-    return worth(_mass(census, [p for p in s.members() if p > 0]))
-
-
 def geo_founder_game(census: DiskCensus, rho: float,
                      variant: GeoVariant) -> CoalitionGame:
-    """Founder-gated game for the exact engine and the sampler.
-
-    Its value equals `geo_founder_value`, from effective sizes computed once
-    here instead of a census rescan per member per coalition.
+    """Founder-gated game for the exact engine and the sampler: zero without
+    player 0, else the agent-only value of the agents present (player i >= 1
+    is agent i), from effective sizes computed once here.
     """
     worth = _worth(rho, variant)
     players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + _agent_players(census, 1)

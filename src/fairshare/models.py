@@ -18,7 +18,6 @@ from typing import Iterable, Protocol, Sequence
 
 from fairshare.core import (
     Allocation,
-    Coalition,
     CoalitionGame,
     Method,
     anonymous_game,
@@ -28,15 +27,6 @@ from fairshare.core import (
 
 # n^k overflows a float for every n >= 2 above this exponent
 MAX_EXPONENT = 1023
-
-
-def founder_present(s: Coalition) -> bool:
-    return int(s) & 1 == 1
-
-
-def crowd_count(s: Coalition) -> int:
-    """Number of crowd members in a coalition (the founder bit excluded)."""
-    return (int(s) >> 1).bit_count()
 
 
 @functools.cache
@@ -70,15 +60,22 @@ def power_sum(n: int, k: int) -> int:
 def repeated_fsum(pattern: Sequence[float], n: int) -> float:
     """`math.fsum` of `pattern` repeated in order to n terms, in O(len(pattern)):
     the exact sum q * sum(pattern) + sum(pattern[:r]), with n = q len + r,
-    rounded once as fsum rounds it (an overflow raises with another message)."""
+    rounded once as fsum rounds it. A sum beyond the float range rounds to an
+    infinity of its sign, as float addition does, where fsum would raise."""
+    special = [x for x in pattern[:n] if not math.isfinite(x)]
+    if special:  # fsum's sum of terms with an inf or nan is theirs alone
+        return math.fsum(special)
     q, r = divmod(n, len(pattern))
     if q <= 1:  # a short repeat costs no more than the pattern
-        return math.fsum(islice(cycle(pattern), n))
-    if not all(map(math.isfinite, pattern)):
-        # fsum starts afresh after each inf or nan, so two copies of the pattern
-        # hold every run of finite terms the n-term list holds: same result
-        return math.fsum(pattern * 2)
-    return float(q * sum(map(Fraction, pattern)) + sum(map(Fraction, pattern[:r])))
+        try:
+            return math.fsum(islice(cycle(pattern), n))
+        except OverflowError:  # summed exactly below, then rounded
+            pass
+    exact = q * sum(map(Fraction, pattern)) + sum(map(Fraction, pattern[:r]))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -219,13 +216,6 @@ def _share_report(founder_payoff: float, member_pattern: tuple[float, ...], n: i
 
 # --- identical-crowd model, revenue net of any per-member cost ------------
 
-def value_single(params: SingleCssParams, s: Coalition) -> float:
-    if not founder_present(s):
-        return 0.0
-    m = crowd_count(s)
-    return params.rho * m ** params.k - params.cost * m
-
-
 def single_game(params: SingleCssParams) -> CoalitionGame:
     """The crowd-count game rho * m^k - cost * m, for revenue and profit alike."""
     rho, k, cost = params.rho, params.k, params.cost
@@ -255,33 +245,12 @@ def closed_single(params: SingleCssParams) -> ShareReport:
 
 # --- work-weighted revenue model --------------------------------------------
 
-def value_weighted(params: WeightedCssParams, s: Coalition) -> float:
-    if not founder_present(s):
-        return 0.0
-    units = params.work_units()
-    total = math.fsum(units[i - 1] for i in s.members() if i > 0)
-    return params.rho * total ** params.k
-
-
 def weighted_game(params: WeightedCssParams) -> CoalitionGame:
     rho, k = params.rho, params.k
     return mass_game(
         params.work_units(), lambda total: rho * total ** k,
         f"weighted CSS (n={params.n}, alpha={params.alpha}, rho={rho})",
         crowd_players(params.n), founder=True)
-
-
-def cross_term_weight(n: int) -> Fraction:
-    """Exact pair coupling sum(s(s-1), s=2..n) / ((n+1) n (n-1)) for n >= 2.
-
-    Evaluates to exactly 1/3 for every n, which is what makes the quadratic
-    closed form below exact at finite n rather than only in the limit;
-    `closed_weighted` uses that constant instead of this sum.
-    """
-    if n < 2:
-        raise ValueError("pair coupling needs at least two crowd members")
-    return Fraction(sum(s * (s - 1) for s in range(2, n + 1)),
-                    (n + 1) * n * (n - 1))
 
 
 def closed_weighted(params: WeightedCssParams, n: int | None = None) -> ShareReport:
@@ -320,7 +289,6 @@ def closed_weighted(params: WeightedCssParams, n: int | None = None) -> ShareRep
 
 # --- profit model: the crowd-count game above, with costs -------------------
 
-value_profit = value_single
 profit_game = single_game
 closed_profit = closed_single
 

@@ -13,14 +13,13 @@ every founder and every crowd member a separate agent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from fairshare.core import (
     Allocation,
-    Coalition,
     CoalitionGame,
     Method,
     PlayerId,
@@ -103,26 +102,8 @@ class OligopolyGraph:
         # the other end of each agreement at `vertex`
         return tuple(sorted(a + b - vertex for a, b in self.edges if vertex in (a, b)))
 
-    def vertex_set(self, members: Iterable[str | int] | Coalition) -> frozenset[int]:
-        if isinstance(members, Coalition):
-            if int(members) >> self.n_vertices:
-                raise ValueError("coalition contains unknown vertices")
-            return frozenset(members.members())
-        return frozenset(self.vertex_index(v) for v in members)
-
 
 # --- coarse grain: one agent per system --------------------------------------
-
-def value_coarse(graph: OligopolyGraph, members: Iterable[str | int] | Coalition) -> float:
-    """Quadratic network value of the subgraph induced by `members`."""
-    s = graph.vertex_set(members)
-    sizes = graph.crowd_sizes
-    total = sum(sizes[v] ** 2 for v in s)
-    for a, b in graph.edges:
-        if a in s and b in s:
-            total += 2 * sizes[a] * sizes[b]
-    return graph.rho * total
-
 
 def _network_table(graph: OligopolyGraph, masks: np.ndarray,
                    mass: Sequence[float | np.ndarray]) -> np.ndarray:
@@ -143,8 +124,16 @@ def _network_table(graph: OligopolyGraph, masks: np.ndarray,
     return total
 
 
+def _grand_value(graph: OligopolyGraph) -> float:
+    """The network value with every system and crowd present, summed in exact
+    integers and rounded once (a float table rounds the products first)."""
+    sizes = graph.crowd_sizes
+    return graph.rho * (sum(n * n for n in sizes)
+                        + sum(2 * sizes[a] * sizes[b] for a, b in graph.edges))
+
+
 def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch `value_coarse` over vertex-set masks: every crowd is whole."""
+    """The network value over vertex-set masks, with every crowd whole."""
     mass = [float(n) for n in graph.crowd_sizes]
     return lambda masks: _network_table(graph, masks, mass)
 
@@ -163,7 +152,7 @@ def shapley_coarse(graph: OligopolyGraph) -> Allocation:
     for v in range(graph.n_vertices):
         neighbor_mass = sum(sizes[w] for w in graph.neighbors(v))
         payoffs.append(graph.rho * (sizes[v] ** 2 + sizes[v] * neighbor_mass))
-    grand = value_coarse(graph, range(graph.n_vertices))
+    grand = _grand_value(graph)
     return Allocation(tuple(payoffs), grand, Method.CLOSED_FORM)
 
 
@@ -176,22 +165,10 @@ def minor_blocks(graph: OligopolyGraph) -> tuple[range, ...]:
     return tuple(range(start, start + n) for start, n in zip(starts, graph.crowd_sizes))
 
 
-def value_fine(graph: OligopolyGraph, s: Coalition) -> float:
-    """Coalition value with founders and crowd members as separate agents: the
-    coarse value of the systems whose major is present, each sized by the
-    members of its crowd that are present."""
-    blocks = minor_blocks(graph)
-    mask = int(s)
-    if mask >> blocks[-1].stop:
-        raise ValueError("coalition contains players outside the fine-grain roster")
-    crowd = tuple((mask >> b.start & ((1 << len(b)) - 1)).bit_count() for b in blocks)
-    majors = Coalition(mask & ((1 << graph.n_vertices) - 1))
-    return value_coarse(replace(graph, crowd_sizes=crowd), majors)
-
-
 def fine_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch `value_fine` over player masks: the network value with each major
-    as its system's presence bit and the popcount of its minor block as the mass."""
+    """The fine-grain value over player masks: the network value with each
+    major as its system's presence bit and the popcount of its minor block
+    as the mass, so a crowd member without its major adds nothing."""
     blocks = [np.uint64(((1 << len(b)) - 1) << b.start) for b in minor_blocks(graph)]
     return lambda masks: _network_table(graph, masks, [np.bitwise_count(masks & b)
                                                        for b in blocks])
@@ -231,7 +208,7 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
         minor = graph.rho * ((4 * n_v - 1) / 6 + neighbor_mass / 2)
         for p in blocks[v]:
             payoffs[p] = minor
-    grand = value_coarse(graph, range(graph.n_vertices))
+    grand = _grand_value(graph)
     return Allocation(tuple(payoffs), grand, Method.CLOSED_FORM)
 
 

@@ -175,6 +175,8 @@ def _validate_weighted(params: dict, errors: list[str], prefix: str,
                 f"{prefix}.weights: entries must be finite nonnegative numbers")
         elif not any(w > 0 for w in weights):
             errors.append(f"{prefix}.weights: at least one weight must be positive")
+        else:
+            _check_work_units(weights, params.get("alpha", 1.0), errors, prefix)
     _check_num(params, "alpha", errors, prefix=prefix, positive=True)
     _check_num(params, "rho", errors, prefix=prefix, positive=True)
     k = _check_int(params, "k", errors, prefix=prefix, minimum=1, required=False)
@@ -182,6 +184,22 @@ def _validate_weighted(params: dict, errors: list[str], prefix: str,
         errors.append(
             f"{prefix}.k: the weighted closed form requires k=2 (got {k}); "
             "use method 'exact' or 'sample'")
+
+
+def _check_work_units(weights: list, alpha: Any, errors: list[str], prefix: str) -> None:
+    """Refuse weights whose work units weight**alpha, or their total, leave the
+    float range: every method sums them. A bad alpha is reported on its own."""
+    if not _is_num(alpha) or alpha <= 0:
+        return
+    try:
+        total = math.fsum(WeightedCssParams(tuple(weights), alpha).work_units())
+    except OverflowError:
+        errors.append(f"{prefix}.weights: the work units weight**alpha or their total "
+                      f"overflow a float (alpha={alpha})")
+        return
+    if total == 0.0:
+        errors.append(f"{prefix}.weights: every work unit weight**alpha underflows to 0 "
+                      f"(alpha={alpha}); at least one must be positive")
 
 
 def _validate_graph(params: dict, errors: list[str], prefix: str,

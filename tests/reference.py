@@ -1,0 +1,265 @@
+"""Reference implementations that the tests hold the package to.
+
+Coalitions as sets, the models' scalar characteristic functions, and two
+Shapley engines independent of `shapley_exact`. The package computes from
+batch tables and closed forms; these compute the same values one coalition
+at a time, the slow and plain way, so that every table and closed form has
+something to be compared against.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import replace
+from fractions import Fraction
+from typing import Callable, Iterable
+
+import numpy as np
+
+from fairshare.core import (
+    MAX_PLAYERS,
+    Allocation,
+    CoalitionGame,
+    DegenerateCrowdError,
+    Method,
+    RosterTooLargeError,
+    coalition_value_table,
+)
+from fairshare.geo import DiskCensus, GeoVariant, _worth
+from fairshare.models import SingleCssParams, WeightedCssParams
+from fairshare.oligopoly import OligopolyGraph, minor_blocks
+
+ORACLE_CAP = 9              # n! join orders; anything larger is impractical
+
+
+# --- coalitions -------------------------------------------------------------------
+
+class Coalition(int):
+    """A set of player indices packed into an int: player i <-> bit i."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_members(cls, members: Iterable[int]) -> "Coalition":
+        mask = 0
+        for i in members:
+            i = int(i)
+            if not 0 <= i < MAX_PLAYERS:
+                raise ValueError(f"player index out of range [0, {MAX_PLAYERS}): {i}")
+            mask |= 1 << i
+        return cls(mask)
+
+    @property
+    def size(self) -> int:
+        return int(self).bit_count()
+
+    def members(self) -> tuple[int, ...]:
+        mask = int(self)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+
+    def __contains__(self, player: int) -> bool:
+        return (self >> player) & 1 == 1
+
+    def add(self, player: int) -> "Coalition":
+        return Coalition(self | (1 << player))
+
+    def remove(self, player: int) -> "Coalition":
+        return Coalition(self & ~(1 << player))
+
+    def __repr__(self) -> str:
+        return f"Coalition({{{', '.join(map(str, self.members()))}}})"
+
+
+EMPTY_COALITION = Coalition(0)
+
+
+def scalar_game(n_players: int, value: Callable[[Coalition], float], label: str = "",
+                players: tuple = ()) -> CoalitionGame:
+    """A game from a scalar function of a `Coalition`: the game's `value` is
+    called with an int mask, which this wraps before each call."""
+    return CoalitionGame(n_players, lambda mask: value(Coalition(mask)), label, players)
+
+
+# --- engines ---------------------------------------------------------------------------
+
+def marginal_value(game: CoalitionGame, coalition: Coalition, player: int) -> float:
+    """Value added by `player` when joining `coalition`."""
+    if not 0 <= player < game.n_players:
+        raise ValueError(f"player {player} outside roster of {game.n_players}")
+    if int(coalition) & ~int(game.grand_coalition):
+        raise ValueError("coalition contains players outside the roster")
+    if player in coalition:
+        raise ValueError(f"player {player} is already in the coalition")
+    joined, alone = game.evaluate(np.array([coalition.add(player), coalition], dtype=np.uint64))
+    return float(joined) - float(alone)
+
+
+def shapley_permutation_average(game: CoalitionGame, *, cap: int = ORACLE_CAP) -> Allocation:
+    """Exact Shapley payoffs by enumerating all n! join orders.
+
+    Independent cross-check for `shapley_exact`; factorially slower, so the
+    cap is tight.
+    """
+    n = game.n_players
+    if n > cap:
+        raise RosterTooLargeError(
+            f"permutation average enumerates {n}! orders, capped at {cap} players")
+    values = coalition_value_table(game, cap=cap)
+    totals = [0.0] * n
+    for perm in itertools.permutations(range(n)):
+        mask = 0
+        prev = values[0]
+        for p in perm:
+            mask |= 1 << p
+            cur = values[mask]
+            totals[p] += cur - prev
+            prev = cur
+    n_orders = math.factorial(n)
+    payoffs = tuple(t / n_orders for t in totals)
+    return Allocation(payoffs, float(values[-1]), Method.EXACT)
+
+
+def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:
+    """Closed-form (founder, per-member) payoffs for crowd-count games.
+
+    founder = average of crowd_value(s) over s = 0..n,
+    member  = (crowd_value(n) - founder) / n.
+    Matches `shapley_exact` on the induced (n+1)-player game.
+    """
+    if n < 0:
+        raise ValueError(f"crowd size must be nonnegative, got {n}")
+    if n == 0:
+        raise DegenerateCrowdError(
+            "no crowd members: the founder takes crowd_value(0) and the "
+            "per-member payoff is undefined")
+    levels = [float(crowd_value(s)) for s in range(n + 1)]
+    if not all(math.isfinite(v) for v in levels):
+        raise ValueError("crowd_value must be finite on 0..n")
+    founder = math.fsum(levels) / (n + 1)
+    member = (levels[n] - founder) / n
+    return founder, member
+
+
+# --- single-CSS models -------------------------------------------------------------------
+
+def founder_present(s: Coalition) -> bool:
+    return int(s) & 1 == 1
+
+
+def crowd_count(s: Coalition) -> int:
+    """Number of crowd members in a coalition (the founder bit excluded)."""
+    return (int(s) >> 1).bit_count()
+
+
+def value_single(params: SingleCssParams, s: Coalition) -> float:
+    if not founder_present(s):
+        return 0.0
+    m = crowd_count(s)
+    return params.rho * m ** params.k - params.cost * m
+
+
+value_profit = value_single
+
+
+def value_weighted(params: WeightedCssParams, s: Coalition) -> float:
+    if not founder_present(s):
+        return 0.0
+    units = params.work_units()
+    total = math.fsum(units[i - 1] for i in s.members() if i > 0)
+    return params.rho * total ** params.k
+
+
+def cross_term_weight(n: int) -> Fraction:
+    """Exact pair coupling sum(s(s-1), s=2..n) / ((n+1) n (n-1)) for n >= 2.
+
+    Evaluates to exactly 1/3 for every n, which is what makes the quadratic
+    closed form exact at finite n rather than only in the limit;
+    `closed_weighted` uses that constant instead of this sum.
+    """
+    if n < 2:
+        raise ValueError("pair coupling needs at least two crowd members")
+    return Fraction(sum(s * (s - 1) for s in range(2, n + 1)),
+                    (n + 1) * n * (n - 1))
+
+
+# --- geo models ------------------------------------------------------------------------
+
+def effective_size(census: DiskCensus, agent: int) -> float:
+    """Equal-split user mass of one agent: sum of d_S / |S| over S containing it."""
+    if not 1 <= agent <= census.num_agents:
+        raise ValueError(f"agent id {agent} outside 1..{census.num_agents}")
+    return math.fsum(count / len(subset)
+                     for subset, count in census.counts.items() if agent in subset)
+
+
+def _mass(census: DiskCensus, agents: Iterable[int]) -> float:
+    """Effective user mass of a coalition of distinct agents."""
+    members = [int(i) for i in agents]
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate agent ids in coalition")
+    return math.fsum(effective_size(census, i) for i in members)
+
+
+def nu_lin(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
+    """Linear coalition value: rho times the coalition's effective user mass."""
+    return _worth(rho, "lin")(_mass(census, agents))
+
+
+def nu_met(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
+    """Quadratic coalition value: rho times the squared effective user mass."""
+    return _worth(rho, "met")(_mass(census, agents))
+
+
+def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
+                      s: Coalition) -> float:
+    """Founder-gated value: zero without player 0, else the agent-only value.
+
+    Player 0 is the founder; player i >= 1 is agent i.
+    """
+    worth = _worth(rho, variant)
+    if int(s) >> (census.num_agents + 1):
+        raise ValueError("coalition contains players outside the founder roster")
+    if 0 not in s:
+        return 0.0
+    return worth(_mass(census, [p for p in s.members() if p > 0]))
+
+
+# --- oligopoly models ----------------------------------------------------------------------
+
+def vertex_set(graph: OligopolyGraph,
+               members: Iterable[str | int] | Coalition) -> frozenset[int]:
+    if isinstance(members, Coalition):
+        if int(members) >> graph.n_vertices:
+            raise ValueError("coalition contains unknown vertices")
+        return frozenset(members.members())
+    return frozenset(graph.vertex_index(v) for v in members)
+
+
+def value_coarse(graph: OligopolyGraph, members: Iterable[str | int] | Coalition) -> float:
+    """Quadratic network value of the subgraph induced by `members`."""
+    s = vertex_set(graph, members)
+    sizes = graph.crowd_sizes
+    total = sum(sizes[v] ** 2 for v in s)
+    for a, b in graph.edges:
+        if a in s and b in s:
+            total += 2 * sizes[a] * sizes[b]
+    return graph.rho * total
+
+
+def value_fine(graph: OligopolyGraph, s: Coalition) -> float:
+    """Coalition value with founders and crowd members as separate agents: the
+    coarse value of the systems whose major is present, each sized by the
+    members of its crowd that are present."""
+    blocks = minor_blocks(graph)
+    mask = int(s)
+    if mask >> blocks[-1].stop:
+        raise ValueError("coalition contains players outside the fine-grain roster")
+    crowd = tuple((mask >> b.start & ((1 << len(b)) - 1)).bit_count() for b in blocks)
+    majors = Coalition(mask & ((1 << graph.n_vertices) - 1))
+    return value_coarse(replace(graph, crowd_sizes=crowd), majors)

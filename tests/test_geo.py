@@ -4,25 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairshare.core import Coalition, shapley_exact
+from fairshare.core import shapley_exact
 from fairshare.geo import (
     DiskCensus,
-    effective_size,
     effective_sizes,
     geo_founder_game,
     geo_founder_shapley,
-    geo_founder_value,
     geo_game,
     geo_shapley,
-    nu_lin,
-    nu_met,
     region_census,
 )
 from fairshare.models import WeightedCssParams, closed_weighted
 from fairshare.oligopoly import OligopolyGraph, shapley_coarse
+from fairshare.scenarios import MAX_CENSUS_AGENTS
+from reference import Coalition, effective_size, geo_founder_value, nu_lin, nu_met
 
 
 def census_from_keys(num_agents, table):
@@ -324,6 +322,37 @@ def test_geo_founder_met_share_stays_in_band():
         alloc = geo_founder_shapley(census, rho=1.0, variant="met")
         share = alloc.payoffs[0] / alloc.grand_value
         assert 1 / 3 - 1e-12 <= share <= 0.5 + 1e-12
+
+
+@st.composite
+def user_censuses(draw, min_agents, max_agents):
+    m = draw(st.integers(min_agents, max_agents))
+    counts = draw(st.dictionaries(st.frozensets(st.integers(1, m), min_size=1, max_size=4),
+                                  st.integers(0, 10 ** 9), max_size=12))
+    assume(any(counts.values()))
+    return DiskCensus(m, counts)
+
+
+RHOS = st.floats(min_value=1e-300, max_value=1e200)
+
+
+def assert_agents_share_in_band(census, rho):
+    alloc = geo_founder_shapley(census, rho, "met")
+    share = math.fsum(alloc.payoffs[1:]) / alloc.grand_value
+    assert 1 / 2 - 1e-12 <= share <= 2 / 3 + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(user_censuses(1, 2000), RHOS)
+def test_geo_founder_met_agents_share_is_in_the_papers_band(census, rho):
+    assert_agents_share_in_band(census, rho)
+
+
+@settings(max_examples=3, deadline=None)
+@given(user_censuses(MAX_CENSUS_AGENTS // 10, MAX_CENSUS_AGENTS), RHOS)
+def test_geo_founder_met_band_holds_up_to_the_largest_census(census, rho):
+    # a census of 10^6 agents takes about 1.5 s and 200 MB to solve
+    assert_agents_share_in_band(census, rho)
 
 
 def test_geo_founder_met_share_near_one_third_when_spread():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairshare.core import Coalition, shapley_exact
+from fairshare.core import shapley_exact
 from fairshare.models import (
     MAX_EXPONENT,
     ProfitCssParams,
@@ -22,17 +22,20 @@ from fairshare.models import (
     closed_profit,
     closed_single,
     closed_weighted,
-    cross_term_weight,
-    crowd_count,
     power_sum,
     profit_game,
     repeated_fsum,
     share_sweep,
     single_game,
+    weighted_game,
+)
+from reference import (
+    Coalition,
+    cross_term_weight,
+    crowd_count,
     value_profit,
     value_single,
     value_weighted,
-    weighted_game,
 )
 
 
@@ -128,15 +131,35 @@ def fsum_outcome(total):
 
 
 SPECIALS = st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308])
+FSUM_OVERFLOW = repr(OverflowError("intermediate overflow in fsum"))
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.one_of(SPECIALS, MAGNITUDES), min_size=1, max_size=8).filter(
     lambda p: not all(map(math.isfinite, p))), st.integers(1, 2000))
 def test_repeated_fsum_follows_fsum_on_inf_and_nan(pattern, n):
-    # inf + -inf raises, nan wins, and a run of large finite terms overflows
-    assert fsum_outcome(lambda: repeated_fsum(pattern, n)) == \
-        fsum_outcome(lambda: math.fsum(list(islice(cycle(pattern), n))))
+    # inf + -inf raises and nan wins, as in fsum. Where a run of large finite
+    # terms overflows, fsum raises, and repeated_fsum gives what the inf and nan
+    # terms give, or else an infinity of the sum's sign, as float addition does
+    terms = list(islice(cycle(pattern), n))
+    expected = fsum_outcome(lambda: math.fsum(terms))
+    if expected == FSUM_OVERFLOW:
+        special = [x for x in terms if not math.isfinite(x)]
+        expected = (fsum_outcome(lambda: math.fsum(special)) if special
+                    else math.inf if sum(map(Fraction, terms)) > 0 else -math.inf)
+    assert fsum_outcome(lambda: repeated_fsum(pattern, n)) == expected
+
+
+@pytest.mark.parametrize("pattern, n, total", [
+    ((1e308, 1e308), 2, math.inf),
+    ((1e308, 2.0), 3, math.inf),
+    ((-1e308,), 10 ** 12, -math.inf),
+    ((1e300, 2.0), 10 ** 12, math.inf),
+    ((1.7e308, -1.7e308), 10 ** 12, 0.0),
+    ((1.7e308, -1.7e308, 1.7e308), 3, 1.7e308),
+])
+def test_repeated_fsum_rounds_an_overflow_to_infinity(pattern, n, total):
+    assert repeated_fsum(pattern, n) == total
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])

@@ -1,13 +1,14 @@
 """Tests for the coarse- and fine-grain network games."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.core import (
-    Coalition,
-    CoalitionGame,
     PlayerTag,
     check_axioms,
     shapley_exact,
@@ -20,10 +21,9 @@ from fairshare.oligopoly import (
     minor_blocks,
     shapley_coarse,
     shapley_fine_closed,
-    value_coarse,
-    value_fine,
 )
 from fairshare.scenarios import MODELS
+from reference import Coalition, scalar_game, value_coarse, value_fine
 
 
 def diamond_graph(rho=1.0):
@@ -139,6 +139,32 @@ def test_shapley_coarse_matches_exact_on_random_graphs():
         assert closed.grand_value == pytest.approx(exact.grand_value, rel=1e-12)
         for a, b in zip(closed.payoffs, exact.payoffs):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def graphs(draw, sizes):
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return OligopolyGraph.from_spec([(f"v{v}", draw(sizes)) for v in range(n)],
+                                    [(f"v{a}", f"v{b}") for a, b in edges],
+                                    draw(st.floats(1e-3, 1e3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(st.integers(0, 10 ** 12)))
+def test_coarse_grand_value_is_the_integer_sum_rounded_once(graph):
+    # the float network table rounds each product of crowd sizes, so above
+    # about 2^26 members its grand value can differ from this in the last bit
+    assert shapley_coarse(graph).grand_value == value_coarse(graph, range(graph.n_vertices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(st.integers(1, 10)))
+def test_fine_grand_value_is_the_integer_sum_rounded_once(graph):
+    # the fine closed form lists every crowd member's payoff, so its crowds stay small
+    assert shapley_fine_closed(graph).grand_value == value_coarse(
+        graph, range(graph.n_vertices))
 
 
 def test_shapley_coarse_edge_changes_are_local():
@@ -276,7 +302,7 @@ def test_fine_game_decomposes_into_vertex_and_edge_pieces():
                 return 0.0
             crowd = sum(1 for p in s.members() if p in blocks[v])
             return float(crowd ** 2)
-        return CoalitionGame(n, value)
+        return scalar_game(n, value)
 
     def edge_piece(a, b):
         def value(s):
@@ -285,7 +311,7 @@ def test_fine_game_decomposes_into_vertex_and_edge_pieces():
             crowd_a = sum(1 for p in s.members() if p in blocks[a])
             crowd_b = sum(1 for p in s.members() if p in blocks[b])
             return 2.0 * crowd_a * crowd_b
-        return CoalitionGame(n, value)
+        return scalar_game(n, value)
 
     pieces = [vertex_piece(v) for v in range(graph.n_vertices)]
     pieces += [edge_piece(a, b) for a, b in graph.edges]

@@ -1,8 +1,8 @@
 """Batch coalition tables against the models' reference functions.
 
-A bundled game carries only its batch `table`; its model's public scalar
-function (`value_single`, `value_coarse`, `nu_met`, ...) is the reference
-the table must agree with on every coalition, in any mask order. The
+A bundled game carries only its batch `table`; its model's scalar function
+in `reference` (`value_single`, `value_coarse`, `nu_met`, ...) is what the
+table must agree with on every coalition, in any mask order. The
 exhaustive computations must give the same results on a scalar-only game
 built from the reference.
 """
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from fairshare import geo
 from fairshare.cli import EXIT_CAP, main
 from fairshare.core import (
-    Coalition,
     CoalitionGame,
     RosterTooLargeError,
     add_games,
@@ -29,23 +28,32 @@ from fairshare.core import (
     check_linearity,
     coalition_value_table,
     is_supermodular,
-    marginal_value,
     shapley_exact,
-    shapley_permutation_average,
     shapley_sample,
 )
-from fairshare.geo import DiskCensus, geo_founder_game, geo_founder_value, nu_lin, nu_met
+from fairshare.geo import DiskCensus, geo_founder_game
 from fairshare.models import (
     ProfitCssParams,
     SingleCssParams,
     WeightedCssParams,
+    weighted_game,
+)
+from fairshare.oligopoly import OligopolyGraph
+from fairshare.scenarios import MODELS, GeoParams, build_game, load_scenario
+from reference import (
+    Coalition,
+    geo_founder_value,
+    marginal_value,
+    nu_lin,
+    nu_met,
+    scalar_game,
+    shapley_permutation_average,
+    value_coarse,
+    value_fine,
     value_profit,
     value_single,
     value_weighted,
-    weighted_game,
 )
-from fairshare.oligopoly import OligopolyGraph, value_coarse, value_fine
-from fairshare.scenarios import MODELS, GeoParams, build_game, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -87,7 +95,7 @@ def bundled(path):
 
 
 def scalar_only(game, reference):
-    return CoalitionGame(game.n_players, reference, game.label, game.players)
+    return scalar_game(game.n_players, reference, game.label, game.players)
 
 
 def failing_value(*args):
@@ -235,7 +243,7 @@ def hand_built_game():
         pair = (0 in s) + (1 in s)
         return float(pair ** 2 + 3 * (2 in s) + (3 in s) * (pair + (2 in s)))
 
-    return CoalitionGame(5, value, "hand built")
+    return scalar_game(5, value, "hand built")
 
 
 def test_scalar_only_axioms_find_hand_built_null_and_symmetric_players():
@@ -253,9 +261,9 @@ def test_scalar_only_axioms_find_hand_built_null_and_symmetric_players():
 
 def test_scalar_only_supermodularity():
     assert is_supermodular(hand_built_game())
-    assert not is_supermodular(CoalitionGame(4, lambda s: float(s.size) ** 0.5))
+    assert not is_supermodular(CoalitionGame(4, lambda s: float(s.bit_count()) ** 0.5))
     # the pair (1, 3) is the only one whose joint gain falls short
-    dip = CoalitionGame(4, lambda s: float(s.size ** 2 - 3 * ((1 in s) and (3 in s))))
+    dip = scalar_game(4, lambda s: float(s.size ** 2 - 3 * ((1 in s) and (3 in s))))
     assert not is_supermodular(dip)
 
 
@@ -304,12 +312,13 @@ def test_geo_founder_value_uses_sizes_computed_once(monkeypatch):
                             frozenset({3, 4, 5}): 7, frozenset({6}): 2})
     for variant in ("lin", "met"):
         game = geo_founder_game(census, 1.5, variant)
-        reference = CoalitionGame(
+        reference = scalar_game(
             game.n_players, lambda s, v=variant: geo_founder_value(census, 1.5, v, s))
         masks = np.arange(1 << game.n_players, dtype=np.uint64)
         assert np.array_equal(game.evaluate(masks), reference.evaluate(masks))
         assert shapley_sample(game, 50, 3) == shapley_sample(reference, 50, 3)
-    monkeypatch.setattr(geo, "effective_size", failing_value)
+    # the sizes are computed when the game is built, never per evaluation
+    monkeypatch.setattr(geo, "effective_sizes", failing_value)
     game.evaluate(np.array([game.grand_coalition], dtype=np.uint64))
     with pytest.raises(ValueError, match="outside"):
         marginal_value(game, Coalition(1 << game.n_players), 0)
