@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fairshare.checks import check_int
 from fairshare.core import (
     DEFAULT_EXACT_CAP,
     RosterTooLargeError,
@@ -210,10 +211,11 @@ def _apply_flags(args: argparse.Namespace, scenario: Scenario) -> Scenario:
     so that a flag is validated and echoed like the same value in the file."""
     floors = {"seed": 0, "permutations": 1}
     sample = {key: getattr(args, key) for key in floors if getattr(args, key) is not None}
-    errors = [f"--{key}: must be >= {floors[key]}, got {value}"
-              for key, value in sample.items() if value < floors[key]]
+    errors: list[str] = []
+    for key in sample:
+        check_int(sample, key, errors, prefix="", minimum=floors[key])
     if errors:
-        raise ScenarioError(errors)
+        raise ScenarioError([f"--{error}" for error in errors])
     if args.method is None and not sample:
         return scenario
     data = scenario_to_data(scenario)

@@ -27,6 +27,11 @@ _BUNDLED_RECORDS = "data/youtube_revenue.json"
 _TOKEN_RE = re.compile(r"^(\d{4})(?:H([12]))?$")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class RevenueRecord:
     """One entity-year revenue row, optionally with a disclosed payout."""
@@ -37,6 +42,9 @@ class RevenueRecord:
     payout: float | None = None
 
     def __post_init__(self) -> None:
+        _check_finite("revenue", self.revenue)
+        if self.payout is not None:
+            _check_finite("payout", self.payout)
         if self.revenue <= 0:
             raise ValueError(f"revenue must be positive, got {self.revenue}")
         if self.payout is not None:
@@ -125,7 +133,12 @@ def window_revenue(records: Iterable[RevenueRecord], window: Sequence[HalfYear],
     if missing:
         raise ValueError(
             f"no revenue rows for {entity} in year(s) {missing}")
-    return math.fsum(by_year[h.year] / 2.0 for h in window)
+    try:
+        return math.fsum(by_year[h.year] / 2.0 for h in window)
+    except OverflowError:
+        labels = ",".join(h.label() for h in window)
+        raise ValueError(
+            f"revenue of {entity} over {labels} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -147,8 +160,7 @@ class ShareEstimate:
 def revenue_share(records: Iterable[RevenueRecord], payout_total: float,
                   window: Sequence[HalfYear], entity: str) -> ShareEstimate:
     """Payout as a fraction of windowed revenue, with the band check."""
-    if not math.isfinite(payout_total):
-        raise ValueError(f"payout must be a finite number, got {payout_total}")
+    _check_finite("payout", payout_total)
     if payout_total < 0:
         raise ValueError(f"payout cannot be negative, got {payout_total}")
     if not window:

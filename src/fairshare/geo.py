@@ -16,8 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Any, Callable, Literal, Mapping, Sequence
 
+from fairshare.checks import (
+    at,
+    check_choice,
+    check_int,
+    check_keys,
+    check_num,
+    check_object,
+    field_names,
+    is_int,
+    is_list,
+    raise_invalid,
+    report_missing,
+)
 from fairshare.core import (
     Allocation,
     CoalitionGame,
@@ -32,18 +45,76 @@ from fairshare.models import WeightedCssParams, closed_weighted
 GeoVariant = Literal["lin", "met"]
 
 # one user's placement: the ids of every disk covering it (empty = uncovered)
-UserPlacement = Iterable[int]
+UserPlacement = Sequence[int]
 
 GEO_VARIANTS = ("lin", "met")
+MAX_CENSUS_AGENTS = 1_000_000  # effective sizes take O(m) time and memory
+
+
+def subset_ids(key: Any) -> tuple[int, ...] | None:
+    """The agent ids of a census key: a comma-joined string like '1,3' (the
+    JSON form) or a frozenset of ids. None if the key is malformed, empty or
+    repeats an id."""
+    if isinstance(key, str):
+        try:
+            ids = tuple(int(part) for part in key.split(","))
+        except ValueError:
+            return None
+    elif isinstance(key, frozenset) and all(is_int(i) for i in key):
+        ids = tuple(key)
+    else:
+        return None
+    if not ids or len(set(ids)) != len(ids):
+        return None
+    return ids
+
+
+def validate_census(census: Any, errors: list[str], prefix: str) -> None:
+    """A census: m agents (1..MAX_CENSUS_AGENTS) and exactly one of `d`, the
+    user count of each agent subset, or `placements`, each user's disk ids."""
+    if not check_object(census, errors, prefix):
+        return
+    check_keys(census, ("m", "d", "placements"), errors, prefix)
+    m = check_int(census, "m", errors, prefix=prefix, minimum=1, maximum=MAX_CENSUS_AGENTS)
+    if ("d" in census) == ("placements" in census):
+        errors.append(f"{prefix}: provide exactly one of 'd' or 'placements'")
+        return
+    if "d" in census:
+        table = census["d"]
+        if not isinstance(table, Mapping):
+            errors.append(f"{at(prefix, 'd')}: expected an object keyed by agent subsets")
+            return
+        for key, count in table.items():
+            where = f"{at(prefix, 'd')}[{key!r}]"
+            ids = subset_ids(key)
+            if ids is None:
+                errors.append(f"{where}: keys must be comma-joined agent ids like '1,3'")
+            elif m is not None and any(not 1 <= i <= m for i in ids):
+                errors.append(f"{where}: agent ids must lie in 1..{m}")
+            if not is_int(count) or count < 0:
+                errors.append(f"{where}: expected a nonnegative integer count")
+    else:
+        placements = census["placements"]
+        if not is_list(placements):
+            errors.append(f"{at(prefix, 'placements')}: expected a list of disk-id lists")
+            return
+        for pos, placement in enumerate(placements):
+            where = f"{at(prefix, 'placements')}[{pos}]"
+            if not is_list(placement) or not all(is_int(i) for i in placement):
+                errors.append(f"{where}: expected a list of integer disk ids")
+            elif m is not None and any(not 1 <= i <= m for i in placement):
+                errors.append(f"{where}: disk ids must lie in 1..{m}")
 
 
 @dataclass(frozen=True)
 class DiskCensus:
     """Exclusive-overlap user counts: counts[S] users sit in exactly disks S.
 
-    Sparse: absent subsets mean zero users. Keys are frozensets of 1-based
-    agent ids. Users covered by no disk are excluded from the counts but
-    tallied in `uncovered_users`.
+    Sparse: absent subsets mean zero users. Keys are agent subsets, given as
+    frozensets of 1-based agent ids or as comma-joined strings like '1,3',
+    and stored as frozensets. Users covered by no disk are excluded from the
+    counts but tallied in `uncovered_users`. The JSON form names the agent
+    count `m` and the counts `d`, and so do the messages of `validate_census`.
     """
 
     num_agents: int
@@ -51,23 +122,14 @@ class DiskCensus:
     uncovered_users: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_agents < 1:
-            raise ValueError(f"need at least one agent, got {self.num_agents}")
+        raise_invalid(validate_census, {"m": self.num_agents, "d": self.counts})
         if self.uncovered_users < 0:
             raise ValueError("uncovered user count cannot be negative")
         clean: dict[frozenset[int], int] = {}
         for key, count in self.counts.items():
-            subset = frozenset(int(i) for i in key)
-            if not subset:
-                raise ValueError("census keys must be nonempty agent subsets")
-            for i in subset:
-                if not 1 <= i <= self.num_agents:
-                    raise ValueError(
-                        f"agent id {i} outside 1..{self.num_agents} in census key")
-            if count < 0:
-                raise ValueError(f"negative user count for {sorted(subset)}")
             if count:
-                clean[subset] = clean.get(subset, 0) + int(count)
+                subset = frozenset(subset_ids(key))
+                clean[subset] = clean.get(subset, 0) + count
         object.__setattr__(self, "counts", clean)
 
     @property
@@ -75,24 +137,48 @@ class DiskCensus:
         return sum(self.counts.values())
 
 
-def region_census(placements: Iterable[UserPlacement], num_agents: int) -> DiskCensus:
+def region_census(placements: Sequence[UserPlacement], num_agents: int) -> DiskCensus:
     """Tally users by the exact set of disks covering them.
 
     Users covered by no disk are dropped from the counts and reported via
     `uncovered_users`.
     """
+    raise_invalid(validate_census, {"m": num_agents, "placements": placements})
     counts: dict[frozenset[int], int] = {}
     uncovered = 0
     for placement in placements:
-        subset = frozenset(int(i) for i in placement)
-        for i in subset:
-            if not 1 <= i <= num_agents:
-                raise ValueError(f"disk id {i} outside 1..{num_agents}")
+        subset = frozenset(placement)
         if not subset:
             uncovered += 1
             continue
         counts[subset] = counts.get(subset, 0) + 1
     return DiskCensus(num_agents, counts, uncovered)
+
+
+def validate_geo(params: Mapping, errors: list[str], prefix: str = "") -> None:
+    """The `geo` and `geo_founder` params: a census, a variant and a finite
+    positive rho. A DiskCensus is not checked again: its constructor was."""
+    check_keys(params, field_names(GeoParams), errors, prefix)
+    if "census" not in params:
+        report_missing(errors, at(prefix, "census"))
+    elif not isinstance(params["census"], DiskCensus):
+        validate_census(params["census"], errors, at(prefix, "census"))
+    variant = params.get("variant")
+    if variant is None:
+        report_missing(errors, at(prefix, "variant"))
+    else:
+        check_choice(variant, GEO_VARIANTS, errors, at(prefix, "variant"))
+    check_num(params, "rho", errors, prefix=prefix, positive=True)
+
+
+@dataclass(frozen=True)
+class GeoParams:
+    census: DiskCensus
+    variant: str
+    rho: float = 1.0
+
+    def __post_init__(self) -> None:
+        raise_invalid(validate_geo, vars(self))
 
 
 def effective_sizes(census: DiskCensus) -> tuple[float, ...]:
@@ -107,13 +193,10 @@ def effective_sizes(census: DiskCensus) -> tuple[float, ...]:
     return tuple(math.fsum(terms.get(i, ())) for i in range(1, census.num_agents + 1))
 
 
-def _worth(rho: float, variant: GeoVariant) -> Callable:
+def _worth(census: DiskCensus, rho: float, variant: GeoVariant) -> Callable:
     """Linear or quadratic value of an effective mass (a float or an array):
-    the one definition of the geo value and the one check of variant and rho."""
-    if variant not in GEO_VARIANTS:
-        raise ValueError(f"variant must be one of {GEO_VARIANTS}, got {variant!r}")
-    if rho <= 0:
-        raise ValueError(f"value scale must be positive, got {rho}")
+    the one definition of the geo value, after the one check of its params."""
+    raise_invalid(validate_geo, {"census": census, "variant": variant, "rho": rho})
     if variant == "lin":
         return lambda mass: rho * mass
     return lambda mass: rho * mass * mass
@@ -127,7 +210,7 @@ def _agent_players(census: DiskCensus, offset: int = 0) -> tuple[PlayerId, ...]:
 
 def geo_game(census: DiskCensus, rho: float, variant: GeoVariant) -> CoalitionGame:
     """Agent-only game (player i-1 is agent i) for the exact engine."""
-    worth = _worth(rho, variant)
+    worth = _worth(census, rho, variant)
     players = _agent_players(census)  # the roster check precedes the O(m) sizes
     return mass_game(effective_sizes(census), worth, f"geo {variant}", players,
                      founder=False)
@@ -139,7 +222,7 @@ def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocati
     The quadratic case is the complete-agreement-graph network game over the
     effective sizes, hence each agent earns its size times the total mass.
     """
-    worth = _worth(rho, variant)
+    worth = _worth(census, rho, variant)
     sizes = effective_sizes(census)
     total = math.fsum(sizes)
     if variant == "lin":
@@ -157,7 +240,7 @@ def geo_founder_game(census: DiskCensus, rho: float,
     player 0, else the agent-only value of the agents present (player i >= 1
     is agent i), from effective sizes computed once here.
     """
-    worth = _worth(rho, variant)
+    worth = _worth(census, rho, variant)
     players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + _agent_players(census, 1)
     return mass_game(effective_sizes(census), worth, f"geo founder {variant}",
                      players, founder=True)
@@ -173,7 +256,7 @@ def geo_founder_shapley(census: DiskCensus, rho: float,
     closed form with the effective sizes as work units, so it is computed
     by `closed_weighted`.
     """
-    worth = _worth(rho, variant)
+    worth = _worth(census, rho, variant)
     sizes = effective_sizes(census)
     if variant == "met":
         if not any(sizes):  # no users, so no positive work unit either

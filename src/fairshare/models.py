@@ -14,8 +14,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import Iterable, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
+from fairshare.checks import (
+    ParamsError,
+    at,
+    check_int,
+    check_keys,
+    check_num,
+    field_names,
+    is_int,
+    is_list,
+    is_num,
+    raise_invalid,
+    report_missing,
+)
 from fairshare.core import (
     Allocation,
     CoalitionGame,
@@ -78,6 +91,16 @@ def repeated_fsum(pattern: Sequence[float], n: int) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
+def validate_single(params: Mapping, errors: list[str], prefix: str = "",
+                    cls: type | None = None) -> None:
+    """The `single` params: a crowd n >= 1, an exponent k in 1..MAX_EXPONENT
+    and a finite positive rho."""
+    check_keys(params, field_names(cls or SingleCssParams), errors, prefix)
+    check_int(params, "n", errors, prefix=prefix, minimum=1)
+    check_int(params, "k", errors, prefix=prefix, minimum=1, maximum=MAX_EXPONENT)
+    check_num(params, "rho", errors, prefix=prefix, positive=True)
+
+
 @dataclass(frozen=True)
 class SingleCssParams:
     """Identical-crowd revenue model: a founder-gated coalition of m crowd
@@ -88,14 +111,7 @@ class SingleCssParams:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"crowd size must be >= 1, got {self.n}")
-        if self.k < 1 or not isinstance(self.k, int):
-            raise ValueError(f"exponent must be an integer >= 1, got {self.k}")
-        if self.k > MAX_EXPONENT:
-            raise ValueError(f"exponent must be <= {MAX_EXPONENT}, got {self.k}")
-        if self.rho <= 0:
-            raise ValueError(f"value scale must be positive, got {self.rho}")
+        raise_invalid(validate_single, vars(self))
 
     @property
     def cost(self) -> float:
@@ -104,6 +120,55 @@ class SingleCssParams:
 
     def closed_at(self, n: int) -> ShareReport:
         return closed_single(dataclasses.replace(self, n=n))
+
+
+def closed_weighted_refusal(params: Mapping) -> str | None:
+    """Why the weighted closed form cannot solve these params, or None: the
+    one text that a closed solve's scenario check and `closed_weighted`
+    report. A bad k is left to the validator."""
+    k = params.get("k", 2)
+    if not is_int(k) or k < 1 or k == 2:
+        return None
+    return (f"k: the weighted closed form requires k=2 (got {k}); "
+            "use method 'exact' or 'sample'")
+
+
+def validate_weighted(params: Mapping, errors: list[str], prefix: str = "") -> None:
+    """The `weighted` params: finite nonnegative weights, one of them positive,
+    whose work units weight**alpha and their total stay in the float range; a
+    positive alpha and rho; an exponent k >= 1."""
+    check_keys(params, field_names(WeightedCssParams), errors, prefix)
+    weights = params.get("weights")
+    where = at(prefix, "weights")
+    if weights is None:
+        report_missing(errors, where)
+    elif not is_list(weights) or not weights:
+        errors.append(f"{where}: expected a nonempty list of numbers")
+    elif any(not is_num(w) or w < 0 for w in weights):
+        errors.append(f"{where}: entries must be finite nonnegative numbers")
+    elif not any(w > 0 for w in weights):
+        errors.append(f"{where}: at least one weight must be positive")
+    else:
+        _check_work_units(weights, params.get("alpha", 1.0), errors, where)
+    check_num(params, "alpha", errors, prefix=prefix, positive=True)
+    check_num(params, "rho", errors, prefix=prefix, positive=True)
+    check_int(params, "k", errors, prefix=prefix, minimum=1, required=False)
+
+
+def _check_work_units(weights: Sequence, alpha: Any, errors: list[str], where: str) -> None:
+    """Refuse weights whose work units weight**alpha, or their total, leave the
+    float range: every method sums them. A bad alpha is reported on its own."""
+    if not is_num(alpha) or alpha <= 0:
+        return
+    try:
+        total = math.fsum(float(w) ** alpha for w in weights)
+    except OverflowError:
+        errors.append(f"{where}: the work units weight**alpha or their total "
+                      f"overflow a float (alpha={alpha})")
+        return
+    if total == 0.0:
+        errors.append(f"{where}: every work unit weight**alpha underflows to 0 "
+                      f"(alpha={alpha}); at least one must be positive")
 
 
 @dataclass(frozen=True)
@@ -117,19 +182,8 @@ class WeightedCssParams:
     k: int = 2
 
     def __post_init__(self) -> None:
+        raise_invalid(validate_weighted, vars(self))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) < 1:
-            raise ValueError("need at least one crowd member weight")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if not any(w > 0 for w in self.weights):
-            raise ValueError("at least one weight must be positive")
-        if self.alpha <= 0:
-            raise ValueError(f"work exponent must be positive, got {self.alpha}")
-        if self.rho <= 0:
-            raise ValueError(f"value scale must be positive, got {self.rho}")
-        if self.k < 1 or not isinstance(self.k, int):
-            raise ValueError(f"exponent must be an integer >= 1, got {self.k}")
 
     @property
     def n(self) -> int:
@@ -148,6 +202,13 @@ class WeightedCssParams:
         return closed_weighted(self, n)
 
 
+def validate_profit(params: Mapping, errors: list[str], prefix: str = "") -> None:
+    """The `profit` params: those of `single`, plus nonnegative costs."""
+    validate_single(params, errors, prefix, ProfitCssParams)
+    check_num(params, "founder_cost", errors, prefix=prefix, nonnegative=True)
+    check_num(params, "member_cost", errors, prefix=prefix, nonnegative=True)
+
+
 @dataclass(frozen=True)
 class ProfitCssParams(SingleCssParams):
     """Profit model: the revenue model net of per-member costs, where the
@@ -158,9 +219,7 @@ class ProfitCssParams(SingleCssParams):
     member_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.founder_cost < 0 or self.member_cost < 0:
-            raise ValueError("costs must be nonnegative")
+        raise_invalid(validate_profit, vars(self))
 
     @property
     def cost(self) -> float:
@@ -264,12 +323,13 @@ def closed_weighted(params: WeightedCssParams, n: int | None = None) -> ShareRep
     A crowd of n members (default: one per weight) repeats the weights in
     order, so a uniform pattern stays uniform at every n.
     """
-    if params.k != 2:
-        raise ValueError(
-            f"closed form requires k=2, got k={params.k}; use the exact engine")
+    refusal = closed_weighted_refusal(vars(params))
+    if refusal:
+        raise ParamsError([refusal])
     n = params.n if n is None else n
-    # a crowd shorter than the pattern takes its first n weights, validated again
-    units = dataclasses.replace(params, weights=params.weights[:n]).work_units()
+    if n < params.n:  # a shorter crowd takes the first n weights, validated again
+        params = dataclasses.replace(params, weights=params.weights[:n])
+    units = params.work_units()
     total = repeated_fsum(units, n)
     # A rho below 1/2 is replaced by its mantissa, and the payoffs are scaled
     # back by its power of two at the end, which is exact. So a tiny rho

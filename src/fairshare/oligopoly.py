@@ -14,10 +14,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from fairshare.checks import (
+    ParamsError,
+    at,
+    check_int,
+    check_keys,
+    check_num,
+    is_int,
+    is_list,
+    raise_invalid,
+    report_missing,
+)
 from fairshare.core import (
     Allocation,
     CoalitionGame,
@@ -28,12 +39,78 @@ from fairshare.core import (
 )
 
 
+def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None:
+    """The oligopoly params: a nonempty list of vertices with unique nonempty
+    string ids and crowd sizes >= 0, agreements between two distinct known
+    vertices, each at most once, and a finite positive rho."""
+    check_keys(params, ("vertices", "edges", "rho"), errors, prefix)
+    vertices = params.get("vertices")
+    ids: set[str] = set()
+    if vertices is None:
+        report_missing(errors, at(prefix, "vertices"))
+    elif not is_list(vertices) or not vertices:
+        errors.append(f"{at(prefix, 'vertices')}: expected a nonempty list")
+    else:
+        for pos, vertex in enumerate(vertices):
+            where = f"{at(prefix, 'vertices')}[{pos}]"
+            if not isinstance(vertex, dict):
+                errors.append(f"{where}: expected an object with id and size")
+                continue
+            check_keys(vertex, ("id", "size"), errors, where)
+            vid = vertex.get("id")
+            if not isinstance(vid, str) or not vid:
+                errors.append(f"{where}.id: expected a nonempty string")
+            elif vid in ids:
+                errors.append(f"{where}.id: duplicate vertex id {vid!r}")
+            else:
+                ids.add(vid)
+            check_int(vertex, "size", errors, prefix=where, minimum=0)
+    edges = params.get("edges", [])
+    if not is_list(edges):
+        errors.append(f"{at(prefix, 'edges')}: expected a list of [id, id] pairs")
+        edges = []
+    seen_edges: set[frozenset[str]] = set()
+    for pos, edge in enumerate(edges):
+        where = f"{at(prefix, 'edges')}[{pos}]"
+        if (not is_list(edge) or len(edge) != 2
+                or not all(isinstance(v, str) for v in edge)):
+            errors.append(f"{where}: expected a pair of vertex ids")
+            continue
+        a, b = edge
+        for endpoint in (a, b):
+            if ids and endpoint not in ids:
+                errors.append(
+                    f"{where}: edge [{a!r}, {b!r}] references unknown vertex "
+                    f"{endpoint!r}")
+        if a == b:
+            errors.append(f"{where}: self-loop on {a!r}")
+        elif frozenset((a, b)) in seen_edges:
+            errors.append(f"{where}: duplicate agreement [{a!r}, {b!r}]")
+        else:
+            seen_edges.add(frozenset((a, b)))
+    check_num(params, "rho", errors, prefix=prefix, positive=True)
+
+
+def closed_fine_refusal(params: Mapping) -> str | None:
+    """Why the fine-grain closed form cannot solve this graph, given in its
+    JSON form, or None: the one text that a closed solve's scenario check and
+    `shapley_fine_closed` report. Bad vertices are left to the validator."""
+    vertices = params.get("vertices")
+    empty = [v.get("id") for v in vertices if isinstance(v, dict)
+             and is_int(v.get("size")) and v["size"] == 0] if is_list(vertices) else []
+    if not empty:
+        return None
+    return (f"vertices: the fine-grain closed form needs every crowd nonempty, but "
+            f"vertices {empty} have none; use method 'exact' or 'sample'")
+
+
 @dataclass(frozen=True)
 class OligopolyGraph:
     """Bilateral-agreement graph: vertex crowd sizes plus undirected edges.
 
     Connectivity is not required; value and payoffs are additive across
-    components. Edges are stored as sorted index pairs.
+    components. Edges are given as pairs of vertex ids or indices and stored
+    as sorted index pairs.
     """
 
     vertex_ids: tuple[str, ...]
@@ -42,47 +119,29 @@ class OligopolyGraph:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.vertex_ids:
-            raise ValueError("graph needs at least one vertex")
-        if len(set(self.vertex_ids)) != len(self.vertex_ids):
-            raise ValueError("duplicate vertex ids")
-        if len(self.crowd_sizes) != len(self.vertex_ids):
-            raise ValueError("one crowd size per vertex required")
-        if any(n < 0 for n in self.crowd_sizes):
-            raise ValueError("crowd sizes must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError(f"value scale must be positive, got {self.rho}")
-        m = len(self.vertex_ids)
-        seen = set()
-        for a, b in self.edges:
-            if not (0 <= a < m and 0 <= b < m):
-                raise ValueError(f"edge ({a}, {b}) references an unknown vertex")
-            if a == b:
-                raise ValueError(f"self-loop on vertex {self.vertex_ids[a]!r}")
-            if a > b:
-                raise ValueError(f"edge ({a}, {b}) must be stored sorted")
-            if (a, b) in seen:
-                raise ValueError(
-                    f"duplicate agreement {self.vertex_ids[a]!r}-{self.vertex_ids[b]!r}")
-            seen.add((a, b))
+        raise_invalid(validate_graph, self.spec())
+        index = {vid: v for v, vid in enumerate(self.vertex_ids)}
+        pairs = ((index.get(a, a), index.get(b, b)) for a, b in self.edges)
+        object.__setattr__(self, "edges", tuple((a, b) if a < b else (b, a) for a, b in pairs))
+
+    def spec(self) -> dict:
+        """The graph in its JSON form, each endpoint index written as its id."""
+        names = dict(enumerate(self.vertex_ids))
+        edges = self.edges
+        if is_list(edges):
+            edges = [[names.get(x, x) for x in edge] if is_list(edge) else edge
+                     for edge in edges]
+        return {"vertices": [{"id": vid, "size": n}
+                             for vid, n in zip(self.vertex_ids, self.crowd_sizes, strict=True)],
+                "edges": edges, "rho": self.rho}
 
     @classmethod
     def from_spec(cls, vertices: Sequence[tuple[str, int]],
                   edges: Sequence[tuple[str, str]] = (),
                   rho: float = 1.0) -> "OligopolyGraph":
         """Build from (id, crowd size) pairs and id-labelled edges."""
-        ids = tuple(str(v) for v, _ in vertices)
-        sizes = tuple(int(n) for _, n in vertices)
-        index = {v: i for i, v in enumerate(ids)}
-        idx_edges = []
-        for a, b in edges:
-            if a not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex {a!r}")
-            if b not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertex {b!r}")
-            i, j = index[a], index[b]
-            idx_edges.append((min(i, j), max(i, j)))
-        return cls(ids, sizes, tuple(idx_edges), rho)
+        return cls(tuple(vid for vid, _ in vertices), tuple(n for _, n in vertices),
+                   tuple(edges) if is_list(edges) else edges, rho)
 
     @property
     def n_vertices(self) -> int:
@@ -193,12 +252,10 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
     crowd-count averages; inter-system terms give half of each pairwise
     product to the majors and spread the rest over the minors.
     """
+    refusal = closed_fine_refusal(graph.spec())
+    if refusal:
+        raise ParamsError([refusal])
     sizes = graph.crowd_sizes
-    if any(n == 0 for n in sizes):
-        empty = [graph.vertex_ids[v] for v, n in enumerate(sizes) if n == 0]
-        raise ValueError(
-            f"fine-grain closed form needs every crowd nonempty; vertices {empty} "
-            "have none (the exact engine still handles such rosters)")
     blocks = minor_blocks(graph)
     payoffs = [0.0] * blocks[-1].stop
     for v in range(graph.n_vertices):

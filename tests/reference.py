@@ -208,12 +208,12 @@ def _mass(census: DiskCensus, agents: Iterable[int]) -> float:
 
 def nu_lin(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
     """Linear coalition value: rho times the coalition's effective user mass."""
-    return _worth(rho, "lin")(_mass(census, agents))
+    return _worth(census, rho, "lin")(_mass(census, agents))
 
 
 def nu_met(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
     """Quadratic coalition value: rho times the squared effective user mass."""
-    return _worth(rho, "met")(_mass(census, agents))
+    return _worth(census, rho, "met")(_mass(census, agents))
 
 
 def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
@@ -222,7 +222,7 @@ def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
 
     Player 0 is the founder; player i >= 1 is agent i.
     """
-    worth = _worth(rho, variant)
+    worth = _worth(census, rho, variant)
     if int(s) >> (census.num_agents + 1):
         raise ValueError("coalition contains players outside the founder roster")
     if 0 not in s:

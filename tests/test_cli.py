@@ -643,6 +643,39 @@ def test_cli_empirical_bad_record_names_the_file(tmp_path, capsys):
     assert f"error: {path}: bad revenue record at index 0" in capsys.readouterr().err
 
 
+def run_records(tmp_path, capsys, text, window="2020..2021"):
+    """Exit code and stderr of `empirical` on a records file of the given text."""
+    path = tmp_path / "records.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["empirical", "--records", str(path), "--entity", "Z", "--payout", "1",
+                 "--window", window, "--format", "json"])
+    out, err = capsys.readouterr()
+    return code, out, err.replace(str(path), "<records>")
+
+
+@pytest.mark.parametrize("row, message", [
+    ('"revenue": NaN', "revenue must be a finite number, got nan"),
+    ('"revenue": Infinity', "revenue must be a finite number, got inf"),
+    ('"revenue": 5.0, "payout": Infinity', "payout must be a finite number, got inf"),
+], ids=["nan revenue", "infinite revenue", "infinite payout"])
+def test_cli_empirical_refuses_a_non_finite_record(tmp_path, capsys, row, message):
+    # JSON has no NaN or Infinity, but Python's reader accepts both words
+    text = f'[{{"year": 2020, "entity": "Z", {row}}}, {{"year": 2021, "entity": "Z", "revenue": 1}}]'
+    assert run_records(tmp_path, capsys, text) == (
+        EXIT_VALIDATION, "", f"error: <records>: bad revenue record at index 0: {message}\n")
+
+
+def test_cli_empirical_names_a_window_whose_revenue_overflows(tmp_path, capsys):
+    text = json.dumps([{"year": 2020, "entity": "Z", "revenue": 1e308},
+                       {"year": 2021, "entity": "Z", "revenue": 1.7e308}])
+    assert run_records(tmp_path, capsys, text) == (
+        EXIT_VALIDATION, "",
+        "error: revenue of Z over 2020H1,2020H2,2021H1,2021H2 overflows a float\n")
+    # the largest revenues whose window sum still fits give a finite share
+    code, out, _ = run_records(tmp_path, capsys, text, window="2021")
+    assert code == EXIT_OK and json.loads(out)["window_revenue"] == 1.7e308
+
+
 # --- names the benchmark tracer wraps -------------------------------------------------
 
 # name on fairshare.cli -> module that defines it; the tracer wraps these
@@ -672,3 +705,4 @@ def test_exact_engine_reaches_the_table_through_core(monkeypatch):
     game = CoalitionGame(3, lambda s: float(s.bit_count() ** 2))
     core.check_axioms(game, shapley_exact(game))
     assert calls == [game, game]
+

@@ -1,6 +1,7 @@
 """Tests for tools/compare_outputs.py, the output-identity check of two trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,6 +21,13 @@ def test_a_tree_matches_itself_on_the_known_defects():
     assert (n_ops, differ) == (16, [])
 
 
+def test_a_tree_matches_itself_on_the_invalid_scenarios():
+    tool = load_tool()
+    n_cases = len(json.loads(tool.CORPUS.read_text(encoding="utf-8"))["cases"])
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("invalid_scenarios",))
+    assert (n_ops, differ) == (2 * n_cases, [])
+
+
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     package = tmp_path / "fairshare"
     package.mkdir()
@@ -31,3 +39,8 @@ def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     assert differ[0].startswith(
         "known_defects/0000-solve-single-n11: exit, stdout differ ('OverflowError: ")
     assert differ[0].endswith("' -> 0)")
+    n_ops, differ = tool.compare(ROOT / "src", tmp_path, 5, ("invalid_scenarios",))
+    assert differ[:2] == ["invalid_scenarios/scenario-not-object/validate: "
+                          "exit, stdout, stderr differ (2 -> 0)",
+                          "invalid_scenarios/scenario-not-object/solve: "
+                          "exit, stdout, stderr differ (2 -> 0)"]

@@ -293,7 +293,7 @@ def test_exponent_is_bounded_where_n_to_the_k_leaves_the_float_range(cls):
     with pytest.raises(OverflowError):
         float(2 ** (MAX_EXPONENT + 1))
     assert cls(n=1, k=MAX_EXPONENT).k == MAX_EXPONENT
-    with pytest.raises(ValueError, match="exponent must be <= 1023"):
+    with pytest.raises(ValueError, match="k: must be <= 1023"):
         cls(n=1, k=MAX_EXPONENT + 1)
 
 
@@ -352,9 +352,9 @@ def test_profit_is_single_with_costs():
     # the cost is derived, not a field, so the scenario schema is unchanged
     assert [f.name for f in dataclasses.fields(ProfitCssParams)] == [
         "n", "k", "rho", "founder_cost", "member_cost"]
-    with pytest.raises(ValueError, match="crowd size"):
+    with pytest.raises(ValueError, match="n: must be >= 1"):
         ProfitCssParams(n=0, k=2)
-    with pytest.raises(ValueError, match="costs"):
+    with pytest.raises(ValueError, match="member_cost: must be nonnegative"):
         ProfitCssParams(n=2, k=2, member_cost=-0.1)
 
 

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fairshare import geo
+from fairshare.checks import ParamsError
 from fairshare.cli import EXIT_CAP, main
 from fairshare.core import (
     CoalitionGame,
@@ -166,13 +167,21 @@ def censuses(draw, max_agents):
 weights = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=9).filter(
     lambda ws: any(w > 0 for w in ws))
 
+
+def weighted_params(ws, alpha, rho, k):
+    try:
+        return WeightedCssParams(tuple(ws), alpha, rho, k)
+    except ParamsError:  # every work unit weight**alpha underflows to 0
+        reject()
+
+
 variants = st.sampled_from(["lin", "met"])
 PARAMS = {
     "single": st.builds(SingleCssParams, st.integers(1, 9), st.integers(1, 4), rhos),
     "profit": st.builds(ProfitCssParams, st.integers(1, 9), st.integers(1, 4), rhos,
                         st.floats(0, 5), st.floats(0, 5)),
-    "weighted": st.builds(lambda ws, alpha, rho, k: WeightedCssParams(tuple(ws), alpha, rho, k),
-                          weights, st.floats(0.25, 3.0), rhos, st.integers(1, 3)),
+    "weighted": st.builds(weighted_params, weights, st.floats(0.25, 3.0), rhos,
+                          st.integers(1, 3)),
     "oligopoly_coarse": graphs(10, sizes),
     "oligopoly_fine": fine_graphs(),
     "geo": st.builds(GeoParams, censuses(10), variants, rhos),

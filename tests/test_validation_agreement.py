@@ -1,0 +1,154 @@
+"""The typed params and the scenario validator agree on every input.
+
+Raw params are drawn from each model's schema mixed with bad values: NaN,
+infinities, integers beyond the float range, bools, floats where integers
+belong, zeros, negatives, empty lists, duplicate ids, edges to unknown
+vertices, weights whose work units overflow or underflow, and fractional
+counts. A scenario validates exactly when the model's typed params can be
+built from its JSON, and exactly when the model's validator, run on the JSON
+itself, finds nothing. The typed params refuse bad values in the validator's
+words.
+"""
+
+import copy
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairshare.geo import DiskCensus, geo_shapley
+from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
+from fairshare.oligopoly import OligopolyGraph
+from fairshare.scenarios import MODELS, validate_scenario_data
+
+# bad values, and valid ones that clash with their neighbours (a duplicate or
+# unknown vertex id, a weight whose work unit overflows or underflows)
+SPECIAL = [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, True, False, 0, -1,
+           0.0, -2.5, 2.5, 2.0, 1e300, 1e-300, "1", "A", "X", "", None, [], {}]
+
+POSITIVE = st.floats(1e-300, 1e300)
+NONNEGATIVE = st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e300])
+CROWD = {"n": st.integers(1, 10 ** 9), "k": st.integers(1, 1023)}
+PROFIT = st.fixed_dictionaries(CROWD, optional={
+    "rho": POSITIVE, "founder_cost": NONNEGATIVE, "member_cost": NONNEGATIVE})
+WEIGHTED = st.fixed_dictionaries(
+    {"weights": st.lists(NONNEGATIVE, min_size=1, max_size=4)},
+    optional={"alpha": st.sampled_from([0.5, 1.0, 2, 3.0]), "rho": POSITIVE,
+              "k": st.integers(1, 4)})
+
+
+@st.composite
+def graphs(draw) -> dict:
+    ids = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    vertices = [{"id": vid, "size": draw(st.integers(0, 3))} for vid in ids]
+    # now and then an endpoint is an unknown id, or a number a vertex index would be
+    endpoints = st.sampled_from(ids * 3 + ["X", 0, 1, 2])
+    edges = draw(st.lists(st.lists(endpoints, min_size=2, max_size=2), max_size=4))
+    return {"vertices": vertices, "edges": edges, **draw(st.fixed_dictionaries(
+        {}, optional={"rho": POSITIVE}))}
+
+
+@st.composite
+def censuses(draw) -> dict:
+    m = draw(st.integers(1, 5))
+    agents = st.lists(st.integers(1, m), unique=True, max_size=m)
+    if draw(st.booleans()):
+        return {"m": m, "placements": draw(st.lists(agents, max_size=4))}
+    subsets = st.lists(st.integers(1, m), unique=True, min_size=1, max_size=m)
+    return {"m": m, "d": {",".join(map(str, key)): draw(st.integers(0, 3))
+                          for key in draw(st.lists(subsets, max_size=4))}}
+
+
+GEO = st.fixed_dictionaries({"census": censuses(), "variant": st.sampled_from(["lin", "met"])},
+                            optional={"rho": POSITIVE})
+
+
+def slots(obj) -> list:
+    """Every (container, key) pair in a JSON value, nested ones included."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        return []
+    return [slot for key, value in items for slot in [(obj, key)] + slots(value)]
+
+
+@st.composite
+def mutated(draw, valid) -> dict:
+    """Valid params with up to three fields, nested ones included, replaced by a
+    special value, deleted, or joined by an unknown field or list entry."""
+    params = copy.deepcopy(draw(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(slots(params) + [(params, "extra")]))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        value = draw(st.sampled_from(SPECIAL))
+        if action == "add" and isinstance(container, list):
+            container.append(value)
+        elif action == "add":
+            container["extra"] = value
+        elif action == "delete" and (isinstance(container, list) or key in container):
+            del container[key]
+        elif action == "replace":
+            container[key] = value
+    return params
+
+
+SCHEMAS = {"single": st.fixed_dictionaries(CROWD, optional={"rho": POSITIVE}),
+           "profit": PROFIT, "weighted": WEIGHTED, "oligopoly_coarse": graphs(),
+           "oligopoly_fine": graphs(), "geo": GEO, "geo_founder": GEO}
+
+
+def test_every_model_has_a_schema():
+    assert sorted(SCHEMAS) == sorted(MODELS)
+
+
+@pytest.mark.parametrize("model", sorted(SCHEMAS))
+def test_validator_and_typed_params_agree(model):
+    spec = MODELS[model]
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(SCHEMAS[model]))
+    def agree(params):
+        errors = validate_scenario_data({"model": model, "params": params, "method": "exact"})
+        try:
+            spec.parse(**params)
+            built = True
+        except (TypeError, ValueError):
+            built = False
+        found = []
+        spec.validate(params, found, "params")
+        assert (errors == []) == built == (found == []), (params, errors, found)
+
+    agree()
+
+
+NAN, INF = math.nan, math.inf
+API_CASES = {
+    "single rho nan": (lambda: SingleCssParams(3, 2, rho=NAN), "rho: expected a finite"),
+    "single rho inf": (lambda: SingleCssParams(3, 2, rho=INF), "rho: expected a finite"),
+    "single n float": (lambda: SingleCssParams(3.5, 2), "n: expected an integer"),
+    "single n bool": (lambda: SingleCssParams(True, 2), "n: expected an integer"),
+    "profit cost nan": (lambda: ProfitCssParams(3, 2, member_cost=NAN), "member_cost: expected"),
+    "weight nan": (lambda: WeightedCssParams((1.0, NAN)), "weights: entries must be finite"),
+    "alpha nan": (lambda: WeightedCssParams((1.0,), alpha=NAN), "alpha: expected a finite"),
+    "work unit overflow": (lambda: WeightedCssParams((1e300, 2.0), alpha=2),
+                           "weights: the work units weight**alpha or their total overflow"),
+    "work unit underflow": (lambda: WeightedCssParams((1e-300, 0.0), alpha=2),
+                            "weights: every work unit weight**alpha underflows"),
+    "graph rho nan": (lambda: OligopolyGraph.from_spec([("A", 1)], rho=NAN), "rho: expected"),
+    "graph rho inf": (lambda: OligopolyGraph(("A",), (1,), (), INF), "rho: expected"),
+    "census count": (lambda: DiskCensus(2, {frozenset({1}): 2.5}),
+                     "d[frozenset({1})]: expected a nonnegative integer count"),
+    "geo rho nan": (lambda: geo_shapley(DiskCensus(2, {frozenset({1}): 2}), NAN, "met"),
+                    "rho: expected a finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(API_CASES))
+def test_api_refuses_what_the_validator_refuses_in_its_words(case):
+    build, message = API_CASES[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build()

@@ -6,7 +6,10 @@ OLD_SRC and NEW_SRC are directories holding a `fairshare` package. Every
 operation of the timed workloads and of `known_defects` is built with
 `perfbench/gen.py` at the seed, its scenario files are written once, and the
 operations are run through each tree's `fairshare.cli.main`, in one
-subprocess per tree, as the benchmark runs them. An uncaught exception is
+subprocess per tree, as the benchmark runs them. The `invalid_scenarios`
+operations run every case of `tests/invalid_scenarios.json` through
+`validate` and through `solve --method all --format json`, so the error
+paths are compared too. An uncaught exception is
 recorded as its type and message in place of the exit code. The scenario
 directory is replaced by a fixed placeholder in stdout and stderr. Each
 operation whose exit code, stdout or stderr differs is listed, and the exit
@@ -26,7 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
-WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects")
+WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
+             "invalid_scenarios")
+CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -59,6 +64,20 @@ def _run_all(src: Path, argvs: list[list[str]], work_dir: Path) -> list[list]:
             for code, out, err in json.loads(done.stdout)]
 
 
+def _corpus_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that validate and solve each invalid-scenario case."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    ops, argvs = [], []
+    for case in json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]:
+        path = work_dir / f"{case['name']}.json"
+        text = case["text"] if "text" in case else json.dumps(case["scenario"])
+        path.write_text(text, encoding="utf-8")
+        ops += [f"invalid_scenarios/{case['name']}/{command}" for command in ("validate", "solve")]
+        argvs += [["validate", "--scenario", str(path)],
+                  ["solve", "--scenario", str(path), "--method", "all", "--format", "json"]]
+    return ops, argvs
+
+
 def compare(old_src: Path, new_src: Path, seed: int,
             workloads: tuple[str, ...] = WORKLOADS) -> tuple[int, list[str]]:
     """The number of operations run, and one line per operation that differs."""
@@ -68,6 +87,11 @@ def compare(old_src: Path, new_src: Path, seed: int,
         work_dir = Path(tmp)
         ops, argvs = [], []
         for name in workloads:
+            if name == "invalid_scenarios":
+                corpus_ops, corpus_argvs = _corpus_ops(work_dir / name)
+                ops += corpus_ops
+                argvs += corpus_argvs
+                continue
             workload = gen.build_workload(name, seed, bundled)
             gen.write_files(workload, work_dir / name)
             ops += [f"{name}/{op.op_id}" for op in workload.ops]
