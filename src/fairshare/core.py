@@ -20,10 +20,16 @@ MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
 # many join orders are drawn.
 _SAMPLE_BLOCK_MASKS = 8192
 
-# Peak bytes per coalition of the exact engine: the value table and the size
-# weights, plus the mask array and up to three same-length temporaries of a
-# batch table, 8 bytes each.
-EXACT_BYTES_PER_COALITION = 6 * 8
+# Coalitions per block of the exact engine: the table is evaluated, and each
+# player's marginals are reduced, this many at a time.
+_EXACT_BLOCK = 1 << 15
+
+# Peak bytes of the exact engine: 8 per coalition for the value table and 4
+# for the size weights, which have one entry per coalition without a given
+# player; plus, per block, the masks and up to five same-length temporaries
+# of a batch table, 8 bytes each.
+EXACT_BYTES_PER_COALITION = 12
+EXACT_BYTES_PER_BLOCK = 6 * 8 * _EXACT_BLOCK
 
 
 class RosterTooLargeError(ValueError):
@@ -221,25 +227,30 @@ def _physical_memory() -> int | None:
 def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
     """Characteristic function evaluated on all 2^n coalitions, indexed by mask.
 
-    One `evaluate` call. Refuses, before allocating, a roster above the cap
-    or one whose tables would not fit in physical memory.
+    One `evaluate` call per block of masks, gathered into one array. Refuses,
+    before allocating, a roster above the cap or one whose tables would not
+    fit in physical memory.
     """
     n = game.n_players
     if n > cap:
         raise RosterTooLargeError(
             f"full coalition table needs 2^{n} evaluations, above the cap of {cap} "
             "players; use shapley_sample for larger rosters")
-    need, physical = (1 << n) * EXACT_BYTES_PER_COALITION, _physical_memory()
-    if physical is not None and need > physical:
+    size = 1 << n
+    need = size * EXACT_BYTES_PER_COALITION + EXACT_BYTES_PER_BLOCK
+    if (physical := _physical_memory()) is not None and need > physical:
         raise RosterTooLargeError(
             f"exact engine needs {need} bytes for 2^{n} coalitions, more than the "
             f"{physical} bytes of physical memory")
-    size = 1 << n
-    values = game.evaluate(np.arange(size, dtype=np.uint64))
-    if values.shape != (size,):
-        raise ValueError(
-            f"batch table of {game.label or 'game'} returned shape {values.shape}, "
-            f"expected ({size},)")
+    for start in range(0, size, _EXACT_BLOCK):
+        masks = np.arange(start, min(size, start + _EXACT_BLOCK), dtype=np.uint64)
+        block = game.evaluate(masks)
+        if block.shape != masks.shape:
+            raise ValueError(f"batch table of {game.label or 'game'} returned shape "
+                             f"{block.shape} for {masks.size} masks, expected ({size},) in all")
+        if start == 0:  # a table of one block is that block's array
+            values = block if block.size == size else np.empty(size)
+        values[start:start + masks.size] = block
     return values
 
 
@@ -254,24 +265,49 @@ def _split_pair(values: np.ndarray, i: int, j: int) -> np.ndarray:
     return values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
 
 
+def _tree_sum(parts: list[float]) -> float:
+    """Sum of a power-of-two number of block sums, added in pairs, level by level."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
+    return float(parts[0])
+
+
 def shapley_exact(game: CoalitionGame, *, cap: int | None = None) -> Allocation:
     """Exact Shapley payoffs via the subset-weighted sum.
 
     Player i receives sum over coalitions S not containing i of
     |S|! (n-|S|-1)! / n! times the marginal value of joining S.
+
+    Each player's weighted marginals are summed a block at a time, and the
+    block sums are added as a binary tree: for power-of-two blocks of at
+    least 2^7 entries, the order of numpy's pairwise `np.sum` over them all.
     """
     values = coalition_value_table(game, cap=DEFAULT_EXACT_CAP if cap is None else cap)
     n = game.n_players
-    # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!; the grand coalition's
-    # weight is never read
-    by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)] + [0.0])
-    weights = by_size[np.bitwise_count(np.arange(1 << n, dtype=np.uint64))]
-    payoffs = []
+    half = 1 << (n - 1)
+    block = min(_EXACT_BLOCK, half)
+    # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!. In `_split` order, the k-th
+    # coalition without player i has popcount(k) members, so one array of
+    # weights serves every player.
+    by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
+    weights = np.empty(half)
+    for start in range(0, half, block):
+        weights[start:start + block] = by_size[
+            np.bitwise_count(np.arange(start, start + block, dtype=np.uint64))]
+    gains, payoffs = np.empty(block), []
     for i in range(n):
         without, with_i = _split(values, i)
-        gains = with_i - without
-        gains *= _split(weights, i)[0]
-        payoffs.append(float(np.sum(gains)))
+        rows, cols = max(1, block >> i), min(block, 1 << i)
+        out, parts = gains.reshape(rows, cols), []
+        for start in range(0, half, block):
+            r, c = divmod(start, 1 << i)
+            w0, w1 = without[r:r + rows, c:c + cols], with_i[r:r + rows, c:c + cols]
+            # a row of at most 4 entries is too short an inner loop
+            for x in range(cols) if cols <= 4 else [slice(None)]:
+                np.subtract(w1[:, x], w0[:, x], out=out[:, x])
+            gains *= weights[start:start + block]
+            parts.append(np.sum(gains))
+        payoffs.append(_tree_sum(parts))
     return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
 
 

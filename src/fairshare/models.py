@@ -327,10 +327,10 @@ def closed_weighted(params: WeightedCssParams, n: int | None = None) -> ShareRep
     if refusal:
         raise ParamsError([refusal])
     n = params.n if n is None else n
-    if n < params.n:  # a shorter crowd takes the first n weights, validated again
-        params = dataclasses.replace(params, weights=params.weights[:n])
-    units = params.work_units()
+    units = params.work_units()[:n]  # a shorter crowd takes the first n weights
     total = repeated_fsum(units, n)
+    if total == 0.0:  # those weights are all zero: the crowd adds no value
+        return _share_report(0.0, (0.0,) * len(units), n, 0.0, None)
     # A rho below 1/2 is replaced by its mantissa, and the payoffs are scaled
     # back by its power of two at the end, which is exact. So a tiny rho
     # cannot make the payoffs subnormal, and the shares imprecise.

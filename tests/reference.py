@@ -1,7 +1,8 @@
 """Reference implementations that the tests hold the package to.
 
-Coalitions as sets, the models' scalar characteristic functions, and two
-Shapley engines independent of `shapley_exact`. The package computes from
+Coalitions as sets, the models' scalar characteristic functions, two
+Shapley engines independent of `shapley_exact`, and the whole-array form of
+`shapley_exact` whose bits it must keep. The package computes from
 batch tables and closed forms; these compute the same values one coalition
 at a time, the slow and plain way, so that every table and closed form has
 something to be compared against.
@@ -123,6 +124,27 @@ def shapley_permutation_average(game: CoalitionGame, *, cap: int = ORACLE_CAP) -
     n_orders = math.factorial(n)
     payoffs = tuple(t / n_orders for t in totals)
     return Allocation(payoffs, float(values[-1]), Method.EXACT)
+
+
+def shapley_exact_whole(game: CoalitionGame) -> Allocation:
+    """Exact Shapley payoffs from whole arrays: the table in one `evaluate`
+    call over all 2^n masks, a 2^n array of size weights, and each player's
+    weighted marginals formed and summed in one pass.
+
+    The order of every player's sum is numpy's pairwise order over that
+    player's 2^(n-1) marginals; `shapley_exact` must give these bits.
+    """
+    n = game.n_players
+    values = game.evaluate(np.arange(1 << n, dtype=np.uint64))
+    by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)] + [0.0])
+    weights = by_size[np.bitwise_count(np.arange(1 << n, dtype=np.uint64))]
+    payoffs = []
+    for i in range(n):
+        split = values.reshape(-1, 2, 1 << i)
+        gains = split[:, 1, :] - split[:, 0, :]
+        gains *= weights.reshape(-1, 2, 1 << i)[:, 0, :]
+        payoffs.append(float(np.sum(gains)))
+    return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
 
 
 def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:

@@ -201,6 +201,17 @@ def test_cli_sweep_refuses_overflowing_weighted_payoffs_at_any_n(tmp_path, capsy
     assert f"error: n={10 ** 12}: result is not finite" in capsys.readouterr().err
 
 
+def test_cli_sweep_of_a_crowd_of_zero_weights_is_a_degenerate_row(tmp_path, capsys):
+    # the first weight alone is zero, so the crowd of one has no value
+    path = write_scenario(tmp_path, {"model": "weighted", "params": {"weights": [0, 1.0]}})
+    code = main(["sweep", "--scenario", str(path), "--n-values", "1,2", "--format", "json"])
+    assert code == EXIT_OK
+    one, two = json.loads(capsys.readouterr().out)["rows"]
+    assert one == {"n": 1, "founder_payoff": 0.0, "grand_value": 0.0, "degenerate": True,
+                   "founder_share": None, "crowd_share": None, "asymptote": None}
+    assert (two["n"], two["degenerate"], two["founder_share"]) == (2, False, 0.5)
+
+
 WORK_UNIT_OVERFLOWS = {
     "unit": ({"weights": [1e300, 2.0], "alpha": 2}, ["solve", "--method", "closed"]),
     "total": ({"weights": [1e308, 1e308]}, ["solve", "--method", "closed"]),

@@ -13,6 +13,7 @@ from fairshare.core import (
     Allocation,
     CoalitionGame,
     DegenerateCrowdError,
+    EXACT_BYTES_PER_BLOCK,
     EXACT_BYTES_PER_COALITION,
     Method,
     PlayerId,
@@ -206,31 +207,56 @@ def ring_census(m):
     return DiskCensus(m, counts)
 
 
-SIXTEEN_PLAYER_GAMES = {
-    "single": lambda: single_game(SingleCssParams(n=15, k=2, rho=1.0)),
-    "profit": lambda: profit_game(ProfitCssParams(15, 2, 1.0, 0.4, 0.1)),
-    "weighted": lambda: weighted_game(WeightedCssParams(tuple(0.5 + i / 10 for i in range(15)))),
-    "oligopoly_coarse": lambda: coarse_game(OligopolyGraph.from_spec(
-        [(f"s{v}", v % 5 + 1) for v in range(16)], [(f"s{v}", f"s{v + 1}") for v in range(15)])),
-    "oligopoly_fine": lambda: fine_game(OligopolyGraph.from_spec(
-        [("a", 4), ("b", 3), ("c", 3), ("d", 2)], [("a", "b"), ("b", "c"), ("c", "d")])),
-    "geo": lambda: geo_game(ring_census(16), 0.8, "met"),
-    "geo_founder": lambda: geo_founder_game(ring_census(15), 1.3, "met"),
-}
+def exact_games(n):
+    """A builder of one game per model with n players, n a multiple of 4."""
+    extra = (n - 16) // 4
+    return {
+        "single": lambda: single_game(SingleCssParams(n=n - 1, k=2, rho=1.0)),
+        "profit": lambda: profit_game(ProfitCssParams(n - 1, 2, 1.0, 0.4, 0.1)),
+        "weighted": lambda: weighted_game(
+            WeightedCssParams(tuple(0.5 + i / 10 for i in range(n - 1)))),
+        "oligopoly_coarse": lambda: coarse_game(OligopolyGraph.from_spec(
+            [(f"s{v}", v % 5 + 1) for v in range(n)],
+            [(f"s{v}", f"s{v + 1}") for v in range(n - 1)])),
+        "oligopoly_fine": lambda: fine_game(OligopolyGraph.from_spec(
+            [("a", 4 + extra), ("b", 3 + extra), ("c", 3 + extra), ("d", 2 + extra)],
+            [("a", "b"), ("b", "c"), ("c", "d")])),
+        "geo": lambda: geo_game(ring_census(n), 0.8, "met"),
+        "geo_founder": lambda: geo_founder_game(ring_census(n - 1), 1.3, "met"),
+    }
 
 
-@pytest.mark.parametrize("model", sorted(SIXTEEN_PLAYER_GAMES))
-def test_exact_memory_stays_within_the_guard(model):
-    # the cap check multiplies 2^n by this constant before anything is allocated
-    game = SIXTEEN_PLAYER_GAMES[model]()
-    assert game.n_players == 16
+SIXTEEN_PLAYER_GAMES = exact_games(16)
+
+
+def exact_peak_bytes(game):
     tracemalloc.start()
     try:
         shapley_exact(game)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 16 <= EXACT_BYTES_PER_COALITION
+    return peak
+
+
+def exact_guard_bytes(n):
+    # the need the cap check computes before anything is allocated
+    return 2 ** n * EXACT_BYTES_PER_COALITION + EXACT_BYTES_PER_BLOCK
+
+
+@pytest.mark.parametrize("model", sorted(SIXTEEN_PLAYER_GAMES))
+def test_exact_memory_stays_within_the_guard(model):
+    game = SIXTEEN_PLAYER_GAMES[model]()
+    assert game.n_players == 16
+    assert exact_peak_bytes(game) <= exact_guard_bytes(16)
+
+
+@pytest.mark.parametrize("model", sorted(SIXTEEN_PLAYER_GAMES))
+def test_exact_memory_at_twenty_players_stays_within_the_guard(model):
+    # here the per-coalition term is most of the guard: 12 MB of 14 MB
+    game = exact_games(20)[model]()
+    assert game.n_players == 20
+    assert exact_peak_bytes(game) <= exact_guard_bytes(20)
 
 
 # --- anonymous closed form ----------------------------------------------------
