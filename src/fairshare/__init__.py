@@ -19,6 +19,7 @@ from fairshare.core import (
 )
 from fairshare.geo import (
     DiskCensus,
+    GeoParams,
     geo_founder_shapley,
     geo_shapley,
     region_census,

@@ -29,6 +29,7 @@ from fairshare.models import share_sweep
 from fairshare.reports import EmpiricalReport, SolveReport, SweepReport, emit
 from fairshare.scenarios import (
     METHODS,
+    SAMPLE_MINIMUMS,
     SWEEPABLE,
     SampleConfig,
     Scenario,
@@ -142,12 +143,11 @@ def sweep_scenario(scenario: Scenario, n_values: Sequence[int]) -> SweepReport:
         raise ScenarioError(
             [f"model: '{scenario.model}' does not support sweeping; "
              f"use {', '.join(names)}, or {last}"])
-    table = share_sweep(scenario.params, list(n_values))
-    for row in table.rows:
-        report = row.report  # a degenerate row has no shares
-        _check_finite(f"n={row.n}", (report.founder_payoff, report.grand_value,
-                                     report.founder_share or 0.0, report.crowd_share or 0.0))
-    return SweepReport(scenario_to_data(scenario), table)
+    rows = share_sweep(scenario.params, list(n_values))
+    for row in rows:  # a degenerate row has no shares
+        _check_finite(f"n={row.n}", (row.founder_payoff, row.grand_value,
+                                     row.founder_share or 0.0, row.crowd_share or 0.0))
+    return SweepReport(scenario_to_data(scenario), rows)
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -209,11 +209,11 @@ _parser = functools.cache(build_parser)
 def _apply_flags(args: argparse.Namespace, scenario: Scenario) -> Scenario:
     """The scenario with the solve flags written into its data and parsed again,
     so that a flag is validated and echoed like the same value in the file."""
-    floors = {"seed": 0, "permutations": 1}
-    sample = {key: getattr(args, key) for key in floors if getattr(args, key) is not None}
+    sample = {key: getattr(args, key) for key in ("seed", "permutations")
+              if getattr(args, key) is not None}
     errors: list[str] = []
     for key in sample:
-        check_int(sample, key, errors, prefix="", minimum=floors[key])
+        check_int(sample, key, errors, prefix="", minimum=SAMPLE_MINIMUMS[key])
     if errors:
         raise ScenarioError([f"--{error}" for error in errors])
     if args.method is None and not sample:

@@ -40,7 +40,7 @@ from fairshare.core import (
     check_roster_size,
     mass_game,
 )
-from fairshare.models import WeightedCssParams, closed_weighted
+from fairshare.models import closed_quadratic
 
 GeoVariant = Literal["lin", "met"]
 
@@ -49,6 +49,9 @@ UserPlacement = Sequence[int]
 
 GEO_VARIANTS = ("lin", "met")
 MAX_CENSUS_AGENTS = 1_000_000  # effective sizes take O(m) time and memory
+# Every sum of effective sizes stays in the float range for at most this many
+# users: each size, and each sum of sizes, rounds up by at most 2^-53 of itself.
+MAX_TOTAL_USERS = 2 ** 1023
 
 
 def subset_ids(key: Any) -> tuple[int, ...] | None:
@@ -71,7 +74,8 @@ def subset_ids(key: Any) -> tuple[int, ...] | None:
 
 def validate_census(census: Any, errors: list[str], prefix: str) -> None:
     """A census: m agents (1..MAX_CENSUS_AGENTS) and exactly one of `d`, the
-    user count of each agent subset, or `placements`, each user's disk ids."""
+    user count of each agent subset, at most MAX_TOTAL_USERS in all, or
+    `placements`, each user's disk ids."""
     if not check_object(census, errors, prefix):
         return
     check_keys(census, ("m", "d", "placements"), errors, prefix)
@@ -93,6 +97,10 @@ def validate_census(census: Any, errors: list[str], prefix: str) -> None:
                 errors.append(f"{where}: agent ids must lie in 1..{m}")
             if not is_int(count) or count < 0:
                 errors.append(f"{where}: expected a nonnegative integer count")
+        counts = table.values()
+        if all(is_int(count) for count in counts) and sum(counts) > MAX_TOTAL_USERS:
+            errors.append(f"{at(prefix, 'd')}: the total user count must be at most "
+                          "2**1023, or sums of effective sizes overflow a float")
     else:
         placements = census["placements"]
         if not is_list(placements):
@@ -173,8 +181,11 @@ def validate_geo(params: Mapping, errors: list[str], prefix: str = "") -> None:
 
 @dataclass(frozen=True)
 class GeoParams:
+    """A census, a variant and a finite positive rho: every geo function's
+    input, checked once, by this constructor."""
+
     census: DiskCensus
-    variant: str
+    variant: GeoVariant
     rho: float = 1.0
 
     def __post_init__(self) -> None:
@@ -193,11 +204,11 @@ def effective_sizes(census: DiskCensus) -> tuple[float, ...]:
     return tuple(math.fsum(terms.get(i, ())) for i in range(1, census.num_agents + 1))
 
 
-def _worth(census: DiskCensus, rho: float, variant: GeoVariant) -> Callable:
+def _worth(params: GeoParams) -> Callable:
     """Linear or quadratic value of an effective mass (a float or an array):
-    the one definition of the geo value, after the one check of its params."""
-    raise_invalid(validate_geo, {"census": census, "variant": variant, "rho": rho})
-    if variant == "lin":
+    the one definition of the geo value."""
+    rho = params.rho
+    if params.variant == "lin":
         return lambda mass: rho * mass
     return lambda mass: rho * mass * mass
 
@@ -208,24 +219,23 @@ def _agent_players(census: DiskCensus, offset: int = 0) -> tuple[PlayerId, ...]:
                  for i in range(1, census.num_agents + 1))
 
 
-def geo_game(census: DiskCensus, rho: float, variant: GeoVariant) -> CoalitionGame:
+def geo_game(params: GeoParams) -> CoalitionGame:
     """Agent-only game (player i-1 is agent i) for the exact engine."""
-    worth = _worth(census, rho, variant)
-    players = _agent_players(census)  # the roster check precedes the O(m) sizes
-    return mass_game(effective_sizes(census), worth, f"geo {variant}", players,
-                     founder=False)
+    players = _agent_players(params.census)  # the roster check precedes the O(m) sizes
+    return mass_game(effective_sizes(params.census), _worth(params),
+                     f"geo {params.variant}", players, founder=False)
 
 
-def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocation:
+def geo_shapley(params: GeoParams) -> Allocation:
     """Closed-form agent payoffs: rho * n_i (linear), rho * n_i * total (quadratic).
 
     The quadratic case is the complete-agreement-graph network game over the
     effective sizes, hence each agent earns its size times the total mass.
     """
-    worth = _worth(census, rho, variant)
-    sizes = effective_sizes(census)
+    worth, rho = _worth(params), params.rho
+    sizes = effective_sizes(params.census)
     total = math.fsum(sizes)
-    if variant == "lin":
+    if params.variant == "lin":
         payoffs = tuple(worth(n) for n in sizes)
     else:
         payoffs = tuple(rho * n * total for n in sizes)
@@ -234,34 +244,29 @@ def geo_shapley(census: DiskCensus, rho: float, variant: GeoVariant) -> Allocati
 
 # --- founder-augmented variants ----------------------------------------------
 
-def geo_founder_game(census: DiskCensus, rho: float,
-                     variant: GeoVariant) -> CoalitionGame:
+def geo_founder_game(params: GeoParams) -> CoalitionGame:
     """Founder-gated game for the exact engine and the sampler: zero without
     player 0, else the agent-only value of the agents present (player i >= 1
     is agent i), from effective sizes computed once here.
     """
-    worth = _worth(census, rho, variant)
-    players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + _agent_players(census, 1)
-    return mass_game(effective_sizes(census), worth, f"geo founder {variant}",
-                     players, founder=True)
+    players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + _agent_players(params.census, 1)
+    return mass_game(effective_sizes(params.census), _worth(params),
+                     f"geo founder {params.variant}", players, founder=True)
 
 
-def geo_founder_shapley(census: DiskCensus, rho: float,
-                        variant: GeoVariant) -> Allocation:
+def geo_founder_shapley(params: GeoParams) -> Allocation:
     """Closed-form founder-augmented payoffs (founder first, then agents).
 
     Linear: the founder takes half the total worth, each agent half its own.
     Quadratic: the founder takes rho * (total^2/3 + sum n_i^2 / 6) and agent
     i takes rho * (2 total n_i / 3 - n_i^2 / 6), which is the work-weighted
     closed form with the effective sizes as work units, so it is computed
-    by `closed_weighted`.
+    by `closed_quadratic`.
     """
-    worth = _worth(census, rho, variant)
-    sizes = effective_sizes(census)
-    if variant == "met":
-        if not any(sizes):  # no users, so no positive work unit either
-            return Allocation((0.0,) * (len(sizes) + 1), 0.0, Method.CLOSED_FORM)
-        return closed_weighted(WeightedCssParams(sizes, rho=rho)).as_allocation()
+    sizes = effective_sizes(params.census)
+    if params.variant == "met":
+        return closed_quadratic(sizes, params.rho, len(sizes)).as_allocation()
+    worth = _worth(params)
     grand = worth(math.fsum(sizes))
     agents = tuple(worth(n) / 2 for n in sizes)
     return Allocation((grand / 2,) + agents, grand, Method.CLOSED_FORM)

@@ -84,7 +84,9 @@ def repeated_fsum(pattern: Sequence[float], n: int) -> float:
             return math.fsum(islice(cycle(pattern), n))
         except OverflowError:  # summed exactly below, then rounded
             pass
-    exact = q * sum(map(Fraction, pattern)) + sum(map(Fraction, pattern[:r]))
+    exact = sum(map(Fraction, pattern[:r]))
+    if q:  # with q = 0 the pattern past n, inf and nan too, is not summed
+        exact += q * sum(map(Fraction, pattern))
     try:
         return float(exact)
     except OverflowError:
@@ -119,7 +121,7 @@ class SingleCssParams:
         return 0.0
 
     def closed_at(self, n: int) -> ShareReport:
-        return closed_single(dataclasses.replace(self, n=n))
+        return closed_single(self, n)
 
 
 def closed_weighted_refusal(params: Mapping) -> str | None:
@@ -282,8 +284,9 @@ def single_game(params: SingleCssParams) -> CoalitionGame:
                           f"crowd CSS (n={params.n}, k={k}, rho={rho}, cost={cost})")
 
 
-def closed_single(params: SingleCssParams) -> ShareReport:
-    """Exact founder/member payoffs of the crowd-count game.
+def closed_single(params: SingleCssParams, n: int | None = None) -> ShareReport:
+    """Exact founder/member payoffs of the crowd-count game, over a crowd of
+    n members (default: the params' n).
 
     The founder averages rho * s^k - cost * s over crowd counts s = 0..n:
     rho * powersum/(n+1) minus half the total cost. Members split the rest
@@ -291,7 +294,8 @@ def closed_single(params: SingleCssParams) -> ShareReport:
     large-n share (1 - (k+1) r/2) / ((k+1)(1 - r)), so 1/(k+1) without costs,
     and undefined when the grand value is not positive.
     """
-    n, k, rho, cost = params.n, params.k, params.rho, params.cost
+    n = params.n if n is None else n
+    k, rho, cost = params.k, params.rho, params.cost
     # n ** k overflows a float before the power sum does, so fail before summing
     revenue = rho * float(n ** k)
     founder = rho * (power_sum(n, k) / (n + 1)) - cost * (n / 2)
@@ -313,29 +317,35 @@ def weighted_game(params: WeightedCssParams) -> CoalitionGame:
 
 
 def closed_weighted(params: WeightedCssParams, n: int | None = None) -> ShareReport:
-    """Exact per-member payoffs of the quadratic work-weighted game.
+    """`closed_quadratic` over the work units, for k = 2. A crowd of n members
+    (default: one per weight) repeats the weights in order, so a uniform
+    pattern stays uniform at every n, and a shorter crowd takes the first n."""
+    refusal = closed_weighted_refusal(vars(params))
+    if refusal:
+        raise ParamsError([refusal])
+    n = params.n if n is None else n
+    return closed_quadratic(params.work_units()[:n], params.rho, n)
+
+
+def closed_quadratic(units: Sequence[float], rho: float, n: int) -> ShareReport:
+    """Exact payoffs of the founder-gated game rho * (sum of units present)^2,
+    over a crowd of n members whose units repeat `units` in order: finite
+    nonnegative units with a finite total, and a finite positive rho, which
+    the caller's params checked.
 
     Member i earns rho * (u_i^2 / 2 + 2c * u_i * (T - u_i)) where u_i is its
     work unit, T the total, and c the exact pair coupling (identically 1/3).
     The founder keeps the remainder of rho * T^2. Limiting founder share is
     1/3 + sum(f_i^2)/6 over work shares f_i.
-
-    A crowd of n members (default: one per weight) repeats the weights in
-    order, so a uniform pattern stays uniform at every n.
     """
-    refusal = closed_weighted_refusal(vars(params))
-    if refusal:
-        raise ParamsError([refusal])
-    n = params.n if n is None else n
-    units = params.work_units()[:n]  # a shorter crowd takes the first n weights
     total = repeated_fsum(units, n)
     if total == 0.0:  # those weights are all zero: the crowd adds no value
         return _share_report(0.0, (0.0,) * len(units), n, 0.0, None)
     # A rho below 1/2 is replaced by its mantissa, and the payoffs are scaled
     # back by its power of two at the end, which is exact. So a tiny rho
     # cannot make the payoffs subnormal, and the shares imprecise.
-    exponent = min(math.frexp(params.rho)[1], 0)
-    rho = math.ldexp(params.rho, -exponent)
+    exponent = min(math.frexp(rho)[1], 0)
+    rho = math.ldexp(rho, -exponent)
     members = tuple(rho * (u * u / 2.0 + 2.0 / 3.0 * u * (total - u)) for u in units)
     grand = rho * total * total
     founder = grand - repeated_fsum(members, n)
@@ -361,35 +371,20 @@ class CssParams(Protocol):
     def closed_at(self, n: int) -> ShareReport: ...
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    report: ShareReport
+def gaps_monotone(reports: Sequence[ShareReport]) -> bool | None:
+    """Whether the distance from the founder share to its asymptote is
+    nonincreasing along a sweep.
 
-    @property
-    def asymptote_gap(self) -> float | None:
-        if self.report.founder_share is None or \
-                self.report.asymptotic_founder_share is None:
-            return None
-        return abs(self.report.founder_share - self.report.asymptotic_founder_share)
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-
-    def gaps_monotone(self) -> bool | None:
-        """Whether the distance to the asymptote is nonincreasing in n.
-
-        Reported, never assumed; None when any row lacks a defined gap.
-        """
-        gaps = [row.asymptote_gap for row in self.rows]
-        if any(g is None for g in gaps):
-            return None
-        return all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+    Reported, never assumed; None when any report lacks a defined gap.
+    """
+    if any(r.founder_share is None or r.asymptotic_founder_share is None
+           for r in reports):
+        return None
+    gaps = [abs(r.founder_share - r.asymptotic_founder_share) for r in reports]
+    return all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
-def share_sweep(params: CssParams, n_values: Iterable[int]) -> SweepTable:
+def share_sweep(params: CssParams, n_values: Iterable[int]) -> tuple[ShareReport, ...]:
     """Closed-form share reports across crowd sizes, for limit diagnostics."""
     sizes = list(n_values)
     if not sizes:
@@ -398,5 +393,4 @@ def share_sweep(params: CssParams, n_values: Iterable[int]) -> SweepTable:
         raise ValueError("n_values must be strictly ascending")
     if any(n < 1 for n in sizes):
         raise ValueError("crowd sizes must be >= 1")
-    rows = tuple(SweepRow(n, params.closed_at(n)) for n in sizes)
-    return SweepTable(rows)
+    return tuple(params.closed_at(n) for n in sizes)

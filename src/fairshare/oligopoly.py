@@ -26,6 +26,7 @@ from fairshare.checks import (
     check_num,
     is_int,
     is_list,
+    is_num,
     raise_invalid,
     report_missing,
 )
@@ -42,10 +43,12 @@ from fairshare.core import (
 def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None:
     """The oligopoly params: a nonempty list of vertices with unique nonempty
     string ids and crowd sizes >= 0, agreements between two distinct known
-    vertices, each at most once, and a finite positive rho."""
+    vertices, each at most once, a network value with every crowd present
+    that a float can hold, and a finite positive rho."""
     check_keys(params, ("vertices", "edges", "rho"), errors, prefix)
     vertices = params.get("vertices")
     ids: set[str] = set()
+    sizes: dict[str, int] = {}
     if vertices is None:
         report_missing(errors, at(prefix, "vertices"))
     elif not is_list(vertices) or not vertices:
@@ -64,7 +67,9 @@ def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None
                 errors.append(f"{where}.id: duplicate vertex id {vid!r}")
             else:
                 ids.add(vid)
-            check_int(vertex, "size", errors, prefix=where, minimum=0)
+            size = check_int(vertex, "size", errors, prefix=where, minimum=0)
+            if isinstance(vid, str) and size is not None:
+                sizes[vid] = size
     edges = params.get("edges", [])
     if not is_list(edges):
         errors.append(f"{at(prefix, 'edges')}: expected a list of [id, id] pairs")
@@ -88,6 +93,12 @@ def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None
             errors.append(f"{where}: duplicate agreement [{a!r}, {b!r}]")
         else:
             seen_edges.add(frozenset((a, b)))
+    # the exact value of the whole network: every method's values stay below it
+    value = sum(n * n for n in sizes.values()) + sum(
+        2 * sizes[a] * sizes[b] for a, b in seen_edges if a in sizes and b in sizes)
+    if not is_num(value):
+        errors.append(f"{at(prefix, 'vertices')}: the network value "
+                      "sum(size^2) + 2 sum(size_a size_b) overflows a float")
     check_num(params, "rho", errors, prefix=prefix, positive=True)
 
 

@@ -17,7 +17,7 @@ from typing import Any
 
 from fairshare.core import Allocation, AxiomReport, PlayerId
 from fairshare.empirical import BAND, ShareEstimate
-from fairshare.models import SweepTable
+from fairshare.models import ShareReport, gaps_monotone
 
 ALLOCATION_CSV_HEADER = ("player_id", "tag", "payoff", "share")
 
@@ -137,50 +137,37 @@ class SweepReport:
     """Share-vs-crowd-size table with the analytic asymptote column."""
 
     scenario: dict
-    table: SweepTable
+    rows: tuple[ShareReport, ...]
 
     def to_payload(self) -> dict:
-        rows = []
-        for row in self.table.rows:
-            report = row.report
-            rows.append({
-                "n": row.n,
-                "founder_share": report.founder_share,
-                "crowd_share": report.crowd_share,
-                "founder_payoff": report.founder_payoff,
-                "grand_value": report.grand_value,
-                "asymptote": report.asymptotic_founder_share,
-                "degenerate": report.degenerate,
-            })
+        rows = [{
+            "n": row.n,
+            "founder_share": row.founder_share,
+            "crowd_share": row.crowd_share,
+            "founder_payoff": row.founder_payoff,
+            "grand_value": row.grand_value,
+            "asymptote": row.asymptotic_founder_share,
+            "degenerate": row.degenerate,
+        } for row in self.rows]
         return {"scenario": self.scenario, "rows": rows,
-                "gaps_monotone": self.table.gaps_monotone()}
+                "gaps_monotone": gaps_monotone(self.rows)}
 
     def csv_table(self) -> tuple[tuple[str, ...], list[tuple]]:
         header = ("n", "founder_share", "crowd_share", "asymptote", "degenerate")
-        rows = []
-        for row in self.table.rows:
-            report = row.report
-            rows.append((
-                row.n,
-                "" if report.founder_share is None else report.founder_share,
-                "" if report.crowd_share is None else report.crowd_share,
-                "" if report.asymptotic_founder_share is None
-                else report.asymptotic_founder_share,
-                report.degenerate,
-            ))
-        return header, rows
+        rows = [(row.n, row.founder_share, row.crowd_share, row.asymptotic_founder_share,
+                 row.degenerate) for row in self.rows]
+        return header, [tuple("" if x is None else x for x in row) for row in rows]
 
     def to_text(self) -> str:
         lines = [f"share sweep: model={self.scenario['model']}"]
         lines.append(f"{'n':>8}  {'founder_share':>14}  {'asymptote':>10}")
-        for row in self.table.rows:
-            report = row.report
-            share = ("degenerate" if report.founder_share is None
-                     else f"{report.founder_share:.6f}")
-            asym = ("-" if report.asymptotic_founder_share is None
-                    else f"{report.asymptotic_founder_share:.6f}")
+        for row in self.rows:
+            share = ("degenerate" if row.founder_share is None
+                     else f"{row.founder_share:.6f}")
+            asym = ("-" if row.asymptotic_founder_share is None
+                    else f"{row.asymptotic_founder_share:.6f}")
             lines.append(f"{row.n:>8}  {share:>14}  {asym:>10}")
-        monotone = self.table.gaps_monotone()
+        monotone = gaps_monotone(self.rows)
         if monotone is not None:
             lines.append(f"gap to asymptote monotone nonincreasing: {monotone}")
         return "\n".join(lines) + "\n"

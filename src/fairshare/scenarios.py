@@ -69,6 +69,10 @@ METHODS = ("closed", "exact", "sample", "all")
 
 DEFAULT_PERMUTATIONS = 20_000
 
+# the least value of each sampler field, in the order a file's are checked; the
+# solve flags of the same names have the same minimums
+SAMPLE_MINIMUMS = {"permutations": 1, "seed": 0}
+
 
 class ScenarioError(ParamsError):
     """A scenario failed validation; `errors` lists every violation found."""
@@ -168,12 +172,9 @@ MODELS: dict[str, ModelSpec] = {
                                   coarse_game, shapley_coarse),
     "oligopoly_fine": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
                                 fine_game, shapley_fine_closed, closed_fine_refusal),
-    "geo": ModelSpec(validate_geo, _parse_geo, _dump_geo,
-                     lambda p: geo_game(p.census, p.rho, p.variant),
-                     lambda p: geo_shapley(p.census, p.rho, p.variant)),
+    "geo": ModelSpec(validate_geo, _parse_geo, _dump_geo, geo_game, geo_shapley),
     "geo_founder": ModelSpec(validate_geo, _parse_geo, _dump_geo,
-                             lambda p: geo_founder_game(p.census, p.rho, p.variant),
-                             lambda p: geo_founder_shapley(p.census, p.rho, p.variant)),
+                             geo_founder_game, geo_founder_shapley),
 }
 
 # the models whose params sweep: `CssParams`, which define `closed_at`
@@ -220,10 +221,9 @@ def _read_scenario(data: Any) -> tuple[list[str], Scenario | None]:
         errors.append("label: expected a string")
     sample = data.get("sample")
     if sample is not None and check_object(sample, errors, "sample"):
-        check_keys(sample, ("permutations", "seed"), errors, "sample")
-        check_int(sample, "permutations", errors, prefix="sample",
-                  minimum=1, required=False)
-        check_int(sample, "seed", errors, prefix="sample", minimum=0, required=False)
+        check_keys(sample, tuple(SAMPLE_MINIMUMS), errors, "sample")
+        for key, minimum in SAMPLE_MINIMUMS.items():
+            check_int(sample, key, errors, prefix="sample", minimum=minimum, required=False)
     params = data.get("params")
     typed = None
     if params is None:

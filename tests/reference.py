@@ -27,7 +27,7 @@ from fairshare.core import (
     RosterTooLargeError,
     coalition_value_table,
 )
-from fairshare.geo import DiskCensus, GeoVariant, _worth
+from fairshare.geo import DiskCensus, GeoParams, GeoVariant
 from fairshare.models import SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph, minor_blocks
 
@@ -228,14 +228,23 @@ def _mass(census: DiskCensus, agents: Iterable[int]) -> float:
     return math.fsum(effective_size(census, i) for i in members)
 
 
+def _geo_worth(census: DiskCensus, rho: float, variant: GeoVariant) -> Callable:
+    """rho times an effective mass (`lin`) or its square (`met`), once
+    `GeoParams` has accepted the params: it refuses a bad variant or rho."""
+    GeoParams(census, variant, rho)
+    if variant == "lin":
+        return lambda mass: rho * mass
+    return lambda mass: rho * mass * mass
+
+
 def nu_lin(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
     """Linear coalition value: rho times the coalition's effective user mass."""
-    return _worth(census, rho, "lin")(_mass(census, agents))
+    return _geo_worth(census, rho, "lin")(_mass(census, agents))
 
 
 def nu_met(census: DiskCensus, agents: Iterable[int], rho: float) -> float:
     """Quadratic coalition value: rho times the squared effective user mass."""
-    return _worth(census, rho, "met")(_mass(census, agents))
+    return _geo_worth(census, rho, "met")(_mass(census, agents))
 
 
 def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
@@ -244,7 +253,7 @@ def geo_founder_value(census: DiskCensus, rho: float, variant: GeoVariant,
 
     Player 0 is the founder; player i >= 1 is agent i.
     """
-    worth = _worth(census, rho, variant)
+    worth = _geo_worth(census, rho, variant)
     if int(s) >> (census.num_agents + 1):
         raise ValueError("coalition contains players outside the founder roster")
     if 0 not in s:

@@ -21,6 +21,7 @@ from fairshare.core import (
 from fairshare.empirical import load_revenue_records, parse_window, revenue_share
 from fairshare.geo import (
     DiskCensus,
+    GeoParams,
     geo_founder_game,
     geo_founder_shapley,
     geo_game,
@@ -160,16 +161,14 @@ def test_criterion_1_oracle_equivalence():
     for variant in ("lin", "met"):
         for i in range(instances):
             census = random_census(rng)
-            compare_payoffs(f"geo-{variant}#{i}",
-                            geo_shapley(census, 1.25, variant),
-                            shapley_exact(geo_game(census, 1.25, variant)),
-                            failures)
+            params = GeoParams(census, rho=1.25, variant=variant)
+            compare_payoffs(f"geo-{variant}#{i}", geo_shapley(params),
+                            shapley_exact(geo_game(params)), failures)
         for i in range(instances):
             census = random_census(rng)
-            compare_payoffs(f"geo-founder-{variant}#{i}",
-                            geo_founder_shapley(census, 0.8, variant),
-                            shapley_exact(geo_founder_game(census, 0.8, variant)),
-                            failures)
+            params = GeoParams(census, rho=0.8, variant=variant)
+            compare_payoffs(f"geo-founder-{variant}#{i}", geo_founder_shapley(params),
+                            shapley_exact(geo_founder_game(params)), failures)
     elapsed = time.perf_counter() - start
     if elapsed > 60.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
@@ -232,10 +231,10 @@ def test_criterion_4_geo_founder_oracle_and_band():
     for i in range(60):
         census = random_census(rng)
         for variant in ("lin", "met"):
-            closed = geo_founder_shapley(census, 1.0, variant)
-            exact = shapley_exact(geo_founder_game(census, 1.0, variant))
+            closed = geo_founder_shapley(GeoParams(census, rho=1.0, variant=variant))
+            exact = shapley_exact(geo_founder_game(GeoParams(census, rho=1.0, variant=variant)))
             compare_payoffs(f"census#{i}-{variant}", closed, exact, failures)
-        met = geo_founder_shapley(census, 1.0, "met")
+        met = geo_founder_shapley(GeoParams(census, rho=1.0, variant="met"))
         if met.grand_value > 0:
             share = met.payoffs[0] / met.grand_value
             if not (1 / 3 - 1e-12 <= share <= 0.5 + 1e-12):
@@ -313,9 +312,9 @@ def model_zoo():
         [("v", 2), ("w", 2)], [("v", "w")]))
     census = DiskCensus(3, {frozenset({1}): 4, frozenset({1, 2}): 2,
                             frozenset({2, 3}): 3, frozenset({3}): 1})
-    yield "geo met", geo_game(census, 1.0, "met")
-    yield "geo founder lin", geo_founder_game(census, 1.0, "lin")
-    yield "geo founder met", geo_founder_game(census, 1.0, "met")
+    yield "geo met", geo_game(GeoParams(census, rho=1.0, variant="met"))
+    yield "geo founder lin", geo_founder_game(GeoParams(census, rho=1.0, variant="lin"))
+    yield "geo founder met", geo_founder_game(GeoParams(census, rho=1.0, variant="met"))
 
 
 def test_criterion_7_axiom_suite():

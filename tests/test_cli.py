@@ -1,6 +1,7 @@
 """End-to-end tests of the command line and its exit codes."""
 
 import argparse
+import collections
 import contextlib
 import inspect
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairshare import cli, core
+from fairshare import checks, cli, core, geo, models, oligopoly
 from fairshare.cli import (
     EXIT_CAP,
     EXIT_IO,
@@ -24,7 +25,14 @@ from fairshare.cli import (
     sweep_scenario,
 )
 from fairshare.core import DEFAULT_EXACT_CAP, CoalitionGame, shapley_exact
-from fairshare.scenarios import METHODS, ScenarioError, load_scenario, parse_scenario
+from fairshare.scenarios import (
+    METHODS,
+    MODELS,
+    SWEEPABLE,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -309,6 +317,97 @@ def test_cli_weighted_ends_in_a_documented_exit_at_every_magnitude(tmp_path):
                 strict_json(out)
 
     check()
+
+
+COUNTS = st.one_of(st.integers(0, 6), st.integers(0, 10 ** 9), st.integers(0, 10 ** 400))
+
+
+@st.composite
+def graph_and_census_runs(draw):
+    """A graph or census model's scenario, with sizes and counts up to 10^400."""
+    model = draw(st.sampled_from(["oligopoly_coarse", "oligopoly_fine", "geo", "geo_founder"]))
+    rho = draw(MAGNITUDES)
+    if model.startswith("oligopoly"):
+        ids = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+        pairs = [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:]]
+        return model, {"vertices": [{"id": v, "size": draw(COUNTS)} for v in ids],
+                       "edges": [pair for pair in pairs if draw(st.booleans())], "rho": rho}
+    m = draw(st.integers(1, 4))
+    subsets = st.frozensets(st.integers(1, m), min_size=1).map(
+        lambda ids: ",".join(map(str, sorted(ids))))
+    return model, {"census": {"m": m, "d": draw(st.dictionaries(subsets, COUNTS, max_size=5))},
+                   "variant": draw(st.sampled_from(["lin", "met"])), "rho": rho}
+
+
+def test_cli_graph_and_census_models_end_in_a_documented_exit_at_every_magnitude(tmp_path):
+    path = tmp_path / "scenario.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_census_runs())
+    def check(run):
+        model, params = run
+        path.write_text(json.dumps({"model": model, "params": params,
+                                    "sample": {"permutations": 40, "seed": 1}}),
+                        encoding="utf-8")
+        scenario = ["--scenario", str(path)]
+        commands = [["validate", *scenario]]
+        commands += [["solve", *scenario, "--method", method, "--exact-cap", "16",
+                      "--format", "json"] for method in METHODS]
+        for argv in commands:
+            code, out, err = run_cli(argv)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CAP, EXIT_IO), argv
+            if code != EXIT_OK:
+                assert err.startswith("error:"), argv
+            elif argv[0] == "validate":
+                assert out.startswith("ok:")
+            else:
+                strict_json(out)
+
+    check()
+
+
+@pytest.fixture
+def validator_runs(monkeypatch):
+    """How often each params validator has run through `checks.raise_invalid`."""
+    runs = collections.Counter()
+    raise_invalid = checks.raise_invalid
+
+    def counted(validate, params):
+        runs[validate.__name__] += 1
+        return raise_invalid(validate, params)
+
+    for module in (checks, geo, models, oligopoly):
+        monkeypatch.setattr(module, "raise_invalid", counted)
+    return runs
+
+
+def assert_validated_once(runs, model):
+    own = MODELS[model].validate.__name__
+    assert runs[own] == 1, runs
+    # a census given as placements is checked as placements, then as counts
+    assert set(runs) <= {own, "validate_census"}, runs
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("path", BUNDLED, ids=[path.stem for path in BUNDLED])
+def test_solve_runs_each_model_validator_once(path, method, tmp_path, validator_runs):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.update(method=method, sample={"permutations": 50, "seed": 0})
+    scenario = write_scenario(tmp_path, data)
+    code, _, err = run_cli(["solve", "--scenario", str(scenario), "--exact-cap", "16",
+                            "--format", "json"])
+    assert code == EXIT_OK, err
+    assert_validated_once(validator_runs, data["model"])
+
+
+@pytest.mark.parametrize("path", [path for path in BUNDLED
+                                  if json.loads(path.read_text())["model"] in SWEEPABLE],
+                         ids=lambda path: path.stem)
+def test_sweep_runs_each_model_validator_once(path, validator_runs):
+    sizes = ",".join(str(10 ** e) for e in range(7))
+    code, _, err = run_cli(["sweep", "--scenario", str(path), "--n-values", sizes])
+    assert code == EXIT_OK, err
+    assert_validated_once(validator_runs, json.loads(path.read_text())["model"])
 
 
 def test_cli_sweep_overflow_fails_before_the_power_sum(tmp_path):

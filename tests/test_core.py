@@ -30,7 +30,7 @@ from fairshare.core import (
     shapley_exact,
     shapley_sample,
 )
-from fairshare.geo import DiskCensus, geo_founder_game, geo_game
+from fairshare.geo import DiskCensus, GeoParams, geo_founder_game, geo_game
 from fairshare.models import (
     ProfitCssParams,
     SingleCssParams,
@@ -221,8 +221,9 @@ def exact_games(n):
         "oligopoly_fine": lambda: fine_game(OligopolyGraph.from_spec(
             [("a", 4 + extra), ("b", 3 + extra), ("c", 3 + extra), ("d", 2 + extra)],
             [("a", "b"), ("b", "c"), ("c", "d")])),
-        "geo": lambda: geo_game(ring_census(n), 0.8, "met"),
-        "geo_founder": lambda: geo_founder_game(ring_census(n - 1), 1.3, "met"),
+        "geo": lambda: geo_game(GeoParams(ring_census(n), rho=0.8, variant="met")),
+        "geo_founder": lambda: geo_founder_game(
+            GeoParams(ring_census(n - 1), rho=1.3, variant="met")),
     }
 
 
@@ -419,9 +420,9 @@ EXACT_SAMPLER_GAMES = {
 
 FLOAT_SAMPLER_GAMES = {
     "weighted": lambda: (weighted_game(WEIGHTED), functools.partial(value_weighted, WEIGHTED)),
-    "geo": lambda: (geo_game(CENSUS, 0.8, "met"),
+    "geo": lambda: (geo_game(GeoParams(CENSUS, rho=0.8, variant="met")),
                     lambda s: nu_met(CENSUS, [p + 1 for p in s.members()], 0.8)),
-    "geo_founder": lambda: (geo_founder_game(CENSUS, 1.3, "met"),
+    "geo_founder": lambda: (geo_founder_game(GeoParams(CENSUS, rho=1.3, variant="met")),
                             functools.partial(geo_founder_value, CENSUS, 1.3, "met")),
 }
 
@@ -557,7 +558,7 @@ def test_sampler_stderr_does_not_cancel_on_an_additive_game():
     # a geo `lin` game of singleton disks is additive: every marginal is
     # constant, so the true stderr is 0
     census = DiskCensus(48, {frozenset({i}): 7 * i % 23 + 1 for i in range(1, 49)})
-    alloc = shapley_sample(geo_game(census, 0.37, "lin"), 500, seed=11)
+    alloc = shapley_sample(geo_game(GeoParams(census, rho=0.37, variant="lin")), 500, seed=11)
     assert max(alloc.stderr) <= 1e-12 * max(abs(p) for p in alloc.payoffs)
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from fairshare.core import shapley_exact
 from fairshare.geo import (
     MAX_CENSUS_AGENTS,
+    MAX_TOTAL_USERS,
     DiskCensus,
+    GeoParams,
     effective_sizes,
     geo_founder_game,
     geo_founder_shapley,
@@ -59,6 +61,21 @@ def test_census_validation():
         DiskCensus(2, {frozenset({3}): 1})
     with pytest.raises(ValueError, match="negative"):
         DiskCensus(2, {frozenset({1}): -1})
+
+
+def test_census_total_is_bounded_so_every_sum_of_sizes_is_a_float():
+    everyone = frozenset({1, 2, 3})
+    census = DiskCensus(3, {everyone: MAX_TOTAL_USERS})
+    for variant in ("lin", "met"):  # no sum of sizes raises; met's squares may be inf
+        params = GeoParams(census, variant, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI solves
+            allocations = [geo_shapley(params), geo_founder_shapley(params),
+                           shapley_exact(geo_game(params)),
+                           shapley_exact(geo_founder_game(params))]
+        if variant == "lin":
+            assert all(math.isfinite(sum(a.payoffs)) for a in allocations)
+    with pytest.raises(ValueError, match=r"^d: the total user count must be at most 2\*\*1023"):
+        DiskCensus(3, {everyone: MAX_TOTAL_USERS, frozenset({1}): 1})
 
 
 def test_census_drops_zero_counts():
@@ -185,10 +202,12 @@ def test_nu_met_rejects_nonpositive_rho():
 GEO_FUNCTIONS = {
     "nu_lin": lambda census, rho, variant: nu_lin(census, [1], rho),
     "nu_met": lambda census, rho, variant: nu_met(census, [1], rho),
-    "geo_game": geo_game,
-    "geo_shapley": geo_shapley,
-    "geo_founder_game": geo_founder_game,
-    "geo_founder_shapley": geo_founder_shapley,
+    "geo_game": lambda census, rho, variant: geo_game(GeoParams(census, variant, rho)),
+    "geo_shapley": lambda census, rho, variant: geo_shapley(GeoParams(census, variant, rho)),
+    "geo_founder_game": lambda census, rho, variant: geo_founder_game(
+        GeoParams(census, variant, rho)),
+    "geo_founder_shapley": lambda census, rho, variant: geo_founder_shapley(
+        GeoParams(census, variant, rho)),
     "geo_founder_value": lambda census, rho, variant: geo_founder_value(
         census, rho, variant, Coalition.from_members([0, 1])),
 }
@@ -221,26 +240,26 @@ def test_agent_sets_are_validated():
 
 def test_geo_shapley_lin_disjoint():
     census = census_from_keys(3, {(1,): 5, (2,): 7, (3,): 1})
-    alloc = geo_shapley(census, rho=2.0, variant="lin")
+    alloc = geo_shapley(GeoParams(census, rho=2.0, variant="lin"))
     assert alloc.payoffs == (10.0, 14.0, 2.0)
 
 
 def test_geo_shapley_met_pair():
     census = census_from_keys(2, {(1,): 10, (2,): 6})
-    alloc = geo_shapley(census, rho=1.0, variant="met")
+    alloc = geo_shapley(GeoParams(census, rho=1.0, variant="met"))
     assert alloc.payoffs == pytest.approx((160.0, 96.0))
     assert alloc.grand_value == pytest.approx(256.0)
 
 
 def test_geo_shapley_single_agent():
     census = census_from_keys(1, {(1,): 9})
-    assert geo_shapley(census, 1.0, "lin").payoffs == (9.0,)
-    assert geo_shapley(census, 1.0, "met").payoffs == (81.0,)
+    assert geo_shapley(GeoParams(census, rho=1.0, variant="lin")).payoffs == (9.0,)
+    assert geo_shapley(GeoParams(census, rho=1.0, variant="met")).payoffs == (81.0,)
 
 
 def test_geo_shapley_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        geo_shapley(five_disk_census(), 1.0, "quadratic")
+        geo_shapley(GeoParams(five_disk_census(), rho=1.0, variant="quadratic"))
 
 
 @pytest.mark.parametrize("variant", ["lin", "met"])
@@ -248,8 +267,8 @@ def test_geo_shapley_matches_exact(variant):
     rng = np.random.default_rng(29)
     for _ in range(25):
         census = random_census(rng)
-        closed = geo_shapley(census, rho=1.25, variant=variant)
-        exact = shapley_exact(geo_game(census, 1.25, variant))
+        closed = geo_shapley(GeoParams(census, rho=1.25, variant=variant))
+        exact = shapley_exact(geo_game(GeoParams(census, rho=1.25, variant=variant)))
         for a, b in zip(closed.payoffs, exact.payoffs):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
@@ -262,7 +281,8 @@ def test_geo_met_bridges_to_complete_agreement_graph():
         [(str(i + 1), int(n)) for i, n in enumerate(sizes)],
         [(str(i + 1), str(j + 1)) for i in range(4) for j in range(i + 1, 4)],
         rho=1.0)
-    assert geo_shapley(census, 1.0, "met").payoffs == shapley_coarse(graph).payoffs
+    met = geo_shapley(GeoParams(census, rho=1.0, variant="met"))
+    assert met.payoffs == shapley_coarse(graph).payoffs
 
 
 # --- founder-augmented games -------------------------------------------------------------
@@ -282,13 +302,13 @@ def test_geo_founder_value_gating():
 
 def test_geo_founder_shapley_lin_pair():
     census = census_from_keys(2, {(1,): 10, (2,): 6})
-    alloc = geo_founder_shapley(census, rho=1.0, variant="lin")
+    alloc = geo_founder_shapley(GeoParams(census, rho=1.0, variant="lin"))
     assert alloc.payoffs == pytest.approx((8.0, 5.0, 3.0))
 
 
 def test_geo_founder_shapley_met_single_agent_splits_evenly():
     census = census_from_keys(1, {(1,): 4})
-    alloc = geo_founder_shapley(census, rho=2.0, variant="met")
+    alloc = geo_founder_shapley(GeoParams(census, rho=2.0, variant="met"))
     assert alloc.payoffs == pytest.approx((16.0, 16.0))
 
 
@@ -297,8 +317,8 @@ def test_geo_founder_shapley_matches_exact(variant):
     rng = np.random.default_rng(37)
     for _ in range(25):
         census = random_census(rng)
-        closed = geo_founder_shapley(census, rho=0.75, variant=variant)
-        exact = shapley_exact(geo_founder_game(census, 0.75, variant))
+        closed = geo_founder_shapley(GeoParams(census, rho=0.75, variant=variant))
+        exact = shapley_exact(geo_founder_game(GeoParams(census, rho=0.75, variant=variant)))
         for a, b in zip(closed.payoffs, exact.payoffs):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
@@ -307,7 +327,7 @@ def test_geo_founder_met_equals_weighted_closed_form():
     census = five_disk_census()
     sizes = effective_sizes(census)
     report = closed_weighted(WeightedCssParams(weights=sizes, alpha=1.0, rho=1.0))
-    alloc = geo_founder_shapley(census, rho=1.0, variant="met")
+    alloc = geo_founder_shapley(GeoParams(census, rho=1.0, variant="met"))
     assert alloc.payoffs[0] == pytest.approx(report.founder_payoff, rel=1e-12)
     for a, b in zip(alloc.payoffs[1:], report.member_payoffs):
         assert a == pytest.approx(b, rel=1e-12)
@@ -319,7 +339,7 @@ def test_geo_founder_met_share_stays_in_band():
         census = random_census(rng)
         if census.total_users == 0:
             continue
-        alloc = geo_founder_shapley(census, rho=1.0, variant="met")
+        alloc = geo_founder_shapley(GeoParams(census, rho=1.0, variant="met"))
         share = alloc.payoffs[0] / alloc.grand_value
         assert 1 / 3 - 1e-12 <= share <= 0.5 + 1e-12
 
@@ -337,7 +357,7 @@ RHOS = st.floats(min_value=1e-300, max_value=1e200)
 
 
 def assert_agents_share_in_band(census, rho):
-    alloc = geo_founder_shapley(census, rho, "met")
+    alloc = geo_founder_shapley(GeoParams(census, rho=rho, variant="met"))
     share = math.fsum(alloc.payoffs[1:]) / alloc.grand_value
     assert 1 / 2 - 1e-12 <= share <= 2 / 3 + 1e-12
 
@@ -358,7 +378,7 @@ def test_geo_founder_met_band_holds_up_to_the_largest_census(census, rho):
 def test_geo_founder_met_share_near_one_third_when_spread():
     # many equal-size agents: the squared-size correction vanishes
     census = census_from_keys(8, {(i,): 5 for i in range(1, 9)})
-    alloc = geo_founder_shapley(census, rho=1.0, variant="met")
+    alloc = geo_founder_shapley(GeoParams(census, rho=1.0, variant="met"))
     share = alloc.payoffs[0] / alloc.grand_value
     assert share == pytest.approx(1 / 3 + 1 / (6 * 8), abs=1e-12)
 
@@ -366,8 +386,8 @@ def test_geo_founder_met_share_near_one_third_when_spread():
 def test_geo_founder_met_empty_census_pays_nothing():
     # no users: the weighted closed form has no positive work unit to use
     for variant in ("lin", "met"):
-        alloc = geo_founder_shapley(DiskCensus(3, {}), rho=1.0, variant=variant)
+        alloc = geo_founder_shapley(GeoParams(DiskCensus(3, {}), rho=1.0, variant=variant))
         assert alloc.payoffs == (0.0,) * 4
         assert alloc.grand_value == 0.0
     with pytest.raises(ValueError, match="positive"):
-        geo_founder_shapley(DiskCensus(3, {}), rho=0.0, variant="met")
+        geo_founder_shapley(GeoParams(DiskCensus(3, {}), rho=0.0, variant="met"))

@@ -24,6 +24,7 @@ from fairshare.models import (
     closed_weighted,
     power_sum,
     profit_game,
+    gaps_monotone,
     repeated_fsum,
     share_sweep,
     single_game,
@@ -482,47 +483,46 @@ def test_sweep_to_a_billion_costs_what_a_small_one_does(params):
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        table = share_sweep(params, [10, 10 ** 6, 10 ** 9])
+        reports = share_sweep(params, [10, 10 ** 6, 10 ** 9])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 1 << 20
-    assert [row.report.n for row in table.rows] == [10, 10 ** 6, 10 ** 9]
-    assert table.rows[-1].report.founder_share == pytest.approx(
-        table.rows[-1].report.asymptotic_founder_share, abs=1e-8)
+    assert [report.n for report in reports] == [10, 10 ** 6, 10 ** 9]
+    assert reports[-1].founder_share == pytest.approx(
+        reports[-1].asymptotic_founder_share, abs=1e-8)
 
 
 # --- sweeps ------------------------------------------------------------------------
 
 
 def test_share_sweep_metcalfe_landmarks():
-    table = share_sweep(SingleCssParams(n=1, k=2, rho=1.0), [10, 100, 1000])
-    shares = [row.report.founder_share for row in table.rows]
+    reports = share_sweep(SingleCssParams(n=1, k=2, rho=1.0), [10, 100, 1000])
+    shares = [report.founder_share for report in reports]
     assert shares == pytest.approx([0.35, 0.335, 0.33350], abs=1e-12)
-    assert table.gaps_monotone()
+    assert gaps_monotone(reports)
 
 
 def test_share_sweep_linear_is_flat():
-    table = share_sweep(SingleCssParams(n=1, k=1, rho=3.0), [2, 5, 10, 50])
-    assert all(row.report.founder_share == 0.5 for row in table.rows)
+    reports = share_sweep(SingleCssParams(n=1, k=1, rho=3.0), [2, 5, 10, 50])
+    assert all(report.founder_share == 0.5 for report in reports)
 
 
 def test_share_sweep_profit_flags_degenerate_rows():
     params = ProfitCssParams(n=1, k=2, rho=1.0, founder_cost=6.0)
-    table = share_sweep(params, [2, 4, 8, 16])
-    flags = [row.report.degenerate for row in table.rows]
+    reports = share_sweep(params, [2, 4, 8, 16])
+    flags = [report.degenerate for report in reports]
     # rho n^2 < 6n for n < 6, so small crowds lose money
     assert flags == [True, True, False, False]
 
 
 def test_share_sweep_weighted_tiles_pattern():
-    table = share_sweep(WeightedCssParams(weights=(1.0,)), [10, 100])
-    for row in table.rows:
-        assert row.report.n == row.n
-        assert row.report.founder_share == pytest.approx(
-            1 / 3 + 1 / (6 * row.n), abs=1e-12)
+    reports = share_sweep(WeightedCssParams(weights=(1.0,)), [10, 100])
+    for n, report in zip([10, 100], reports, strict=True):
+        assert report.n == n
+        assert report.founder_share == pytest.approx(1 / 3 + 1 / (6 * n), abs=1e-12)
 
 
 def test_share_sweep_rejects_bad_sizes():

@@ -72,6 +72,18 @@ def test_graph_rejects_bad_input():
         OligopolyGraph.from_spec([("A", -1)])
 
 
+def test_graph_network_value_must_fit_a_float():
+    # the network value is 10^308 (+ 2 * 10^307 with the agreement): it fits
+    for edges in ([], [("A", "B")]):
+        graph = OligopolyGraph.from_spec([("A", 10 ** 154), ("B", 10 ** 153)], edges)
+        assert math.isfinite(shapley_coarse(graph).grand_value)
+    overflow = "vertices: the network value .* overflows a float"
+    with pytest.raises(ValueError, match=overflow):
+        OligopolyGraph.from_spec([("A", 10 ** 155)])
+    with pytest.raises(ValueError, match=overflow):  # only the agreement overflows
+        OligopolyGraph.from_spec([("A", 10 ** 154), ("B", 10 ** 154)], [("A", "B")])
+
+
 def test_graph_lookup():
     graph = diamond_graph()
     assert graph.vertex_index("C") == 2

@@ -32,7 +32,7 @@ from fairshare.core import (
     shapley_exact,
     shapley_sample,
 )
-from fairshare.geo import DiskCensus, geo_founder_game
+from fairshare.geo import DiskCensus, GeoParams, geo_founder_game
 from fairshare.models import (
     ProfitCssParams,
     SingleCssParams,
@@ -320,7 +320,7 @@ def test_geo_founder_value_uses_sizes_computed_once(monkeypatch):
     census = DiskCensus(6, {frozenset({1}): 5, frozenset({1, 2}): 3,
                             frozenset({3, 4, 5}): 7, frozenset({6}): 2})
     for variant in ("lin", "met"):
-        game = geo_founder_game(census, 1.5, variant)
+        game = geo_founder_game(GeoParams(census, rho=1.5, variant=variant))
         reference = scalar_game(
             game.n_players, lambda s, v=variant: geo_founder_value(census, 1.5, v, s))
         masks = np.arange(1 << game.n_players, dtype=np.uint64)

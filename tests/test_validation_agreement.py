@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairshare.geo import DiskCensus, geo_shapley
+from fairshare.geo import DiskCensus, GeoParams
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
 from fairshare.scenarios import MODELS, validate_scenario_data
@@ -142,7 +142,11 @@ API_CASES = {
     "graph rho inf": (lambda: OligopolyGraph(("A",), (1,), (), INF), "rho: expected"),
     "census count": (lambda: DiskCensus(2, {frozenset({1}): 2.5}),
                      "d[frozenset({1})]: expected a nonnegative integer count"),
-    "geo rho nan": (lambda: geo_shapley(DiskCensus(2, {frozenset({1}): 2}), NAN, "met"),
+    "graph network overflow": (lambda: OligopolyGraph.from_spec([("A", 10 ** 155)]),
+                               "vertices: the network value"),
+    "census total overflow": (lambda: DiskCensus(2, {frozenset({1}): 2 ** 1024}),
+                              "d: the total user count must be at most"),
+    "geo rho nan": (lambda: GeoParams(DiskCensus(2, {frozenset({1}): 2}), rho=NAN, variant="met"),
                     "rho: expected a finite"),
 }
 
