@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fairshare import core
 from fairshare.checks import check_int
 from fairshare.core import (
     DEFAULT_EXACT_CAP,
@@ -79,14 +80,15 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> Solve
 
     method=all runs the closed form, the exact engine (when the roster fits
     under the cap), the sampler (when the scenario has a sample config), the
-    axiom checks, and the cross-method discrepancy table.
+    axiom checks, and the cross-method discrepancy table. The axiom checks
+    reuse the exact engine's coalition table when they scan the whole roster.
     """
     cap = resolve_exact_cap(exact_cap)
     game = build_game(scenario)
     method = scenario.method
     allocations = {}
     notes = []
-    report = None
+    report = values = None
     # an overflow is refused below, by name, rather than warned about here
     with np.errstate(over="ignore", invalid="ignore"):
         if method in ("closed", "all"):
@@ -95,7 +97,9 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> Solve
                                           else report.as_allocation())
         if method in ("exact", "all"):
             if game.n_players <= cap:
-                allocations["exact"] = shapley_exact(game, cap=cap)
+                # through `core`, so a wrapper on it there sees every table build
+                values = core.coalition_value_table(game, cap=cap)
+                allocations["exact"] = shapley_exact(game, values=values)
             elif method == "exact":
                 raise RosterTooLargeError(
                     f"exact method requested for {game.n_players} players, above the "
@@ -121,7 +125,7 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> Solve
     axioms = None
     if method == "all":
         reference = allocations.get("exact", allocations["closed_form"])
-        axioms = check_axioms(game, reference)
+        axioms = check_axioms(game, reference, values=values)
 
     diagnostics = None
     if report is not None:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_EXACT_CAP = 22      # 2^22 coalition evaluations, seconds-scale
-DEFAULT_STRUCTURE_CAP = 14  # exhaustive pair scans are O(n^2 * 2^n)
+DEFAULT_STRUCTURE_CAP = 14  # pair scans: O(n^2 * 2^n) at worst, when no probe rules a pair out
 MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
 
 # Coalition masks per sampler block: 64 KB per block-sized array, however
@@ -254,6 +254,13 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
     return values
 
 
+def _check_table(values: np.ndarray, n: int) -> None:
+    """Refuse a caller's table that is not one value per coalition of n players."""
+    if np.shape(values) != (1 << n,):
+        raise ValueError(f"a coalition table of {n} players has shape ({1 << n},), "
+                         f"got {np.shape(values)}")
+
+
 def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of a mask-indexed table without and with player i, paired by coalition."""
     v = values.reshape(-1, 2, 1 << i)
@@ -265,6 +272,26 @@ def _split_pair(values: np.ndarray, i: int, j: int) -> np.ndarray:
     return values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
 
 
+@functools.cache
+def _probes(n: int) -> tuple[np.ndarray, ...]:
+    """Probe coalitions of an n-player table, as `np.intp` indices.
+
+    Returns each player's bit; per player, coalitions avoiding it; and the
+    pairs i < j in `np.triu_indices` order with, per pair, coalitions
+    avoiding both. The probes are the empty and the full coalition and the
+    patterns 0101.., 1010.., 0011.., 1100.., with those players' bits cleared.
+    """
+    full = (1 << n) - 1
+    patterns = np.array([0, full] + [int(p * 16, 16) & full for p in "5A3C"], dtype=np.intp)
+    bits = np.left_shift(1, np.arange(n, dtype=np.intp))
+    first, second = np.triu_indices(n, 1)
+    probes = (bits, patterns & ~bits[:, None], first, second,
+              patterns & ~(bits[first] | bits[second])[:, None])
+    for array in probes:  # cached, so every call shares them
+        array.flags.writeable = False
+    return probes
+
+
 def _tree_sum(parts: list[float]) -> float:
     """Sum of a power-of-two number of block sums, added in pairs, level by level."""
     while len(parts) > 1:
@@ -272,18 +299,24 @@ def _tree_sum(parts: list[float]) -> float:
     return float(parts[0])
 
 
-def shapley_exact(game: CoalitionGame, *, cap: int | None = None) -> Allocation:
+def shapley_exact(game: CoalitionGame, *, cap: int | None = None,
+                  values: np.ndarray | None = None) -> Allocation:
     """Exact Shapley payoffs via the subset-weighted sum.
 
     Player i receives sum over coalitions S not containing i of
-    |S|! (n-|S|-1)! / n! times the marginal value of joining S.
+    |S|! (n-|S|-1)! / n! times the marginal value of joining S. `values`,
+    when given, is the game's `coalition_value_table`, used in place of
+    building it again.
 
     Each player's weighted marginals are summed a block at a time, and the
     block sums are added as a binary tree: for power-of-two blocks of at
     least 2^7 entries, the order of numpy's pairwise `np.sum` over them all.
     """
-    values = coalition_value_table(game, cap=DEFAULT_EXACT_CAP if cap is None else cap)
     n = game.n_players
+    if values is None:
+        values = coalition_value_table(game, cap=DEFAULT_EXACT_CAP if cap is None else cap)
+    else:
+        _check_table(values, n)
     half = 1 << (n - 1)
     block = min(_EXACT_BLOCK, half)
     # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!. In `_split` order, the k-th
@@ -363,16 +396,26 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     block = max(1, _SAMPLE_BLOCK_MASKS // n)
     for start in range(0, n_permutations, block):
         rows = min(block, n_permutations - start)
-        perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (rows, 1)), axis=1)
-        masks = np.bitwise_or.accumulate(np.uint64(1) << perms, axis=1)
-        values = game.evaluate(masks.ravel()).reshape(rows, n)
-        gains = np.empty_like(values)
-        np.put_along_axis(gains, perms, np.diff(values, axis=1, prepend=empty), axis=1)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.intp), (rows, 1)), axis=1)
+        values = game.evaluate(np.bitwise_or.accumulate(
+            np.uint64(1) << perms.view(np.uint64), axis=1).ravel())
+        # Marginals: each value minus the one before it, and the first of
+        # each join order minus v(empty). Each step writes into an array it
+        # owns and spent arrays go at once, so a block holds about four
+        # block-sized arrays and reuses the heap the last block freed.
+        marginals = np.empty_like(values)
+        np.subtract(values[1:], values[:-1], out=marginals[1:])
+        np.subtract(values[::n], empty, out=marginals[::n])
+        del values
+        gains = np.empty((rows, n))
+        np.put_along_axis(gains, perms, marginals.reshape(rows, n), axis=1)
+        del perms, marginals
         if start == 0:
-            shift = gains[0]
+            shift = gains[0].copy()
         sums = _running_total(sums, gains)
-        deviations = gains - shift
-        sumsq = _running_total(sumsq, deviations * deviations)
+        gains -= shift
+        gains *= gains
+        sumsq = _running_total(sumsq, gains)
     payoffs = tuple(s / n_permutations for s in sums.tolist())
     if n_permutations == 1:
         stderr = (0.0,) * n
@@ -401,18 +444,27 @@ class AxiomReport:
         return self.efficiency_ok and self.null_ok and self.symmetry_ok
 
 
-def check_axioms(game: CoalitionGame, allocation: Allocation, *,
-                 tol: float = 1e-9, detect_cap: int | None = None) -> AxiomReport:
+def check_axioms(game: CoalitionGame, allocation: Allocation, *, tol: float = 1e-9,
+                 detect_cap: int | None = None,
+                 values: np.ndarray | None = None) -> AxiomReport:
     """Report-only audit of an allocation against the fairness axioms.
 
     Null players and interchangeable pairs are detected by exhaustive scan
-    of the coalition table when the roster is within `detect_cap`; above it
-    only efficiency is checked and the report is marked non-exhaustive.
+    of the coalition table (`values`, when given, else built here) when the
+    roster is within `detect_cap`; above it only efficiency is checked and
+    the report is marked non-exhaustive.
     Payoffs compare within `tol * max(1, |grand|)` plus 3 stderr if sampled.
+
+    A player or pair with one probe coalition's gap above the detection
+    tolerance is ruled out without a full scan. A pair whose full gap is
+    exactly 0 leaves the table unchanged when swapped, so two players linked
+    by such swaps are interchangeable and are not scanned again.
     """
     n = game.n_players
     if allocation.n_players != n:
         raise ValueError("allocation does not match the game roster")
+    if values is not None:
+        _check_table(values, n)
     detect_cap = DEFAULT_STRUCTURE_CAP if detect_cap is None else detect_cap
     grand = allocation.grand_value
     stderr = allocation.stderr or (0.0,) * n  # present exactly when sampled
@@ -425,16 +477,27 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
     pairs: tuple[tuple[int, int], ...] = ()
     exhaustive = n <= detect_cap
     if exhaustive:
-        values = coalition_value_table(game, cap=detect_cap)
+        if values is None:
+            values = coalition_value_table(game, cap=detect_cap)
         detect_tol = 1e-12 * max(1.0, abs(grand))
-        nulls = tuple(i for i in range(n)
+        bits, solo, first, second, pair = _probes(n)
+        # NaN > detect_tol is false, so a NaN probe leaves the verdict to the full scan
+        gaps = np.abs(values[solo | bits[:, None]] - values[solo])
+        nulls = tuple(i for i in np.flatnonzero(~np.any(gaps > detect_tol, axis=1)).tolist()
                       if np.max(np.abs(np.subtract(*_split(values, i)))) <= detect_tol)
+        gaps = np.abs(values[pair | bits[first, None]] - values[pair | bits[second, None]])
+        alive = ~np.any(gaps > detect_tol, axis=1)
+        label = list(range(n))  # equal for players linked by exact swaps
         found_pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
+        for i, j in zip(first[alive].tolist(), second[alive].tolist()):
+            if label[i] != label[j]:
                 v = _split_pair(values, i, j)
-                if np.max(np.abs(v[:, 0, :, 1, :] - v[:, 1, :, 0, :])) <= detect_tol:
-                    found_pairs.append((i, j))
+                gap = np.max(np.abs(v[:, 0, :, 1, :] - v[:, 1, :, 0, :]))
+                if not gap <= detect_tol:
+                    continue
+                if gap == 0.0:
+                    label = [label[i] if c == label[j] else c for c in label]
+            found_pairs.append((i, j))
         pairs = tuple(found_pairs)
 
     payoffs = allocation.payoffs

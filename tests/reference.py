@@ -1,11 +1,12 @@
 """Reference implementations that the tests hold the package to.
 
 Coalitions as sets, the models' scalar characteristic functions, two
-Shapley engines independent of `shapley_exact`, and the whole-array form of
-`shapley_exact` whose bits it must keep. The package computes from
-batch tables and closed forms; these compute the same values one coalition
-at a time, the slow and plain way, so that every table and closed form has
-something to be compared against.
+Shapley engines independent of `shapley_exact`, the whole-array form of
+`shapley_exact` whose bits it must keep, and the exhaustive scans whose
+verdicts the axiom audit and `is_supermodular` must give. The package
+computes from batch tables and closed forms; these compute the same values
+one coalition at a time, the slow and plain way, so that every table and
+closed form has something to be compared against.
 """
 
 from __future__ import annotations
@@ -145,6 +146,45 @@ def shapley_exact_whole(game: CoalitionGame) -> Allocation:
         gains *= weights.reshape(-1, 2, 1 << i)[:, 0, :]
         payoffs.append(float(np.sum(gains)))
     return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
+
+
+# --- axiom audit -----------------------------------------------------------------------
+
+def axiom_structure(values: np.ndarray, grand: float) -> tuple[tuple, tuple]:
+    """Null players and interchangeable pairs of a mask-indexed table, by
+    scanning every coalition for every player and every pair i < j.
+
+    Detection tolerance `1e-12 * max(1, |grand|)`; a NaN gap fails it.
+    """
+    n = values.size.bit_length() - 1
+    detect_tol = 1e-12 * max(1.0, abs(grand))
+    nulls = []
+    for i in range(n):
+        v = values.reshape(-1, 2, 1 << i)
+        if np.max(np.abs(v[:, 0, :] - v[:, 1, :])) <= detect_tol:
+            nulls.append(i)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)  # [.., j, .., i, ..]
+            if np.max(np.abs(v[:, 0, :, 1, :] - v[:, 1, :, 0, :])) <= detect_tol:
+                pairs.append((i, j))
+    return tuple(nulls), tuple(pairs)
+
+
+def supermodular_whole(values: np.ndarray, tol: float = 1e-9) -> bool:
+    """True iff v(S+i+j) - v(S+j) - (v(S+i) - v(S)) >= -slack for every
+    pair and every coalition S avoiding it; a NaN difference passes."""
+    n = values.size.bit_length() - 1
+    slack = tol * max(1.0, float(np.max(np.abs(values))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            grown = v[:, 1, :, 1, :] - v[:, 1, :, 0, :]
+            base = v[:, 0, :, 1, :] - v[:, 0, :, 0, :]
+            if np.any(grown - base < -slack):
+                return False
+    return True
 
 
 def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:

@@ -816,3 +816,42 @@ def test_exact_engine_reaches_the_table_through_core(monkeypatch):
     core.check_axioms(game, shapley_exact(game))
     assert calls == [game, game]
 
+
+
+def count_tables(monkeypatch):
+    """Roster sizes of the coalition tables built from here on."""
+    sizes = []
+    table = core.coalition_value_table
+
+    def counted(game, **kwargs):
+        sizes.append(game.n_players)
+        return table(game, **kwargs)
+
+    monkeypatch.setattr(core, "coalition_value_table", counted)
+    return sizes
+
+
+CROWD_OF_13 = {"model": "single", "params": {"n": 13, "k": 2}, "method": "all"}
+AUDITED = [pytest.param(CROWD_OF_13, id="single-14-players")] + [
+    pytest.param(json.loads(path.read_text(encoding="utf-8")), id=path.stem)
+    for path in BUNDLED]
+
+
+@pytest.mark.parametrize("data", AUDITED)
+def test_method_all_builds_one_table_for_exact_and_the_audit(monkeypatch, data):
+    sizes = count_tables(monkeypatch)
+    report = solve_scenario(parse_scenario(data))
+    n = len(report.players)
+    assert n <= core.DEFAULT_STRUCTURE_CAP and report.axioms.exhaustive
+    assert sizes == [n]
+
+
+@pytest.mark.parametrize("data", AUDITED)
+def test_audit_builds_its_own_table_when_exact_is_skipped(monkeypatch, data):
+    scenario = parse_scenario(data)
+    default = solve_scenario(scenario)
+    n = len(default.players)
+    sizes = count_tables(monkeypatch)
+    below = solve_scenario(scenario, exact_cap=n - 1)
+    assert "exact" not in below.allocations and sizes == [n]
+    assert below.axioms == default.axioms

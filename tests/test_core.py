@@ -2,11 +2,14 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare import core
 from fairshare.core import (
@@ -43,6 +46,7 @@ from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game
 from reference import (
     EMPTY_COALITION,
     Coalition,
+    axiom_structure,
     crowd_count,
     founder_present,
     geo_founder_value,
@@ -51,6 +55,7 @@ from reference import (
     scalar_game,
     shapley_anonymous,
     shapley_permutation_average,
+    supermodular_whole,
     value_coarse,
     value_fine,
     value_profit,
@@ -575,6 +580,21 @@ def test_sampler_memory_is_bounded_by_its_block():
     assert alloc.total() == pytest.approx(63.0, rel=1e-9)
 
 
+def test_sampler_block_holds_few_block_sized_arrays():
+    # 2,000 join orders of 4 players are one block of 8,000 masks; the
+    # sampler's arrays, and the table's temporaries, fit in 5 of its arrays
+    game = anonymous_game(lambda s: float(s * s), 3)
+    assert sample_block(game) >= 2_000
+    shapley_sample(game, 2_000, seed=7)
+    tracemalloc.start()
+    try:
+        shapley_sample(game, 2_000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * core._SAMPLE_BLOCK_MASKS
+
+
 # --- axiom checks ---------------------------------------------------------------
 
 
@@ -648,6 +668,97 @@ def test_axioms_above_detect_cap_is_not_exhaustive():
     assert report.null_players == ()
 
 
+@pytest.mark.parametrize("shape", [(8,), (32,), (4, 4), ()], ids=str)
+def test_a_given_table_of_the_wrong_shape_is_refused(shape):
+    # 4 players have 16 coalitions; a table of any other shape is a caller's error
+    game = additive_game(4)
+    allocation = shapley_exact(game)
+    wrong = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
+        check_axioms(game, allocation, values=wrong)
+    with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
+        check_axioms(game, allocation, values=wrong, detect_cap=3)
+    with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
+        shapley_exact(game, values=wrong)
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+def drawn_game(values):
+    return CoalitionGame(values.size.bit_length() - 1, label="drawn",
+                         table=lambda masks: values[masks])
+
+
+@st.composite
+def audit_tables(draw):
+    """A mask-indexed table with planted interchangeable players, and a grand value.
+
+    Each player is of kind 0-3. The value reads the head counts of kinds 0-2
+    only, so kind-3 players are null and swapping two players of one kind
+    leaves the table exactly unchanged. Then a few entries become ±0, ±inf
+    or NaN, and one pair may get a single gap, at the detection tolerance or
+    just above it, at a coalition the audit does not probe.
+    """
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    planted = n >= 2 and draw(st.booleans())
+    if planted:
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        kind[j] = kind[i]
+    masks = np.arange(1 << n)
+    index = np.zeros(1 << n, dtype=np.intp)
+    for k in range(3):
+        members = sum(1 << p for p in range(n) if kind[p] == k)
+        index = index * (n + 1) + np.bitwise_count(masks & members)
+    values = rng.integers(-4, 5, (n + 1) ** 3)[index] * 2.0 ** draw(st.integers(-60, 60))
+    for _ in range(draw(st.integers(0, 3))):
+        values[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from(SPECIAL))
+    grand = draw(st.sampled_from([float(values[-1]), 1.0, 3.0 * 2.0 ** 40, -math.inf]))
+    if planted:
+        bits, _, first, second, pair = core._probes(n)
+        probed = pair[(first == i) & (second == j)].ravel().tolist()
+        unprobed = [s for s in range(1 << n)
+                    if not s & (bits[i] | bits[j]) and s not in probed]
+        if unprobed:
+            s = unprobed[draw(st.integers(0, len(unprobed) - 1))]
+            detect_tol = 1e-12 * max(1.0, abs(grand))
+            values[s | 1 << i] = draw(st.sampled_from((0.0, -0.0)))
+            values[s | 1 << j] = draw(st.sampled_from(
+                (detect_tol, np.nextafter(detect_tol, math.inf))))
+    return values, grand
+
+
+@settings(max_examples=300, deadline=None)
+@given(audit_tables())
+def test_audit_finds_what_the_exhaustive_scan_finds(drawn):
+    values, grand = drawn
+    n = values.size.bit_length() - 1
+    with np.errstate(invalid="ignore"):
+        report = check_axioms(drawn_game(values), Allocation((0.0,) * n, grand, Method.EXACT))
+        expected = axiom_structure(values, grand)
+    assert (report.null_players, report.symmetric_pairs) == expected
+
+
+def test_interchangeable_crowd_is_scanned_once_per_member(monkeypatch):
+    # 13 crowd members, one exact swap class: one full scan links each member
+    scans = []
+    split_pair = core._split_pair
+
+    def counted(values, i, j):
+        scans.append((i, j))
+        return split_pair(values, i, j)
+
+    monkeypatch.setattr(core, "_split_pair", counted)
+    game = single_game(SingleCssParams(n=13, k=2, rho=1.0))
+    report = check_axioms(game, shapley_exact(game))
+    assert report.symmetric_pairs == tuple(itertools.combinations(range(1, 14), 2))
+    assert report.all_ok
+    assert len(scans) <= game.n_players - 1
+
+
 # --- linearity -------------------------------------------------------------------
 
 
@@ -683,6 +794,31 @@ def test_founder_power_games_are_supermodular(k, n):
 def test_concave_game_is_not_supermodular():
     game = CoalitionGame(4, lambda s: math.sqrt(s.bit_count()))
     assert not is_supermodular(game)
+
+
+@st.composite
+def supermodular_tables(draw):
+    """Squares of a sum of nonnegative integer weights, which is supermodular
+    with a zero margin wherever a weight is zero, scaled by 2^e; then a few
+    entries nudged by a multiple of the slack, or set to ±0, ±inf or NaN."""
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    mass = sum(w * ((np.arange(1 << n) >> p) & 1) for p, w in enumerate(weights))
+    values = (mass * mass).astype(np.float64) * 2.0 ** draw(st.integers(-60, 60))
+    where = st.integers(0, (1 << n) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        slack = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+        values[draw(where)] += draw(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))) * slack
+    for _ in range(draw(st.integers(0, 1))):
+        values[draw(where)] = draw(st.sampled_from(SPECIAL))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(supermodular_tables())
+def test_supermodular_verdict_is_the_exhaustive_scans(values):
+    with np.errstate(invalid="ignore"):
+        assert is_supermodular(drawn_game(values)) == supermodular_whole(values)
 
 
 def test_supermodular_cap_error():
