@@ -5,15 +5,12 @@ from fairshare.core import (
     AxiomReport,
     CoalitionGame,
     DegenerateCrowdError,
-    LinearityReport,
     Method,
     PlayerId,
     PlayerTag,
     RosterTooLargeError,
     anonymous_game,
     check_axioms,
-    check_linearity,
-    is_supermodular,
     shapley_exact,
     shapley_sample,
 )

@@ -39,9 +39,7 @@ from fairshare.scenarios import (
     closed_allocation,
     closed_report,
     load_scenario,
-    parse_scenario,
     scenario_to_data,
-    validate_scenario_data,
 )
 
 EXIT_OK = 0
@@ -210,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _apply_flags(args: argparse.Namespace, scenario: Scenario) -> Scenario:
-    """The scenario with the solve flags written into its data and parsed again,
-    so that a flag is validated and echoed like the same value in the file."""
+def _cmd_solve(args: argparse.Namespace) -> int:
     sample = {key: getattr(args, key) for key in ("seed", "permutations")
               if getattr(args, key) is not None}
     errors: list[str] = []
@@ -220,17 +216,7 @@ def _apply_flags(args: argparse.Namespace, scenario: Scenario) -> Scenario:
         check_int(sample, key, errors, prefix="", minimum=SAMPLE_MINIMUMS[key])
     if errors:
         raise ScenarioError([f"--{error}" for error in errors])
-    if args.method is None and not sample:
-        return scenario
-    data = scenario_to_data(scenario)
-    data["method"] = args.method or data["method"]
-    if sample:
-        data["sample"] = {**data.get("sample", {}), **sample}
-    return parse_scenario(data)
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    scenario = _apply_flags(args, load_scenario(args.scenario))
+    scenario = load_scenario(args.scenario, method=args.method, sample=sample)
     report = solve_scenario(scenario, exact_cap=args.exact_cap)
     emit(report, args.format, args.out)
     return EXIT_OK
@@ -259,10 +245,6 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)  # raises ScenarioError on any problem
-    data = scenario_to_data(scenario)
-    residual = validate_scenario_data(data)
-    if residual:  # round-trip violations would be a bug, not a user error
-        raise ScenarioError(residual)
     print(f"ok: {args.scenario} ({scenario.model}, method={scenario.method})")
     return EXIT_OK
 

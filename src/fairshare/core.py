@@ -508,51 +508,3 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *, tol: float = 1e
     return AxiomReport(efficiency_ok, efficiency_gap, nulls, null_ok,
                        pairs, symmetry_ok, exhaustive)
 
-
-def add_games(game_a: CoalitionGame, game_b: CoalitionGame,
-              label: str = "") -> CoalitionGame:
-    """Pointwise sum of two characteristic functions over a shared roster."""
-    if game_a.n_players != game_b.n_players:
-        raise ValueError(
-            f"roster mismatch: {game_a.n_players} vs {game_b.n_players} players")
-    return CoalitionGame(game_a.n_players, label=label or f"{game_a.label} + {game_b.label}",
-                         players=game_a.players,
-                         table=lambda masks: game_a.evaluate(masks) + game_b.evaluate(masks))
-
-
-@dataclass(frozen=True)
-class LinearityReport:
-    max_gap: float
-    ok: bool
-
-
-def check_linearity(game_a: CoalitionGame, game_b: CoalitionGame, *,
-                    tol: float = 1e-9, cap: int | None = None) -> LinearityReport:
-    """Verify that Shapley payoffs of a game sum equal the per-game sums."""
-    alloc_a = shapley_exact(game_a, cap=cap)
-    alloc_b = shapley_exact(game_b, cap=cap)
-    alloc_sum = shapley_exact(add_games(game_a, game_b), cap=cap)
-    max_gap = max(
-        abs(s - (a + b))
-        for s, a, b in zip(alloc_sum.payoffs, alloc_a.payoffs, alloc_b.payoffs))
-    return LinearityReport(max_gap, max_gap <= tol * max(1.0, abs(alloc_sum.grand_value)))
-
-
-def is_supermodular(game: CoalitionGame, *, cap: int | None = None,
-                    tol: float = 1e-9) -> bool:
-    """True iff marginal contributions never shrink as coalitions grow.
-
-    Uses the pairwise form: for every i != j and every S avoiding both,
-    v(S+i+j) - v(S+j) >= v(S+i) - v(S), within `tol * max(1, max |v(S)|)`.
-    """
-    values = coalition_value_table(game, cap=DEFAULT_STRUCTURE_CAP if cap is None else cap)
-    slack = tol * max(1.0, float(np.max(np.abs(values))))
-    n = game.n_players
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _split_pair(values, i, j)
-            grown = v[:, 1, :, 1, :] - v[:, 1, :, 0, :]
-            base = v[:, 0, :, 1, :] - v[:, 0, :, 0, :]
-            if np.any(grown - base < -slack):
-                return False
-    return True

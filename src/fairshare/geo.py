@@ -120,14 +120,14 @@ class DiskCensus:
 
     Sparse: absent subsets mean zero users. Keys are agent subsets, given as
     frozensets of 1-based agent ids or as comma-joined strings like '1,3',
-    and stored as frozensets. Users covered by no disk are excluded from the
-    counts but tallied in `uncovered_users`. The JSON form names the agent
-    count `m` and the counts `d`, and so do the messages of `validate_census`.
+    and stored as frozensets. Users covered by no disk are tallied apart, in
+    `uncovered_users`, which no payoff reads and equality ignores. The JSON form
+    names the agent count `m` and the counts `d`, as `validate_census` does.
     """
 
     num_agents: int
     counts: Mapping[frozenset[int], int] = field(default_factory=dict)
-    uncovered_users: int = 0
+    uncovered_users: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         raise_invalid(validate_census, {"m": self.num_agents, "d": self.counts})

@@ -249,13 +249,23 @@ def parse_scenario(data: Any) -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a scenario file; unreadable files raise OSError."""
+def load_scenario(path: str | Path, *, method: str | None = None,
+                  sample: dict | None = None) -> Scenario:
+    """Read and parse a scenario file; unreadable files raise OSError.
+
+    `method` and `sample` are written into the file's JSON object before its
+    one parse; a file or sample that is no object is left to the validator."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
+    if isinstance(data, dict):
+        if method is not None:
+            data["method"] = method
+        given = data.get("sample")
+        if sample and (given is None or isinstance(given, dict)):
+            data["sample"] = {**(given or {}), **sample}
     return parse_scenario(data)
 
 

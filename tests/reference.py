@@ -3,17 +3,21 @@
 Coalitions as sets, the models' scalar characteristic functions, two
 Shapley engines independent of `shapley_exact`, the whole-array form of
 `shapley_exact` whose bits it must keep, and the exhaustive scans whose
-verdicts the axiom audit and `is_supermodular` must give. The package
-computes from batch tables and closed forms; these compute the same values
-one coalition at a time, the slow and plain way, so that every table and
-closed form has something to be compared against.
+verdicts the axiom audit must give. The package computes from batch tables
+and closed forms; these compute the same values one coalition at a time, the
+slow and plain way, so that every table and closed form has something to be
+compared against.
+
+The paper's supermodularity and linearity claims are checked here too, by
+`supermodular_whole` on a game's `coalition_value_table` and by
+`check_linearity`; the package itself runs neither audit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -27,6 +31,7 @@ from fairshare.core import (
     Method,
     RosterTooLargeError,
     coalition_value_table,
+    shapley_exact,
 )
 from fairshare.geo import DiskCensus, GeoParams, GeoVariant
 from fairshare.models import SingleCssParams, WeightedCssParams
@@ -185,6 +190,35 @@ def supermodular_whole(values: np.ndarray, tol: float = 1e-9) -> bool:
             if np.any(grown - base < -slack):
                 return False
     return True
+
+
+# --- linearity -------------------------------------------------------------------------
+
+def add_games(game_a: CoalitionGame, game_b: CoalitionGame,
+              label: str = "") -> CoalitionGame:
+    """Pointwise sum of two characteristic functions over a shared roster."""
+    if game_a.n_players != game_b.n_players:
+        raise ValueError(
+            f"roster mismatch: {game_a.n_players} vs {game_b.n_players} players")
+    return CoalitionGame(game_a.n_players, label=label or f"{game_a.label} + {game_b.label}",
+                         players=game_a.players,
+                         table=lambda masks: game_a.evaluate(masks) + game_b.evaluate(masks))
+
+
+@dataclass(frozen=True)
+class LinearityReport:
+    max_gap: float
+    ok: bool
+
+
+def check_linearity(game_a: CoalitionGame, game_b: CoalitionGame, *,
+                    tol: float = 1e-9) -> LinearityReport:
+    """Whether the Shapley payoffs of a game sum equal the per-game sums."""
+    alloc_a, alloc_b, alloc_sum = map(shapley_exact, (game_a, game_b, add_games(game_a, game_b)))
+    max_gap = max(
+        abs(s - (a + b))
+        for s, a, b in zip(alloc_sum.payoffs, alloc_a.payoffs, alloc_b.payoffs))
+    return LinearityReport(max_gap, max_gap <= tol * max(1.0, abs(alloc_sum.grand_value)))
 
 
 def shapley_anonymous(crowd_value: Callable[[int], float], n: int) -> tuple[float, float]:

@@ -13,8 +13,7 @@ import pytest
 from fairshare.core import (
     CoalitionGame,
     check_axioms,
-    check_linearity,
-    is_supermodular,
+    coalition_value_table,
     shapley_exact,
     shapley_sample,
 )
@@ -46,7 +45,7 @@ from fairshare.oligopoly import (
     shapley_coarse,
     shapley_fine_closed,
 )
-from reference import value_coarse
+from reference import check_linearity, supermodular_whole, value_coarse
 
 REL_TOL = 1e-9
 
@@ -335,10 +334,11 @@ def test_criterion_7_axiom_suite():
             failures.append(f"linearity failed: {game_a.label} + {game_b.label}")
     for k in (1, 2):
         for n in range(1, 11):
-            if not is_supermodular(single_game(SingleCssParams(n=n, k=k))):
+            game = single_game(SingleCssParams(n=n, k=k))
+            if not supermodular_whole(coalition_value_table(game)):
                 failures.append(f"single k={k} n={n} not reported supermodular")
     concave = CoalitionGame(4, lambda s: math.sqrt(s.bit_count()), "sqrt of size")
-    if is_supermodular(concave):
+    if supermodular_whole(coalition_value_table(concave)):
         failures.append("concave counterexample reported supermodular")
     elapsed = time.perf_counter() - start
     verdict(7, "efficiency/symmetry/null/linearity hold on the zoo; "

@@ -388,14 +388,19 @@ def assert_validated_once(runs, model):
     assert set(runs) <= {own, "validate_census"}, runs
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method, flags", [(method, False) for method in METHODS]
+                         + [("all", True)], ids=[*METHODS, "all-as-flags"])
 @pytest.mark.parametrize("path", BUNDLED, ids=[path.stem for path in BUNDLED])
-def test_solve_runs_each_model_validator_once(path, method, tmp_path, validator_runs):
+def test_solve_runs_each_model_validator_once(path, method, flags, tmp_path,
+                                              validator_runs):
     data = json.loads(path.read_text(encoding="utf-8"))
-    data.update(method=method, sample={"permutations": 50, "seed": 0})
+    argv = ["--exact-cap", "16", "--format", "json"]
+    if flags:
+        argv += ["--method", method, "--seed", "0", "--permutations", "50"]
+    else:
+        data.update(method=method, sample={"permutations": 50, "seed": 0})
     scenario = write_scenario(tmp_path, data)
-    code, _, err = run_cli(["solve", "--scenario", str(scenario), "--exact-cap", "16",
-                            "--format", "json"])
+    code, _, err = run_cli(["solve", "--scenario", str(scenario), *argv])
     assert code == EXIT_OK, err
     assert_validated_once(validator_runs, data["model"])
 
@@ -406,6 +411,13 @@ def test_solve_runs_each_model_validator_once(path, method, tmp_path, validator_
 def test_sweep_runs_each_model_validator_once(path, validator_runs):
     sizes = ",".join(str(10 ** e) for e in range(7))
     code, _, err = run_cli(["sweep", "--scenario", str(path), "--n-values", sizes])
+    assert code == EXIT_OK, err
+    assert_validated_once(validator_runs, json.loads(path.read_text())["model"])
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
+def test_validate_runs_each_model_validator_once(path, validator_runs):
+    code, _, err = run_cli(["validate", "--scenario", str(path)])
     assert code == EXIT_OK, err
     assert_validated_once(validator_runs, json.loads(path.read_text())["model"])
 
@@ -618,6 +630,48 @@ def test_method_flag_is_validated_like_the_file(tmp_path, capsys, data, method, 
     path = write_scenario(tmp_path, data)
     assert main(["solve", "--scenario", str(path), "--method", method]) == EXIT_VALIDATION
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+WEIGHTED_CUBIC = {"model": "weighted", "params": {"weights": [1.0, 2.0, 0.5], "k": 3}}
+
+
+def test_method_flag_rescues_a_file_valid_only_under_it(tmp_path, capsys):
+    # weighted k=3 has no closed form, so the file's own method "all" is refused
+    path = write_scenario(tmp_path, {**WEIGHTED_CUBIC, "method": "all"})
+    refused = run_json(capsys, "--scenario", str(path))
+    assert refused[0] == EXIT_VALIDATION and "use method 'exact'" in refused[2]
+    exact = write_scenario(tmp_path, {**WEIGHTED_CUBIC, "method": "exact"}, "exact.json")
+    solved = run_json(capsys, "--scenario", str(path), "--method", "exact")
+    assert solved[0] == EXIT_OK
+    assert solved == run_json(capsys, "--scenario", str(exact))
+
+
+def test_flags_replace_an_invalid_value_of_their_own_field(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"model": "single", "params": {"n": 2, "k": 2},
+                                     "method": "fast", "sample": {"seed": -1}})
+    assert main(["validate", "--scenario", str(path)]) == EXIT_VALIDATION
+    errors = capsys.readouterr().err.splitlines()
+    assert [error.split(":")[1] for error in errors] == [" method", " sample.seed"]
+    code, out, _ = run_json(capsys, "--scenario", str(path), "--method", "sample",
+                            "--seed", "3", "--permutations", "20")
+    assert code == EXIT_OK
+    echoed = json.loads(out)["scenario"]
+    assert echoed["method"] == "sample"
+    assert echoed["sample"] == {"permutations": 20, "seed": 3}
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"model": "single", "params": {"n": 3, "k": 2}, "sample": 5},
+], ids=["list", "sample-not-object"])
+def test_flags_leave_a_non_object_to_the_validator(tmp_path, capsys, data):
+    path = str(write_scenario(tmp_path, data))
+    # an uncaught exception would propagate out of `main` and fail the test
+    plain = run_main(capsys, ["solve", "--scenario", path])
+    flagged = run_main(capsys, ["solve", "--scenario", path, "--method", "exact",
+                                "--seed", "1"])
+    assert plain[0] == flagged[0] == EXIT_VALIDATION
+    assert flagged[2] == plain[2] and flagged[2].startswith("error: ")
 
 
 def test_solving_the_echoed_scenario_reproduces_the_output(tmp_path, capsys):

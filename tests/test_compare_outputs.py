@@ -25,7 +25,7 @@ def test_a_tree_matches_itself_on_the_invalid_scenarios():
     tool = load_tool()
     n_cases = len(json.loads(tool.CORPUS.read_text(encoding="utf-8"))["cases"])
     n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("invalid_scenarios",))
-    assert (n_ops, differ) == (2 * n_cases, [])
+    assert (n_ops, differ) == (3 * n_cases, [])
 
 
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
@@ -40,7 +40,9 @@ def test_a_changed_tree_is_listed_op_by_op(tmp_path):
         "known_defects/0000-solve-single-n11: exit, stdout differ ('OverflowError: ")
     assert differ[0].endswith("' -> 0)")
     n_ops, differ = tool.compare(ROOT / "src", tmp_path, 5, ("invalid_scenarios",))
-    assert differ[:2] == ["invalid_scenarios/scenario-not-object/validate: "
+    assert differ[:3] == ["invalid_scenarios/scenario-not-object/validate: "
                           "exit, stdout, stderr differ (2 -> 0)",
                           "invalid_scenarios/scenario-not-object/solve: "
+                          "exit, stdout, stderr differ (2 -> 0)",
+                          "invalid_scenarios/scenario-not-object/solve-own-method: "
                           "exit, stdout, stderr differ (2 -> 0)"]

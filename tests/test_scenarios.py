@@ -368,6 +368,7 @@ def test_parse_returns_or_raises_scenario_error(data):
         return
     assert validate_scenario_data(data) == []
     rewritten = scenario_to_data(scenario)
+    assert parse_scenario(rewritten) == scenario
     assert scenario_to_data(parse_scenario(rewritten)) == rewritten
     # an accepted scenario holds only numbers a float can carry
     for number in _numbers(rewritten["params"]):

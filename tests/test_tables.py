@@ -24,11 +24,8 @@ from fairshare.cli import EXIT_CAP, main
 from fairshare.core import (
     CoalitionGame,
     RosterTooLargeError,
-    add_games,
     check_axioms,
-    check_linearity,
     coalition_value_table,
-    is_supermodular,
     shapley_exact,
     shapley_sample,
 )
@@ -43,12 +40,15 @@ from fairshare.oligopoly import OligopolyGraph
 from fairshare.scenarios import MODELS, GeoParams, build_game, load_scenario
 from reference import (
     Coalition,
+    add_games,
+    check_linearity,
     geo_founder_value,
     marginal_value,
     nu_lin,
     nu_met,
     scalar_game,
     shapley_permutation_average,
+    supermodular_whole,
     value_coarse,
     value_fine,
     value_profit,
@@ -212,7 +212,7 @@ def test_table_path_makes_no_scalar_calls():
     batch_only = dataclasses.replace(game, value=failing_value)
     assert shapley_exact(batch_only) == shapley_exact(game)
     assert check_axioms(batch_only, shapley_exact(game)).all_ok
-    assert is_supermodular(batch_only)
+    assert supermodular_whole(coalition_value_table(batch_only))
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
@@ -243,7 +243,8 @@ def test_scalar_only_game_gives_same_results(path):
     assert axioms.null_players == plain_axioms.null_players
     assert axioms.symmetric_pairs == plain_axioms.symmetric_pairs
     assert axioms.all_ok and plain_axioms.all_ok
-    assert is_supermodular(game) == is_supermodular(plain)
+    assert (supermodular_whole(coalition_value_table(game))
+            == supermodular_whole(coalition_value_table(plain)))
 
 
 def hand_built_game():
@@ -269,11 +270,12 @@ def test_scalar_only_axioms_find_hand_built_null_and_symmetric_players():
 
 
 def test_scalar_only_supermodularity():
-    assert is_supermodular(hand_built_game())
-    assert not is_supermodular(CoalitionGame(4, lambda s: float(s.bit_count()) ** 0.5))
+    assert supermodular_whole(coalition_value_table(hand_built_game()))
+    assert not supermodular_whole(coalition_value_table(
+        CoalitionGame(4, lambda s: float(s.bit_count()) ** 0.5)))
     # the pair (1, 3) is the only one whose joint gain falls short
     dip = scalar_game(4, lambda s: float(s.size ** 2 - 3 * ((1 in s) and (3 in s))))
-    assert not is_supermodular(dip)
+    assert not supermodular_whole(coalition_value_table(dip))
 
 
 # --- add_games --------------------------------------------------------------------

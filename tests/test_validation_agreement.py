@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from fairshare.geo import DiskCensus, GeoParams
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
-from fairshare.scenarios import MODELS, validate_scenario_data
+from fairshare.scenarios import MODELS, parse_scenario, scenario_to_data, validate_scenario_data
 
 # bad values, and valid ones that clash with their neighbours (a duplicate or
 # unknown vertex id, a weight whose work unit overflows or underflows)
@@ -112,7 +112,8 @@ def test_validator_and_typed_params_agree(model):
     @settings(max_examples=400, deadline=None)
     @given(mutated(SCHEMAS[model]))
     def agree(params):
-        errors = validate_scenario_data({"model": model, "params": params, "method": "exact"})
+        data = {"model": model, "params": params, "method": "exact"}
+        errors = validate_scenario_data(data)
         try:
             spec.parse(**params)
             built = True
@@ -121,6 +122,9 @@ def test_validator_and_typed_params_agree(model):
         found = []
         spec.validate(params, found, "params")
         assert (errors == []) == built == (found == []), (params, errors, found)
+        if built:  # what `solve` echoes parses back to the same scenario
+            scenario = parse_scenario(data)
+            assert parse_scenario(scenario_to_data(scenario)) == scenario
 
     agree()
 

@@ -8,8 +8,9 @@ operation of the timed workloads and of `known_defects` is built with
 operations are run through each tree's `fairshare.cli.main`, in one
 subprocess per tree, as the benchmark runs them. The `invalid_scenarios`
 operations run every case of `tests/invalid_scenarios.json` through
-`validate` and through `solve --method all --format json`, so the error
-paths are compared too. An uncaught exception is
+`validate`, through `solve --method all --format json`, whose flag replaces the
+case's own method, and through `solve --format json`, so the error paths are
+compared too. An uncaught exception is
 recorded as its type and message in place of the exit code. The scenario
 directory is replaced by a fixed placeholder in stdout and stderr. Each
 operation whose exit code, stdout or stderr differs is listed, and the exit
@@ -72,9 +73,11 @@ def _corpus_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
         path = work_dir / f"{case['name']}.json"
         text = case["text"] if "text" in case else json.dumps(case["scenario"])
         path.write_text(text, encoding="utf-8")
-        ops += [f"invalid_scenarios/{case['name']}/{command}" for command in ("validate", "solve")]
+        ops += [f"invalid_scenarios/{case['name']}/{op}"
+                for op in ("validate", "solve", "solve-own-method")]
         argvs += [["validate", "--scenario", str(path)],
-                  ["solve", "--scenario", str(path), "--method", "all", "--format", "json"]]
+                  ["solve", "--scenario", str(path), "--method", "all", "--format", "json"],
+                  ["solve", "--scenario", str(path), "--format", "json"]]
     return ops, argvs
 
 
