@@ -48,14 +48,11 @@ class PlayerTag(Enum):
 
 @dataclass(frozen=True)
 class PlayerId:
-    """A player's dense index plus a tag and display name for reporting."""
+    """A player's tag and display name for reporting; its index is its place
+    in the game's roster."""
 
-    index: int
-    tag: PlayerTag = PlayerTag.CROWD
-    name: str = ""
-
-    def display_name(self) -> str:
-        return self.name or str(self.index)
+    tag: PlayerTag
+    name: str
 
 
 def check_roster_size(n_players: int) -> None:
@@ -91,15 +88,11 @@ class CoalitionGame:
 
     def __post_init__(self) -> None:
         check_roster_size(self.n_players)
-        if self.players:
-            if len(self.players) != self.n_players:
-                raise ValueError("player roster length does not match n_players")
-            if sorted(p.index for p in self.players) != list(range(self.n_players)):
-                raise ValueError("player indices must be dense and unique")
-        else:
-            object.__setattr__(
-                self, "players",
-                tuple(PlayerId(i) for i in range(self.n_players)))
+        if not self.players:
+            object.__setattr__(self, "players", tuple(
+                PlayerId(PlayerTag.CROWD, str(i)) for i in range(self.n_players)))
+        elif len(self.players) != self.n_players:
+            raise ValueError("player roster length does not match n_players")
         if self.value is None and self.table is None:
             raise ValueError("a game needs a value or a table")
 
@@ -193,8 +186,8 @@ def weight_sum_table(weights: Sequence[float],
 def crowd_players(n: int) -> tuple[PlayerId, ...]:
     """Founder "g" as player 0, then crowd members "u1".."un" as players 1..n."""
     check_roster_size(n + 1)
-    return (PlayerId(0, PlayerTag.FOUNDER, "g"),) + tuple(
-        PlayerId(i, PlayerTag.CROWD, f"u{i}") for i in range(1, n + 1))
+    return (PlayerId(PlayerTag.FOUNDER, "g"),) + tuple(
+        PlayerId(PlayerTag.CROWD, f"u{i}") for i in range(1, n + 1))
 
 
 def mass_game(units: Sequence[float], worth: Callable, label: str,

@@ -215,8 +215,7 @@ def _worth(params: GeoParams) -> Callable:
 
 def _agent_players(census: DiskCensus, offset: int = 0) -> tuple[PlayerId, ...]:
     check_roster_size(census.num_agents + offset)
-    return tuple(PlayerId(i - 1 + offset, PlayerTag.CSS_VERTEX, str(i))
-                 for i in range(1, census.num_agents + 1))
+    return tuple(PlayerId(PlayerTag.CSS_VERTEX, str(i)) for i in range(1, census.num_agents + 1))
 
 
 def geo_game(params: GeoParams) -> CoalitionGame:
@@ -249,7 +248,7 @@ def geo_founder_game(params: GeoParams) -> CoalitionGame:
     player 0, else the agent-only value of the agents present (player i >= 1
     is agent i), from effective sizes computed once here.
     """
-    players = (PlayerId(0, PlayerTag.FOUNDER, "g"),) + _agent_players(params.census, 1)
+    players = (PlayerId(PlayerTag.FOUNDER, "g"),) + _agent_players(params.census, 1)
     return mass_game(effective_sizes(params.census), _worth(params),
                      f"geo founder {params.variant}", players, founder=True)
 

@@ -19,12 +19,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from fairshare.checks import (
-    ParamsError,
     at,
     check_int,
     check_keys,
     check_num,
-    is_int,
     is_list,
     is_num,
     raise_invalid,
@@ -100,19 +98,6 @@ def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None
         errors.append(f"{at(prefix, 'vertices')}: the network value "
                       "sum(size^2) + 2 sum(size_a size_b) overflows a float")
     check_num(params, "rho", errors, prefix=prefix, positive=True)
-
-
-def closed_fine_refusal(params: Mapping) -> str | None:
-    """Why the fine-grain closed form cannot solve this graph, given in its
-    JSON form, or None: the one text that a closed solve's scenario check and
-    `shapley_fine_closed` report. Bad vertices are left to the validator."""
-    vertices = params.get("vertices")
-    empty = [v.get("id") for v in vertices if isinstance(v, dict)
-             and is_int(v.get("size")) and v["size"] == 0] if is_list(vertices) else []
-    if not empty:
-        return None
-    return (f"vertices: the fine-grain closed form needs every crowd nonempty, but "
-            f"vertices {empty} have none; use method 'exact' or 'sample'")
 
 
 @dataclass(frozen=True)
@@ -209,8 +194,7 @@ def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
-    players = tuple(
-        PlayerId(i, PlayerTag.CSS_VERTEX, vid) for i, vid in enumerate(graph.vertex_ids))
+    players = tuple(PlayerId(PlayerTag.CSS_VERTEX, vid) for vid in graph.vertex_ids)
     return CoalitionGame(graph.n_vertices, label="coarse oligopoly", players=players,
                          table=coarse_table(graph))
 
@@ -246,10 +230,9 @@ def fine_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 def fine_game(graph: OligopolyGraph) -> CoalitionGame:
     check_roster_size(graph.n_vertices + sum(graph.crowd_sizes))
-    players = [PlayerId(v, PlayerTag.FOUNDER, vid) for v, vid in enumerate(graph.vertex_ids)]
-    for vid, block in zip(graph.vertex_ids, minor_blocks(graph)):
-        players += (PlayerId(p, PlayerTag.CROWD, f"{vid}/u{j}")
-                    for j, p in enumerate(block, start=1))
+    players = [PlayerId(PlayerTag.FOUNDER, vid) for vid in graph.vertex_ids]
+    for vid, n in zip(graph.vertex_ids, graph.crowd_sizes):
+        players += (PlayerId(PlayerTag.CROWD, f"{vid}/u{j}") for j in range(1, n + 1))
     return CoalitionGame(len(players), label="fine oligopoly", players=tuple(players),
                          table=fine_table(graph))
 
@@ -261,11 +244,9 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
     minor at vertex v: rho * ((4 n_v - 1) / 6 + sum_w n_w / 2), summing over
     the agreement neighbors w of v. Intra-system terms are the exact
     crowd-count averages; inter-system terms give half of each pairwise
-    product to the majors and spread the rest over the minors.
+    product to the majors and spread the rest over the minors. The major of
+    an empty crowd is a null player, and the formula pays it 0.
     """
-    refusal = closed_fine_refusal(graph.spec())
-    if refusal:
-        raise ParamsError([refusal])
     sizes = graph.crowd_sizes
     blocks = minor_blocks(graph)
     payoffs = [0.0] * blocks[-1].stop

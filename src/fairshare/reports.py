@@ -70,8 +70,8 @@ class SolveReport:
     def to_payload(self) -> dict:
         payload: dict[str, Any] = {
             "scenario": self.scenario,
-            "players": [{"index": p.index, "tag": p.tag.value,
-                         "name": p.display_name()} for p in self.players],
+            "players": [{"index": i, "tag": p.tag.value, "name": p.name}
+                        for i, p in enumerate(self.players)],
             "allocations": {key: _allocation_payload(alloc)
                             for key, alloc in self.allocations.items()},
             "notes": list(self.notes),
@@ -89,9 +89,9 @@ class SolveReport:
         _, alloc = self.primary()
         shares = alloc.shares()
         rows = []
-        for player, payoff in zip(self.players, alloc.payoffs):
-            share = "" if shares is None else shares[player.index]
-            rows.append((player.display_name(), player.tag.value, payoff, share))
+        for i, (player, payoff) in enumerate(zip(self.players, alloc.payoffs)):
+            share = "" if shares is None else shares[i]
+            rows.append((player.name, player.tag.value, payoff, share))
         return ALLOCATION_CSV_HEADER, rows
 
     def to_text(self) -> str:
@@ -102,9 +102,9 @@ class SolveReport:
         lines.append(f"grand value: {alloc.grand_value:.10g}")
         shares = alloc.shares()
         lines.append(f"allocation ({method_key}):")
-        for player, payoff in zip(self.players, alloc.payoffs):
-            share = "" if shares is None else f"  share {shares[player.index]:.6f}"
-            lines.append(f"  {player.display_name():<12} {player.tag.value:<10} "
+        for i, (player, payoff) in enumerate(zip(self.players, alloc.payoffs)):
+            share = "" if shares is None else f"  share {shares[i]:.6f}"
+            lines.append(f"  {player.name:<12} {player.tag.value:<10} "
                          f"{payoff:>16.8g}{share}")
         for key, other in self.allocations.items():
             if key != method_key:

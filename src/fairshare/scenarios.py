@@ -6,9 +6,10 @@ its parameters and the solution method(s) to run:
     {"model": "single", "params": {"n": 3, "k": 2, "rho": 1.0},
      "method": "all", "sample": {"permutations": 20000, "seed": 0}}
 
-`validate_scenario_data` reports every violation it can find rather than
-stopping at the first, so a file can be fixed in one pass. Every model is
-one `ModelSpec` entry in `MODELS`, and the functions here look it up there.
+`parse_scenario` reports every violation it can find, as the `errors` of one
+`ScenarioError`, rather than stopping at the first, so a file can be fixed in
+one pass. Every model is one `ModelSpec` entry in `MODELS`, and the functions
+here look it up there.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from fairshare.models import (
 )
 from fairshare.oligopoly import (
     OligopolyGraph,
-    closed_fine_refusal,
     coarse_game,
     fine_game,
     shapley_coarse,
@@ -171,7 +171,7 @@ MODELS: dict[str, ModelSpec] = {
     "oligopoly_coarse": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
                                   coarse_game, shapley_coarse),
     "oligopoly_fine": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
-                                fine_game, shapley_fine_closed, closed_fine_refusal),
+                                fine_game, shapley_fine_closed),
     "geo": ModelSpec(validate_geo, _parse_geo, _dump_geo, geo_game, geo_shapley),
     "geo_founder": ModelSpec(validate_geo, _parse_geo, _dump_geo,
                              geo_founder_game, geo_founder_shapley),
@@ -234,11 +234,6 @@ def _read_scenario(data: Any) -> tuple[list[str], Scenario | None]:
         return errors, None
     return [], Scenario(model, typed, method,
                         None if sample is None else SampleConfig(**sample), label)
-
-
-def validate_scenario_data(data: Any) -> list[str]:
-    """Collect every schema or invariant violation in a scenario object."""
-    return _read_scenario(data)[0]
 
 
 def parse_scenario(data: Any) -> Scenario:

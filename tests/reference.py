@@ -8,6 +8,8 @@ and closed forms; these compute the same values one coalition at a time, the
 slow and plain way, so that every table and closed form has something to be
 compared against.
 
+`scenario_errors` lists what `parse_scenario` refuses in a scenario object.
+
 The paper's supermodularity and linearity claims are checked here too, by
 `supermodular_whole` on a game's `coalition_value_table` and by
 `check_linearity`; the package itself runs neither audit.
@@ -36,6 +38,7 @@ from fairshare.core import (
 from fairshare.geo import DiskCensus, GeoParams, GeoVariant
 from fairshare.models import SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph, minor_blocks
+from fairshare.scenarios import ScenarioError, parse_scenario
 
 ORACLE_CAP = 9              # n! join orders; anything larger is impractical
 
@@ -368,3 +371,14 @@ def value_fine(graph: OligopolyGraph, s: Coalition) -> float:
     crowd = tuple((mask >> b.start & ((1 << len(b)) - 1)).bit_count() for b in blocks)
     majors = Coalition(mask & ((1 << graph.n_vertices) - 1))
     return value_coarse(replace(graph, crowd_sizes=crowd), majors)
+
+
+# --- scenarios ---------------------------------------------------------------------
+
+def scenario_errors(data: object) -> list[str]:
+    """Every violation `parse_scenario` finds in a scenario object; [] when it parses."""
+    try:
+        parse_scenario(data)
+    except ScenarioError as exc:
+        return exc.errors
+    return []

@@ -621,15 +621,28 @@ def test_method_flag_runs_like_the_method_in_the_file(tmp_path, capsys, path, me
 @pytest.mark.parametrize("data, method, field", [
     ({"model": "weighted", "params": {"weights": [1.0, 2.0], "k": 3}, "method": "exact"},
      "closed", "params.k"),
-    ({"model": "oligopoly_fine", "method": "sample",
-      "params": {"vertices": [{"id": "a", "size": 2}, {"id": "b", "size": 0}],
-                 "edges": [["a", "b"]]}},
-     "all", "params.vertices"),
 ])
 def test_method_flag_is_validated_like_the_file(tmp_path, capsys, data, method, field):
     path = write_scenario(tmp_path, data)
     assert main(["solve", "--scenario", str(path), "--method", method]) == EXIT_VALIDATION
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+def test_fine_closed_form_solves_empty_crowds(tmp_path, capsys):
+    # A and C have no crowd, so their founders are null players
+    data = {"model": "oligopoly_fine", "method": "closed",
+            "params": {"vertices": [{"id": "A", "size": 0}, {"id": "B", "size": 2},
+                                    {"id": "C", "size": 0}],
+                       "edges": [["A", "B"]], "rho": 1.0}}
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", "--scenario", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    code, out, _ = run_json(capsys, "--scenario", str(path))
+    assert code == EXIT_OK
+    payoffs = json.loads(out)["allocations"]["closed_form"]["payoffs"]
+    exact = shapley_exact(oligopoly.fine_game(parse_scenario(data).params))
+    assert payoffs == pytest.approx(exact.payoffs, rel=1e-12, abs=1e-12)
+    assert payoffs[0] == payoffs[2] == 0.0
 
 
 WEIGHTED_CUBIC = {"model": "weighted", "params": {"weights": [1.0, 2.0, 0.5], "k": 3}}

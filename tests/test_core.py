@@ -104,13 +104,13 @@ def test_game_roster_validation():
         CoalitionGame(0, lambda s: 0.0)
     with pytest.raises(ValueError):
         CoalitionGame(65, lambda s: 0.0)
-    with pytest.raises(ValueError):
-        CoalitionGame(2, lambda s: 0.0,
-                      players=(PlayerId(0), PlayerId(0)))
+    with pytest.raises(ValueError, match="roster length"):
+        CoalitionGame(2, lambda s: 0.0, players=(PlayerId(PlayerTag.CROWD, "a"),))
     with pytest.raises(ValueError, match="value or a table"):
         CoalitionGame(3)
     game = CoalitionGame(3, lambda s: 0.0)
-    assert [p.index for p in game.players] == [0, 1, 2]
+    assert [(p.tag, p.name) for p in game.players] == [(PlayerTag.CROWD, str(i))
+                                                       for i in range(3)]
     assert game.grand_coalition == 0b111
 
 

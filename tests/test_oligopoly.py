@@ -154,8 +154,8 @@ def test_shapley_coarse_matches_exact_on_random_graphs():
 
 
 @st.composite
-def graphs(draw, sizes):
-    n = draw(st.integers(1, 6))
+def graphs(draw, sizes, max_vertices=6):
+    n = draw(st.integers(1, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return OligopolyGraph.from_spec([(f"v{v}", draw(sizes)) for v in range(n)],
@@ -238,9 +238,9 @@ def test_fine_game_roster_follows_the_minor_blocks():
     graph = zero_crowd_graph()
     assert minor_blocks(graph) == (range(3, 5), range(5, 5), range(5, 6))
     game = fine_game(graph)
-    assert [(p.index, p.tag, p.name) for p in game.players] == [
-        (0, PlayerTag.FOUNDER, "a"), (1, PlayerTag.FOUNDER, "z"), (2, PlayerTag.FOUNDER, "b"),
-        (3, PlayerTag.CROWD, "a/u1"), (4, PlayerTag.CROWD, "a/u2"), (5, PlayerTag.CROWD, "b/u1")]
+    assert [(p.tag, p.name) for p in game.players] == [
+        (PlayerTag.FOUNDER, "a"), (PlayerTag.FOUNDER, "z"), (PlayerTag.FOUNDER, "b"),
+        (PlayerTag.CROWD, "a/u1"), (PlayerTag.CROWD, "a/u2"), (PlayerTag.CROWD, "b/u1")]
 
 
 def test_fine_game_with_an_empty_crowd_solves_exactly():
@@ -282,10 +282,23 @@ def test_shapley_fine_isolated_vertex_is_single_system_split():
         assert alloc.payoffs[0] == pytest.approx(n * (2 * n + 1) / 6, rel=1e-12)
 
 
-def test_shapley_fine_rejects_empty_crowds():
+def test_shapley_fine_pays_an_empty_crowd_founder_nothing():
     graph = OligopolyGraph.from_spec([("v", 2), ("w", 0)], [("v", "w")])
-    with pytest.raises(ValueError, match="use method 'exact'"):
-        shapley_fine_closed(graph)
+    closed = shapley_fine_closed(graph)
+    assert closed.payoffs[1] == 0.0
+    assert closed.payoffs == pytest.approx(shapley_exact(fine_game(graph)).payoffs,
+                                           rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(st.integers(0, 3), max_vertices=5).filter(
+    lambda g: 0 in g.crowd_sizes and g.n_vertices + sum(g.crowd_sizes) <= 16))
+def test_shapley_fine_with_empty_crowds_is_the_exact_engine(graph):
+    closed = shapley_fine_closed(graph)
+    exact = shapley_exact(fine_game(graph))
+    tol = 1e-12 * max(1.0, abs(exact.grand_value))
+    assert abs(closed.grand_value - exact.grand_value) <= tol
+    assert max(abs(a - b) for a, b in zip(closed.payoffs, exact.payoffs, strict=True)) <= tol
 
 
 def test_shapley_fine_matches_exact_on_random_configs():

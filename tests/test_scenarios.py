@@ -15,6 +15,7 @@ from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
 from fairshare.core import shapley_exact
 from fairshare.scenarios import (
+    METHODS,
     MODELS,
     GeoParams,
     SampleConfig,
@@ -25,8 +26,8 @@ from fairshare.scenarios import (
     load_scenario,
     parse_scenario,
     scenario_to_data,
-    validate_scenario_data,
 )
+from reference import scenario_errors
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -78,19 +79,19 @@ def random_scenario_data(rng):
 
 
 def test_valid_scenario_has_no_errors():
-    assert validate_scenario_data(GOOD_SINGLE) == []
+    assert scenario_errors(GOOD_SINGLE) == []
 
 
 def test_missing_field_named_in_error():
     data = {"model": "single", "params": {"n": 3}, "method": "all"}
-    errors = validate_scenario_data(data)
+    errors = scenario_errors(data)
     assert any("params.k" in e and "missing" in e for e in errors)
 
 
 def test_all_violations_reported_at_once():
     data = {"model": "single", "method": "simulate",
             "params": {"n": 0, "k": "two", "rho": -1.0}}
-    errors = validate_scenario_data(data)
+    errors = scenario_errors(data)
     assert len(errors) >= 4
     assert any("method" in e for e in errors)
     assert any("params.n" in e for e in errors)
@@ -100,18 +101,18 @@ def test_all_violations_reported_at_once():
 
 def test_unknown_fields_flagged():
     data = dict(GOOD_SINGLE, extra=1)
-    assert any("scenario.extra" in e for e in validate_scenario_data(data))
+    assert any("scenario.extra" in e for e in scenario_errors(data))
     data = {"model": "single", "params": {"n": 3, "k": 2, "bogus": 1}}
-    assert any("params.bogus" in e for e in validate_scenario_data(data))
+    assert any("params.bogus" in e for e in scenario_errors(data))
 
 
 def test_non_object_scenario():
-    assert validate_scenario_data([1, 2]) == ["scenario: expected a JSON object"]
+    assert scenario_errors([1, 2]) == ["scenario: expected a JSON object"]
 
 
 def test_weighted_zero_weights_is_invariant_error():
     data = {"model": "weighted", "params": {"weights": [0.0, 0.0]}}
-    errors = validate_scenario_data(data)
+    errors = scenario_errors(data)
     assert any("at least one weight" in e for e in errors)
 
 
@@ -119,15 +120,15 @@ def test_weighted_cubic_closed_form_rejected_but_exact_allowed():
     params = {"weights": [1.0, 2.0], "k": 3}
     closed = {"model": "weighted", "params": params, "method": "closed"}
     exact = {"model": "weighted", "params": params, "method": "exact"}
-    assert any("k=2" in e for e in validate_scenario_data(closed))
-    assert validate_scenario_data(exact) == []
+    assert any("k=2" in e for e in scenario_errors(closed))
+    assert scenario_errors(exact) == []
 
 
 def test_oligopoly_edge_error_names_the_edge():
     data = {"model": "oligopoly_coarse",
             "params": {"vertices": [{"id": "A", "size": 1}],
                        "edges": [["A", "Z"]]}}
-    errors = validate_scenario_data(data)
+    errors = scenario_errors(data)
     assert any("'A'" in e and "'Z'" in e for e in errors)
 
 
@@ -136,24 +137,24 @@ def test_census_requires_exactly_one_form():
         "census": {"m": 2, "d": {"1": 1}, "placements": [[1]]}, "variant": "lin"}}
     neither = {"model": "geo", "params": {"census": {"m": 2}, "variant": "lin"}}
     for data in (both, neither):
-        assert any("exactly one of" in e for e in validate_scenario_data(data))
+        assert any("exactly one of" in e for e in scenario_errors(data))
 
 
 def test_census_key_validation():
     data = {"model": "geo", "params": {
         "census": {"m": 2, "d": {"1,x": 3}}, "variant": "met"}}
-    assert any("comma-joined" in e for e in validate_scenario_data(data))
+    assert any("comma-joined" in e for e in scenario_errors(data))
     data = {"model": "geo", "params": {
         "census": {"m": 2, "d": {"1,5": 3}}, "variant": "met"}}
-    assert any("1..2" in e for e in validate_scenario_data(data))
+    assert any("1..2" in e for e in scenario_errors(data))
 
 
 def test_census_agent_count_has_an_upper_bound():
     def census_data(m):
         return {"model": "geo", "params": {
             "census": {"m": m, "d": {"1": 3}}, "variant": "lin"}}
-    assert validate_scenario_data(census_data(MAX_CENSUS_AGENTS)) == []
-    assert validate_scenario_data(census_data(MAX_CENSUS_AGENTS + 1)) == [
+    assert scenario_errors(census_data(MAX_CENSUS_AGENTS)) == []
+    assert scenario_errors(census_data(MAX_CENSUS_AGENTS + 1)) == [
         f"params.census.m: must be <= {MAX_CENSUS_AGENTS}, "
         f"got {MAX_CENSUS_AGENTS + 1}"]
 
@@ -173,7 +174,7 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400, -(10 ** 400)
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_non_finite_numbers_rejected(model, params, key, bad):
     data = {"model": model, "params": dict(params, **{key: bad})}
-    errors = validate_scenario_data(data)
+    errors = scenario_errors(data)
     assert any(f"params.{key}" in e and "finite" in e for e in errors), errors
     with pytest.raises(ScenarioError):
         parse_scenario(data)
@@ -183,28 +184,23 @@ def test_non_finite_numbers_rejected(model, params, key, bad):
 def test_non_finite_weights_rejected(bad):
     data = {"model": "weighted", "params": {"weights": [1.0, bad]}}
     assert any("params.weights" in e and "finite" in e
-               for e in validate_scenario_data(data))
+               for e in scenario_errors(data))
 
 
-def test_fine_closed_form_needs_nonempty_crowds():
+def test_empty_crowds_are_accepted_under_every_method():
     params = {"vertices": [{"id": "a", "size": 0}, {"id": "b", "size": 2}],
               "edges": [["a", "b"]]}
-    for method in ("closed", "all"):
-        errors = validate_scenario_data(
-            {"model": "oligopoly_fine", "params": params, "method": method})
-        assert any("params.vertices" in e and "['a']" in e for e in errors), errors
-    for method in ("exact", "sample"):
-        data = {"model": "oligopoly_fine", "params": params, "method": method}
-        assert validate_scenario_data(data) == []
-    # the coarse model has no such prerequisite
-    assert validate_scenario_data({"model": "oligopoly_coarse", "params": params}) == []
+    for model in ("oligopoly_fine", "oligopoly_coarse"):
+        for method in METHODS:
+            data = {"model": model, "params": params, "method": method}
+            assert scenario_errors(data) == [], data
 
 
 def test_geo_variant_required_and_checked():
     data = {"model": "geo", "params": {"census": {"m": 1, "d": {"1": 2}}}}
-    assert any("variant" in e for e in validate_scenario_data(data))
+    assert any("variant" in e for e in scenario_errors(data))
     data["params"]["variant"] = "cubic"
-    assert any("variant" in e for e in validate_scenario_data(data))
+    assert any("variant" in e for e in scenario_errors(data))
 
 
 # --- parsing ----------------------------------------------------------------------
@@ -268,17 +264,17 @@ def test_bundled_scenarios_validate_and_round_trip():
     assert len(paths) >= 8
     for path in paths:
         scenario = load_scenario(path)
-        assert validate_scenario_data(scenario_to_data(scenario)) == []
+        assert scenario_errors(scenario_to_data(scenario)) == []
 
 
 def test_generated_scenarios_round_trip():
     rng = np.random.default_rng(59)
     for _ in range(60):
         data = random_scenario_data(rng)
-        assert validate_scenario_data(data) == [], data
+        assert scenario_errors(data) == [], data
         scenario = parse_scenario(data)
         rewritten = scenario_to_data(scenario)
-        assert validate_scenario_data(rewritten) == []
+        assert scenario_errors(rewritten) == []
         # a second pass through parse/emit is a fixed point
         assert scenario_to_data(parse_scenario(rewritten)) == rewritten
 
@@ -290,7 +286,7 @@ def test_round_trip_survives_json_serialization(tmp_path):
         path = tmp_path / f"s{i}.json"
         path.write_text(json.dumps(scenario_to_data(parse_scenario(data))),
                         encoding="utf-8")
-        assert validate_scenario_data(json.loads(path.read_text())) == []
+        assert scenario_errors(json.loads(path.read_text())) == []
 
 
 # --- game builders -----------------------------------------------------------------
@@ -364,9 +360,9 @@ def test_parse_returns_or_raises_scenario_error(data):
     try:
         scenario = parse_scenario(data)
     except ScenarioError:
-        assert validate_scenario_data(data) != []
+        assert scenario_errors(data) != []
         return
-    assert validate_scenario_data(data) == []
+    assert scenario_errors(data) == []
     rewritten = scenario_to_data(scenario)
     assert parse_scenario(rewritten) == scenario
     assert scenario_to_data(parse_scenario(rewritten)) == rewritten

@@ -29,13 +29,17 @@ def closed_scale():
     return workload, first
 
 
-@pytest.fixture
-def runner(tmp_path, monkeypatch, closed_scale):
+def make_runner(workload, directory, monkeypatch):
     from fairshare import cli
     for name in ("emit", "shapley_sample"):     # undo the runner's probes afterwards
         monkeypatch.setattr(cli, name, getattr(cli, name))
-    gen.write_files(closed_scale[0], tmp_path)
-    return run.Runner(tmp_path, Tracer(), run.SpeedProbe())
+    gen.write_files(workload, directory)
+    return run.Runner(directory, Tracer(), run.SpeedProbe())
+
+
+@pytest.fixture
+def runner(tmp_path, monkeypatch, closed_scale):
+    return make_runner(closed_scale[0], tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -47,3 +51,14 @@ def test_a_traced_operation_succeeds_and_records_its_spans(runner, closed_scale,
     assert ("scenarios.load_scenario" in names) == (command != "empirical"), names
     if command == "empirical":
         assert "empirical.revenue_share" in names
+
+
+def test_a_traced_exact_solve_records_the_engine_spans(tmp_path, monkeypatch):
+    # the tracer replaces `CoalitionGame.value` on each game that build_game returns
+    workload = gen.build_workload("audit_small", 5, run.read_bundled())
+    runner = make_runner(workload, tmp_path, monkeypatch)
+    result = runner.execute(workload.ops[0], traced=True)
+    assert result.reasons == []
+    names = {runner.tracer.spans[index].name for index in result.spans}
+    assert {"scenarios.build_game", "core.coalition_value_table", "core.shapley_exact",
+            "core.check_axioms"} <= names, names

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from fairshare.geo import DiskCensus, GeoParams
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
-from fairshare.scenarios import MODELS, parse_scenario, scenario_to_data, validate_scenario_data
+from fairshare.scenarios import MODELS, parse_scenario, scenario_to_data
+from reference import scenario_errors
 
 # bad values, and valid ones that clash with their neighbours (a duplicate or
 # unknown vertex id, a weight whose work unit overflows or underflows)
@@ -113,7 +114,7 @@ def test_validator_and_typed_params_agree(model):
     @given(mutated(SCHEMAS[model]))
     def agree(params):
         data = {"model": model, "params": params, "method": "exact"}
-        errors = validate_scenario_data(data)
+        errors = scenario_errors(data)
         try:
             spec.parse(**params)
             built = True
