@@ -1,8 +1,8 @@
 """Command-line interface: solve, sweep, empirical, validate.
 
 Exit codes: 0 success, 2 validation failure, 3 computational cap exceeded,
-4 I/O error. The exact-engine cap comes from --exact-cap, then the
-FAIRSHARE_EXACT_CAP environment variable, then the built-in default.
+4 I/O error. The exact-engine cap is --exact-cap, which defaults to
+`DEFAULT_EXACT_CAP`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -47,22 +46,6 @@ EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_IO = 4
 
-ENV_EXACT_CAP = "FAIRSHARE_EXACT_CAP"
-
-
-def resolve_exact_cap(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_EXACT_CAP)
-    if env is None:
-        return DEFAULT_EXACT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ScenarioError(
-            [f"{ENV_EXACT_CAP}: expected an integer, got {env!r}"]) from None
-
-
 def _max_gap(a, b) -> float:
     return max(abs(x - y) for x, y in zip(a.payoffs, b.payoffs))
 
@@ -73,7 +56,7 @@ def _check_finite(where: str, numbers: Sequence[float]) -> None:
         raise ScenarioError([f"{where}: result is not finite (a value overflows a float)"])
 
 
-def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> SolveReport:
+def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) -> SolveReport:
     """Run the scenario's requested method(s) and assemble a report.
 
     method=all runs the closed form, the exact engine (when the roster fits
@@ -81,7 +64,6 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> Solve
     axiom checks, and the cross-method discrepancy table. The axiom checks
     reuse the exact engine's coalition table when they scan the whole roster.
     """
-    cap = resolve_exact_cap(exact_cap)
     game = build_game(scenario)
     method = scenario.method
     allocations = {}
@@ -94,17 +76,17 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int | None = None) -> Solve
             allocations["closed_form"] = (closed_allocation(scenario) if report is None
                                           else report.as_allocation())
         if method in ("exact", "all"):
-            if game.n_players <= cap:
+            if game.n_players <= exact_cap:
                 # through `core`, so a wrapper on it there sees every table build
-                values = core.coalition_value_table(game, cap=cap)
+                values = core.coalition_value_table(game, cap=exact_cap)
                 allocations["exact"] = shapley_exact(game, values=values)
             elif method == "exact":
                 raise RosterTooLargeError(
                     f"exact method requested for {game.n_players} players, above the "
-                    f"cap of {cap}; raise --exact-cap or use method 'sample'")
+                    f"cap of {exact_cap}; raise --exact-cap or use method 'sample'")
             else:
                 notes.append(
-                    f"exact engine skipped: {game.n_players} players above cap {cap}")
+                    f"exact engine skipped: {game.n_players} players above cap {exact_cap}")
         if method == "sample" or (method == "all" and scenario.sample is not None):
             cfg = scenario.sample or SampleConfig()
             allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
@@ -175,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampler seed override")
     solve.add_argument("--permutations", type=int, default=None,
                        help="sampler permutation count override")
-    solve.add_argument("--exact-cap", type=int, default=None,
-                       help=f"exact engine player cap (default {DEFAULT_EXACT_CAP}, "
-                            f"or ${ENV_EXACT_CAP})")
+    solve.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
+                       help=f"exact engine player cap (default {DEFAULT_EXACT_CAP})")
     _add_output_flags(solve)
 
     sweep = sub.add_parser("sweep", help="closed-form shares across crowd sizes")

@@ -15,6 +15,7 @@ import numpy as np
 DEFAULT_EXACT_CAP = 22      # 2^22 coalition evaluations, seconds-scale
 DEFAULT_STRUCTURE_CAP = 14  # pair scans: O(n^2 * 2^n) at worst, when no probe rules a pair out
 MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
+AXIOM_TOL = 1e-9            # axiom payoffs compare within this, times max(1, |grand|)
 
 # Coalition masks per sampler block: 64 KB per block-sized array, however
 # many join orders are drawn.
@@ -292,14 +293,14 @@ def _tree_sum(parts: list[float]) -> float:
     return float(parts[0])
 
 
-def shapley_exact(game: CoalitionGame, *, cap: int | None = None,
-                  values: np.ndarray | None = None) -> Allocation:
+def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> Allocation:
     """Exact Shapley payoffs via the subset-weighted sum.
 
     Player i receives sum over coalitions S not containing i of
     |S|! (n-|S|-1)! / n! times the marginal value of joining S. `values`,
     when given, is the game's `coalition_value_table`, used in place of
-    building it again.
+    building it again; without it the table is built here, under
+    `DEFAULT_EXACT_CAP`.
 
     Each player's weighted marginals are summed a block at a time, and the
     block sums are added as a binary tree: for power-of-two blocks of at
@@ -307,7 +308,7 @@ def shapley_exact(game: CoalitionGame, *, cap: int | None = None,
     """
     n = game.n_players
     if values is None:
-        values = coalition_value_table(game, cap=DEFAULT_EXACT_CAP if cap is None else cap)
+        values = coalition_value_table(game)
     else:
         _check_table(values, n)
     half = 1 << (n - 1)
@@ -437,16 +438,15 @@ class AxiomReport:
         return self.efficiency_ok and self.null_ok and self.symmetry_ok
 
 
-def check_axioms(game: CoalitionGame, allocation: Allocation, *, tol: float = 1e-9,
-                 detect_cap: int | None = None,
+def check_axioms(game: CoalitionGame, allocation: Allocation, *,
                  values: np.ndarray | None = None) -> AxiomReport:
     """Report-only audit of an allocation against the fairness axioms.
 
     Null players and interchangeable pairs are detected by exhaustive scan
     of the coalition table (`values`, when given, else built here) when the
-    roster is within `detect_cap`; above it only efficiency is checked and
-    the report is marked non-exhaustive.
-    Payoffs compare within `tol * max(1, |grand|)` plus 3 stderr if sampled.
+    roster is within `DEFAULT_STRUCTURE_CAP`; above it only efficiency is
+    checked and the report is marked non-exhaustive.
+    Payoffs compare within `AXIOM_TOL * max(1, |grand|)` plus 3 stderr if sampled.
 
     A player or pair with one probe coalition's gap above the detection
     tolerance is ruled out without a full scan. A pair whose full gap is
@@ -458,20 +458,19 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *, tol: float = 1e
         raise ValueError("allocation does not match the game roster")
     if values is not None:
         _check_table(values, n)
-    detect_cap = DEFAULT_STRUCTURE_CAP if detect_cap is None else detect_cap
     grand = allocation.grand_value
     stderr = allocation.stderr or (0.0,) * n  # present exactly when sampled
-    slack = tol * max(1.0, abs(grand))
+    slack = AXIOM_TOL * max(1.0, abs(grand))
 
     efficiency_gap = abs(allocation.total() - grand)
     efficiency_ok = efficiency_gap <= slack + 3.0 * math.fsum(stderr)
 
     nulls: tuple[int, ...] = ()
     pairs: tuple[tuple[int, int], ...] = ()
-    exhaustive = n <= detect_cap
+    exhaustive = n <= DEFAULT_STRUCTURE_CAP
     if exhaustive:
         if values is None:
-            values = coalition_value_table(game, cap=detect_cap)
+            values = coalition_value_table(game)
         detect_tol = 1e-12 * max(1.0, abs(grand))
         bits, solo, first, second, pair = _probes(n)
         # NaN > detect_tol is false, so a NaN probe leaves the verdict to the full scan

@@ -18,7 +18,9 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
+
+from fairshare.checks import check_int, check_num, report_missing
 
 BAND = (0.5, 2.0 / 3.0)
 
@@ -176,6 +178,31 @@ def revenue_share(records: Iterable[RevenueRecord], payout_total: float,
                          inside, distance)
 
 
+def _read_record(row: Any) -> RevenueRecord:
+    """One JSON row as a record: an integer year, a string entity, and a
+    revenue and optional payout that are numbers a float can hold. A
+    non-finite float is left to `RevenueRecord`, which names it."""
+    if not isinstance(row, dict):
+        raise ValueError("expected an object")
+    errors: list[str] = []
+    check_int(row, "year", errors, prefix="")
+    if "entity" not in row:
+        report_missing(errors, "entity")
+    elif not isinstance(row["entity"], str):
+        errors.append(f"entity: expected a string, got {row['entity']!r}")
+    if "revenue" not in row:
+        report_missing(errors, "revenue")
+    elif not isinstance(row["revenue"], float):
+        check_num(row, "revenue", errors, prefix="")
+    payout = row.get("payout")
+    if payout is not None and not isinstance(payout, float):
+        check_num(row, "payout", errors, prefix="")
+    if errors:
+        raise ValueError("; ".join(errors))
+    return RevenueRecord(row["year"], row["entity"], float(row["revenue"]),
+                         None if payout is None else float(payout))
+
+
 def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord, ...]:
     """Load revenue records from a JSON file, or the bundled table by default."""
     if path is None:
@@ -185,17 +212,17 @@ def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord,
         text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
+        rows = data.get("records") if isinstance(data, dict) else data
+        if not isinstance(rows, list):
+            raise ValueError(f'{path}: expected a list of records or {{"records": [...]}}')
+        records = []
+        for pos, row in enumerate(rows):
+            try:
+                records.append(_read_record(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad revenue record at index {pos}: {exc}") from exc
+        return tuple(records)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    rows = data.get("records") if isinstance(data, dict) else data
-    if not isinstance(rows, list):
-        raise ValueError(f'{path}: expected a list of records or {{"records": [...]}}')
-    records = []
-    for pos, row in enumerate(rows):
-        try:
-            records.append(RevenueRecord(
-                int(row["year"]), str(row["entity"]), float(row["revenue"]),
-                float(row["payout"]) if row.get("payout") is not None else None))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad revenue record at index {pos}: {exc}") from exc
-    return tuple(records)
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to read") from None

@@ -15,6 +15,7 @@ any value to exist.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Mapping, Sequence
 
@@ -120,19 +121,15 @@ class DiskCensus:
 
     Sparse: absent subsets mean zero users. Keys are agent subsets, given as
     frozensets of 1-based agent ids or as comma-joined strings like '1,3',
-    and stored as frozensets. Users covered by no disk are tallied apart, in
-    `uncovered_users`, which no payoff reads and equality ignores. The JSON form
-    names the agent count `m` and the counts `d`, as `validate_census` does.
+    and stored as frozensets. The JSON form names the agent count `m` and the
+    counts `d`, as `validate_census` does.
     """
 
     num_agents: int
     counts: Mapping[frozenset[int], int] = field(default_factory=dict)
-    uncovered_users: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         raise_invalid(validate_census, {"m": self.num_agents, "d": self.counts})
-        if self.uncovered_users < 0:
-            raise ValueError("uncovered user count cannot be negative")
         clean: dict[frozenset[int], int] = {}
         for key, count in self.counts.items():
             if count:
@@ -146,21 +143,10 @@ class DiskCensus:
 
 
 def region_census(placements: Sequence[UserPlacement], num_agents: int) -> DiskCensus:
-    """Tally users by the exact set of disks covering them.
-
-    Users covered by no disk are dropped from the counts and reported via
-    `uncovered_users`.
-    """
+    """Tally users by the exact set of disks covering them; users covered by
+    no disk are dropped."""
     raise_invalid(validate_census, {"m": num_agents, "placements": placements})
-    counts: dict[frozenset[int], int] = {}
-    uncovered = 0
-    for placement in placements:
-        subset = frozenset(placement)
-        if not subset:
-            uncovered += 1
-            continue
-        counts[subset] = counts.get(subset, 0) + 1
-    return DiskCensus(num_agents, counts, uncovered)
+    return DiskCensus(num_agents, Counter(frozenset(p) for p in placements if p))
 
 
 def validate_geo(params: Mapping, errors: list[str], prefix: str = "") -> None:

@@ -153,9 +153,14 @@ class OligopolyGraph:
             raise ValueError(f"vertex index out of range: {vertex}")
         return int(vertex)
 
-    def neighbors(self, vertex: int) -> tuple[int, ...]:
-        # the other end of each agreement at `vertex`
-        return tuple(sorted(a + b - vertex for a, b in self.edges if vertex in (a, b)))
+    def neighbor_masses(self) -> tuple[int, ...]:
+        """Per vertex, the crowd sizes summed over its agreement neighbors,
+        from one pass over the agreements."""
+        masses = [0] * self.n_vertices
+        for a, b in self.edges:
+            masses[a] += self.crowd_sizes[b]
+            masses[b] += self.crowd_sizes[a]
+        return tuple(masses)
 
 
 # --- coarse grain: one agent per system --------------------------------------
@@ -201,13 +206,10 @@ def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
 
 def shapley_coarse(graph: OligopolyGraph) -> Allocation:
     """Closed-form system payoffs: rho * n_v * (n_v + sum of neighbor sizes)."""
-    sizes = graph.crowd_sizes
-    payoffs = []
-    for v in range(graph.n_vertices):
-        neighbor_mass = sum(sizes[w] for w in graph.neighbors(v))
-        payoffs.append(graph.rho * (sizes[v] ** 2 + sizes[v] * neighbor_mass))
+    payoffs = tuple(graph.rho * (n_v ** 2 + n_v * neighbor_mass) for n_v, neighbor_mass
+                    in zip(graph.crowd_sizes, graph.neighbor_masses()))
     grand = _grand_value(graph)
-    return Allocation(tuple(payoffs), grand, Method.CLOSED_FORM)
+    return Allocation(payoffs, grand, Method.CLOSED_FORM)
 
 
 # --- fine grain: founders and crowd members as separate agents ----------------
@@ -247,12 +249,9 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
     product to the majors and spread the rest over the minors. The major of
     an empty crowd is a null player, and the formula pays it 0.
     """
-    sizes = graph.crowd_sizes
     blocks = minor_blocks(graph)
     payoffs = [0.0] * blocks[-1].stop
-    for v in range(graph.n_vertices):
-        n_v = sizes[v]
-        neighbor_mass = sum(sizes[w] for w in graph.neighbors(v))
+    for v, (n_v, neighbor_mass) in enumerate(zip(graph.crowd_sizes, graph.neighbor_masses())):
         payoffs[v] = graph.rho * (n_v * (2 * n_v + 1) / 6 + n_v * neighbor_mass / 2)
         minor = graph.rho * ((4 * n_v - 1) / 6 + neighbor_mass / 2)
         for p in blocks[v]:
@@ -269,7 +268,7 @@ def fine_major_ratio(graph: OligopolyGraph, vertex: str | int) -> float:
     """
     v = graph.vertex_index(vertex)
     n_v = graph.crowd_sizes[v]
-    neighbor_mass = sum(graph.crowd_sizes[w] for w in graph.neighbors(v))
+    neighbor_mass = graph.neighbor_masses()[v]
     denom = n_v + neighbor_mass
     if denom == 0:
         raise ValueError(

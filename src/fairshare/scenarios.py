@@ -249,19 +249,23 @@ def load_scenario(path: str | Path, *, method: str | None = None,
     """Read and parse a scenario file; unreadable files raise OSError.
 
     `method` and `sample` are written into the file's JSON object before its
-    one parse; a file or sample that is no object is left to the validator."""
+    one parse; a file or sample that is no object is left to the validator.
+    A file nested too deeply for the reader, or for the `repr` of a value in
+    an error message, is refused as a whole."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
+        if isinstance(data, dict):
+            if method is not None:
+                data["method"] = method
+            given = data.get("sample")
+            if sample and (given is None or isinstance(given, dict)):
+                data["sample"] = {**(given or {}), **sample}
+        return parse_scenario(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
-    if isinstance(data, dict):
-        if method is not None:
-            data["method"] = method
-        given = data.get("sample")
-        if sample and (given is None or isinstance(given, dict)):
-            data["sample"] = {**(given or {}), **sample}
-    return parse_scenario(data)
+    except RecursionError:
+        raise ScenarioError([f"{path}: nested too deeply to read"]) from None
 
 
 def scenario_to_data(scenario: Scenario) -> dict:

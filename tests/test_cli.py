@@ -20,11 +20,10 @@ from fairshare.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     main,
-    resolve_exact_cap,
     solve_scenario,
     sweep_scenario,
 )
-from fairshare.core import DEFAULT_EXACT_CAP, CoalitionGame, shapley_exact
+from fairshare.core import CoalitionGame, shapley_exact
 from fairshare.scenarios import (
     METHODS,
     MODELS,
@@ -489,27 +488,7 @@ def test_cli_validate_rejects_huge_and_nan_numbers(tmp_path, capsys):
     assert "params.weights" in capsys.readouterr().err
 
 
-# --- flags and environment -----------------------------------------------------------
-
-
-def test_exact_cap_resolution(monkeypatch):
-    monkeypatch.delenv("FAIRSHARE_EXACT_CAP", raising=False)
-    assert resolve_exact_cap(None) == DEFAULT_EXACT_CAP
-    assert resolve_exact_cap(10) == 10
-    monkeypatch.setenv("FAIRSHARE_EXACT_CAP", "12")
-    assert resolve_exact_cap(None) == 12
-    assert resolve_exact_cap(9) == 9  # flag wins over the environment
-    monkeypatch.setenv("FAIRSHARE_EXACT_CAP", "twelve")
-    with pytest.raises(ScenarioError):
-        resolve_exact_cap(None)
-
-
-def test_env_cap_drives_cli(tmp_path, monkeypatch, capsys):
-    path = write_scenario(tmp_path, {
-        "model": "single", "params": {"n": 8, "k": 2}, "method": "exact"})
-    monkeypatch.setenv("FAIRSHARE_EXACT_CAP", "4")
-    assert main(["solve", "--scenario", str(path)]) == EXIT_CAP
-    capsys.readouterr()
+# --- flags --------------------------------------------------------------------------
 
 
 def test_cli_method_override(tmp_path, capsys):
@@ -840,6 +819,62 @@ def test_cli_empirical_refuses_a_non_finite_record(tmp_path, capsys, row, messag
     text = f'[{{"year": 2020, "entity": "Z", {row}}}, {{"year": 2021, "entity": "Z", "revenue": 1}}]'
     assert run_records(tmp_path, capsys, text) == (
         EXIT_VALIDATION, "", f"error: <records>: bad revenue record at index 0: {message}\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ('"year": 2020.7, "entity": "Z", "revenue": 5', "year: expected an integer, got 2020.7"),
+    ('"year": true, "entity": "Z", "revenue": 5', "year: expected an integer, got True"),
+    ('"year": 2020, "entity": 7, "revenue": 5', "entity: expected a string, got 7"),
+    ('"year": 2020, "entity": "Z", "revenue": "10"',
+     "revenue: expected a finite number, got '10'"),
+    ('"year": 2020, "entity": "Z", "revenue": true', "revenue: expected a finite number, got True"),
+    ('"year": 2020, "entity": "Z", "revenue": null', "revenue: expected a finite number, got None"),
+    (f'"year": 2020, "entity": "Z", "revenue": {10 ** 400}',
+     f"revenue: expected a finite number, got {10 ** 400}"),
+    ('"year": 2020, "entity": "Z", "revenue": 5, "payout": "3"',
+     "payout: expected a finite number, got '3'"),
+    ('"entity": 7, "revenue": 5',
+     "year: missing required field; entity: expected a string, got 7"),
+], ids=["fractional year", "bool year", "number entity", "string revenue", "bool revenue",
+        "null revenue", "revenue beyond a float", "string payout", "every field named"])
+def test_cli_empirical_checks_record_fields_without_coercing(tmp_path, capsys, row, message):
+    text = f'[{{{row}}}, {{"year": 2021, "entity": "Z", "revenue": 1}}]'
+    assert run_records(tmp_path, capsys, text) == (
+        EXIT_VALIDATION, "", f"error: <records>: bad revenue record at index 0: {message}\n")
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "empirical"])
+def test_cli_refuses_a_file_nested_too_deeply(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text(nested(10 ** 5), encoding="utf-8")
+    if command == "empirical":
+        argv = ["empirical", "--records", str(path), "--payout", "1", "--window", "2021"]
+    else:
+        argv = [command, "--scenario", str(path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {path}: nested too deeply to read\n")
+
+
+def test_cli_in_field_nesting_ends_in_a_documented_exit(tmp_path, capsys):
+    # near the recursion limit the reader, or the repr of the value in an
+    # error message, runs out of stack, depending on the depth
+    scenario, records = tmp_path / "scenario.json", tmp_path / "records.json"
+    for depth in range(800, 1001):
+        scenario.write_text(f'{{"model": "single", "params": {{"n": 3, "k": 2, '
+                            f'"rho": {nested(depth)}}}}}', encoding="utf-8")
+        records.write_text(f'[{{"year": 2021, "entity": "Z", "revenue": {nested(depth)}}}]',
+                           encoding="utf-8")
+        for argv in (["validate", "--scenario", str(scenario)],
+                     ["solve", "--scenario", str(scenario)],
+                     ["empirical", "--records", str(records), "--payout", "1",
+                      "--window", "2021"]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_VALIDATION and err.startswith("error: "), (depth, argv)
 
 
 def test_cli_empirical_names_a_window_whose_revenue_overflows(tmp_path, capsys):

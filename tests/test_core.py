@@ -15,6 +15,7 @@ from fairshare import core
 from fairshare.core import (
     Allocation,
     CoalitionGame,
+    DEFAULT_STRUCTURE_CAP,
     DegenerateCrowdError,
     EXACT_BYTES_PER_BLOCK,
     EXACT_BYTES_PER_COALITION,
@@ -177,7 +178,7 @@ def test_exact_additive_game():
 
 def test_exact_cap_error_names_sampler():
     with pytest.raises(RosterTooLargeError, match="shapley_sample"):
-        shapley_exact(additive_game(6), cap=5)
+        coalition_value_table(additive_game(6), cap=5)
 
 
 def test_exact_matches_permutation_average_on_random_games():
@@ -661,8 +662,8 @@ def test_audit_verdicts_do_not_depend_on_the_scale():
 
 
 def test_axioms_above_detect_cap_is_not_exhaustive():
-    game = additive_game(6)
-    report = check_axioms(game, shapley_exact(game), detect_cap=4)
+    game = additive_game(DEFAULT_STRUCTURE_CAP + 1)
+    report = check_axioms(game, shapley_exact(game))
     assert not report.exhaustive
     assert report.efficiency_ok
     assert report.null_players == ()
@@ -676,8 +677,10 @@ def test_a_given_table_of_the_wrong_shape_is_refused(shape):
     wrong = np.zeros(shape)
     with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
         check_axioms(game, allocation, values=wrong)
-    with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
-        check_axioms(game, allocation, values=wrong, detect_cap=3)
+    # above the structure cap the table is not scanned, but is still refused
+    n = DEFAULT_STRUCTURE_CAP + 1
+    with pytest.raises(ValueError, match=rf"{n} players has shape \({1 << n},\)"):
+        check_axioms(additive_game(n), Allocation((0.0,) * n, 0.0, Method.EXACT), values=wrong)
     with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
         shapley_exact(game, values=wrong)
 

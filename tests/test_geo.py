@@ -1,6 +1,7 @@
 """Tests for the geographic coverage census and its coalition games."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fairshare.geo import (
 )
 from fairshare.models import WeightedCssParams, closed_weighted
 from fairshare.oligopoly import OligopolyGraph, shapley_coarse
+from fairshare.scenarios import parse_scenario
 from reference import Coalition, effective_size, geo_founder_value, nu_lin, nu_met
 
 
@@ -89,7 +91,6 @@ def test_region_census_exact_membership():
     assert census.counts == {
         frozenset({1}): 2, frozenset({2}): 1,
         frozenset({1, 2}): 1, frozenset({1, 2, 3}): 1}
-    assert census.uncovered_users == 0
 
 
 def test_region_census_singleton_only():
@@ -100,7 +101,18 @@ def test_region_census_singleton_only():
 def test_region_census_counts_uncovered():
     census = region_census([[1], [], []], num_agents=2)
     assert census.total_users == 1
-    assert census.uncovered_users == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.lists(st.integers(1, m), max_size=4), max_size=12))))
+def test_region_census_tallies_covered_users_by_disk_set(drawn):
+    m, placements = drawn
+    census = region_census(placements, m)
+    assert census.counts == Counter(frozenset(p) for p in placements if p)
+    parsed = parse_scenario({"model": "geo", "params": {
+        "census": {"m": m, "placements": placements}, "variant": "lin"}})
+    assert parsed.params.census == census
 
 
 def test_region_census_empty_placements():

@@ -88,7 +88,7 @@ def test_graph_lookup():
     graph = diamond_graph()
     assert graph.vertex_index("C") == 2
     assert graph.vertex_index(3) == 3
-    assert graph.neighbors(1) == (0, 2, 3)
+    assert graph.neighbor_masses() == (5, 8, 3, 2)  # A: B+C, B: A+C+D, C: A+B, D: B
     with pytest.raises(ValueError, match="unknown vertex id"):
         graph.vertex_index("Z")
 

@@ -241,7 +241,6 @@ def test_parse_census_from_placements():
     census = parse_scenario(data).params.census
     assert census.counts == {
         frozenset({1}): 1, frozenset({1, 2}): 1, frozenset({2}): 1}
-    assert census.uncovered_users == 1
 
 
 def test_load_scenario_bad_json(tmp_path):
