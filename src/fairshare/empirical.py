@@ -15,12 +15,23 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from fairshare.checks import check_int, check_num, report_missing
+from fairshare.checks import (
+    ParamsError,
+    at,
+    check_int,
+    check_keys,
+    check_num,
+    field_names,
+    is_num,
+    raise_invalid,
+    report_missing,
+)
 
 BAND = (0.5, 2.0 / 3.0)
 
@@ -29,9 +40,25 @@ _BUNDLED_RECORDS = "data/youtube_revenue.json"
 _TOKEN_RE = re.compile(r"^(\d{4})(?:H([12]))?$")
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value}")
+def validate_record(row: Mapping, errors: list[str], prefix: str = "") -> None:
+    """A revenue record: an integer year, a string entity, a positive revenue
+    and an optional nonnegative payout of at most the revenue, each amount a
+    number a float can hold. A null payout is no payout."""
+    check_keys(row, field_names(RevenueRecord), errors, prefix)
+    check_int(row, "year", errors, prefix=prefix)
+    entity = row.get("entity")
+    if "entity" not in row:
+        report_missing(errors, at(prefix, "entity"))
+    elif not isinstance(entity, str):
+        errors.append(f"{at(prefix, 'entity')}: expected a string, got {entity!r}")
+    if "revenue" not in row:
+        report_missing(errors, at(prefix, "revenue"))
+    check_num(row, "revenue", errors, prefix=prefix, positive=True)
+    revenue, payout = row.get("revenue"), row.get("payout")
+    if payout is not None:
+        check_num(row, "payout", errors, prefix=prefix, nonnegative=True)
+    if is_num(revenue) and is_num(payout) and payout > revenue > 0:
+        errors.append(f"{at(prefix, 'payout')}: {payout} exceeds revenue {revenue}")
 
 
 @dataclass(frozen=True)
@@ -44,18 +71,9 @@ class RevenueRecord:
     payout: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite("revenue", self.revenue)
-        if self.payout is not None:
-            _check_finite("payout", self.payout)
-        if self.revenue <= 0:
-            raise ValueError(f"revenue must be positive, got {self.revenue}")
-        if self.payout is not None:
-            if self.payout < 0:
-                raise ValueError(f"payout cannot be negative, got {self.payout}")
-            if self.payout > self.revenue:
-                raise ValueError(
-                    f"payout {self.payout} exceeds revenue {self.revenue} "
-                    f"for {self.entity} {self.year}")
+        raise_invalid(validate_record, vars(self))
+        object.__setattr__(self, "revenue", float(self.revenue))
+        object.__setattr__(self, "payout", None if self.payout is None else float(self.payout))
 
 
 @dataclass(frozen=True, order=True)
@@ -71,27 +89,19 @@ class HalfYear:
         return f"{self.year}H{self.half}"
 
 
-def _token_span(token: str) -> tuple[HalfYear, HalfYear]:
+def _half(index: int) -> HalfYear:  # the half-year of index 2 * year + half - 1
+    return HalfYear(index // 2, index % 2 + 1)
+
+
+def _token_span(token: str) -> tuple[int, int]:
+    """The first and last half-year index of a year or half-year token."""
     match = _TOKEN_RE.match(token)
     if not match:
         raise ValueError(
             f"bad window token {token!r}: expected YYYY, YYYYH1, or YYYYH2")
-    year = int(match.group(1))
-    if match.group(2):
-        half = HalfYear(year, int(match.group(2)))
-        return half, half
-    return HalfYear(year, 1), HalfYear(year, 2)
-
-
-def _steps(first: HalfYear, last: HalfYear) -> list[HalfYear]:
-    if first > last:
-        raise ValueError(f"window span runs backwards: "
-                         f"{first.label()}..{last.label()}")
-    out = [first]
-    while out[-1] < last:
-        year, half = out[-1].year, out[-1].half
-        out.append(HalfYear(year + half - 1, 3 - half))
-    return out
+    year, half = int(match.group(1)), match.group(2)
+    first, last = (int(half), int(half)) if half else (1, 2)
+    return 2 * year + first - 1, 2 * year + last - 1
 
 
 def parse_window(text: str) -> tuple[HalfYear, ...]:
@@ -100,25 +110,22 @@ def parse_window(text: str) -> tuple[HalfYear, ...]:
     Accepts comma-separated units; each unit is a year (both halves), a
     half-year like 2018H2, or an inclusive span like 2018H2..2021H1.
     """
-    halves: list[HalfYear] = []
+    counts: Counter[int] = Counter()
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            start_text, end_text = part.split("..", 1)
-            start, _ = _token_span(start_text.strip())
-            _, end = _token_span(end_text.strip())
-            halves.extend(_steps(start, end))
-        elif part:
-            first, last = _token_span(part)
-            halves.extend(_steps(first, last))
-        else:
+        if not part:
             raise ValueError("empty window component")
-    if not halves:
-        raise ValueError("window resolves to no half-years")
-    if len(set(halves)) != len(halves):
-        dupes = sorted({h.label() for h in halves if halves.count(h) > 1})
+        start, dots, end = part.partition("..")
+        first = _token_span(start.strip())[0]
+        last = _token_span((end if dots else start).strip())[1]
+        if first > last:
+            raise ValueError(f"window span runs backwards: "
+                             f"{_half(first).label()}..{_half(last).label()}")
+        counts.update(range(first, last + 1))
+    dupes = sorted(_half(h).label() for h, count in counts.items() if count > 1)
+    if dupes:
         raise ValueError(f"window counts half-years twice: {', '.join(dupes)}")
-    return tuple(sorted(halves))
+    return tuple(map(_half, sorted(counts)))
 
 
 def window_revenue(records: Iterable[RevenueRecord], window: Sequence[HalfYear],
@@ -162,9 +169,10 @@ class ShareEstimate:
 def revenue_share(records: Iterable[RevenueRecord], payout_total: float,
                   window: Sequence[HalfYear], entity: str) -> ShareEstimate:
     """Payout as a fraction of windowed revenue, with the band check."""
-    _check_finite("payout", payout_total)
-    if payout_total < 0:
-        raise ValueError(f"payout cannot be negative, got {payout_total}")
+    errors: list[str] = []
+    check_num({"payout": payout_total}, "payout", errors, prefix="", nonnegative=True)
+    if errors:
+        raise ParamsError(errors)
     if not window:
         raise ValueError("window resolves to no half-years")
     total = window_revenue(records, window, entity)
@@ -178,31 +186,6 @@ def revenue_share(records: Iterable[RevenueRecord], payout_total: float,
                          inside, distance)
 
 
-def _read_record(row: Any) -> RevenueRecord:
-    """One JSON row as a record: an integer year, a string entity, and a
-    revenue and optional payout that are numbers a float can hold. A
-    non-finite float is left to `RevenueRecord`, which names it."""
-    if not isinstance(row, dict):
-        raise ValueError("expected an object")
-    errors: list[str] = []
-    check_int(row, "year", errors, prefix="")
-    if "entity" not in row:
-        report_missing(errors, "entity")
-    elif not isinstance(row["entity"], str):
-        errors.append(f"entity: expected a string, got {row['entity']!r}")
-    if "revenue" not in row:
-        report_missing(errors, "revenue")
-    elif not isinstance(row["revenue"], float):
-        check_num(row, "revenue", errors, prefix="")
-    payout = row.get("payout")
-    if payout is not None and not isinstance(payout, float):
-        check_num(row, "payout", errors, prefix="")
-    if errors:
-        raise ValueError("; ".join(errors))
-    return RevenueRecord(row["year"], row["entity"], float(row["revenue"]),
-                         None if payout is None else float(payout))
-
-
 def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord, ...]:
     """Load revenue records from a JSON file, or the bundled table by default."""
     if path is None:
@@ -211,18 +194,25 @@ def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord,
     else:
         text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # not JSON, or an integer too long to read
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         rows = data.get("records") if isinstance(data, dict) else data
         if not isinstance(rows, list):
             raise ValueError(f'{path}: expected a list of records or {{"records": [...]}}')
         records = []
         for pos, row in enumerate(rows):
             try:
-                records.append(_read_record(row))
-            except ValueError as exc:
+                if not isinstance(row, dict):
+                    raise ParamsError(["expected an object"])
+                try:
+                    records.append(RevenueRecord(**row))
+                except TypeError:  # the constructor cannot take the row's keys
+                    raise_invalid(validate_record, row)
+                    raise
+            except ParamsError as exc:
                 raise ValueError(f"{path}: bad revenue record at index {pos}: {exc}") from exc
         return tuple(records)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise ValueError(f"{path}: nested too deeply to read") from None

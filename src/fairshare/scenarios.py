@@ -254,7 +254,10 @@ def load_scenario(path: str | Path, *, method: str | None = None,
     an error message, is refused as a whole."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # not JSON, or an integer too long to read
+            raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
         if isinstance(data, dict):
             if method is not None:
                 data["method"] = method
@@ -262,8 +265,6 @@ def load_scenario(path: str | Path, *, method: str | None = None,
             if sample and (given is None or isinstance(given, dict)):
                 data["sample"] = {**(given or {}), **sample}
         return parse_scenario(data)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
     except RecursionError:
         raise ScenarioError([f"{path}: nested too deeply to read"]) from None
 

@@ -8,7 +8,9 @@ and closed forms; these compute the same values one coalition at a time, the
 slow and plain way, so that every table and closed form has something to be
 compared against.
 
-`scenario_errors` lists what `parse_scenario` refuses in a scenario object.
+`scenario_errors` lists what `parse_scenario` refuses in a scenario object,
+and `window_labels` expands an `empirical` window spec one half-year at a
+time, as `parse_window` did before it counted half-year indices.
 
 The paper's supermodularity and linearity claims are checked here too, by
 `supermodular_whole` on a game's `coalition_value_table` and by
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -35,6 +38,7 @@ from fairshare.core import (
     coalition_value_table,
     shapley_exact,
 )
+from fairshare.empirical import HalfYear
 from fairshare.geo import DiskCensus, GeoParams, GeoVariant
 from fairshare.models import SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph, minor_blocks
@@ -382,3 +386,57 @@ def scenario_errors(data: object) -> list[str]:
     except ScenarioError as exc:
         return exc.errors
     return []
+
+
+# --- empirical windows -------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"^(\d{4})(?:H([12]))?$")
+
+
+def _token_span(token: str) -> tuple[HalfYear, HalfYear]:
+    match = _TOKEN_RE.match(token)
+    if not match:
+        raise ValueError(
+            f"bad window token {token!r}: expected YYYY, YYYYH1, or YYYYH2")
+    year = int(match.group(1))
+    if match.group(2):
+        half = HalfYear(year, int(match.group(2)))
+        return half, half
+    return HalfYear(year, 1), HalfYear(year, 2)
+
+
+def _steps(first: HalfYear, last: HalfYear) -> list[HalfYear]:
+    if first > last:
+        raise ValueError(f"window span runs backwards: "
+                         f"{first.label()}..{last.label()}")
+    out = [first]
+    while out[-1] < last:
+        year, half = out[-1].year, out[-1].half
+        out.append(HalfYear(year + half - 1, 3 - half))
+    return out
+
+
+def window_labels(text: str) -> list[str]:
+    """The labels of the half-years a window spec names, in order, stepping
+    through each span; raises ValueError in `parse_window`'s words. A repeat
+    is found by counting each half-year, so this takes time quadratic in the
+    window's length."""
+    halves: list[HalfYear] = []
+    for part in text.split(","):
+        part = part.strip()
+        if ".." in part:
+            start_text, end_text = part.split("..", 1)
+            start, _ = _token_span(start_text.strip())
+            _, end = _token_span(end_text.strip())
+            halves.extend(_steps(start, end))
+        elif part:
+            first, last = _token_span(part)
+            halves.extend(_steps(first, last))
+        else:
+            raise ValueError("empty window component")
+    if not halves:
+        raise ValueError("window resolves to no half-years")
+    if len(set(halves)) != len(halves):
+        dupes = sorted({h.label() for h in halves if halves.count(h) > 1})
+        raise ValueError(f"window counts half-years twice: {', '.join(dupes)}")
+    return [h.label() for h in sorted(halves)]

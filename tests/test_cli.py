@@ -810,9 +810,9 @@ def run_records(tmp_path, capsys, text, window="2020..2021"):
 
 
 @pytest.mark.parametrize("row, message", [
-    ('"revenue": NaN', "revenue must be a finite number, got nan"),
-    ('"revenue": Infinity', "revenue must be a finite number, got inf"),
-    ('"revenue": 5.0, "payout": Infinity', "payout must be a finite number, got inf"),
+    ('"revenue": NaN', "revenue: expected a finite number, got nan"),
+    ('"revenue": Infinity', "revenue: expected a finite number, got inf"),
+    ('"revenue": 5.0, "payout": Infinity', "payout: expected a finite number, got inf"),
 ], ids=["nan revenue", "infinite revenue", "infinite payout"])
 def test_cli_empirical_refuses_a_non_finite_record(tmp_path, capsys, row, message):
     # JSON has no NaN or Infinity, but Python's reader accepts both words
@@ -875,6 +875,25 @@ def test_cli_in_field_nesting_ends_in_a_documented_exit(tmp_path, capsys):
             code = main(argv)
             err = capsys.readouterr().err
             assert code == EXIT_VALIDATION and err.startswith("error: "), (depth, argv)
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "empirical"])
+def test_cli_names_the_file_of_an_integer_too_long_to_read(tmp_path, capsys, command):
+    # Python reads no JSON integer of more than 4,300 digits
+    digits = "1" + "0" * 5000
+    path = tmp_path / "long.json"
+    if command == "empirical":
+        path.write_text(f'[{{"year": 2021, "entity": "Z", "revenue": {digits}}}]',
+                        encoding="utf-8")
+        argv = ["empirical", "--records", str(path), "--payout", "1", "--window", "2021"]
+    else:
+        path.write_text(f'{{"model": "single", "params": {{"n": 3, "k": 2, "rho": {digits}}}}}',
+                        encoding="utf-8")
+        argv = [command, "--scenario", str(path)]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: not valid JSON (Exceeds the limit")
+    assert err.endswith(")\n") and err.count("\n") == 1
 
 
 def test_cli_empirical_names_a_window_whose_revenue_overflows(tmp_path, capsys):

@@ -28,6 +28,13 @@ def test_a_tree_matches_itself_on_the_invalid_scenarios():
     assert (n_ops, differ) == (3 * n_cases, [])
 
 
+def test_a_tree_matches_itself_on_the_invalid_records():
+    tool = load_tool()
+    n_cases = len(json.loads(tool.RECORDS_CORPUS.read_text(encoding="utf-8"))["cases"])
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("invalid_records",))
+    assert (n_ops, differ) == (n_cases, [])
+
+
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     package = tmp_path / "fairshare"
     package.mkdir()

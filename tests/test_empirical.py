@@ -1,6 +1,10 @@
 """Tests for the revenue-share analysis and the bundled dataset."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.empirical import (
     BAND,
@@ -11,6 +15,7 @@ from fairshare.empirical import (
     revenue_share,
     window_revenue,
 )
+from reference import window_labels
 
 
 def labels(window):
@@ -51,6 +56,50 @@ def test_parse_window_rejects_bad_tokens():
         parse_window("2019H3")
     with pytest.raises(ValueError):
         parse_window("")
+
+
+# years on both sides of 1000, whose labels "999H1" and "1000H1" sort as text
+# in the other order than as years
+YEARS = st.integers(997, 1002).map(lambda year: f"{year:04d}")
+TOKENS = st.one_of(YEARS, st.builds("{}H{}".format, YEARS, st.sampled_from([1, 2, 1, 2, 3])),
+                   st.sampled_from(["", " ", "19H1", "2019h1", "99999"]))
+PARTS = st.one_of(TOKENS, st.builds("{} .. {}".format, TOKENS, TOKENS),
+                  st.builds("{}..{}".format, TOKENS, TOKENS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(PARTS, min_size=1, max_size=5).map(",".join))
+def test_parse_window_matches_the_stepping_parser(spec):
+    try:
+        expected = window_labels(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_window(spec)
+        assert str(raised.value) == str(exc), spec
+    else:
+        assert labels(parse_window(spec)) == expected, spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("2019..", "bad window token ''"), ("..2019", "bad window token ''"),
+    ("..", "bad window token ''"), ("2019,", "empty window component"),
+    ("2021H1..2019", "window span runs backwards: 2021H1..2019H2"),
+    ("0999..1000,1000H2,0999H1", "window counts half-years twice: 1000H2, 999H1"),
+])
+def test_parse_window_keeps_its_words(spec, message):
+    with pytest.raises(ValueError) as raised:
+        parse_window(spec)
+    assert str(raised.value).startswith(message)
+    with pytest.raises(ValueError) as oracle:
+        window_labels(spec)
+    assert str(oracle.value) == str(raised.value)
+
+
+def test_parse_window_refuses_a_long_repeat_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^window counts half-years twice: 1000H1, "):
+        parse_window("1000..9999,1000..9999")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_halfyear_validation():

@@ -7,17 +7,21 @@ vertices, weights whose work units overflow or underflow, and fractional
 counts. A scenario validates exactly when the model's typed params can be
 built from its JSON, and exactly when the model's validator, run on the JSON
 itself, finds nothing. The typed params refuse bad values in the validator's
-words.
+words. Revenue records are held to the same rule: a records file is refused
+exactly when `RevenueRecord` refuses its row, in the same words.
 """
 
 import copy
+import json
 import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairshare.checks import ParamsError
+from fairshare.empirical import RevenueRecord, load_revenue_records, validate_record
 from fairshare.geo import DiskCensus, GeoParams
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
@@ -130,6 +134,42 @@ def test_validator_and_typed_params_agree(model):
     agree()
 
 
+RECORD = st.fixed_dictionaries(
+    {"year": st.integers(1900, 2100), "entity": st.sampled_from(["Z", "YouTube"]),
+     "revenue": POSITIVE}, optional={"payout": NONNEGATIVE})
+
+
+def test_a_records_file_is_refused_exactly_when_the_api_refuses_its_row(tmp_path):
+    path = tmp_path / "records.json"
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(RECORD))
+    @example({"year": 2019.7, "entity": "Z", "revenue": 10.0})
+    @example({"year": 2020, "entity": "Z", "revenue": 1.0, "payuot": 0.5})
+    def agree(row):
+        path.write_text(json.dumps([row]), encoding="utf-8")
+        try:
+            loaded = load_revenue_records(path)
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+        try:
+            record = RevenueRecord(**row)
+            errors = []
+        except ParamsError as exc:
+            errors = exc.errors
+        except TypeError:  # keys the constructor cannot take: the validator names them
+            errors = []
+            validate_record(row, errors)
+            assert errors, row
+        if errors:
+            assert refusal == f"{path}: bad revenue record at index 0: {'; '.join(errors)}"
+        else:
+            assert refusal is None and loaded == (record,), (row, refusal)
+
+    agree()
+
+
 NAN, INF = math.nan, math.inf
 API_CASES = {
     "single rho nan": (lambda: SingleCssParams(3, 2, rho=NAN), "rho: expected a finite"),
@@ -153,6 +193,15 @@ API_CASES = {
                               "d: the total user count must be at most"),
     "geo rho nan": (lambda: GeoParams(DiskCensus(2, {frozenset({1}): 2}), rho=NAN, variant="met"),
                     "rho: expected a finite"),
+    "record fields": (lambda: RevenueRecord(2019.7, 7, True),
+                      "year: expected an integer, got 2019.7; entity: expected a string, got 7; "
+                      "revenue: expected a finite number, got True"),
+    "record revenue string": (lambda: RevenueRecord(2020, "Z", "10"),
+                              "revenue: expected a finite number, got '10'"),
+    "record revenue beyond a float": (lambda: RevenueRecord(2020, "Z", 10 ** 400),
+                                      "revenue: expected a finite number"),
+    "record payout nan": (lambda: RevenueRecord(2020, "Z", 5.0, NAN),
+                          "payout: expected a finite number, got nan"),
 }
 
 

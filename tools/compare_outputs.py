@@ -9,9 +9,11 @@ operations are run through each tree's `fairshare.cli.main`, in one
 subprocess per tree, as the benchmark runs them. The `invalid_scenarios`
 operations run every case of `tests/invalid_scenarios.json` through
 `validate`, through `solve --method all --format json`, whose flag replaces the
-case's own method, and through `solve --format json`, so the error paths are
-compared too. An uncaught exception is
-recorded as its type and message in place of the exit code. The scenario
+case's own method, and through `solve --format json`, and the
+`invalid_records` operations run every case of `tests/invalid_records.json`
+through `empirical --records`, so the error paths are compared too. An
+uncaught exception is recorded as its type and message in place of the exit
+code. The scenario
 directory is replaced by a fixed placeholder in stdout and stderr. Each
 operation whose exit code, stdout or stderr differs is listed, and the exit
 status is 1 if there is any.
@@ -31,8 +33,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
-             "invalid_scenarios")
+             "invalid_scenarios", "invalid_records")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
+RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -81,6 +84,26 @@ def _corpus_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     return ops, argvs
 
 
+def _records_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that run `empirical` on each invalid-records case."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    ops, argvs = [], []
+    for case in json.loads(RECORDS_CORPUS.read_text(encoding="utf-8"))["cases"]:
+        path = work_dir / f"{case['name']}.json"
+        if "depth" in case:
+            text = "[" * case["depth"] + "]" * case["depth"]
+        else:
+            text = case["text"] if "text" in case else json.dumps(case["records"])
+        path.write_text(text, encoding="utf-8")
+        ops.append(f"invalid_records/{case['name']}/empirical")
+        argvs.append(["empirical", "--records", str(path), "--entity", "Z", "--payout", "1",
+                      "--window", "2021", "--format", "json"])
+    return ops, argvs
+
+
+CORPUS_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops}
+
+
 def compare(old_src: Path, new_src: Path, seed: int,
             workloads: tuple[str, ...] = WORKLOADS) -> tuple[int, list[str]]:
     """The number of operations run, and one line per operation that differs."""
@@ -90,8 +113,8 @@ def compare(old_src: Path, new_src: Path, seed: int,
         work_dir = Path(tmp)
         ops, argvs = [], []
         for name in workloads:
-            if name == "invalid_scenarios":
-                corpus_ops, corpus_argvs = _corpus_ops(work_dir / name)
+            if name in CORPUS_OPS:
+                corpus_ops, corpus_argvs = CORPUS_OPS[name](work_dir / name)
                 ops += corpus_ops
                 argvs += corpus_argvs
                 continue
