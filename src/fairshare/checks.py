@@ -1,18 +1,26 @@
-"""Field checks shared by every model's params validator.
+"""What every model module shares: field checks, `ModelSpec` and the JSON reader.
 
 A validator takes params in their JSON form (a mapping of plain values), a
 list to append to, and the path that prefixes each message; it reports every
 violation it finds rather than stopping at the first. Each model's validator
 sits next to its params type: the type's constructor runs it on its own
 fields, with an empty path, and the scenario loader runs it on the raw JSON.
+Each model module ends with its `SPECS`, one `ModelSpec` per model name.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
-from typing import Any, Callable, Iterable, Mapping
+from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from fairshare.core import Allocation, CoalitionGame
+    from fairshare.models import ShareReport
 
 
 class ParamsError(ValueError):
@@ -21,6 +29,37 @@ class ParamsError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = list(errors)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything the scenario layer knows of one value model.
+
+    `parse(**params)` builds the typed params from JSON params, whose constructors
+    run the model's validator, and `dump` is its inverse. `parse` raises TypeError
+    where the JSON has a shape the typed params do not hold; `validate(params,
+    errors, prefix)` then lists every violation in the JSON itself.
+    `closed_refusal(params)` says why the closed form cannot solve the JSON params,
+    if it cannot. `game` builds the coalition game and `closed` the closed-form
+    result: a ShareReport for a single-CSS model, whose params are `CssParams` and
+    so support `share_sweep`, and an Allocation otherwise.
+    """
+
+    validate: Callable[[dict, list[str], str], None]
+    parse: Callable[..., Any]
+    dump: Callable[[Any], dict]
+    game: Callable[[Any], CoalitionGame]
+    closed: Callable[[Any], ShareReport | Allocation]
+    closed_refusal: Callable[[dict], str | None] = lambda params: None
+
+
+def read_json(path: str | Path, error: type[ParamsError] = ParamsError) -> Any:
+    """A file's JSON value; OSError if it cannot be read. Text that is not UTF-8
+    (RFC 8259), not JSON, or holds an integer too long to read raises `error`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise error([f"{path}: not valid JSON ({exc})"]) from exc
 
 
 def raise_invalid(validate: Callable[[Mapping, list[str], str], None],

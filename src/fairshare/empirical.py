@@ -30,6 +30,7 @@ from fairshare.checks import (
     field_names,
     is_num,
     raise_invalid,
+    read_json,
     report_missing,
 )
 
@@ -188,16 +189,9 @@ def revenue_share(records: Iterable[RevenueRecord], payout_total: float,
 
 def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord, ...]:
     """Load revenue records from a JSON file, or the bundled table by default."""
-    if path is None:
-        text = resources.files("fairshare").joinpath(_BUNDLED_RECORDS).read_text(
-            encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
     try:
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # not JSON, or an integer too long to read
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        data = read_json(path) if path is not None else json.loads(
+            resources.files("fairshare").joinpath(_BUNDLED_RECORDS).read_text(encoding="utf-8"))
         rows = data.get("records") if isinstance(data, dict) else data
         if not isinstance(rows, list):
             raise ValueError(f'{path}: expected a list of records or {{"records": [...]}}')

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Mapping, Sequence
 
 from fairshare.checks import (
+    ModelSpec,
+    ParamsError,
     at,
     check_choice,
     check_int,
@@ -175,6 +177,9 @@ class GeoParams:
     rho: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.census, DiskCensus):  # a file's census is read as one
+            raise ParamsError(
+                [f"census: expected a DiskCensus, got {type(self.census).__name__}"])
         raise_invalid(validate_geo, vars(self))
 
 
@@ -255,3 +260,33 @@ def geo_founder_shapley(params: GeoParams) -> Allocation:
     grand = worth(math.fsum(sizes))
     agents = tuple(worth(n) / 2 for n in sizes)
     return Allocation((grand / 2,) + agents, grand, Method.CLOSED_FORM)
+
+
+# --- the JSON form and the model entries --------------------------------------
+
+def _parse_census(m: Any, **table: Any) -> DiskCensus:
+    if table.keys() == {"d"}:
+        return DiskCensus(m, table["d"])
+    if table.keys() == {"placements"}:
+        return region_census(table["placements"], m)
+    raise TypeError("a census holds exactly one of 'd' or 'placements'")
+
+
+def _parse_geo(census: dict, **rest: Any) -> GeoParams:
+    return GeoParams(_parse_census(**census), **rest)
+
+
+def _dump_geo(params: GeoParams) -> dict:
+    census = params.census
+    return {"census": {"m": census.num_agents,
+                       "d": {",".join(map(str, sorted(subset))): count
+                             for subset, count in sorted(
+                                 census.counts.items(), key=lambda kv: sorted(kv[0]))}},
+            "variant": params.variant, "rho": params.rho}
+
+
+SPECS = {
+    "geo": ModelSpec(validate_geo, _parse_geo, _dump_geo, geo_game, geo_shapley),
+    "geo_founder": ModelSpec(validate_geo, _parse_geo, _dump_geo,
+                             geo_founder_game, geo_founder_shapley),
+}

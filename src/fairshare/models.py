@@ -17,6 +17,7 @@ from itertools import cycle, islice
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from fairshare.checks import (
+    ModelSpec,
     ParamsError,
     at,
     check_int,
@@ -394,3 +395,13 @@ def share_sweep(params: CssParams, n_values: Iterable[int]) -> tuple[ShareReport
     if any(n < 1 for n in sizes):
         raise ValueError("crowd sizes must be >= 1")
     return tuple(params.closed_at(n) for n in sizes)
+
+
+SPECS = {
+    "single": ModelSpec(validate_single, SingleCssParams, dataclasses.asdict,
+                        single_game, closed_single),
+    "weighted": ModelSpec(validate_weighted, WeightedCssParams, dataclasses.asdict,
+                          weighted_game, closed_weighted, closed_weighted_refusal),
+    "profit": ModelSpec(validate_profit, ProfitCssParams, dataclasses.asdict,
+                        profit_game, closed_profit),
+}

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from fairshare.checks import (
+    ModelSpec,
     at,
     check_int,
     check_keys,
@@ -274,3 +275,24 @@ def fine_major_ratio(graph: OligopolyGraph, vertex: str | int) -> float:
         raise ValueError(
             f"ratio undefined for vertex {graph.vertex_ids[v]!r}: no crowd anywhere")
     return (n_v / 3 + neighbor_mass / 2) / denom
+
+
+# --- the JSON form and the model entries --------------------------------------
+
+def _vertex(id: Any, size: Any) -> tuple[Any, Any]:
+    return id, size
+
+
+def _parse_graph(vertices: list, edges: Sequence = (), rho: Any = 1.0) -> OligopolyGraph:
+    # the typed graph reads an endpoint that is no string as a vertex index
+    if not is_list(edges) or not all(isinstance(x, str) for edge in edges for x in edge):
+        raise TypeError("the edges do not map onto a graph")
+    return OligopolyGraph.from_spec([_vertex(**vertex) for vertex in vertices], edges, rho)
+
+
+SPECS = {
+    "oligopoly_coarse": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
+                                  coarse_game, shapley_coarse),
+    "oligopoly_fine": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
+                                fine_game, shapley_fine_closed),
+}

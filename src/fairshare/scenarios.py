@@ -1,4 +1,4 @@
-"""Scenario files: schema validation, parsing, and game construction.
+"""Scenario files: the envelope around one model's params.
 
 A scenario is a JSON object selecting one of the bundled value models plus
 its parameters and the solution method(s) to run:
@@ -8,62 +8,31 @@ its parameters and the solution method(s) to run:
 
 `parse_scenario` reports every violation it can find, as the `errors` of one
 `ScenarioError`, rather than stopping at the first, so a file can be fixed in
-one pass. Every model is one `ModelSpec` entry in `MODELS`, and the functions
-here look it up there.
+one pass. This module reads the envelope: the model name, the method, the
+sampler config and the label. Each model module defines its own params, their
+JSON form, game and closed form in its `SPECS`; `MODELS` collects them, and
+the functions here look a model up there.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any
 
+from fairshare import geo, models, oligopoly
 from fairshare.checks import (
+    ModelSpec,
     ParamsError,
     check_choice,
     check_int,
     check_keys,
     check_object,
-    is_list,
+    read_json,
     report_missing,
 )
 from fairshare.core import Allocation, CoalitionGame
-from fairshare.geo import (
-    DiskCensus,
-    GeoParams,
-    geo_founder_game,
-    geo_founder_shapley,
-    geo_game,
-    geo_shapley,
-    region_census,
-    validate_geo,
-)
-from fairshare.models import (
-    ProfitCssParams,
-    ShareReport,
-    SingleCssParams,
-    WeightedCssParams,
-    closed_profit,
-    closed_single,
-    closed_weighted,
-    closed_weighted_refusal,
-    profit_game,
-    single_game,
-    validate_profit,
-    validate_single,
-    validate_weighted,
-    weighted_game,
-)
-from fairshare.oligopoly import (
-    OligopolyGraph,
-    coarse_game,
-    fine_game,
-    shapley_coarse,
-    shapley_fine_closed,
-    validate_graph,
-)
+from fairshare.models import ShareReport
 
 METHODS = ("closed", "exact", "sample", "all")
 
@@ -93,89 +62,8 @@ class Scenario:
     label: str = ""
 
 
-# --- parsing and dumping ------------------------------------------------------------
-
-def _dump_fields(params: Any) -> dict:
-    """A flat params dataclass as JSON-ready data, tuples as lists."""
-    raw = {}
-    for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
-        raw[field.name] = list(value) if isinstance(value, tuple) else value
-    return raw
-
-
-def _vertex(id: Any, size: Any) -> tuple[Any, Any]:
-    return id, size
-
-
-def _parse_graph(vertices: list, edges: Sequence = (), rho: Any = 1.0) -> OligopolyGraph:
-    # the typed graph reads an endpoint that is no string as a vertex index
-    if not is_list(edges) or not all(isinstance(x, str) for edge in edges for x in edge):
-        raise TypeError("the edges do not map onto a graph")
-    return OligopolyGraph.from_spec([_vertex(**vertex) for vertex in vertices], edges, rho)
-
-
-def _parse_census(m: Any, **table: Any) -> DiskCensus:
-    if table.keys() == {"d"}:
-        return DiskCensus(m, table["d"])
-    if table.keys() == {"placements"}:
-        return region_census(table["placements"], m)
-    raise TypeError("a census holds exactly one of 'd' or 'placements'")
-
-
-def _parse_geo(census: dict, **rest: Any) -> GeoParams:
-    return GeoParams(_parse_census(**census), **rest)
-
-
-def _dump_geo(params: GeoParams) -> dict:
-    census = params.census
-    return {"census": {"m": census.num_agents,
-                       "d": {",".join(map(str, sorted(subset))): count
-                             for subset, count in sorted(
-                                 census.counts.items(), key=lambda kv: sorted(kv[0]))}},
-            "variant": params.variant, "rho": params.rho}
-
-
-# --- the model registry ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Everything the scenario layer knows of one value model.
-
-    `parse(**params)` builds the typed params from JSON params, whose
-    constructors run the model's validator, and `dump` is its inverse.
-    `parse` raises TypeError where the JSON has a shape the typed params do
-    not hold; `validate(params, errors, prefix)` then lists every violation
-    in the JSON itself. `closed_refusal(params)` says why the closed form
-    cannot solve the JSON params, if it cannot. `game` builds the coalition
-    game and `closed` the closed-form result: a ShareReport for a single-CSS
-    model, whose params are `CssParams` and so support `share_sweep`, and an
-    Allocation otherwise.
-    """
-
-    validate: Callable[[dict, list[str], str], None]
-    parse: Callable[..., Any]
-    dump: Callable[[Any], dict]
-    game: Callable[[Any], CoalitionGame]
-    closed: Callable[[Any], ShareReport | Allocation]
-    closed_refusal: Callable[[dict], str | None] = lambda params: None
-
-
-MODELS: dict[str, ModelSpec] = {
-    "single": ModelSpec(validate_single, SingleCssParams, _dump_fields,
-                        single_game, closed_single),
-    "weighted": ModelSpec(validate_weighted, WeightedCssParams, _dump_fields,
-                          weighted_game, closed_weighted, closed_weighted_refusal),
-    "profit": ModelSpec(validate_profit, ProfitCssParams, _dump_fields,
-                        profit_game, closed_profit),
-    "oligopoly_coarse": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
-                                  coarse_game, shapley_coarse),
-    "oligopoly_fine": ModelSpec(validate_graph, _parse_graph, OligopolyGraph.spec,
-                                fine_game, shapley_fine_closed),
-    "geo": ModelSpec(validate_geo, _parse_geo, _dump_geo, geo_game, geo_shapley),
-    "geo_founder": ModelSpec(validate_geo, _parse_geo, _dump_geo,
-                             geo_founder_game, geo_founder_shapley),
-}
+# every model, in the order a bad model name lists them
+MODELS: dict[str, ModelSpec] = {**models.SPECS, **oligopoly.SPECS, **geo.SPECS}
 
 # the models whose params sweep: `CssParams`, which define `closed_at`
 SWEEPABLE = tuple(name for name, spec in MODELS.items() if hasattr(spec.parse, "closed_at"))
@@ -252,12 +140,8 @@ def load_scenario(path: str | Path, *, method: str | None = None,
     one parse; a file or sample that is no object is left to the validator.
     A file nested too deeply for the reader, or for the `repr` of a value in
     an error message, is refused as a whole."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # not JSON, or an integer too long to read
-            raise ScenarioError([f"{path}: not valid JSON ({exc})"]) from exc
+        data = read_json(path, ScenarioError)
         if isinstance(data, dict):
             if method is not None:
                 data["method"] = method

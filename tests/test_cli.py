@@ -896,6 +896,25 @@ def test_cli_names_the_file_of_an_integer_too_long_to_read(tmp_path, capsys, com
     assert err.endswith(")\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "sweep", "empirical"])
+def test_cli_names_a_file_that_is_not_utf8(tmp_path, capsys, command):
+    # JSON text is UTF-8 (RFC 8259); this file is latin-1, where é is the byte 0xe9
+    path = tmp_path / "latin1.json"
+    if command == "empirical":
+        path.write_text('[{"year": 2021, "entity": "café", "revenue": 1}]', encoding="latin-1")
+        argv = ["empirical", "--records", str(path), "--payout", "1", "--window", "2021"]
+    else:
+        path.write_text('{"model": "single", "params": {"n": 3, "k": 2}, "label": "café"}',
+                        encoding="latin-1")
+        argv = [command, "--scenario", str(path)] + (
+            ["--n-values", "1,2"] if command == "sweep" else [])
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        f"error: {path}: not valid JSON ('utf-8' codec can't decode byte 0xe9 in position ")
+    assert err.endswith(")\n") and err.count("\n") == 1
+
+
 def test_cli_empirical_names_a_window_whose_revenue_overflows(tmp_path, capsys):
     text = json.dumps([{"year": 2020, "entity": "Z", "revenue": 1e308},
                        {"year": 2021, "entity": "Z", "revenue": 1.7e308}])

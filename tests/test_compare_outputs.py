@@ -35,6 +35,16 @@ def test_a_tree_matches_itself_on_the_invalid_records():
     assert (n_ops, differ) == (n_cases, [])
 
 
+def test_a_tree_matches_itself_on_the_formats(tmp_path):
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("formats",))
+    assert (n_ops, differ) == (24, [])
+    # every operation renders a report: a tree that fails them all matches itself too
+    _, argvs = tool._formats_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    assert all(code == 0 and out and not err for code, out, err in results)
+
+
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     package = tmp_path / "fairshare"
     package.mkdir()

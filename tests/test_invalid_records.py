@@ -10,7 +10,8 @@ stderr of
 
 with the file's path written as `<records>`. A case holds its records as
 JSON under `records`, its raw file text under `text`, or under `depth` the
-depth of a file of nothing but nested lists. After a change that is meant to
+depth of a file of nothing but nested lists. A file is written in the case's
+`encoding`, UTF-8 if it names none. After a change that is meant to
 move these messages, regenerate the expected output from the repo root with
 
     PYTHONPATH=src python tests/test_invalid_records.py
@@ -35,12 +36,14 @@ def load_corpus() -> dict:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
-def records_text(case: dict) -> str:
-    """The file text of a case: its raw `text`, lists nested `depth` deep, or
-    its records as JSON."""
+def write_records(path: Path, case: dict) -> None:
+    """Write a case's file, in its encoding: its raw `text`, lists nested
+    `depth` deep, or its records as JSON."""
     if "depth" in case:
-        return "[" * case["depth"] + "]" * case["depth"]
-    return case["text"] if "text" in case else json.dumps(case["records"])
+        text = "[" * case["depth"] + "]" * case["depth"]
+    else:
+        text = case["text"] if "text" in case else json.dumps(case["records"])
+    path.write_text(text, encoding=case.get("encoding", "utf-8"))
 
 
 def run_empirical(path: Path) -> tuple[int, str, str]:
@@ -62,7 +65,7 @@ def test_corpus_names_are_unique():
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_empirical_output_is_pinned(case, tmp_path):
     path = tmp_path / "records.json"
-    path.write_text(records_text(case), encoding="utf-8")
+    write_records(path, case)
     code, _, err = run_empirical(path)
     assert (code, err) == (case["exit"], case["stderr"])
 
@@ -74,7 +77,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.json"
         for case in corpus["cases"]:
-            path.write_text(records_text(case), encoding="utf-8")
+            write_records(path, case)
             case["exit"], _, case["stderr"] = run_empirical(path)
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {CORPUS}", file=sys.stderr)

@@ -4,7 +4,9 @@ tests/invalid_scenarios.json holds one invalid scenario per validation
 message, plus cases with several violations at once, which pin the order of
 the messages. Each case records the exit code and the stderr of
 `fairshare validate --scenario <scenario>`, with the file's path written as
-`<scenario>`. After a change that is meant to move these messages,
+`<scenario>`. A case holds its scenario as JSON under `scenario`, or its raw
+file text under `text`, written in the case's `encoding` (UTF-8 if it names
+none). After a change that is meant to move these messages,
 regenerate the expected output from the repo root with
 
     PYTHONPATH=src python tests/test_invalid_scenarios.py
@@ -29,9 +31,10 @@ def load_corpus() -> dict:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
-def scenario_text(case: dict) -> str:
-    """The file text of a case: its raw `text`, or its scenario as JSON."""
-    return case["text"] if "text" in case else json.dumps(case["scenario"])
+def write_scenario(path: Path, case: dict) -> None:
+    """Write a case's file: its raw `text`, or its scenario as JSON, in its encoding."""
+    text = case["text"] if "text" in case else json.dumps(case["scenario"])
+    path.write_text(text, encoding=case.get("encoding", "utf-8"))
 
 
 def run_validate(path: Path) -> tuple[int, str, str]:
@@ -52,7 +55,7 @@ def test_corpus_names_are_unique():
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_validate_output_is_pinned(case, tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(scenario_text(case), encoding="utf-8")
+    write_scenario(path, case)
     assert run_validate(path) == (case["exit"], "", case["stderr"])
 
 
@@ -63,7 +66,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         for case in corpus["cases"]:
-            path.write_text(scenario_text(case), encoding="utf-8")
+            write_scenario(path, case)
             case["exit"], _, case["stderr"] = run_validate(path)
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {CORPUS}", file=sys.stderr)

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairshare.geo import MAX_CENSUS_AGENTS, DiskCensus
+from fairshare.geo import MAX_CENSUS_AGENTS, DiskCensus, GeoParams
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
 from fairshare.core import shapley_exact
 from fairshare.scenarios import (
     METHODS,
     MODELS,
-    GeoParams,
     SampleConfig,
     Scenario,
     ScenarioError,

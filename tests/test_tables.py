@@ -37,7 +37,7 @@ from fairshare.models import (
     weighted_game,
 )
 from fairshare.oligopoly import OligopolyGraph
-from fairshare.scenarios import MODELS, GeoParams, build_game, load_scenario
+from fairshare.scenarios import MODELS, build_game, load_scenario
 from reference import (
     Coalition,
     add_games,

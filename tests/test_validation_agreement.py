@@ -193,6 +193,8 @@ API_CASES = {
                               "d: the total user count must be at most"),
     "geo rho nan": (lambda: GeoParams(DiskCensus(2, {frozenset({1}): 2}), rho=NAN, variant="met"),
                     "rho: expected a finite"),
+    "geo census not a DiskCensus": (lambda: GeoParams({"m": 2, "d": {"1": 3}}, "lin"),
+                                    "census: expected a DiskCensus, got dict"),
     "record fields": (lambda: RevenueRecord(2019.7, 7, True),
                       "year: expected an integer, got 2019.7; entity: expected a string, got 7; "
                       "revenue: expected a finite number, got True"),

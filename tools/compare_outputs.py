@@ -11,12 +11,14 @@ operations run every case of `tests/invalid_scenarios.json` through
 `validate`, through `solve --method all --format json`, whose flag replaces the
 case's own method, and through `solve --format json`, and the
 `invalid_records` operations run every case of `tests/invalid_records.json`
-through `empirical --records`, so the error paths are compared too. An
-uncaught exception is recorded as its type and message in place of the exit
-code. The scenario
-directory is replaced by a fixed placeholder in stdout and stderr. Each
-operation whose exit code, stdout or stderr differs is listed, and the exit
-status is 1 if there is any.
+through `empirical --records`, so the error paths are compared too; a case's
+file is written in its `encoding`, UTF-8 if it names none. The `formats`
+operations render every bundled scenario through `solve --method all` and the
+sweeps of `tests/test_golden.py` as text and as CSV, the renderers that no
+other operation reaches. An uncaught exception is recorded as its type and
+message in place of the exit code. The scenario directory is replaced by a
+fixed placeholder in stdout and stderr. Each operation whose exit code, stdout
+or stderr differs is listed, and the exit status is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -33,9 +35,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
-             "invalid_scenarios", "invalid_records")
+             "invalid_scenarios", "invalid_records", "formats")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
+SCENARIO_DIR = ROOT / "scenarios"
+# the sweeps of tests/test_golden.py
+SWEEP_SCENARIOS = ("single_metcalfe", "profit_infra_costs", "weighted_trio")
+SWEEP_N_VALUES = "1,2,10,1000"
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -75,7 +81,7 @@ def _corpus_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     for case in json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]:
         path = work_dir / f"{case['name']}.json"
         text = case["text"] if "text" in case else json.dumps(case["scenario"])
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding=case.get("encoding", "utf-8"))
         ops += [f"invalid_scenarios/{case['name']}/{op}"
                 for op in ("validate", "solve", "solve-own-method")]
         argvs += [["validate", "--scenario", str(path)],
@@ -94,29 +100,45 @@ def _records_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
             text = "[" * case["depth"] + "]" * case["depth"]
         else:
             text = case["text"] if "text" in case else json.dumps(case["records"])
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding=case.get("encoding", "utf-8"))
         ops.append(f"invalid_records/{case['name']}/empirical")
         argvs.append(["empirical", "--records", str(path), "--entity", "Z", "--payout", "1",
                       "--window", "2021", "--format", "json"])
     return ops, argvs
 
 
-CORPUS_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops}
+def _formats_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that render each bundled solve and golden sweep as text and CSV."""
+    ops, argvs = [], []
+    for fmt in ("text", "csv"):
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            ops.append(f"formats/solve-{path.stem}/{fmt}")
+            argvs.append(["solve", "--scenario", str(path), "--method", "all", "--format", fmt])
+        for stem in SWEEP_SCENARIOS:
+            ops.append(f"formats/sweep-{stem}/{fmt}")
+            argvs.append(["sweep", "--scenario", str(SCENARIO_DIR / f"{stem}.json"),
+                          "--n-values", SWEEP_N_VALUES, "--format", fmt])
+    return ops, argvs
+
+
+# the workloads whose operations are fixed, not built by perfbench/gen.py
+FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
+             "formats": _formats_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
             workloads: tuple[str, ...] = WORKLOADS) -> tuple[int, list[str]]:
     """The number of operations run, and one line per operation that differs."""
     bundled = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "scenarios").glob("*.json"))}
+               for path in sorted(SCENARIO_DIR.glob("*.json"))}
     with tempfile.TemporaryDirectory() as tmp:
         work_dir = Path(tmp)
         ops, argvs = [], []
         for name in workloads:
-            if name in CORPUS_OPS:
-                corpus_ops, corpus_argvs = CORPUS_OPS[name](work_dir / name)
-                ops += corpus_ops
-                argvs += corpus_argvs
+            if name in FIXED_OPS:
+                fixed_ops, fixed_argvs = FIXED_OPS[name](work_dir / name)
+                ops += fixed_ops
+                argvs += fixed_argvs
                 continue
             workload = gen.build_workload(name, seed, bundled)
             gen.write_files(workload, work_dir / name)
