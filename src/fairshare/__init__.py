@@ -5,7 +5,6 @@ from fairshare.core import (
     AxiomReport,
     CoalitionGame,
     DegenerateCrowdError,
-    Method,
     PlayerId,
     PlayerTag,
     RosterTooLargeError,

@@ -195,6 +195,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     errors: list[str] = []
     for key in sample:
         check_int(sample, key, errors, prefix="", minimum=SAMPLE_MINIMUMS[key])
+    check_int({"exact-cap": args.exact_cap}, "exact-cap", errors, prefix="", minimum=1)
     if errors:
         raise ScenarioError([f"--{error}" for error in errors])
     scenario = load_scenario(args.scenario, method=args.method, sample=sample)

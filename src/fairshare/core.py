@@ -112,15 +112,11 @@ class CoalitionGame:
         return (1 << self.n_players) - 1
 
 
-class Method(Enum):
-    EXACT = "exact"
-    CLOSED_FORM = "closed_form"
-    SAMPLED = "sampled"
-
-
 @dataclass(frozen=True)
 class Allocation:
-    """Per-player payoffs plus the grand-coalition value they divide.
+    """Per-player payoffs, the grand-coalition value they divide and, for a
+    sampled estimate, one standard error per payoff. It does not record its
+    method: a solve names each result by its key.
 
     Every allocator in this package distributes the grand value exactly
     (up to float noise); that efficiency property is asserted by tests and
@@ -130,15 +126,11 @@ class Allocation:
 
     payoffs: tuple[float, ...]
     grand_value: float
-    method: Method
     stderr: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.method is Method.SAMPLED:
-            if self.stderr is None or len(self.stderr) != len(self.payoffs):
-                raise ValueError("sampled allocations need one stderr per player")
-        elif self.stderr is not None:
-            raise ValueError(f"stderr only applies to sampled allocations, not {self.method}")
+        if self.stderr is not None and len(self.stderr) != len(self.payoffs):
+            raise ValueError("a sampled allocation needs one stderr per player")
 
     @property
     def n_players(self) -> int:
@@ -335,7 +327,7 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
             gains *= weights[start:start + block]
             parts.append(np.sum(gains))
         payoffs.append(_tree_sum(parts))
-    return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
+    return Allocation(tuple(payoffs), float(values[-1]))
 
 
 def anonymous_game(crowd_value: Callable[[int], float], n: int,
@@ -418,7 +410,7 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
             math.sqrt(max(0.0, (sq - n_permutations * (m - c) * (m - c))
                           / (n_permutations - 1)) / n_permutations)
             for sq, m, c in zip(sumsq.tolist(), payoffs, shift.tolist()))
-    return Allocation(payoffs, grand, Method.SAMPLED, stderr)
+    return Allocation(payoffs, grand, stderr)
 
 
 @dataclass(frozen=True)

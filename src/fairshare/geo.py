@@ -37,7 +37,6 @@ from fairshare.checks import (
 from fairshare.core import (
     Allocation,
     CoalitionGame,
-    Method,
     PlayerId,
     PlayerTag,
     check_roster_size,
@@ -229,7 +228,7 @@ def geo_shapley(params: GeoParams) -> Allocation:
         payoffs = tuple(worth(n) for n in sizes)
     else:
         payoffs = tuple(rho * n * total for n in sizes)
-    return Allocation(payoffs, worth(total), Method.CLOSED_FORM)
+    return Allocation(payoffs, worth(total))
 
 
 # --- founder-augmented variants ----------------------------------------------
@@ -259,7 +258,7 @@ def geo_founder_shapley(params: GeoParams) -> Allocation:
     worth = _worth(params)
     grand = worth(math.fsum(sizes))
     agents = tuple(worth(n) / 2 for n in sizes)
-    return Allocation((grand / 2,) + agents, grand, Method.CLOSED_FORM)
+    return Allocation((grand / 2,) + agents, grand)
 
 
 # --- the JSON form and the model entries --------------------------------------

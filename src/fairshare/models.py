@@ -33,7 +33,6 @@ from fairshare.checks import (
 from fairshare.core import (
     Allocation,
     CoalitionGame,
-    Method,
     anonymous_game,
     crowd_players,
     mass_game,
@@ -258,8 +257,7 @@ class ShareReport:
         return repeated_fsum(self.member_pattern, self.n)
 
     def as_allocation(self) -> Allocation:
-        return Allocation((self.founder_payoff,) + self.member_payoffs,
-                          self.grand_value, Method.CLOSED_FORM)
+        return Allocation((self.founder_payoff,) + self.member_payoffs, self.grand_value)
 
 
 def _share_report(founder_payoff: float, member_pattern: tuple[float, ...], n: int,

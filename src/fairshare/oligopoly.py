@@ -32,7 +32,6 @@ from fairshare.checks import (
 from fairshare.core import (
     Allocation,
     CoalitionGame,
-    Method,
     PlayerId,
     PlayerTag,
     check_roster_size,
@@ -210,7 +209,7 @@ def shapley_coarse(graph: OligopolyGraph) -> Allocation:
     payoffs = tuple(graph.rho * (n_v ** 2 + n_v * neighbor_mass) for n_v, neighbor_mass
                     in zip(graph.crowd_sizes, graph.neighbor_masses()))
     grand = _grand_value(graph)
-    return Allocation(payoffs, grand, Method.CLOSED_FORM)
+    return Allocation(payoffs, grand)
 
 
 # --- fine grain: founders and crowd members as separate agents ----------------
@@ -258,7 +257,7 @@ def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:
         for p in blocks[v]:
             payoffs[p] = minor
     grand = _grand_value(graph)
-    return Allocation(tuple(payoffs), grand, Method.CLOSED_FORM)
+    return Allocation(tuple(payoffs), grand)
 
 
 def fine_major_ratio(graph: OligopolyGraph, vertex: str | int) -> float:

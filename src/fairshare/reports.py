@@ -21,14 +21,11 @@ from fairshare.models import ShareReport, gaps_monotone
 
 ALLOCATION_CSV_HEADER = ("player_id", "tag", "payoff", "share")
 
-# fixed rendering order for the methods a solve can run
-_METHOD_ORDER = ("closed_form", "exact", "sampled")
 
-
-def _allocation_payload(alloc: Allocation) -> dict:
+def _allocation_payload(key: str, alloc: Allocation) -> dict:
     shares = alloc.shares()
     return {
-        "method": alloc.method.value,
+        "method": key,
         "payoffs": list(alloc.payoffs),
         "grand_value": alloc.grand_value,
         "stderr": list(alloc.stderr) if alloc.stderr is not None else None,
@@ -51,7 +48,8 @@ def _axiom_payload(report: AxiomReport) -> dict:
 
 @dataclass
 class SolveReport:
-    """Allocations for one scenario, with cross-method discrepancies."""
+    """Allocations for one scenario, keyed by method in the order the solve
+    ran them (the first is the primary one), with cross-method discrepancies."""
 
     scenario: dict
     players: tuple[PlayerId, ...]
@@ -62,17 +60,16 @@ class SolveReport:
     notes: tuple[str, ...] = ()
 
     def primary(self) -> tuple[str, Allocation]:
-        for key in _METHOD_ORDER:
-            if key in self.allocations:
-                return key, self.allocations[key]
-        raise ValueError("report holds no allocations")
+        if not self.allocations:
+            raise ValueError("report holds no allocations")
+        return next(iter(self.allocations.items()))
 
     def to_payload(self) -> dict:
         payload: dict[str, Any] = {
             "scenario": self.scenario,
             "players": [{"index": i, "tag": p.tag.value, "name": p.name}
                         for i, p in enumerate(self.players)],
-            "allocations": {key: _allocation_payload(alloc)
+            "allocations": {key: _allocation_payload(key, alloc)
                             for key, alloc in self.allocations.items()},
             "notes": list(self.notes),
         }

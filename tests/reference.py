@@ -33,7 +33,6 @@ from fairshare.core import (
     Allocation,
     CoalitionGame,
     DegenerateCrowdError,
-    Method,
     RosterTooLargeError,
     coalition_value_table,
     shapley_exact,
@@ -136,7 +135,7 @@ def shapley_permutation_average(game: CoalitionGame, *, cap: int = ORACLE_CAP) -
             prev = cur
     n_orders = math.factorial(n)
     payoffs = tuple(t / n_orders for t in totals)
-    return Allocation(payoffs, float(values[-1]), Method.EXACT)
+    return Allocation(payoffs, float(values[-1]))
 
 
 def shapley_exact_whole(game: CoalitionGame) -> Allocation:
@@ -157,7 +156,7 @@ def shapley_exact_whole(game: CoalitionGame) -> Allocation:
         gains = split[:, 1, :] - split[:, 0, :]
         gains *= weights.reshape(-1, 2, 1 << i)[:, 0, :]
         payoffs.append(float(np.sum(gains)))
-    return Allocation(tuple(payoffs), float(values[-1]), Method.EXACT)
+    return Allocation(tuple(payoffs), float(values[-1]))
 
 
 # --- axiom audit -----------------------------------------------------------------------

@@ -531,6 +531,17 @@ def test_cli_bad_sampler_flag_names_flag(tmp_path, capsys, flag, bad):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["exact", "all"])
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cli_exact_cap_below_one_names_flag(capsys, method, cap):
+    code = main(["solve", "--scenario", str(SCENARIO_DIR / "weighted_trio.json"),
+                 "--method", method, "--exact-cap", cap, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: --exact-cap: must be >= 1, got {cap}\n"
+
+
 # --- one parser per process -------------------------------------------------------
 
 

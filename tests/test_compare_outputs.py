@@ -45,6 +45,20 @@ def test_a_tree_matches_itself_on_the_formats(tmp_path):
     assert all(code == 0 and out and not err for code, out, err in results)
 
 
+def test_a_tree_matches_itself_on_the_flags(tmp_path):
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("flags",))
+    assert (n_ops, differ) == (9, [])
+    # each operation solves, or is refused with one error line and no report:
+    # exit 2 for a bad flag, exit 3 for the 4-player exact solve above a cap of 1
+    _, argvs = tool._flags_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    assert [code for code, _, _ in results] == [2, 2, 2, 2, 3, 0, 2, 2, 0]
+    for code, out, err in results:
+        assert (code == 0 and out and not err) or (
+            not out and len(err.splitlines()) == 1 and err.startswith("error: "))
+
+
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     package = tmp_path / "fairshare"
     package.mkdir()

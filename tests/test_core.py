@@ -19,7 +19,6 @@ from fairshare.core import (
     DegenerateCrowdError,
     EXACT_BYTES_PER_BLOCK,
     EXACT_BYTES_PER_COALITION,
-    Method,
     PlayerId,
     PlayerTag,
     RosterTooLargeError,
@@ -116,13 +115,14 @@ def test_game_roster_validation():
 
 
 def test_allocation_stderr_rules():
-    with pytest.raises(ValueError):
-        Allocation((1.0,), 1.0, Method.SAMPLED)
-    with pytest.raises(ValueError):
-        Allocation((1.0,), 1.0, Method.EXACT, stderr=(0.0,))
-    alloc = Allocation((2.0, 2.0), 4.0, Method.EXACT)
+    for stderr in ((), (0.0,), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="one stderr per player"):
+            Allocation((1.0, 1.0), 2.0, stderr)
+    assert Allocation((1.0, 1.0), 2.0, (0.1, 0.2)).stderr == (0.1, 0.2)
+    alloc = Allocation((2.0, 2.0), 4.0)
+    assert alloc.stderr is None
     assert alloc.shares() == (0.5, 0.5)
-    assert Allocation((0.0,), 0.0, Method.EXACT).shares() is None
+    assert Allocation((0.0,), 0.0).shares() is None
 
 
 # --- marginal values ----------------------------------------------------------
@@ -160,7 +160,7 @@ def test_marginal_value_rejects_member_or_stranger():
 def test_exact_three_player_founder_game():
     # frozen from the permutation-average oracle over all 3! join orders
     alloc = shapley_exact(single_game(SingleCssParams(n=2, k=2, rho=1.0)))
-    assert alloc.method is Method.EXACT
+    assert alloc.stderr is None
     assert alloc.payoffs == pytest.approx((5 / 3, 7 / 6, 7 / 6), abs=1e-12)
     assert alloc.grand_value == 4.0
 
@@ -305,7 +305,6 @@ def test_anonymous_degenerate_crowd():
 
 def test_sample_additive_is_exact_with_zero_stderr():
     alloc = shapley_sample(additive_game(6), n_permutations=50, seed=3)
-    assert alloc.method is Method.SAMPLED
     assert alloc.payoffs == (1.0,) * 6
     assert alloc.stderr == (0.0,) * 6
 
@@ -379,7 +378,7 @@ def loop_shapley_sample(value, n, n_permutations, seed=0):
             math.sqrt(max(0.0, (sq - n_permutations * (m - shift[p]) * (m - shift[p]))
                           / (n_permutations - 1)) / n_permutations)
             for p, (sq, m) in enumerate(zip(sumsq, payoffs)))
-    return Allocation(payoffs, value(Coalition((1 << n) - 1)), Method.SAMPLED, stderr)
+    return Allocation(payoffs, value(Coalition((1 << n) - 1)), stderr)
 
 
 def sample_block(game):
@@ -611,8 +610,7 @@ def test_axioms_pass_on_exact_founder_game():
 def test_axioms_catch_scaled_payoffs():
     game = single_game(SingleCssParams(n=3, k=2, rho=1.0))
     alloc = shapley_exact(game)
-    doubled = Allocation(tuple(2 * p for p in alloc.payoffs),
-                         alloc.grand_value, Method.EXACT)
+    doubled = Allocation(tuple(2 * p for p in alloc.payoffs), alloc.grand_value)
     report = check_axioms(game, doubled)
     assert not report.efficiency_ok
     assert not report.all_ok
@@ -680,7 +678,7 @@ def test_a_given_table_of_the_wrong_shape_is_refused(shape):
     # above the structure cap the table is not scanned, but is still refused
     n = DEFAULT_STRUCTURE_CAP + 1
     with pytest.raises(ValueError, match=rf"{n} players has shape \({1 << n},\)"):
-        check_axioms(additive_game(n), Allocation((0.0,) * n, 0.0, Method.EXACT), values=wrong)
+        check_axioms(additive_game(n), Allocation((0.0,) * n, 0.0), values=wrong)
     with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
         shapley_exact(game, values=wrong)
 
@@ -740,7 +738,7 @@ def test_audit_finds_what_the_exhaustive_scan_finds(drawn):
     values, grand = drawn
     n = values.size.bit_length() - 1
     with np.errstate(invalid="ignore"):
-        report = check_axioms(drawn_game(values), Allocation((0.0,) * n, grand, Method.EXACT))
+        report = check_axioms(drawn_game(values), Allocation((0.0,) * n, grand))
         expected = axiom_structure(values, grand)
     assert (report.null_players, report.symmetric_pairs) == expected
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from fairshare.cli import solve_scenario, sweep_scenario
-from fairshare.reports import ALLOCATION_CSV_HEADER, emit, render
+from fairshare.core import Allocation, crowd_players
+from fairshare.reports import ALLOCATION_CSV_HEADER, SolveReport, emit, render
 from fairshare.scenarios import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -96,3 +97,23 @@ def test_primary_allocation_prefers_closed_form():
     key, alloc = report.primary()
     assert key == "closed_form"
     assert alloc.payoffs[0] == pytest.approx(3.5)
+
+
+def test_primary_allocation_is_the_first_the_solve_ran():
+    allocations = {"exact": Allocation((3.0, 1.0), 4.0),
+                   "closed_form": Allocation((2.0, 2.0), 4.0),
+                   "sampled": Allocation((1.0, 3.0), 4.0, (0.5, 0.5))}
+    report = SolveReport({"model": "single"}, crowd_players(1), allocations,
+                         {}, None, None)
+    assert report.primary() == ("exact", allocations["exact"])
+    text = render(report, "text")
+    assert "allocation (exact):" in text
+    assert "also ran: closed_form" in text and "also ran: sampled" in text
+    assert render(report, "csv").splitlines()[1:] == ["g,founder,3.0,0.75",
+                                                      "u1,crowd,1.0,0.25"]
+    payload = json.loads(render(report, "json"))["allocations"]
+    assert list(payload) == ["closed_form", "exact", "sampled"]  # sorted keys
+    assert {key: entry["method"] for key, entry in payload.items()} == {
+        key: key for key in allocations}
+    assert payload["sampled"]["stderr"] == [0.5, 0.5]
+    assert payload["exact"]["stderr"] is None

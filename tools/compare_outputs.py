@@ -15,10 +15,13 @@ through `empirical --records`, so the error paths are compared too; a case's
 file is written in its `encoding`, UTF-8 if it names none. The `formats`
 operations render every bundled scenario through `solve --method all` and the
 sweeps of `tests/test_golden.py` as text and as CSV, the renderers that no
-other operation reaches. An uncaught exception is recorded as its type and
-message in place of the exit code. The scenario directory is replaced by a
-fixed placeholder in stdout and stderr. Each operation whose exit code, stdout
-or stderr differs is listed, and the exit status is 1 if there is any.
+other operation reaches. The `flags` operations solve one bundled scenario
+under the `solve` flags that no workload passes, `--exact-cap`, `--seed` and
+`--permutations`, at valid and at refused values. An uncaught exception is
+recorded as its type and message in place of the exit code. The scenario
+directory is replaced by a fixed placeholder in stdout and stderr. Each
+operation whose exit code, stdout or stderr differs is listed, and the exit
+status is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -35,13 +38,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
-             "invalid_scenarios", "invalid_records", "formats")
+             "invalid_scenarios", "invalid_records", "formats", "flags")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
 # the sweeps of tests/test_golden.py
 SWEEP_SCENARIOS = ("single_metcalfe", "profit_infra_costs", "weighted_trio")
 SWEEP_N_VALUES = "1,2,10,1000"
+# the solve flags that no workload passes, each run on FLAGS_SCENARIO
+FLAGS_SCENARIO = SCENARIO_DIR / "weighted_trio.json"
+FLAG_SETS = tuple(("--exact-cap", cap, "--method", method)
+                  for cap in ("-1", "0", "1") for method in ("exact", "all")) + (
+    ("--seed", "-1"), ("--permutations", "0"),
+    ("--method", "sample", "--seed", "3", "--permutations", "50"))
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -121,9 +130,17 @@ def _formats_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     return ops, argvs
 
 
+def _flags_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that solve `FLAGS_SCENARIO` under each of `FLAG_SETS`."""
+    ops = [f"flags/{' '.join(flags)}" for flags in FLAG_SETS]
+    argvs = [["solve", "--scenario", str(FLAGS_SCENARIO), *flags, "--format", "json"]
+             for flags in FLAG_SETS]
+    return ops, argvs
+
+
 # the workloads whose operations are fixed, not built by perfbench/gen.py
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
-             "formats": _formats_ops}
+             "formats": _formats_ops, "flags": _flags_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
