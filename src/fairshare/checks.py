@@ -41,8 +41,8 @@ class ModelSpec:
     errors, prefix)` then lists every violation in the JSON itself.
     `closed_refusal(params)` says why the closed form cannot solve the JSON params,
     if it cannot. `game` builds the coalition game and `closed` the closed-form
-    result: a ShareReport for a single-CSS model, whose params are `CssParams` and
-    so support `share_sweep`, and an Allocation otherwise.
+    result: a ShareReport for a single-CSS model, whose `closed(params, n)` takes
+    any crowd size n and so runs in `share_sweep`, and an Allocation otherwise.
     """
 
     validate: Callable[[dict, list[str], str], None]
@@ -53,13 +53,13 @@ class ModelSpec:
     closed_refusal: Callable[[dict], str | None] = lambda params: None
 
 
-def read_json(path: str | Path, error: type[ParamsError] = ParamsError) -> Any:
+def read_json(path: str | Path) -> Any:
     """A file's JSON value; OSError if it cannot be read. Text that is not UTF-8
-    (RFC 8259), not JSON, or holds an integer too long to read raises `error`."""
+    (RFC 8259), not JSON, or holds an integer too long to read raises ParamsError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
-        raise error([f"{path}: not valid JSON ({exc})"]) from exc
+        raise ParamsError([f"{path}: not valid JSON ({exc})"]) from exc
 
 
 def raise_invalid(validate: Callable[[Mapping, list[str], str], None],

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from fairshare import core
-from fairshare.checks import check_int
+from fairshare.checks import ParamsError, check_int
 from fairshare.core import (
     DEFAULT_EXACT_CAP,
     RosterTooLargeError,
@@ -29,11 +29,11 @@ from fairshare.models import share_sweep
 from fairshare.reports import EmpiricalReport, SolveReport, SweepReport, emit
 from fairshare.scenarios import (
     METHODS,
+    MODELS,
     SAMPLE_MINIMUMS,
     SWEEPABLE,
     SampleConfig,
     Scenario,
-    ScenarioError,
     build_game,
     closed_allocation,
     closed_report,
@@ -53,7 +53,7 @@ def _max_gap(a, b) -> float:
 def _check_finite(where: str, numbers: Sequence[float]) -> None:
     """Refuse a result a float cannot hold: JSON has no NaN or Infinity."""
     if not all(map(math.isfinite, numbers)):
-        raise ScenarioError([f"{where}: result is not finite (a value overflows a float)"])
+        raise ParamsError([f"{where}: result is not finite (a value overflows a float)"])
 
 
 def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) -> SolveReport:
@@ -124,10 +124,10 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
 def sweep_scenario(scenario: Scenario, n_values: Sequence[int]) -> SweepReport:
     if scenario.model not in SWEEPABLE:
         *names, last = SWEEPABLE
-        raise ScenarioError(
+        raise ParamsError(
             [f"model: '{scenario.model}' does not support sweeping; "
              f"use {', '.join(names)}, or {last}"])
-    rows = share_sweep(scenario.params, list(n_values))
+    rows = share_sweep(MODELS[scenario.model].closed, scenario.params, list(n_values))
     for row in rows:  # a degenerate row has no shares
         _check_finite(f"n={row.n}", (row.founder_payoff, row.grand_value,
                                      row.founder_share or 0.0, row.crowd_share or 0.0))
@@ -197,7 +197,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         check_int(sample, key, errors, prefix="", minimum=SAMPLE_MINIMUMS[key])
     check_int({"exact-cap": args.exact_cap}, "exact-cap", errors, prefix="", minimum=1)
     if errors:
-        raise ScenarioError([f"--{error}" for error in errors])
+        raise ParamsError([f"--{error}" for error in errors])
     scenario = load_scenario(args.scenario, method=args.method, sample=sample)
     report = solve_scenario(scenario, exact_cap=args.exact_cap)
     emit(report, args.format, args.out)
@@ -209,7 +209,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         n_values = [int(part) for part in args.n_values.split(",")]
     except ValueError:
-        raise ScenarioError(
+        raise ParamsError(
             [f"--n-values: expected comma-separated integers, got {args.n_values!r}"]
         ) from None
     report = sweep_scenario(scenario, n_values)
@@ -226,7 +226,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)  # raises ScenarioError on any problem
+    scenario = load_scenario(args.scenario)  # raises ParamsError on any problem
     print(f"ok: {args.scenario} ({scenario.model}, method={scenario.method})")
     return EXIT_OK
 
@@ -237,7 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "empirical": _cmd_empirical, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
+    except ParamsError as exc:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from fairshare.checks import (
     ModelSpec,
@@ -120,9 +120,6 @@ class SingleCssParams:
         """Cost per crowd member, netted off the revenue: none here."""
         return 0.0
 
-    def closed_at(self, n: int) -> ShareReport:
-        return closed_single(self, n)
-
 
 def closed_weighted_refusal(params: Mapping) -> str | None:
     """Why the weighted closed form cannot solve these params, or None: the
@@ -199,9 +196,6 @@ class WeightedCssParams:
         units = self.work_units()
         total = math.fsum(units)
         return tuple(u / total for u in units)
-
-    def closed_at(self, n: int) -> ShareReport:
-        return closed_weighted(self, n)
 
 
 def validate_profit(params: Mapping, errors: list[str], prefix: str = "") -> None:
@@ -364,12 +358,6 @@ closed_profit = closed_single
 
 # --- convergence sweeps -------------------------------------------------------
 
-class CssParams(Protocol):
-    """A single-CSS model with a closed form at any crowd size."""
-
-    def closed_at(self, n: int) -> ShareReport: ...
-
-
 def gaps_monotone(reports: Sequence[ShareReport]) -> bool | None:
     """Whether the distance from the founder share to its asymptote is
     nonincreasing along a sweep.
@@ -383,8 +371,10 @@ def gaps_monotone(reports: Sequence[ShareReport]) -> bool | None:
     return all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
-def share_sweep(params: CssParams, n_values: Iterable[int]) -> tuple[ShareReport, ...]:
-    """Closed-form share reports across crowd sizes, for limit diagnostics."""
+def share_sweep(closed: Callable[[Any, int], ShareReport], params: Any,
+                n_values: Iterable[int]) -> tuple[ShareReport, ...]:
+    """`closed(params, n)` at each crowd size n, for limit diagnostics: the
+    closed form of a model in `SPECS` and that model's params."""
     sizes = list(n_values)
     if not sizes:
         raise ValueError("n_values must be nonempty")
@@ -392,7 +382,7 @@ def share_sweep(params: CssParams, n_values: Iterable[int]) -> tuple[ShareReport
         raise ValueError("n_values must be strictly ascending")
     if any(n < 1 for n in sizes):
         raise ValueError("crowd sizes must be >= 1")
-    return tuple(params.closed_at(n) for n in sizes)
+    return tuple(closed(params, n) for n in sizes)
 
 
 SPECS = {

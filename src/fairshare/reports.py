@@ -156,14 +156,15 @@ class SweepReport:
         return header, [tuple("" if x is None else x for x in row) for row in rows]
 
     def to_text(self) -> str:
+        width = max([8, *(len(str(row.n)) for row in self.rows)])
         lines = [f"share sweep: model={self.scenario['model']}"]
-        lines.append(f"{'n':>8}  {'founder_share':>14}  {'asymptote':>10}")
+        lines.append(f"{'n':>{width}}  {'founder_share':>14}  {'asymptote':>10}")
         for row in self.rows:
             share = ("degenerate" if row.founder_share is None
                      else f"{row.founder_share:.6f}")
             asym = ("-" if row.asymptotic_founder_share is None
                     else f"{row.asymptotic_founder_share:.6f}")
-            lines.append(f"{row.n:>8}  {share:>14}  {asym:>10}")
+            lines.append(f"{row.n:>{width}}  {share:>14}  {asym:>10}")
         monotone = gaps_monotone(self.rows)
         if monotone is not None:
             lines.append(f"gap to asymptote monotone nonincreasing: {monotone}")

@@ -7,7 +7,7 @@ its parameters and the solution method(s) to run:
      "method": "all", "sample": {"permutations": 20000, "seed": 0}}
 
 `parse_scenario` reports every violation it can find, as the `errors` of one
-`ScenarioError`, rather than stopping at the first, so a file can be fixed in
+`ParamsError`, rather than stopping at the first, so a file can be fixed in
 one pass. This module reads the envelope: the model name, the method, the
 sampler config and the label. Each model module defines its own params, their
 JSON form, game and closed form in its `SPECS`; `MODELS` collects them, and
@@ -43,10 +43,6 @@ DEFAULT_PERMUTATIONS = 20_000
 SAMPLE_MINIMUMS = {"permutations": 1, "seed": 0}
 
 
-class ScenarioError(ParamsError):
-    """A scenario failed validation; `errors` lists every violation found."""
-
-
 @dataclass(frozen=True)
 class SampleConfig:
     permutations: int = DEFAULT_PERMUTATIONS
@@ -65,8 +61,8 @@ class Scenario:
 # every model, in the order a bad model name lists them
 MODELS: dict[str, ModelSpec] = {**models.SPECS, **oligopoly.SPECS, **geo.SPECS}
 
-# the models whose params sweep: `CssParams`, which define `closed_at`
-SWEEPABLE = tuple(name for name, spec in MODELS.items() if hasattr(spec.parse, "closed_at"))
+# the models whose closed form takes any crowd size, so `share_sweep` runs it
+SWEEPABLE = tuple(models.SPECS)
 
 
 def _read_params(spec: ModelSpec, params: dict, closed: bool,
@@ -125,10 +121,10 @@ def _read_scenario(data: Any) -> tuple[list[str], Scenario | None]:
 
 
 def parse_scenario(data: Any) -> Scenario:
-    """Validate and build a typed Scenario; raises ScenarioError on any problem."""
+    """Validate and build a typed Scenario; raises ParamsError on any problem."""
     errors, scenario = _read_scenario(data)
     if errors:
-        raise ScenarioError(errors)
+        raise ParamsError(errors)
     return scenario
 
 
@@ -141,7 +137,7 @@ def load_scenario(path: str | Path, *, method: str | None = None,
     A file nested too deeply for the reader, or for the `repr` of a value in
     an error message, is refused as a whole."""
     try:
-        data = read_json(path, ScenarioError)
+        data = read_json(path)
         if isinstance(data, dict):
             if method is not None:
                 data["method"] = method
@@ -150,7 +146,7 @@ def load_scenario(path: str | Path, *, method: str | None = None,
                 data["sample"] = {**(given or {}), **sample}
         return parse_scenario(data)
     except RecursionError:
-        raise ScenarioError([f"{path}: nested too deeply to read"]) from None
+        raise ParamsError([f"{path}: nested too deeply to read"]) from None
 
 
 def scenario_to_data(scenario: Scenario) -> dict:

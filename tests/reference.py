@@ -28,6 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from fairshare.checks import ParamsError
 from fairshare.core import (
     MAX_PLAYERS,
     Allocation,
@@ -41,7 +42,7 @@ from fairshare.empirical import HalfYear
 from fairshare.geo import DiskCensus, GeoParams, GeoVariant
 from fairshare.models import SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph, minor_blocks
-from fairshare.scenarios import ScenarioError, parse_scenario
+from fairshare.scenarios import parse_scenario
 
 ORACLE_CAP = 9              # n! join orders; anything larger is impractical
 
@@ -382,7 +383,7 @@ def scenario_errors(data: object) -> list[str]:
     """Every violation `parse_scenario` finds in a scenario object; [] when it parses."""
     try:
         parse_scenario(data)
-    except ScenarioError as exc:
+    except ParamsError as exc:
         return exc.errors
     return []
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairshare import checks, cli, core, geo, models, oligopoly
+from fairshare.checks import ParamsError
 from fairshare.cli import (
     EXIT_CAP,
     EXIT_IO,
@@ -28,7 +29,6 @@ from fairshare.scenarios import (
     METHODS,
     MODELS,
     SWEEPABLE,
-    ScenarioError,
     load_scenario,
     parse_scenario,
 )
@@ -87,9 +87,21 @@ def test_solve_all_above_cap_skips_exact_with_note():
 
 
 def test_sweep_scenario_rejects_graph_models():
-    scenario = load_scenario(SCENARIO_DIR / "oligopoly_diamond.json")
-    with pytest.raises(ScenarioError, match="does not support sweeping"):
-        sweep_scenario(scenario, [2, 4])
+    # the bundled scenarios cover every model: exactly those of models.SPECS sweep
+    n_values = [1, 2, 10, 1000]
+    swept = set()
+    for path in BUNDLED:
+        scenario = load_scenario(path)
+        if scenario.model not in models.SPECS:
+            with pytest.raises(ParamsError, match="does not support sweeping"):
+                sweep_scenario(scenario, n_values)
+            continue
+        closed = MODELS[scenario.model].closed
+        assert sweep_scenario(scenario, n_values).rows == tuple(
+            closed(scenario.params, n) for n in n_values), path.name
+        swept.add(scenario.model)
+    assert swept == set(models.SPECS)
+    assert {load_scenario(path).model for path in BUNDLED} == set(MODELS)
 
 
 # --- exit codes ---------------------------------------------------------------------
@@ -540,6 +552,18 @@ def test_cli_exact_cap_below_one_names_flag(capsys, method, cap):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err == f"error: --exact-cap: must be >= 1, got {cap}\n"
+
+
+def test_cli_prints_one_line_per_violation_from_outside_the_loader(monkeypatch, capsys):
+    def refuse(*args):
+        raise ParamsError(["payout: first violation", "window: second violation"])
+
+    monkeypatch.setattr(cli, "revenue_share", refuse)
+    code = main(["empirical", "--payout", "1", "--window", "2021", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: payout: first violation\nerror: window: second violation\n"
 
 
 # --- one parser per process -------------------------------------------------------

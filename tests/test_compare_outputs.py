@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from fairshare import models
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -57,6 +59,28 @@ def test_a_tree_matches_itself_on_the_flags(tmp_path):
     for code, out, err in results:
         assert (code == 0 and out and not err) or (
             not out and len(err.splitlines()) == 1 and err.startswith("error: "))
+
+
+def test_a_tree_matches_itself_on_the_sweeps(tmp_path):
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("sweeps",))
+    assert (n_ops, differ) == (7, [])
+    # the golden sweeps hold every bundled scenario whose model sweeps
+    models_of = {path.stem: json.loads(path.read_text(encoding="utf-8"))["model"]
+                 for path in tool.SCENARIO_DIR.glob("*.json")}
+    assert {models_of[stem] for stem in tool.SWEEP_SCENARIOS} == set(models.SPECS)
+    ops, argvs = tool._sweeps_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    *refused, (code, out, err) = results
+    for op, (code_r, out_r, err_r) in zip(ops, refused):
+        assert models_of[op.removeprefix("sweeps/refused-")] not in models.SPECS
+        assert (code_r, out_r) == (2, "")
+        assert err_r.startswith("error: model: '") and err_r.endswith(
+            "' does not support sweeping; use single, weighted, or profit\n")
+    # the wide sweep renders its row under the header's columns
+    assert (code, err) == (0, "")
+    _, header, row, _ = out.splitlines()
+    assert len(row) == len(header) and row.startswith(tool.WIDE_N)
 
 
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):

@@ -405,7 +405,7 @@ def test_weighted_crowd_share_at_k2(weights, alpha, rho):
 def test_weighted_crowd_share_at_k2_for_a_cycled_crowd(weights, n, alpha, rho):
     params = WeightedCssParams(weights=tuple(weights), alpha=alpha, rho=rho)
     assume(any(params.weights[:n]))
-    report = params.closed_at(n)
+    report = closed_weighted(params, n)
     # sum of f_i^2 over the n members of the cycled crowd, exactly
     q, r = divmod(n, len(weights))
     units = [Fraction(u) for u in params.work_units()]
@@ -468,7 +468,7 @@ def test_weighted_report_at_n_is_the_report_of_the_cycled_weights(weights, n, al
     assume(any(params.weights[:n]))
     cycled = dataclasses.replace(params, weights=tuple(islice(cycle(params.weights), n)))
     listed = closed_weighted(cycled)
-    report = params.closed_at(n)
+    report = closed_weighted(params, n)
     assert report.member_payoffs == listed.member_payoffs
     assert report.crowd_payoff == listed.crowd_payoff
     for field in ("founder_payoff", "grand_value", "founder_share", "crowd_share",
@@ -476,14 +476,15 @@ def test_weighted_report_at_n_is_the_report_of_the_cycled_weights(weights, n, al
         assert getattr(report, field) == getattr(listed, field), field
 
 
-@pytest.mark.parametrize("params", [SingleCssParams(n=1, k=2, rho=1.3),
-                                    WeightedCssParams(weights=(1.0, 2.0, 0.5), rho=1.3)],
-                         ids=["single", "weighted"])
-def test_sweep_to_a_billion_costs_what_a_small_one_does(params):
+@pytest.mark.parametrize("closed, params", [
+    (closed_single, SingleCssParams(n=1, k=2, rho=1.3)),
+    (closed_weighted, WeightedCssParams(weights=(1.0, 2.0, 0.5), rho=1.3)),
+], ids=["single", "weighted"])
+def test_sweep_to_a_billion_costs_what_a_small_one_does(closed, params):
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        reports = share_sweep(params, [10, 10 ** 6, 10 ** 9])
+        reports = share_sweep(closed, params, [10, 10 ** 6, 10 ** 9])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -499,27 +500,27 @@ def test_sweep_to_a_billion_costs_what_a_small_one_does(params):
 
 
 def test_share_sweep_metcalfe_landmarks():
-    reports = share_sweep(SingleCssParams(n=1, k=2, rho=1.0), [10, 100, 1000])
+    reports = share_sweep(closed_single, SingleCssParams(n=1, k=2, rho=1.0), [10, 100, 1000])
     shares = [report.founder_share for report in reports]
     assert shares == pytest.approx([0.35, 0.335, 0.33350], abs=1e-12)
     assert gaps_monotone(reports)
 
 
 def test_share_sweep_linear_is_flat():
-    reports = share_sweep(SingleCssParams(n=1, k=1, rho=3.0), [2, 5, 10, 50])
+    reports = share_sweep(closed_single, SingleCssParams(n=1, k=1, rho=3.0), [2, 5, 10, 50])
     assert all(report.founder_share == 0.5 for report in reports)
 
 
 def test_share_sweep_profit_flags_degenerate_rows():
     params = ProfitCssParams(n=1, k=2, rho=1.0, founder_cost=6.0)
-    reports = share_sweep(params, [2, 4, 8, 16])
+    reports = share_sweep(closed_profit, params, [2, 4, 8, 16])
     flags = [report.degenerate for report in reports]
     # rho n^2 < 6n for n < 6, so small crowds lose money
     assert flags == [True, True, False, False]
 
 
 def test_share_sweep_weighted_tiles_pattern():
-    reports = share_sweep(WeightedCssParams(weights=(1.0,)), [10, 100])
+    reports = share_sweep(closed_weighted, WeightedCssParams(weights=(1.0,)), [10, 100])
     for n, report in zip([10, 100], reports, strict=True):
         assert report.n == n
         assert report.founder_share == pytest.approx(1 / 3 + 1 / (6 * n), abs=1e-12)
@@ -527,8 +528,8 @@ def test_share_sweep_weighted_tiles_pattern():
 
 def test_share_sweep_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        share_sweep(SingleCssParams(n=1, k=2), [])
+        share_sweep(closed_single, SingleCssParams(n=1, k=2), [])
     with pytest.raises(ValueError):
-        share_sweep(SingleCssParams(n=1, k=2), [5, 5])
+        share_sweep(closed_single, SingleCssParams(n=1, k=2), [5, 5])
     with pytest.raises(ValueError):
-        share_sweep(SingleCssParams(n=1, k=2), [10, 3])
+        share_sweep(closed_single, SingleCssParams(n=1, k=2), [10, 3])

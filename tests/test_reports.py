@@ -74,6 +74,17 @@ def test_sweep_report_formats():
     assert payload["gaps_monotone"] is True
 
 
+@pytest.mark.parametrize("n_values, width", [([10, 10 ** 7], 8), ([10, 10 ** 8], 9),
+                                             ([10, 10 ** 22], 23)])
+def test_sweep_text_columns_fit_the_longest_n(n_values, width):
+    scenario = load_scenario(SCENARIO_DIR / "single_metcalfe.json")
+    _, header, *rows, _ = render(sweep_scenario(scenario, n_values), "text").splitlines()
+    assert header == f"{'n':>{width}}  {'founder_share':>14}  {'asymptote':>10}"
+    # every column ends where its header ends
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[:width].lstrip() for row in rows] == [str(n) for n in n_values]
+
+
 def test_emit_writes_file(tmp_path):
     report = solve("geo_founder_lin.json")
     out = tmp_path / "report.json"

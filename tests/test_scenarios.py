@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairshare.checks import ParamsError
 from fairshare.geo import MAX_CENSUS_AGENTS, DiskCensus, GeoParams
 from fairshare.models import ProfitCssParams, SingleCssParams, WeightedCssParams
 from fairshare.oligopoly import OligopolyGraph
@@ -19,7 +20,6 @@ from fairshare.scenarios import (
     MODELS,
     SampleConfig,
     Scenario,
-    ScenarioError,
     build_game,
     closed_allocation,
     load_scenario,
@@ -175,7 +175,7 @@ def test_non_finite_numbers_rejected(model, params, key, bad):
     data = {"model": model, "params": dict(params, **{key: bad})}
     errors = scenario_errors(data)
     assert any(f"params.{key}" in e and "finite" in e for e in errors), errors
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ParamsError):
         parse_scenario(data)
 
 
@@ -222,7 +222,7 @@ def test_parse_builds_typed_params():
 
 
 def test_parse_rejects_invalid():
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(ParamsError) as info:
         parse_scenario({"model": "single", "params": {"n": 3}})
     assert any("params.k" in e for e in info.value.errors)
 
@@ -245,7 +245,7 @@ def test_parse_census_from_placements():
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ScenarioError, match="not valid JSON"):
+    with pytest.raises(ParamsError, match="not valid JSON"):
         load_scenario(path)
 
 
@@ -357,7 +357,7 @@ def _numbers(node):
 def test_parse_returns_or_raises_scenario_error(data):
     try:
         scenario = parse_scenario(data)
-    except ScenarioError:
+    except ParamsError:
         assert scenario_errors(data) != []
         return
     assert scenario_errors(data) == []

@@ -17,7 +17,10 @@ operations render every bundled scenario through `solve --method all` and the
 sweeps of `tests/test_golden.py` as text and as CSV, the renderers that no
 other operation reaches. The `flags` operations solve one bundled scenario
 under the `solve` flags that no workload passes, `--exact-cap`, `--seed` and
-`--permutations`, at valid and at refused values. An uncaught exception is
+`--permutations`, at valid and at refused values. The `sweeps` operations
+sweep every bundled scenario outside the golden sweeps, whose models do not
+sweep, so the refusal is compared, and render one text sweep at n = 10^22,
+wider than the renderer's least `n` column. An uncaught exception is
 recorded as its type and message in place of the exit code. The scenario
 directory is replaced by a fixed placeholder in stdout and stderr. Each
 operation whose exit code, stdout or stderr differs is listed, and the exit
@@ -38,13 +41,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
-             "invalid_scenarios", "invalid_records", "formats", "flags")
+             "invalid_scenarios", "invalid_records", "formats", "flags", "sweeps")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
 # the sweeps of tests/test_golden.py
 SWEEP_SCENARIOS = ("single_metcalfe", "profit_infra_costs", "weighted_trio")
 SWEEP_N_VALUES = "1,2,10,1000"
+# a crowd size whose digits overflow the least width of the text `n` column
+WIDE_N = str(10 ** 22)
 # the solve flags that no workload passes, each run on FLAGS_SCENARIO
 FLAGS_SCENARIO = SCENARIO_DIR / "weighted_trio.json"
 FLAG_SETS = tuple(("--exact-cap", cap, "--method", method)
@@ -138,9 +143,24 @@ def _flags_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     return ops, argvs
 
 
+def _sweeps_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that sweep each bundled scenario outside `SWEEP_SCENARIOS`,
+    and render one text sweep at `WIDE_N`."""
+    ops, argvs = [], []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        if path.stem not in SWEEP_SCENARIOS:
+            ops.append(f"sweeps/refused-{path.stem}")
+            argvs.append(["sweep", "--scenario", str(path), "--n-values", SWEEP_N_VALUES])
+    stem = SWEEP_SCENARIOS[0]
+    ops.append(f"sweeps/{stem}-n{WIDE_N}/text")
+    argvs.append(["sweep", "--scenario", str(SCENARIO_DIR / f"{stem}.json"),
+                  "--n-values", WIDE_N, "--format", "text"])
+    return ops, argvs
+
+
 # the workloads whose operations are fixed, not built by perfbench/gen.py
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
-             "formats": _formats_ops, "flags": _flags_ops}
+             "formats": _formats_ops, "flags": _flags_ops, "sweeps": _sweeps_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
