@@ -153,24 +153,32 @@ def weight_sum_table(weights: Sequence[float],
     Works a byte of players at a time: each byte's 256 subset sums are
     tabulated with `math.fsum` on the first call and kept for later ones,
     and every call gathers them, so there is one pass over the masks per 8
-    players and no (masks x players) bit matrix.
+    players and no (masks x players) bit matrix. A mask's total is
+    `0.0 + byte 0's sum + byte 1's sum + ...`, added in that order. Each
+    byte's index is cut from the masks read as `int64` into one reused
+    buffer, so the gather needs no cast; the mask of the byte's bits drops
+    the sign that an arithmetic shift of bit 63 spreads.
     """
     @functools.cache
-    def byte_sums() -> list[tuple[np.uint64, np.uint64, np.ndarray]]:
+    def byte_sums() -> list[tuple[np.int64, np.int64, np.ndarray]]:
         out = []
         for lo in range(0, len(weights), 8):
             chunk = weights[lo:lo + 8]
             subset_sums = np.array([
                 math.fsum(w for b, w in enumerate(chunk) if (m >> b) & 1)
                 for m in range(1 << len(chunk))])
-            out.append((np.uint64(first_bit + lo), np.uint64((1 << len(chunk)) - 1),
+            out.append((np.int64(first_bit + lo), np.int64((1 << len(chunk)) - 1),
                         subset_sums))
         return out
 
     def table(masks: np.ndarray) -> np.ndarray:
+        signed = masks.view(np.int64)
+        index = np.empty(masks.shape, dtype=np.int64)
         total = np.zeros(masks.shape)
         for shift, low_bits, subset_sums in byte_sums():
-            total += subset_sums[(masks >> shift) & low_bits]
+            np.right_shift(signed, shift, out=index)
+            index &= low_bits
+            total += subset_sums[index]
         return total
 
     return table
@@ -189,7 +197,10 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
 
     Without a founder, player i carries units[i]. With one, player 0 gates
     the game: a coalition without it is worth zero, and player i carries
-    units[i - 1]. `worth` maps an array of masses to their values.
+    units[i - 1]. `worth` maps an array of masses to their values. A mass is
+    `weight_sum_table`'s sum, in its byte order, and `worth` is applied to
+    every mask of a call before the ones without the founder are set to 0.0,
+    so a coalition's value does not depend on the masks it is evaluated with.
     """
     first = int(founder)
     mass = weight_sum_table(units, first_bit=first)
@@ -335,25 +346,29 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
     """Founder-gated game whose value depends only on the crowd head count.
 
     Player 0 is the founder; a coalition without it is worth zero, one with
-    it and s crowd members is worth crowd_value(s). The batch table computes
-    its n + 1 levels per call, so building the game stays O(1) at any n.
+    it and s crowd members is worth crowd_value(s). The batch table calls
+    crowd_value n + 1 times, once per crowd count, on its first call and
+    keeps the levels for later ones, so building the game stays O(1) at any
+    n. Each value is a level as crowd_value returned it: a mask without the
+    founder is cleared to 0, and its member count, 0, indexes a leading 0.0.
     """
     if n < 1:
         raise DegenerateCrowdError(f"need at least one crowd member, got n={n}")
 
+    @functools.cache
+    def levels() -> np.ndarray:
+        return np.array([0.0] + [float(crowd_value(m)) for m in range(n + 1)])
+
     def table(masks: np.ndarray) -> np.ndarray:
-        levels = np.array([float(crowd_value(m)) for m in range(n + 1)])
-        values = levels[np.bitwise_count(masks >> np.uint64(1))]
-        values[(masks & np.uint64(1)) == 0] = 0.0
-        return values
+        index = masks & np.uint64(1)
+        np.negative(index, out=index)  # all ones with the founder, else 0
+        index &= masks
+        # counted in place, so the gather reads an intp index, not a cast copy
+        np.bitwise_count(index, out=index.view(np.int64))
+        return levels()[index.view(np.int64)]
 
     return CoalitionGame(n + 1, label=label or "anonymous crowd game",
                          players=crowd_players(n), table=table)
-
-
-def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ..., added one row at a time, in order."""
-    return np.add.accumulate(np.vstack((total, rows)), axis=0)[-1]
 
 
 def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> Allocation:
@@ -369,7 +384,9 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     Join orders are drawn and evaluated in blocks: each block's prefix
     coalitions go to one `evaluate` call. The draws, and the order in which
     marginals are summed, are those of one `rng.permutation(n)` per join
-    order.
+    order: a player's sum is `((total + g_0) + g_1) + ...` over its marginals
+    in the order drawn, because `np.bincount` adds its weights one at a time,
+    in input order.
     """
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
@@ -380,28 +397,39 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     ends = np.array([0, int(game.grand_coalition)], dtype=np.uint64)
     empty, grand = game.evaluate(ends).tolist()
     block = max(1, _SAMPLE_BLOCK_MASKS // n)
+    # One bin index and one weight per entry, reused by every block: the
+    # first n entries are the players themselves, weighted by their running
+    # totals, and the rest are a block's join orders, weighted by their
+    # marginals. A running total starts at +0.0 and so is never -0.0, which
+    # makes 0.0 + total, the first addition of a bin, exact.
+    order = np.empty(n + block * n, dtype=np.intp)
+    weights = np.empty(order.size)
+    order[:n] = np.arange(n)
     for start in range(0, n_permutations, block):
         rows = min(block, n_permutations - start)
-        perms = rng.permuted(np.tile(np.arange(n, dtype=np.intp), (rows, 1)), axis=1)
-        values = game.evaluate(np.bitwise_or.accumulate(
-            np.uint64(1) << perms.view(np.uint64), axis=1).ravel())
+        size = n + rows * n
+        perms = order[n:size].reshape(rows, n)
+        perms[...] = order[:n]
+        rng.permuted(perms, axis=1, out=perms)
+        masks = np.left_shift(np.uint64(1), perms.view(np.uint64))
+        np.bitwise_or.accumulate(masks, axis=1, out=masks)
+        values = game.evaluate(masks.ravel())
+        del masks
         # Marginals: each value minus the one before it, and the first of
-        # each join order minus v(empty). Each step writes into an array it
-        # owns and spent arrays go at once, so a block holds about four
-        # block-sized arrays and reuses the heap the last block freed.
-        marginals = np.empty_like(values)
+        # each join order minus v(empty).
+        marginals = weights[n:size]
         np.subtract(values[1:], values[:-1], out=marginals[1:])
         np.subtract(values[::n], empty, out=marginals[::n])
         del values
-        gains = np.empty((rows, n))
-        np.put_along_axis(gains, perms, marginals.reshape(rows, n), axis=1)
-        del perms, marginals
         if start == 0:
-            shift = gains[0].copy()
-        sums = _running_total(sums, gains)
-        gains -= shift
-        gains *= gains
-        sumsq = _running_total(sumsq, gains)
+            shift = np.empty(n)
+            shift[perms[0]] = marginals[:n]
+        weights[:n] = sums
+        sums = np.bincount(order[:size], weights[:size], minlength=n)
+        marginals -= shift[perms].ravel()
+        marginals *= marginals
+        weights[:n] = sumsq
+        sumsq = np.bincount(order[:size], weights[:size], minlength=n)
     payoffs = tuple(s / n_permutations for s in sums.tolist())
     if n_permutations == 1:
         stderr = (0.0,) * n

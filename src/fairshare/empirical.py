@@ -206,7 +206,8 @@ def load_revenue_records(path: str | Path | None = None) -> tuple[RevenueRecord,
                     raise_invalid(validate_record, row)
                     raise
             except ParamsError as exc:
-                raise ValueError(f"{path}: bad revenue record at index {pos}: {exc}") from exc
+                where = f"{path}: bad revenue record at index {pos}: "
+                raise ParamsError([where + error for error in exc.errors]) from exc
         return tuple(records)
     except RecursionError:
         raise ValueError(f"{path}: nested too deeply to read") from None

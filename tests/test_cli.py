@@ -869,7 +869,8 @@ def test_cli_empirical_refuses_a_non_finite_record(tmp_path, capsys, row, messag
     ('"year": 2020, "entity": "Z", "revenue": 5, "payout": "3"',
      "payout: expected a finite number, got '3'"),
     ('"entity": 7, "revenue": 5',
-     "year: missing required field; entity: expected a string, got 7"),
+     "year: missing required field\nerror: <records>: bad revenue record at index 0: "
+     "entity: expected a string, got 7"),
 ], ids=["fractional year", "bool year", "number entity", "string revenue", "bool revenue",
         "null revenue", "revenue beyond a float", "string payout", "every field named"])
 def test_cli_empirical_checks_record_fields_without_coercing(tmp_path, capsys, row, message):

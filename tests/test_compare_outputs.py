@@ -61,6 +61,19 @@ def test_a_tree_matches_itself_on_the_flags(tmp_path):
             not out and len(err.splitlines()) == 1 and err.startswith("error: "))
 
 
+def test_a_tree_matches_itself_on_the_sampler(tmp_path):
+    tool = load_tool()
+    n_scenarios = len(list(tool.SCENARIO_DIR.glob("*.json")))
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("sampler",))
+    assert (n_ops, differ) == (3 * n_scenarios, [])
+    # every operation prints a sampled allocation, with its stderr
+    ops, argvs = tool._sampler_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    for op, (code, out, err) in zip(ops, results):
+        assert (code, err) == (0, ""), op
+        assert "stderr" in out, op
+
+
 def test_a_tree_matches_itself_on_the_sweeps(tmp_path):
     tool = load_tool()
     n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("sweeps",))

@@ -29,6 +29,7 @@ from fairshare.core import (
     mass_game,
     shapley_exact,
     shapley_sample,
+    weight_sum_table,
 )
 from fairshare.geo import DiskCensus, GeoParams, geo_founder_game, geo_game
 from fairshare.models import (
@@ -300,6 +301,69 @@ def test_anonymous_degenerate_crowd():
         shapley_anonymous(lambda s: float("nan"), 3)
 
 
+# --- batch tables at bit 63 -------------------------------------------------------
+
+
+def masks_with_bit_63(seed, size=500):
+    """Random 64-bit masks with bit 63 set, half of them with bit 0 clear."""
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 1 << 63, size, dtype=np.uint64) | np.uint64(1 << 63)
+    masks[::2] &= ~np.uint64(1)
+    masks[1::2] |= np.uint64(1)
+    return masks
+
+
+def byte_wise_sum(weights, mask, first_bit):
+    """0.0 plus each byte's `math.fsum` in byte order: `weight_sum_table`'s sum."""
+    total = 0.0
+    for lo in range(0, len(weights), 8):
+        total += math.fsum(w for b, w in enumerate(weights[lo:lo + 8], start=first_bit + lo)
+                           if (mask >> b) & 1)
+    return total
+
+
+def test_weight_sum_table_covers_bit_63():
+    weights = [0.1 * (i + 1) * (-1) ** i for i in range(64)]
+    masks = masks_with_bit_63(1)
+    assert weight_sum_table(weights)(masks).tolist() == [
+        byte_wise_sum(weights, mask, 0) for mask in masks.tolist()]
+
+
+def test_founder_mass_table_covers_bit_63():
+    units = [0.3 + 0.17 * i for i in range(63)]
+    game = mass_game(units, lambda m: 1.5 * m * m, "mass", crowd_players(63), founder=True)
+    assert game.n_players == 64
+    masks = masks_with_bit_63(2)
+    expected = [1.5 * m * m if mask & 1 else 0.0
+                for mask, m in ((mask, byte_wise_sum(units, mask, 1))
+                                for mask in masks.tolist())]
+    assert game.evaluate(masks).tolist() == expected
+
+
+def test_anonymous_table_covers_bit_63():
+    game = anonymous_game(lambda s: 0.5 * s * s - 3.0, 63)
+    masks = masks_with_bit_63(3)
+    assert game.evaluate(masks).tolist() == [
+        0.5 * c * c - 3.0 if mask & 1 else 0.0
+        for mask, c in ((mask, (mask >> 1).bit_count()) for mask in masks.tolist())]
+
+
+def test_anonymous_levels_are_computed_once_on_first_use():
+    calls = []
+
+    def crowd_value(s):
+        calls.append(s)
+        return float(s)
+
+    game = anonymous_game(crowd_value, 40)
+    assert calls == []
+    masks = np.random.default_rng(4).integers(0, 1 << 41, 200, dtype=np.uint64)
+    for block in np.split(masks, 4):
+        game.evaluate(block)
+    shapley_sample(game, 20, seed=1)
+    assert sorted(calls) == list(range(41))
+
+
 # --- sampling estimator ---------------------------------------------------------
 
 
@@ -544,6 +608,39 @@ def test_permuted_block_matches_successive_permutations(n, rows):
     loop = np.array([loop_rng.permutation(n) for _ in range(rows)])
     np.testing.assert_array_equal(block, loop)
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_bincount_adds_each_bin_in_input_order():
+    # the sampler sums each player's marginals with `np.bincount`; seeded output
+    # relies on it adding a bin's weights one at a time, in input order
+    weights = np.array([1e16, 1.0, -1e16, 1.0])
+    sequential = ((1e16 + 1.0) - 1e16) + 1.0
+    assert sequential != (1e16 + 1.0) + (-1e16 + 1.0)  # what a pairwise sum gives
+    assert np.bincount(np.zeros(4, dtype=np.intp), weights).tolist() == [sequential]
+    # interleaved bins of weights whose sums depend on the order of addition
+    rng = np.random.default_rng(8)
+    weights = rng.normal(size=600) * 2.0 ** rng.integers(-40, 40, 600)
+    bins = np.tile(np.arange(3, dtype=np.intp), 200)
+    expected = [functools.reduce(lambda a, b: a + b, weights[b::3].tolist(), 0.0)
+                for b in range(3)]
+    assert np.bincount(bins, weights, minlength=3).tolist() == expected
+    assert [math.fsum(weights[b::3]) for b in range(3)] != expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_sampler_is_bit_identical_to_the_loop_on_any_table(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="table seed"))
+    size = 1 << n
+    values = rng.normal(size=size) * 2.0 ** rng.integers(-30, 30, size)
+    values[rng.random(size) < 0.2] = 0.0
+    values[rng.random(size) < 0.1] = -0.0
+    game = CoalitionGame(n, table=lambda masks: values[masks])
+    n_permutations = data.draw(st.integers(1, 2 * sample_block(game) + 3), label="permutations")
+    seed = data.draw(st.integers(0, 2 ** 63 - 1), label="seed")
+    assert (shapley_sample(game, n_permutations, seed)
+            == loop_shapley_sample(lambda s: float(values[s]), n, n_permutations, seed))
 
 
 def test_table_game_sampler_makes_no_value_calls():

@@ -151,8 +151,8 @@ def test_a_records_file_is_refused_exactly_when_the_api_refuses_its_row(tmp_path
         try:
             loaded = load_revenue_records(path)
             refusal = None
-        except ValueError as exc:
-            refusal = str(exc)
+        except ParamsError as exc:
+            refusal = exc.errors
         try:
             record = RevenueRecord(**row)
             errors = []
@@ -163,7 +163,8 @@ def test_a_records_file_is_refused_exactly_when_the_api_refuses_its_row(tmp_path
             validate_record(row, errors)
             assert errors, row
         if errors:
-            assert refusal == f"{path}: bad revenue record at index 0: {'; '.join(errors)}"
+            assert refusal == [f"{path}: bad revenue record at index 0: {error}"
+                               for error in errors]
         else:
             assert refusal is None and loaded == (record,), (row, refusal)
 

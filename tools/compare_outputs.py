@@ -17,7 +17,10 @@ operations render every bundled scenario through `solve --method all` and the
 sweeps of `tests/test_golden.py` as text and as CSV, the renderers that no
 other operation reaches. The `flags` operations solve one bundled scenario
 under the `solve` flags that no workload passes, `--exact-cap`, `--seed` and
-`--permutations`, at valid and at refused values. The `sweeps` operations
+`--permutations`, at valid and at refused values. The `sampler` operations
+solve every bundled scenario with `--method sample` at each seed and
+permutation count of `SAMPLER_RUNS`, so the sampler's output bits are
+compared on one join order, on two, and across a block edge. The `sweeps` operations
 sweep every bundled scenario outside the golden sweeps, whose models do not
 sweep, so the refusal is compared, and render one text sweep at n = 10^22,
 wider than the renderer's least `n` column. An uncaught exception is
@@ -41,7 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
-             "invalid_scenarios", "invalid_records", "formats", "flags", "sweeps")
+             "invalid_scenarios", "invalid_records", "formats", "flags", "sampler", "sweeps")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
@@ -56,6 +59,9 @@ FLAG_SETS = tuple(("--exact-cap", cap, "--method", method)
                   for cap in ("-1", "0", "1") for method in ("exact", "all")) + (
     ("--seed", "-1"), ("--permutations", "0"),
     ("--method", "sample", "--seed", "3", "--permutations", "50"))
+# (seed, permutations) of each sampled solve; 2501 join orders cross a
+# block edge on every roster of 4 or more players
+SAMPLER_RUNS = (("0", "1"), ("3", "2"), ("7", "2501"))
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -143,6 +149,17 @@ def _flags_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     return ops, argvs
 
 
+def _sampler_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that sample each bundled scenario at each of `SAMPLER_RUNS`."""
+    ops, argvs = [], []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        for seed, permutations in SAMPLER_RUNS:
+            ops.append(f"sampler/{path.stem}/seed{seed}-p{permutations}")
+            argvs.append(["solve", "--scenario", str(path), "--method", "sample",
+                          "--seed", seed, "--permutations", permutations, "--format", "json"])
+    return ops, argvs
+
+
 def _sweeps_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     """Op ids and argvs that sweep each bundled scenario outside `SWEEP_SCENARIOS`,
     and render one text sweep at `WIDE_N`."""
@@ -160,7 +177,8 @@ def _sweeps_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
 
 # the workloads whose operations are fixed, not built by perfbench/gen.py
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
-             "formats": _formats_ops, "flags": _flags_ops, "sweeps": _sweeps_ops}
+             "formats": _formats_ops, "flags": _flags_ops, "sampler": _sampler_ops,
+             "sweeps": _sweeps_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
