@@ -401,7 +401,9 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     # first n entries are the players themselves, weighted by their running
     # totals, and the rest are a block's join orders, weighted by their
     # marginals. A running total starts at +0.0 and so is never -0.0, which
-    # makes 0.0 + total, the first addition of a bin, exact.
+    # makes 0.0 + total, the first addition of a bin, exact. Spent arrays go
+    # at once, so a block holds these two buffers, its masks and the table's
+    # own arrays.
     order = np.empty(n + block * n, dtype=np.intp)
     weights = np.empty(order.size)
     order[:n] = np.arange(n)
