@@ -146,14 +146,31 @@ class Allocation:
         return tuple(p / self.grand_value for p in self.payoffs)
 
 
+def _subset_sums(chunk: Sequence[float]) -> np.ndarray:
+    """Entry m of the 2^len(chunk) sums is the `math.fsum` of the finite
+    weights whose bits are set in m: each weight is an integer over the
+    largest (power-of-two) denominator, the sums are built exactly by
+    doubling, and int/int true division rounds each once, correctly, as
+    `math.fsum` does (a zero sum to +0.0)."""
+    ratios = [float(w).as_integer_ratio() for w in chunk]
+    scale = max(d for _, d in ratios)
+    sums = [0]
+    for num, den in ratios:
+        term = num * (scale // den)
+        sums += [s + term for s in sums]
+    return np.array([s / scale for s in sums])
+
+
 def weight_sum_table(weights: Sequence[float],
                      first_bit: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch function giving, per mask, the sum of weights[i] over set bits first_bit + i.
+    """Batch function giving, per mask, the sum of finite weights[i] over set
+    bits first_bit + i.
 
     Works a byte of players at a time: each byte's 256 subset sums are
-    tabulated with `math.fsum` on the first call and kept for later ones,
-    and every call gathers them, so there is one pass over the masks per 8
-    players and no (masks x players) bit matrix. A mask's total is
+    tabulated on the first call, as exact integer sums rounded once to the
+    value `math.fsum` gives, and kept for later ones. Every call gathers
+    them, so there is one pass over the masks per 8 players and no
+    (masks x players) bit matrix. A mask's total is
     `0.0 + byte 0's sum + byte 1's sum + ...`, added in that order. Each
     byte's index is cut from the masks read as `int64` into one reused
     buffer, so the gather needs no cast; the mask of the byte's bits drops
@@ -164,11 +181,8 @@ def weight_sum_table(weights: Sequence[float],
         out = []
         for lo in range(0, len(weights), 8):
             chunk = weights[lo:lo + 8]
-            subset_sums = np.array([
-                math.fsum(w for b, w in enumerate(chunk) if (m >> b) & 1)
-                for m in range(1 << len(chunk))])
             out.append((np.int64(first_bit + lo), np.int64((1 << len(chunk)) - 1),
-                        subset_sums))
+                        _subset_sums(chunk)))
         return out
 
     def table(masks: np.ndarray) -> np.ndarray:

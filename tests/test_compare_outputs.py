@@ -96,6 +96,20 @@ def test_a_tree_matches_itself_on_the_sweeps(tmp_path):
     assert len(row) == len(header) and row.startswith(tool.WIDE_N)
 
 
+def test_a_tree_matches_itself_on_the_weights(tmp_path):
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("weights",))
+    assert (n_ops, differ) == (2 * len(tool.WEIGHT_SCENARIOS), [])
+    assert {model for model, _ in tool.WEIGHT_SCENARIOS.values()} == {
+        "weighted", "geo", "geo_founder"}
+    # every operation solves: the extreme weights pass validation
+    ops, argvs = tool._weights_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    for op, (code, out, err) in zip(ops, results):
+        assert (code, err) == (0, ""), op
+        assert "payoffs" in out, op
+
+
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     package = tmp_path / "fairshare"
     package.mkdir()

@@ -4,11 +4,12 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairshare import core
@@ -362,6 +363,83 @@ def test_anonymous_levels_are_computed_once_on_first_use():
         game.evaluate(block)
     shapley_sample(game, 20, seed=1)
     assert sorted(calls) == list(range(41))
+
+
+# --- weight-sum tables ----------------------------------------------------------
+
+
+def subset_fsums(chunk):
+    """Each subset's `math.fsum`, indexed by the mask of its members: the oracle
+    of `core._subset_sums`."""
+    return np.array([math.fsum(w for b, w in enumerate(chunk) if (m >> b) & 1)
+                     for m in range(1 << len(chunk))])
+
+
+def bits(values):
+    """Bit patterns of float64 values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+BIG = sys.float_info.max
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 2.5e-310, BIG, -BIG,
+                     1e308, -1e308, 1 / 3, 0.1, 1 / 7]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # far-apart exponents, subnormals among them
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(EXTREME_FLOATS, min_size=1, max_size=8))
+def test_subset_sums_are_the_fsum_of_every_subset(chunk):
+    try:
+        expected = subset_fsums(chunk)
+    except OverflowError:  # a subset's partial sums leave the float range
+        assume(False)
+    assert bits(core._subset_sums(chunk)) == bits(expected)
+
+
+def test_subset_sums_of_extreme_weights_are_their_fsums():
+    chunk = [5e-324, 1e308, -1e308, 1 / 3, 0.1, -0.0, 2.0 ** -1022, 7.0]
+    sums = core._subset_sums(chunk)
+    assert sums.shape == (256,)
+    assert bits(sums) == bits(subset_fsums(chunk))
+
+
+def mass_table_games():
+    """A builder per float-weighted game, and the length of each byte of its units."""
+    weights = WeightedCssParams(tuple(0.2 + i / 7 for i in range(30)), alpha=1.5)
+    return {
+        "weighted": (lambda: weighted_game(weights), [8, 8, 8, 6]),
+        "geo": (lambda: geo_game(GeoParams(ring_census(20), rho=0.8, variant="met")),
+                [8, 8, 4]),
+        "geo_founder": (lambda: geo_founder_game(
+            GeoParams(ring_census(20), rho=1.3, variant="lin")), [8, 8, 4]),
+        "mass_game": (lambda: mass_game([0.3 * i for i in range(9)], lambda m: m * m, "mass",
+                                        (), founder=False), [8, 1]),
+    }
+
+
+@pytest.mark.parametrize("model", sorted(mass_table_games()))
+def test_mass_tables_tabulate_each_byte_once_on_first_use(model, monkeypatch):
+    tabulated = []
+    subset_sums = core._subset_sums
+
+    def counted(chunk):
+        tabulated.append(len(chunk))
+        return subset_sums(chunk)
+
+    monkeypatch.setattr(core, "_subset_sums", counted)
+    build, byte_lengths = mass_table_games()[model]
+    game = build()
+    assert tabulated == []  # a game built and never evaluated tabulates nothing
+    masks = np.random.default_rng(6).integers(0, 1 << game.n_players, 300, dtype=np.uint64)
+    game.evaluate(masks)
+    assert tabulated == byte_lengths
+    game.evaluate(masks[::-1])
+    shapley_sample(game, 10, seed=2)
+    assert tabulated == byte_lengths
 
 
 # --- sampling estimator ---------------------------------------------------------

@@ -23,7 +23,11 @@ permutation count of `SAMPLER_RUNS`, so the sampler's output bits are
 compared on one join order, on two, and across a block edge. The `sweeps` operations
 sweep every bundled scenario outside the golden sweeps, whose models do not
 sweep, so the refusal is compared, and render one text sweep at n = 10^22,
-wider than the renderer's least `n` column. An uncaught exception is
+wider than the renderer's least `n` column. The `weights` operations solve
+`weighted` scenarios with extreme weights and `geo` / `geo_founder`
+censuses whose effective sizes are thirds and sevenths, under each of
+`WEIGHTS_RUNS`, so the bits of the weight-sum tables are compared on inputs
+that no generated workload draws. An uncaught exception is
 recorded as its type and message in place of the exit code. The scenario
 directory is replaced by a fixed placeholder in stdout and stderr. Each
 operation whose exit code, stdout or stderr differs is listed, and the exit
@@ -44,7 +48,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
-             "invalid_scenarios", "invalid_records", "formats", "flags", "sampler", "sweeps")
+             "invalid_scenarios", "invalid_records", "formats", "flags", "sampler", "sweeps",
+             "weights")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
@@ -62,6 +67,30 @@ FLAG_SETS = tuple(("--exact-cap", cap, "--method", method)
 # (seed, permutations) of each sampled solve; 2501 join orders cross a
 # block edge on every roster of 4 or more players
 SAMPLER_RUNS = (("0", "1"), ("3", "2"), ("7", "2501"))
+# weighted scenarios with a subnormal, 1e300 and thirds at alpha 0.5 and 1.5
+# (31 weights go above the exact cap), and censuses whose users sit in
+# threes and sevens
+_CENSUS = {"1,2,3": 1, "2,4,5": 2, "1,2,3,4,5,6,7": 1, "1,3,5,6,7,8,9": 5, "9": 4,
+           "4,8,9": 7, "6": 1}
+_FOUNDER_CENSUS = {"1,2,3": 2, "2,3,4,5,6,7,8": 3, "1,4,7": 1, "5": 2, "1,2,3,4,5,6,7": 10}
+WEIGHT_SCENARIOS = {
+    "weighted-alpha0.5": ("weighted", {
+        "weights": [5e-324, 1e300, 1 / 3, 2 / 3, 0.1, 1 / 7, 3.0, 2.5e-310, 1e-300, 5.0, 1 / 3],
+        "alpha": 0.5, "rho": 1.0, "k": 2}),
+    "weighted-alpha1.5": ("weighted", {
+        "weights": [5e-324, 1e100, 1 / 3, 2 / 3, 0.1, 1 / 7, 3.0, 2.5e-310, 1e-200, 5.0],
+        "alpha": 1.5, "rho": 1.0, "k": 2}),
+    "weighted-thirds-31": ("weighted", {
+        "weights": [(i % 7 + 1) / 3 if i % 2 else (i % 5 + 1) / 7 for i in range(30)] + [5e-324],
+        "alpha": 1.0, "rho": 1.0, "k": 2}),
+    "geo-met": ("geo", {"census": {"m": 9, "d": _CENSUS}, "variant": "met", "rho": 1.0}),
+    "geo-lin": ("geo", {"census": {"m": 9, "d": _CENSUS}, "variant": "lin", "rho": 0.3}),
+    "geo_founder-met": ("geo_founder", {"census": {"m": 8, "d": _FOUNDER_CENSUS},
+                                        "variant": "met", "rho": 1.0}),
+    "geo_founder-lin": ("geo_founder", {"census": {"m": 8, "d": _FOUNDER_CENSUS},
+                                        "variant": "lin", "rho": 1.0}),
+}
+WEIGHTS_RUNS = (("--method", "all"), ("--method", "sample", "--seed", "3", "--permutations", "50"))
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -175,10 +204,24 @@ def _sweeps_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     return ops, argvs
 
 
+def _weights_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that solve each of `WEIGHT_SCENARIOS` under each of `WEIGHTS_RUNS`."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    ops, argvs = [], []
+    for name, (model, params) in WEIGHT_SCENARIOS.items():
+        path = work_dir / f"{name}.json"
+        path.write_text(json.dumps({"label": name, "model": model, "params": params,
+                                    "method": "all"}), encoding="utf-8")
+        for flags in WEIGHTS_RUNS:
+            ops.append(f"weights/{name}/{flags[1]}")
+            argvs.append(["solve", "--scenario", str(path), *flags, "--format", "json"])
+    return ops, argvs
+
+
 # the workloads whose operations are fixed, not built by perfbench/gen.py
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
              "formats": _formats_ops, "flags": _flags_ops, "sampler": _sampler_ops,
-             "sweeps": _sweeps_ops}
+             "sweeps": _sweeps_ops, "weights": _weights_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
