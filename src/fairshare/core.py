@@ -303,6 +303,36 @@ def _probes(n: int) -> tuple[np.ndarray, ...]:
     return probes
 
 
+@functools.cache
+def _swap_probes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of neighbours (i - 1, i), in order of i, `_probes(n)`'s
+    coalitions avoiding both with i - 1 added, and with i added instead."""
+    bits, _, first, second, pair = _probes(n)
+    avoiding = pair[second - first == 1]
+    probes = (avoiding | bits[:-1, None], avoiding | bits[1:, None])
+    for array in probes:  # cached, so every call shares them
+        array.flags.writeable = False
+    return probes
+
+
+def _swap_keeps_bits(ints: np.ndarray, i: int) -> bool:
+    """Whether a table, read as `int64` bit patterns, is unchanged when
+    players i - 1 and i swap: every coalition with i - 1 and without i holds
+    the bits of its partner with i and without i - 1. Compared a block of
+    2^15 pairs at a time, stopping at the first block that differs."""
+    v = ints.reshape(-1, 2, 2, 1 << (i - 1))
+    only_low, only_high = v[:, 0, 1, :], v[:, 1, 0, :]
+    rows, cols = max(1, _EXACT_BLOCK >> (i - 1)), min(_EXACT_BLOCK, 1 << (i - 1))
+    for start in range(0, only_low.size, _EXACT_BLOCK):
+        r, c = divmod(start, 1 << (i - 1))
+        a, b = only_low[r:r + rows, c:c + cols], only_high[r:r + rows, c:c + cols]
+        # a row of at most 4 entries is too short an inner loop
+        for x in range(cols) if cols <= 4 else [slice(None)]:
+            if not np.array_equal(a[:, x], b[:, x]):
+                return False
+    return True
+
+
 def _tree_sum(parts: list[float]) -> float:
     """Sum of a power-of-two number of block sums, added in pairs, level by level."""
     while len(parts) > 1:
@@ -322,6 +352,15 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     Each player's weighted marginals are summed a block at a time, and the
     block sums are added as a binary tree: for power-of-two blocks of at
     least 2^7 entries, the order of numpy's pairwise `np.sum` over them all.
+
+    Player i > 0 takes player i - 1's payoff, unreduced, when the table's
+    bits are unchanged by swapping the two. Then the k-th coalition without
+    i and the k-th without i - 1 are each other's swap images, and so are
+    the two with the player added, so both players' weighted marginals are
+    the same bits in the same order, and so are their sums. One fancy index
+    over `_swap_probes(n)` rules most adjacent pairs out at once; a
+    pair that passes every probe is compared in full. Bits, not floats, are
+    compared, so +0.0 against -0.0, or two NaN payloads, is a difference.
     """
     n = game.n_players
     if values is None:
@@ -338,8 +377,14 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     for start in range(0, half, block):
         weights[start:start + block] = by_size[
             np.bitwise_count(np.arange(start, start + block, dtype=np.uint64))]
+    ints = np.asarray(values, dtype=np.float64).view(np.int64)  # bit patterns
+    with_low, with_high = _swap_probes(n)
+    swappable = np.all(ints[with_low] == ints[with_high], axis=1).tolist()
     gains, payoffs = np.empty(block), []
     for i in range(n):
+        if i and swappable[i - 1] and _swap_keeps_bits(ints, i):
+            payoffs.append(payoffs[-1])
+            continue
         without, with_i = _split(values, i)
         rows, cols = max(1, block >> i), min(block, 1 << i)
         out, parts = gains.reshape(rows, cols), []

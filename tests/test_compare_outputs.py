@@ -110,6 +110,23 @@ def test_a_tree_matches_itself_on_the_weights(tmp_path):
         assert "payoffs" in out, op
 
 
+def test_a_tree_matches_itself_on_the_classes(tmp_path):
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("classes",))
+    assert (n_ops, differ) == (len(tool.CLASS_SCENARIOS), [])
+    assert {model for model, _ in tool.CLASS_SCENARIOS.values()} == {
+        "weighted", "geo", "geo_founder", "oligopoly_fine"}
+    # every operation solves exactly, at 9 to 18 players, and some neighbours
+    # share a payoff
+    ops, argvs = tool._classes_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    for op, (code, out, err) in zip(ops, results):
+        assert (code, err) == (0, ""), op
+        payoffs = json.loads(out)["allocations"]["exact"]["payoffs"]
+        assert 9 <= len(payoffs) <= 18, op
+        assert any(a == b for a, b in zip(payoffs, payoffs[1:])), op
+
+
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):
     package = tmp_path / "fairshare"
     package.mkdir()

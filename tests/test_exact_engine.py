@@ -3,7 +3,9 @@
 `shapley_exact` evaluates the table and sums each player's marginals a block
 of coalitions at a time, then adds the block sums as a binary tree.
 `reference.shapley_exact_whole` forms and sums every player's marginals in one
-pass. The payoffs must be equal bit for bit, so JSON output stays byte-stable.
+pass. The payoffs must be equal bit for bit, so JSON output stays byte-stable,
+also where the engine hands player i - 1's payoff to player i because the
+table's bits are unchanged when the two swap.
 """
 
 import json
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from fairshare import core
 from fairshare.core import CoalitionGame, coalition_value_table, shapley_exact
+from fairshare.models import SingleCssParams, WeightedCssParams, single_game, weighted_game
 from fairshare.scenarios import build_game, load_scenario, parse_scenario
 from reference import shapley_exact_whole
 
@@ -34,8 +37,48 @@ def heavy_tailed(rng, size):
 
 def assert_same_bits(game):
     blocked, whole = shapley_exact(game), shapley_exact_whole(game)
-    assert blocked == whole
-    assert np.array(blocked.payoffs).tobytes() == np.array(whole.payoffs).tobytes()
+    assert blocked.stderr is whole.stderr is None
+    # bytes, not ==: a NaN payoff must carry the same payload, a zero the same sign
+    assert (np.array([blocked.grand_value, *blocked.payoffs]).tobytes()
+            == np.array([whole.grand_value, *whole.payoffs]).tobytes())
+    return blocked
+
+
+def table_game(values):
+    return CoalitionGame(values.size.bit_length() - 1, label="drawn",
+                         table=lambda masks: values[masks])
+
+
+def popcount_table(rng, n):
+    """A heavy-tailed table whose value depends only on the coalition's size,
+    so every adjacent swap keeps its bits."""
+    return heavy_tailed(rng, n + 1)[np.bitwise_count(np.arange(1 << n, dtype=np.uint64))]
+
+
+def swap_checks(monkeypatch):
+    """Record (i, verdict) of every full swap check of players i - 1 and i."""
+    calls = []
+    check = core._swap_keeps_bits
+
+    def recorded(ints, i):
+        calls.append((i, check(ints, i)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(core, "_swap_keeps_bits", recorded)
+    return calls
+
+
+def count_reductions(monkeypatch):
+    """The number of players whose marginals are reduced: one `_tree_sum` each."""
+    sums = []
+    tree_sum = core._tree_sum
+
+    def counted(parts):
+        sums.append(len(parts))
+        return tree_sum(parts)
+
+    monkeypatch.setattr(core, "_tree_sum", counted)
+    return sums
 
 
 @pytest.mark.parametrize("log_size", range(7, 23))
@@ -82,7 +125,7 @@ def test_drawn_tables_keep_the_bits(n, seed, extremes):
     rng = np.random.default_rng(seed)
     values = heavy_tailed(rng, 1 << n)
     values[rng.integers(0, 1 << n, len(extremes))] = extremes
-    assert_same_bits(CoalitionGame(n, label="drawn", table=lambda masks: values[masks]))
+    assert_same_bits(table_game(values))
 
 
 def test_a_wrong_shape_in_a_later_block_is_refused():
@@ -94,3 +137,80 @@ def test_a_wrong_shape_in_a_later_block_is_refused():
     with pytest.raises(ValueError, match=r"batch table of short returned shape .*"
                                          r"expected \(131072,\)"):
         coalition_value_table(game)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(0, n - 2).flatmap(
+               lambda lo: st.tuples(st.just(lo), st.integers(lo + 2, n))))),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_run_of_interchangeable_players_gets_one_payoff(sizes, seed):
+    # heavy-tailed values that depend only on the bits outside players
+    # lo..hi-1 and on how many of those players are present
+    n, (lo, hi) = sizes
+    masks = np.arange(1 << n, dtype=np.uint64)
+    run = np.uint64(((1 << (hi - lo)) - 1) << lo)
+    count = np.bitwise_count(masks & run)
+    packed = (masks & ~run) | (((np.uint64(1) << count) - np.uint64(1)) << np.uint64(lo))
+    values = heavy_tailed(np.random.default_rng(seed), 1 << n)[packed]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sums = count_reductions(monkeypatch)
+        allocation = assert_same_bits(table_game(values))
+    assert len(sums) == n - (hi - lo - 1)
+    run_payoffs = np.array(allocation.payoffs[lo:hi])
+    assert len(set(run_payoffs.view(np.int64).tolist())) == 1
+
+
+def test_a_difference_past_every_probe_in_the_last_block_is_found(monkeypatch):
+    # 18 players: each adjacent pair has 2^16 coalitions holding one of the
+    # two, two blocks of 2^15. Only the pair (i - 1, i) = (8, 9) changes, at
+    # the coalition of everyone but players 0 and 9: it holds player 8, is
+    # no probe of the pair, and sits in the pair's last block.
+    n, i = 18, 9
+    values = popcount_table(np.random.default_rng(1), n)
+    values[((1 << n) - 1) & ~(1 << i) & ~1] += 1e3
+    calls = swap_checks(monkeypatch)
+    allocation = assert_same_bits(table_game(values))
+    assert (i, False) in calls
+    assert allocation.payoffs[i] != allocation.payoffs[i - 1]
+
+
+@pytest.mark.parametrize("low, high", [(0, -2 ** 63), (0x7FF8000000000001, 0x7FF8000000000002)],
+                         ids=["signed-zeros", "nan-payloads"])
+@pytest.mark.parametrize("others", [0, 1], ids=["probe", "past-probes"])
+def test_a_swap_that_changes_bits_but_not_floats_is_reduced(monkeypatch, low, high, others):
+    # +0.0 and -0.0, or two NaNs of different payloads, at the coalition of
+    # player 2 and its swap image under players 2 and 3; `others` adds
+    # player 0 to both, which takes the pair past its probes
+    n, i = 10, 3
+    values = popcount_table(np.random.default_rng(2), n)
+    values.view(np.int64)[[others | 1 << (i - 1), others | 1 << i]] = low, high
+    calls = swap_checks(monkeypatch)
+    sums = count_reductions(monkeypatch)
+    assert_same_bits(table_game(values))
+    # players 0, 2, 3 and 4 are reduced, and 1 when player 0 is added: the
+    # changed coalitions also break the swaps of players 1 and 2, of 3 and 4
+    # and then of 0 and 1
+    assert len(sums) == 4 + others
+    assert ((i, False) in calls) == bool(others)
+    assert (i, True) not in calls
+
+
+def test_an_anonymous_crowd_is_reduced_once(monkeypatch):
+    # single: the founder and one crowd member are reduced; the other 18
+    # members take the first member's payoff. No audit pair scan runs.
+    def split_pair(*args):
+        raise AssertionError("the engine scans no pair")
+
+    monkeypatch.setattr(core, "_split_pair", split_pair)
+    sums = count_reductions(monkeypatch)
+    allocation = shapley_exact(single_game(SingleCssParams(n=19, k=2, rho=1.0)))
+    assert len(sums) == 2
+    assert len(set(allocation.payoffs[1:])) == 1
+
+
+def test_distinct_weights_reduce_every_player(monkeypatch):
+    sums = count_reductions(monkeypatch)
+    game = weighted_game(WeightedCssParams(weights=tuple(range(1, 12))))
+    assert_same_bits(game)
+    assert len(sums) == game.n_players

@@ -27,11 +27,17 @@ wider than the renderer's least `n` column. The `weights` operations solve
 `weighted` scenarios with extreme weights and `geo` / `geo_founder`
 censuses whose effective sizes are thirds and sevenths, under each of
 `WEIGHTS_RUNS`, so the bits of the weight-sum tables are compared on inputs
-that no generated workload draws. An uncaught exception is
-recorded as its type and message in place of the exit code. The scenario
-directory is replaced by a fixed placeholder in stdout and stderr. Each
-operation whose exit code, stdout or stderr differs is listed, and the exit
-status is 1 if there is any.
+that no generated workload draws. The `classes` operations solve, with
+`--method exact`, rosters of 9 to 18 players that hold runs of interchangeable
+players: `weighted` with repeated weights inside one byte of the weight-sum
+table and across the byte edge between players 8 and 9, `geo` and
+`geo_founder` censuses with duplicate agents, and `oligopoly_fine` graphs with
+equal crowds, so the exact engine's payoff bits are compared where one player
+takes its neighbour's payoff and where the byte sums keep it from doing so.
+An uncaught exception is recorded as its type and message in place of the
+exit code. The scenario directory is replaced by a fixed placeholder in
+stdout and stderr. Each operation whose exit code, stdout or stderr differs
+is listed, and the exit status is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -49,7 +56,7 @@ import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
              "invalid_scenarios", "invalid_records", "formats", "flags", "sampler", "sweeps",
-             "weights")
+             "weights", "classes")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
@@ -89,6 +96,28 @@ WEIGHT_SCENARIOS = {
                                         "variant": "met", "rho": 1.0}),
     "geo_founder-lin": ("geo_founder", {"census": {"m": 8, "d": _FOUNDER_CENSUS},
                                         "variant": "lin", "rho": 1.0}),
+}
+# rosters of 9-18 players with runs of interchangeable players
+_DUPLICATES = {"1": 3, "2": 3, "3": 3, "4": 3, "5,6": 2, "7,8": 2, "9": 1, "10": 1, "11": 1,
+               "12": 1}
+CLASS_SCENARIOS = {
+    "weighted-repeats-13": ("weighted", {
+        "weights": [1 / 3] * 5 + [0.2, 0.7, 0.7, 0.7, 0.1, 0.1, 1 / 3],
+        "alpha": 1.0, "rho": 1.0, "k": 2}),
+    "weighted-tenths-18": ("weighted", {"weights": [0.1] * 17, "alpha": 1.0, "rho": 1.0, "k": 2}),
+    "weighted-alpha0.5-9": ("weighted", {"weights": [2.5] * 4 + [0.3] * 4,
+                                         "alpha": 0.5, "rho": 1.0, "k": 3}),
+    "geo-met-12": ("geo", {"census": {"m": 12, "d": _DUPLICATES}, "variant": "met", "rho": 1.0}),
+    "geo-lin-16": ("geo", {"census": {"m": 16, "d": {**_DUPLICATES, "13,14,15,16": 5}},
+                           "variant": "lin", "rho": 0.3}),
+    "geo_founder-met-11": ("geo_founder", {"census": {"m": 10, "d": {
+        "1": 3, "2": 3, "3": 3, "4,5": 2, "6,7": 2, "8": 1, "9": 1, "10": 1}},
+        "variant": "met", "rho": 1.0}),
+    "oligopoly_fine-triangle-15": ("oligopoly_fine", {
+        "vertices": [{"id": v, "size": 4} for v in "abc"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"]], "rho": 1.0}),
+    "oligopoly_fine-pair-18": ("oligopoly_fine", {
+        "vertices": [{"id": v, "size": 8} for v in "ab"], "edges": [["a", "b"]], "rho": 2.0}),
 }
 WEIGHTS_RUNS = (("--method", "all"), ("--method", "sample", "--seed", "3", "--permutations", "50"))
 PLACEHOLDER = "<scenario-dir>"
@@ -204,24 +233,32 @@ def _sweeps_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     return ops, argvs
 
 
-def _weights_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
-    """Op ids and argvs that solve each of `WEIGHT_SCENARIOS` under each of `WEIGHTS_RUNS`."""
-    work_dir.mkdir(parents=True, exist_ok=True)
-    ops, argvs = [], []
-    for name, (model, params) in WEIGHT_SCENARIOS.items():
-        path = work_dir / f"{name}.json"
-        path.write_text(json.dumps({"label": name, "model": model, "params": params,
-                                    "method": "all"}), encoding="utf-8")
-        for flags in WEIGHTS_RUNS:
-            ops.append(f"weights/{name}/{flags[1]}")
-            argvs.append(["solve", "--scenario", str(path), *flags, "--format", "json"])
-    return ops, argvs
+def _scenario_ops(workload: str, scenarios: dict, runs: tuple) -> Callable:
+    """An ops builder that writes each of `scenarios` once and solves it
+    under each flag set of `runs`, as op `workload/name/method`."""
+    def ops_of(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+        work_dir.mkdir(parents=True, exist_ok=True)
+        ops, argvs = [], []
+        for name, (model, params) in scenarios.items():
+            path = work_dir / f"{name}.json"
+            path.write_text(json.dumps({"label": name, "model": model, "params": params,
+                                        "method": "all"}), encoding="utf-8")
+            for flags in runs:
+                ops.append(f"{workload}/{name}/{flags[1]}")
+                argvs.append(["solve", "--scenario", str(path), *flags, "--format", "json"])
+        return ops, argvs
+
+    return ops_of
+
+
+_weights_ops = _scenario_ops("weights", WEIGHT_SCENARIOS, WEIGHTS_RUNS)
+_classes_ops = _scenario_ops("classes", CLASS_SCENARIOS, (("--method", "exact"),))
 
 
 # the workloads whose operations are fixed, not built by perfbench/gen.py
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
              "formats": _formats_ops, "flags": _flags_ops, "sampler": _sampler_ops,
-             "sweeps": _sweeps_ops, "weights": _weights_ops}
+             "sweeps": _sweeps_ops, "weights": _weights_ops, "classes": _classes_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
