@@ -278,59 +278,68 @@ def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return v[:, 0, :], v[:, 1, :]
 
 
-def _split_pair(values: np.ndarray, i: int, j: int) -> np.ndarray:
-    """A mask-indexed table viewed as [.., bit j, .., bit i, ..] for i < j."""
-    return values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+def _split_pair(values: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a mask-indexed table, i < j, with i and without j and with j
+    and without i, paired by swap image; axes: bits above j, between, below i."""
+    v = values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+    return v[:, 0, :, 1, :], v[:, 1, :, 0, :]
 
 
 @functools.cache
 def _probes(n: int) -> tuple[np.ndarray, ...]:
-    """Probe coalitions of an n-player table, as `np.intp` indices.
-
-    Returns each player's bit; per player, coalitions avoiding it; and the
-    pairs i < j in `np.triu_indices` order with, per pair, coalitions
-    avoiding both. The probes are the empty and the full coalition and the
-    patterns 0101.., 1010.., 0011.., 1100.., with those players' bits cleared.
-    """
+    """Probe coalitions of an n-player table, as `np.intp` indices: each
+    player's bit; per player, coalitions avoiding it; the pairs i < j,
+    neighbours first (by j - i, then by i); and per pair, coalitions avoiding
+    both with i added, and with j added instead. The probes are the empty and
+    the full coalition and the patterns 0101.., 1010.., 0011.., 1100.., with
+    those players' bits cleared."""
     full = (1 << n) - 1
     patterns = np.array([0, full] + [int(p * 16, 16) & full for p in "5A3C"], dtype=np.intp)
     bits = np.left_shift(1, np.arange(n, dtype=np.intp))
-    first, second = np.triu_indices(n, 1)
+    first, second = np.array(sorted(itertools.combinations(range(n), 2), key=lambda p: p[1] - p[0]),
+                             dtype=np.intp).reshape(-1, 2).T
+    pair = patterns & ~(bits[first] | bits[second])[:, None]
     probes = (bits, patterns & ~bits[:, None], first, second,
-              patterns & ~(bits[first] | bits[second])[:, None])
+              pair | bits[first, None], pair | bits[second, None])
     for array in probes:  # cached, so every call shares them
         array.flags.writeable = False
     return probes
 
 
-@functools.cache
-def _swap_probes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair of neighbours (i - 1, i), in order of i, `_probes(n)`'s
-    coalitions avoiding both with i - 1 added, and with i added instead."""
-    bits, _, first, second, pair = _probes(n)
-    avoiding = pair[second - first == 1]
-    probes = (avoiding | bits[:-1, None], avoiding | bits[1:, None])
-    for array in probes:  # cached, so every call shares them
-        array.flags.writeable = False
-    return probes
-
-
-def _swap_keeps_bits(ints: np.ndarray, i: int) -> bool:
-    """Whether a table, read as `int64` bit patterns, is unchanged when
-    players i - 1 and i swap: every coalition with i - 1 and without i holds
-    the bits of its partner with i and without i - 1. Compared a block of
-    2^15 pairs at a time, stopping at the first block that differs."""
-    v = ints.reshape(-1, 2, 2, 1 << (i - 1))
-    only_low, only_high = v[:, 0, 1, :], v[:, 1, 0, :]
-    rows, cols = max(1, _EXACT_BLOCK >> (i - 1)), min(_EXACT_BLOCK, 1 << (i - 1))
-    for start in range(0, only_low.size, _EXACT_BLOCK):
-        r, c = divmod(start, 1 << (i - 1))
-        a, b = only_low[r:r + rows, c:c + cols], only_high[r:r + rows, c:c + cols]
-        # a row of at most 4 entries is too short an inner loop
-        for x in range(cols) if cols <= 4 else [slice(None)]:
-            if not np.array_equal(a[:, x], b[:, x]):
+def _swap_keeps_bits(ints: np.ndarray, i: int, j: int) -> bool:
+    """Whether a table's `int64` bit patterns are unchanged when players i < j
+    swap, comparing `_split_pair`'s views a block of whole rows at a time (2^15
+    pairs, or one row if more) and stopping at the first block that differs."""
+    only_i, only_j = _split_pair(ints, i, j)
+    rows = max(1, _EXACT_BLOCK >> (j - 1))
+    # an axis of at most 4 entries is too short an inner loop
+    inner = list(itertools.product(*(range(m) if m <= 4 else [slice(None)]
+                                     for m in only_i.shape[1:])))
+    for r in range(0, only_i.shape[0], rows):
+        a, b = only_i[r:r + rows], only_j[r:r + rows]
+        for m, c in inner:
+            if not (a[:, m, c] == b[:, m, c]).all():
                 return False
     return True
+
+
+def exact_classes(values: np.ndarray) -> tuple[int, ...]:
+    """Per player of a mask-indexed table, the least player of its exact-swap
+    class: players linked by swaps that keep the table's `int64` bits, so any
+    two of a class swap exactly (+0.0 against -0.0, or two NaN payloads, is a
+    difference). Pairs whose `_probes` keep their bits are taken neighbours
+    first, and each not yet linked is compared in full by `_swap_keeps_bits`."""
+    n = values.size.bit_length() - 1
+    _check_table(values, n)
+    ints = np.asarray(values, dtype=np.float64).view(np.int64)
+    _, _, first, second, with_first, with_second = _probes(n)
+    alive = (ints[with_first] == ints[with_second]).all(axis=1)
+    least = list(range(n))
+    for i, j in zip(first[alive].tolist(), second[alive].tolist()):
+        if least[i] != least[j] and _swap_keeps_bits(ints, i, j):
+            low, high = sorted((least[i], least[j]))
+            least = [low if c == high else c for c in least]
+    return tuple(least)
 
 
 def _tree_sum(parts: list[float]) -> float:
@@ -353,14 +362,14 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     block sums are added as a binary tree: for power-of-two blocks of at
     least 2^7 entries, the order of numpy's pairwise `np.sum` over them all.
 
-    Player i > 0 takes player i - 1's payoff, unreduced, when the table's
-    bits are unchanged by swapping the two. Then the k-th coalition without
-    i and the k-th without i - 1 are each other's swap images, and so are
-    the two with the player added, so both players' weighted marginals are
-    the same bits in the same order, and so are their sums. One fancy index
-    over `_swap_probes(n)` rules most adjacent pairs out at once; a
-    pair that passes every probe is compared in full. Bits, not floats, are
-    compared, so +0.0 against -0.0, or two NaN payloads, is a difference.
+    Each class of `exact_classes(values)` is reduced once, at its least
+    player, and its other members take that payoff unreduced, so a class
+    prints one bit pattern, as Shapley's symmetry axiom asks. For a
+    neighbour those are also the bits of its own reduction: the k-th
+    coalition without i and the k-th without i - 1 are each other's swap
+    images, and so are the two with the player added, so both players'
+    weighted marginals are the same bits in the same order. A member further
+    off would sum the same marginals in another order.
     """
     n = game.n_players
     if values is None:
@@ -377,13 +386,11 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     for start in range(0, half, block):
         weights[start:start + block] = by_size[
             np.bitwise_count(np.arange(start, start + block, dtype=np.uint64))]
-    ints = np.asarray(values, dtype=np.float64).view(np.int64)  # bit patterns
-    with_low, with_high = _swap_probes(n)
-    swappable = np.all(ints[with_low] == ints[with_high], axis=1).tolist()
+    classes = exact_classes(values)
     gains, payoffs = np.empty(block), []
-    for i in range(n):
-        if i and swappable[i - 1] and _swap_keeps_bits(ints, i):
-            payoffs.append(payoffs[-1])
+    for i, least in enumerate(classes):
+        if least < i:
+            payoffs.append(payoffs[least])
             continue
         without, with_i = _split(values, i)
         rows, cols = max(1, block >> i), min(block, 1 << i)
@@ -530,9 +537,9 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
     Payoffs compare within `AXIOM_TOL * max(1, |grand|)` plus 3 stderr if sampled.
 
     A player or pair with one probe coalition's gap above the detection
-    tolerance is ruled out without a full scan. A pair whose full gap is
-    exactly 0 leaves the table unchanged when swapped, so two players linked
-    by such swaps are interchangeable and are not scanned again.
+    tolerance is ruled out without a full scan. A pair of one `exact_classes`
+    class is not scanned in a finite table, where its gap is exactly 0; with
+    an inf or NaN entry, equal bits can give inf - inf = NaN, a failed scan.
     """
     n = game.n_players
     if allocation.n_players != n:
@@ -553,25 +560,18 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
         if values is None:
             values = coalition_value_table(game)
         detect_tol = 1e-12 * max(1.0, abs(grand))
-        bits, solo, first, second, pair = _probes(n)
+        bits, solo, first, second, with_first, with_second = _probes(n)
         # NaN > detect_tol is false, so a NaN probe leaves the verdict to the full scan
         gaps = np.abs(values[solo | bits[:, None]] - values[solo])
         nulls = tuple(i for i in np.flatnonzero(~np.any(gaps > detect_tol, axis=1)).tolist()
                       if np.max(np.abs(np.subtract(*_split(values, i)))) <= detect_tol)
-        gaps = np.abs(values[pair | bits[first, None]] - values[pair | bits[second, None]])
+        gaps = np.abs(values[with_first] - values[with_second])
         alive = ~np.any(gaps > detect_tol, axis=1)
-        label = list(range(n))  # equal for players linked by exact swaps
-        found_pairs = []
-        for i, j in zip(first[alive].tolist(), second[alive].tolist()):
-            if label[i] != label[j]:
-                v = _split_pair(values, i, j)
-                gap = np.max(np.abs(v[:, 0, :, 1, :] - v[:, 1, :, 0, :]))
-                if not gap <= detect_tol:
-                    continue
-                if gap == 0.0:
-                    label = [label[i] if c == label[j] else c for c in label]
-            found_pairs.append((i, j))
-        pairs = tuple(found_pairs)
+        classes = exact_classes(values) if alive.any() and np.isfinite(values).all() else range(n)
+        pairs = tuple(sorted(
+            (i, j) for i, j in zip(first[alive].tolist(), second[alive].tolist())
+            if classes[i] == classes[j]
+            or np.max(np.abs(np.subtract(*_split_pair(values, i, j)))) <= detect_tol))
 
     payoffs = allocation.payoffs
     null_ok = all(abs(payoffs[i]) <= slack + 3.0 * stderr[i] for i in nulls)

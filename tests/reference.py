@@ -3,10 +3,10 @@
 Coalitions as sets, the models' scalar characteristic functions, two
 Shapley engines independent of `shapley_exact`, the whole-array form of
 `shapley_exact` whose bits it must keep, and the exhaustive scans whose
-verdicts the axiom audit must give. The package computes from batch tables
-and closed forms; these compute the same values one coalition at a time, the
-slow and plain way, so that every table and closed form has something to be
-compared against.
+verdicts `exact_classes` and the axiom audit must give. The package computes
+from batch tables and closed forms; these compute the same values one
+coalition at a time, the slow and plain way, so that every table and closed
+form has something to be compared against.
 
 `scenario_errors` lists what `parse_scenario` refuses in a scenario object,
 and `window_labels` expands an `empirical` window spec one half-year at a
@@ -158,6 +158,22 @@ def shapley_exact_whole(game: CoalitionGame) -> Allocation:
         gains *= weights.reshape(-1, 2, 1 << i)[:, 0, :]
         payoffs.append(float(np.sum(gains)))
     return Allocation(tuple(payoffs), float(values[-1]))
+
+
+def exact_classes_whole(values: np.ndarray) -> tuple[int, ...]:
+    """Per player of a mask-indexed table, the least player that it swaps
+    with exactly: every pair i < j, compared as `int64` bits on every
+    coalition that holds one of the two (the rest are their own swap images).
+    Swaps that keep the bits compose, so these are the classes that
+    `exact_classes` links."""
+    n = values.size.bit_length() - 1
+    ints = values.view(np.int64)
+
+    def swaps(i: int, j: int) -> bool:
+        v = ints.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)  # [.., j, .., i, ..]
+        return np.array_equal(v[:, 0, :, 1, :], v[:, 1, :, 0, :])
+
+    return tuple(min([i for i in range(j) if swaps(i, j)] + [j]) for j in range(n))
 
 
 # --- axiom audit -----------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_a_tree_matches_itself_on_the_classes(tmp_path):
     assert {model for model, _ in tool.CLASS_SCENARIOS.values()} == {
         "weighted", "geo", "geo_founder", "oligopoly_fine"}
     # every operation solves exactly, at 9 to 18 players, and some neighbours
-    # share a payoff
+    # share a payoff; in the `-apart` rosters, so do players 1, 3 and 5
     ops, argvs = tool._classes_ops(tmp_path)
     results = tool._run_all(ROOT / "src", argvs, tmp_path)
     for op, (code, out, err) in zip(ops, results):
@@ -125,6 +125,7 @@ def test_a_tree_matches_itself_on_the_classes(tmp_path):
         payoffs = json.loads(out)["allocations"]["exact"]["payoffs"]
         assert 9 <= len(payoffs) <= 18, op
         assert any(a == b for a, b in zip(payoffs, payoffs[1:])), op
+        assert "-apart-" not in op or payoffs[1] == payoffs[3] == payoffs[5], op
 
 
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):

@@ -49,6 +49,7 @@ from reference import (
     axiom_structure,
     check_linearity,
     crowd_count,
+    exact_classes_whole,
     founder_present,
     geo_founder_value,
     marginal_value,
@@ -866,6 +867,19 @@ def drawn_game(values):
                          table=lambda masks: values[masks])
 
 
+def kind_index(kind):
+    """Per coalition of len(kind) players, an index below (n + 1) ** 3 read
+    from the head counts of the players of kinds 0, 1 and 2 alone: players
+    of one kind swap with the index unchanged, and kind-3 players are null."""
+    n = len(kind)
+    masks = np.arange(1 << n)
+    index = np.zeros(1 << n, dtype=np.intp)
+    for k in range(3):
+        members = sum(1 << p for p in range(n) if kind[p] == k)
+        index = index * (n + 1) + np.bitwise_count(masks & members)
+    return index
+
+
 @st.composite
 def audit_tables(draw):
     """A mask-indexed table with planted interchangeable players, and a grand value.
@@ -884,18 +898,13 @@ def audit_tables(draw):
         i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                     unique=True)))
         kind[j] = kind[i]
-    masks = np.arange(1 << n)
-    index = np.zeros(1 << n, dtype=np.intp)
-    for k in range(3):
-        members = sum(1 << p for p in range(n) if kind[p] == k)
-        index = index * (n + 1) + np.bitwise_count(masks & members)
-    values = rng.integers(-4, 5, (n + 1) ** 3)[index] * 2.0 ** draw(st.integers(-60, 60))
+    values = rng.integers(-4, 5, (n + 1) ** 3)[kind_index(kind)] * 2.0 ** draw(st.integers(-60, 60))
     for _ in range(draw(st.integers(0, 3))):
         values[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from(SPECIAL))
     grand = draw(st.sampled_from([float(values[-1]), 1.0, 3.0 * 2.0 ** 40, -math.inf]))
     if planted:
-        bits, _, first, second, pair = core._probes(n)
-        probed = pair[(first == i) & (second == j)].ravel().tolist()
+        bits, _, first, second, with_first, _ = core._probes(n)
+        probed = (with_first[(first == i) & (second == j)] ^ bits[i]).ravel().tolist()
         unprobed = [s for s in range(1 << n)
                     if not s & (bits[i] | bits[j]) and s not in probed]
         if unprobed:
@@ -918,8 +927,47 @@ def test_audit_finds_what_the_exhaustive_scan_finds(drawn):
     assert (report.null_players, report.symmetric_pairs) == expected
 
 
+@pytest.mark.parametrize("special", [math.inf, math.nan], ids=["inf", "nan"])
+def test_equal_special_swap_images_are_not_symmetric(special):
+    # a size-only table but for players 0 and 1 alone, which are worth
+    # `special`: the pair's swap images hold the same bits, so the two form an
+    # exact class, but inf - inf and NaN - NaN are NaN, which fails the scan
+    n = 4
+    values = np.bitwise_count(np.arange(1 << n)).astype(np.float64)
+    values[[1, 2]] = special
+    assert core.exact_classes(values) == (0, 0, 2, 2)
+    with np.errstate(invalid="ignore"):
+        report = check_axioms(drawn_game(values), Allocation((0.0,) * n, 4.0))
+        expected = axiom_structure(values, 4.0)
+    assert (report.null_players, report.symmetric_pairs) == expected == ((), ((2, 3),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_class_apart_prints_one_bit_pattern(data):
+    # a table symmetric under a drawn swap of two players that are not
+    # neighbours, with heavy-tailed levels, so that two members of a class
+    # reduced apart would sum their marginals in different orders
+    n = data.draw(st.integers(3, 10), label="n")
+    i = data.draw(st.integers(0, n - 3), label="i")
+    j = data.draw(st.integers(i + 2, n - 1), label="j")
+    kind = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="kind")
+    kind[j] = kind[i]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="table seed"))
+    values = rng.standard_cauchy((n + 1) ** 3)[kind_index(kind)]
+    classes = core.exact_classes(values)
+    assert classes == exact_classes_whole(values)
+    assert classes[i] == classes[j]
+    payoffs = np.array(shapley_exact(drawn_game(values)).payoffs).view(np.int64)
+    for least in set(classes):
+        assert len(set(payoffs[np.array(classes) == least].tolist())) == 1
+
+
 def test_interchangeable_crowd_is_scanned_once_per_member(monkeypatch):
-    # 13 crowd members, one exact swap class: one full scan links each member
+    # 13 crowd members, one exact swap class: one full scan links each
+    # member, counted over the audit alone
+    game = single_game(SingleCssParams(n=13, k=2, rho=1.0))
+    allocation = shapley_exact(game)
     scans = []
     split_pair = core._split_pair
 
@@ -928,8 +976,7 @@ def test_interchangeable_crowd_is_scanned_once_per_member(monkeypatch):
         return split_pair(values, i, j)
 
     monkeypatch.setattr(core, "_split_pair", counted)
-    game = single_game(SingleCssParams(n=13, k=2, rho=1.0))
-    report = check_axioms(game, shapley_exact(game))
+    report = check_axioms(game, allocation)
     assert report.symmetric_pairs == tuple(itertools.combinations(range(1, 14), 2))
     assert report.all_ok
     assert len(scans) <= game.n_players - 1

@@ -3,9 +3,11 @@
 `shapley_exact` evaluates the table and sums each player's marginals a block
 of coalitions at a time, then adds the block sums as a binary tree.
 `reference.shapley_exact_whole` forms and sums every player's marginals in one
-pass. The payoffs must be equal bit for bit, so JSON output stays byte-stable,
-also where the engine hands player i - 1's payoff to player i because the
-table's bits are unchanged when the two swap.
+pass. The payoffs must be equal bit for bit, so JSON output stays byte-stable.
+Where players swap with the table's bits unchanged, the engine reduces each
+such class once, at its least player, and copies that payoff to the rest of
+the class; so every player must carry the bits of the whole-array payoff of
+the least player of its class, found by `reference.exact_classes_whole`.
 """
 
 import json
@@ -21,7 +23,7 @@ from fairshare import core
 from fairshare.core import CoalitionGame, coalition_value_table, shapley_exact
 from fairshare.models import SingleCssParams, WeightedCssParams, single_game, weighted_game
 from fairshare.scenarios import build_game, load_scenario, parse_scenario
-from reference import shapley_exact_whole
+from reference import exact_classes_whole, shapley_exact_whole
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -37,10 +39,11 @@ def heavy_tailed(rng, size):
 
 def assert_same_bits(game):
     blocked, whole = shapley_exact(game), shapley_exact_whole(game)
+    classes = exact_classes_whole(game.evaluate(np.arange(1 << game.n_players, dtype=np.uint64)))
     assert blocked.stderr is whole.stderr is None
     # bytes, not ==: a NaN payoff must carry the same payload, a zero the same sign
     assert (np.array([blocked.grand_value, *blocked.payoffs]).tobytes()
-            == np.array([whole.grand_value, *whole.payoffs]).tobytes())
+            == np.array([whole.grand_value, *(whole.payoffs[c] for c in classes)]).tobytes())
     return blocked
 
 
@@ -51,18 +54,18 @@ def table_game(values):
 
 def popcount_table(rng, n):
     """A heavy-tailed table whose value depends only on the coalition's size,
-    so every adjacent swap keeps its bits."""
+    so every swap keeps its bits."""
     return heavy_tailed(rng, n + 1)[np.bitwise_count(np.arange(1 << n, dtype=np.uint64))]
 
 
 def swap_checks(monkeypatch):
-    """Record (i, verdict) of every full swap check of players i - 1 and i."""
+    """Record (i, j, verdict) of every full swap check of players i < j."""
     calls = []
     check = core._swap_keeps_bits
 
-    def recorded(ints, i):
-        calls.append((i, check(ints, i)))
-        return calls[-1][1]
+    def recorded(ints, i, j):
+        calls.append((i, j, check(ints, i, j)))
+        return calls[-1][2]
 
     monkeypatch.setattr(core, "_swap_keeps_bits", recorded)
     return calls
@@ -162,16 +165,18 @@ def test_a_run_of_interchangeable_players_gets_one_payoff(sizes, seed):
 
 
 def test_a_difference_past_every_probe_in_the_last_block_is_found(monkeypatch):
-    # 18 players: each adjacent pair has 2^16 coalitions holding one of the
-    # two, two blocks of 2^15. Only the pair (i - 1, i) = (8, 9) changes, at
-    # the coalition of everyone but players 0 and 9: it holds player 8, is
-    # no probe of the pair, and sits in the pair's last block.
+    # 18 players: each pair has 2^16 coalitions holding one of the two, two
+    # blocks of 2^15. Only the coalition of everyone but players 0 and 9
+    # changes. It holds player 8 and the non-neighbour 7, is no probe of the
+    # pairs (8, 9) and (7, 9), and sits in each pair's last block. Players 0
+    # and 9 still swap exactly, and so do the other 16.
     n, i = 18, 9
     values = popcount_table(np.random.default_rng(1), n)
     values[((1 << n) - 1) & ~(1 << i) & ~1] += 1e3
     calls = swap_checks(monkeypatch)
     allocation = assert_same_bits(table_game(values))
-    assert (i, False) in calls
+    assert {(8, i, False), (7, i, False), (0, i, True)} <= set(calls)
+    assert core.exact_classes(values) == (0,) + (1,) * 8 + (0,) + (1,) * 8
     assert allocation.payoffs[i] != allocation.payoffs[i - 1]
 
 
@@ -179,33 +184,34 @@ def test_a_difference_past_every_probe_in_the_last_block_is_found(monkeypatch):
                          ids=["signed-zeros", "nan-payloads"])
 @pytest.mark.parametrize("others", [0, 1], ids=["probe", "past-probes"])
 def test_a_swap_that_changes_bits_but_not_floats_is_reduced(monkeypatch, low, high, others):
-    # +0.0 and -0.0, or two NaNs of different payloads, at the coalition of
-    # player 2 and its swap image under players 2 and 3; `others` adds
-    # player 0 to both, which takes the pair past its probes
-    n, i = 10, 3
+    # +0.0 and -0.0, or two NaNs of different payloads, at the coalitions of
+    # players 2 and 5 and at their swap images under the neighbours (2, 3)
+    # and the non-neighbours (5, 8); `others` adds player 0 to all four,
+    # which takes both pairs past their probes
+    n = 10
     values = popcount_table(np.random.default_rng(2), n)
-    values.view(np.int64)[[others | 1 << (i - 1), others | 1 << i]] = low, high
+    values.view(np.int64)[[others | 1 << p for p in (2, 3, 5, 8)]] = low, high, low, high
     calls = swap_checks(monkeypatch)
     sums = count_reductions(monkeypatch)
     assert_same_bits(table_game(values))
-    # players 0, 2, 3 and 4 are reduced, and 1 when player 0 is added: the
-    # changed coalitions also break the swaps of players 1 and 2, of 3 and 4
-    # and then of 0 and 1
-    assert len(sums) == 4 + others
-    assert ((i, False) in calls) == bool(others)
-    assert (i, True) not in calls
+    # the classes are {2, 5}, {3, 8} and the other players, less player 0
+    # when it was added to the changed coalitions
+    assert len(sums) == 3 + others
+    for pair in (2, 3), (5, 8):
+        assert ((*pair, False) in calls) == bool(others)
+        assert (*pair, True) not in calls
+    assert {(2, 5, True), (3, 8, True)} <= set(calls)
 
 
 def test_an_anonymous_crowd_is_reduced_once(monkeypatch):
     # single: the founder and one crowd member are reduced; the other 18
-    # members take the first member's payoff. No audit pair scan runs.
-    def split_pair(*args):
-        raise AssertionError("the engine scans no pair")
-
-    monkeypatch.setattr(core, "_split_pair", split_pair)
+    # members take the first member's payoff, linked by the 18 neighbour
+    # swaps alone, so no pair further apart is scanned
+    calls = swap_checks(monkeypatch)
     sums = count_reductions(monkeypatch)
     allocation = shapley_exact(single_game(SingleCssParams(n=19, k=2, rho=1.0)))
     assert len(sums) == 2
+    assert calls == [(i, i + 1, True) for i in range(1, 19)]
     assert len(set(allocation.payoffs[1:])) == 1
 
 

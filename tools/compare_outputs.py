@@ -28,12 +28,14 @@ wider than the renderer's least `n` column. The `weights` operations solve
 censuses whose effective sizes are thirds and sevenths, under each of
 `WEIGHTS_RUNS`, so the bits of the weight-sum tables are compared on inputs
 that no generated workload draws. The `classes` operations solve, with
-`--method exact`, rosters of 9 to 18 players that hold runs of interchangeable
-players: `weighted` with repeated weights inside one byte of the weight-sum
-table and across the byte edge between players 8 and 9, `geo` and
-`geo_founder` censuses with duplicate agents, and `oligopoly_fine` graphs with
-equal crowds, so the exact engine's payoff bits are compared where one player
-takes its neighbour's payoff and where the byte sums keep it from doing so.
+`--method exact`, rosters of 9 to 18 players that hold classes of
+interchangeable players: `weighted` with repeated weights inside one byte of
+the weight-sum table, in runs and alternating, and across the byte edge
+between players 8 and 9, `geo` and `geo_founder` censuses with duplicate
+agents, next to each other and apart, and `oligopoly_fine` graphs with equal
+crowds, so the exact engine's payoff bits are compared where a player takes
+the payoff of the least player of its class and where the byte sums keep it
+from doing so.
 An uncaught exception is recorded as its type and message in place of the
 exit code. The scenario directory is replaced by a fixed placeholder in
 stdout and stderr. Each operation whose exit code, stdout or stderr differs
@@ -97,7 +99,8 @@ WEIGHT_SCENARIOS = {
     "geo_founder-lin": ("geo_founder", {"census": {"m": 8, "d": _FOUNDER_CENSUS},
                                         "variant": "lin", "rho": 1.0}),
 }
-# rosters of 9-18 players with runs of interchangeable players
+# rosters of 9-18 players with classes of interchangeable players; in the
+# `-apart` ones, players 1, 3 and 5 are one class
 _DUPLICATES = {"1": 3, "2": 3, "3": 3, "4": 3, "5,6": 2, "7,8": 2, "9": 1, "10": 1, "11": 1,
                "12": 1}
 CLASS_SCENARIOS = {
@@ -107,9 +110,14 @@ CLASS_SCENARIOS = {
     "weighted-tenths-18": ("weighted", {"weights": [0.1] * 17, "alpha": 1.0, "rho": 1.0, "k": 2}),
     "weighted-alpha0.5-9": ("weighted", {"weights": [2.5] * 4 + [0.3] * 4,
                                          "alpha": 0.5, "rho": 1.0, "k": 3}),
+    "weighted-apart-9": ("weighted", {"weights": [0.3, 0.7] * 3 + [0.2, 0.2],
+                                      "alpha": 1.0, "rho": 1.0, "k": 2}),
     "geo-met-12": ("geo", {"census": {"m": 12, "d": _DUPLICATES}, "variant": "met", "rho": 1.0}),
     "geo-lin-16": ("geo", {"census": {"m": 16, "d": {**_DUPLICATES, "13,14,15,16": 5}},
                            "variant": "lin", "rho": 0.3}),
+    "geo-met-apart-10": ("geo", {"census": {"m": 10, "d": {
+        "1": 4, "2": 3, "3": 5, "4": 3, "5": 6, "6": 3, "2,4,6": 1, "7": 2, "8": 1,
+        "9": 7, "10": 7}}, "variant": "met", "rho": 1.0}),
     "geo_founder-met-11": ("geo_founder", {"census": {"m": 10, "d": {
         "1": 3, "2": 3, "3": 3, "4,5": 2, "6,7": 2, "8": 1, "9": 1, "10": 1}},
         "variant": "met", "rho": 1.0}),
