@@ -161,41 +161,48 @@ def _subset_sums(chunk: Sequence[float]) -> np.ndarray:
     return np.array([s / scale for s in sums])
 
 
-def weight_sum_table(weights: Sequence[float],
-                     first_bit: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch function giving, per mask, the sum of finite weights[i] over set
-    bits first_bit + i.
+def byte_sum_table(n_bits: int, byte_table: Callable[[int, int], np.ndarray],
+                   first_bit: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch function giving, per mask, the sum of one table entry per byte
+    of its bits first_bit to first_bit + n_bits - 1. The table of bits
+    first_bit + lo to first_bit + hi - 1 (lo = 0, 8, 16, ... and
+    hi = min(lo + 8, n_bits)) is `byte_table(lo, hi)`, an array of
+    2^(hi - lo) floats indexed by those bits.
 
-    Works a byte of players at a time: each byte's 256 subset sums are
-    tabulated on the first call, as exact integer sums rounded once to the
-    value `math.fsum` gives, and kept for later ones. Every call gathers
-    them, so there is one pass over the masks per 8 players and no
-    (masks x players) bit matrix. A mask's total is
-    `0.0 + byte 0's sum + byte 1's sum + ...`, added in that order. Each
-    byte's index is cut from the masks read as `int64` into one reused
-    buffer, so the gather needs no cast; the mask of the byte's bits drops
-    the sign that an arithmetic shift of bit 63 spreads.
+    Each byte's table is built on the first call and kept for later ones.
+    Every call gathers them, so there is one pass over the masks per 8 bits
+    and no (masks x bits) bit matrix. A mask's total is
+    `0.0 + byte 0's entry + byte 1's entry + ...`, added in that order, in a
+    new array that the caller may change. Each byte's index is cut from the
+    masks read as `int64` into one reused buffer, so the gather needs no
+    cast; the mask of the byte's bits drops the sign that an arithmetic
+    shift of bit 63 spreads.
     """
     @functools.cache
-    def byte_sums() -> list[tuple[np.int64, np.int64, np.ndarray]]:
-        out = []
-        for lo in range(0, len(weights), 8):
-            chunk = weights[lo:lo + 8]
-            out.append((np.int64(first_bit + lo), np.int64((1 << len(chunk)) - 1),
-                        _subset_sums(chunk)))
-        return out
+    def byte_tables() -> list[tuple[np.int64, np.int64, np.ndarray]]:
+        return [(np.int64(first_bit + lo), np.int64((1 << (hi - lo)) - 1), byte_table(lo, hi))
+                for lo, hi in ((lo, min(lo + 8, n_bits)) for lo in range(0, n_bits, 8))]
 
     def table(masks: np.ndarray) -> np.ndarray:
         signed = masks.view(np.int64)
         index = np.empty(masks.shape, dtype=np.int64)
         total = np.zeros(masks.shape)
-        for shift, low_bits, subset_sums in byte_sums():
+        for shift, low_bits, entries in byte_tables():
             np.right_shift(signed, shift, out=index)
             index &= low_bits
-            total += subset_sums[index]
+            total += entries[index]
         return total
 
     return table
+
+
+def weight_sum_table(weights: Sequence[float],
+                     first_bit: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch function giving, per mask, the sum of finite weights[i] over set
+    bits first_bit + i: the `byte_sum_table` of each byte's 256 subset sums,
+    tabulated as exact integer sums rounded once to the value `math.fsum`
+    gives."""
+    return byte_sum_table(len(weights), lambda lo, hi: _subset_sums(weights[lo:hi]), first_bit)
 
 
 def crowd_players(n: int) -> tuple[PlayerId, ...]:

@@ -12,9 +12,10 @@ every founder and every crowd member a separate agent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +35,20 @@ from fairshare.core import (
     CoalitionGame,
     PlayerId,
     PlayerTag,
+    byte_sum_table,
     check_roster_size,
 )
+
+# Below this network sum every term and every partial sum of a network table
+# is an exact integer in a float, so any order of addition gives one result.
+_EXACT_SUMS = 1 << 53
+
+
+def network_sum(sizes: Iterable[int], products: Iterable[int]) -> int:
+    """The network value without rho as an exact integer: the squares of the
+    crowd sizes plus twice the product n_a n_b of each agreement's two crowd
+    sizes."""
+    return sum(n * n for n in sizes) + 2 * sum(products)
 
 
 def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None:
@@ -92,8 +105,8 @@ def validate_graph(params: Mapping, errors: list[str], prefix: str = "") -> None
         else:
             seen_edges.add(frozenset((a, b)))
     # the exact value of the whole network: every method's values stay below it
-    value = sum(n * n for n in sizes.values()) + sum(
-        2 * sizes[a] * sizes[b] for a, b in seen_edges if a in sizes and b in sizes)
+    value = network_sum(sizes.values(), (sizes[a] * sizes[b] for a, b in seen_edges
+                                         if a in sizes and b in sizes))
     if not is_num(value):
         errors.append(f"{at(prefix, 'vertices')}: the network value "
                       "sum(size^2) + 2 sum(size_a size_b) overflows a float")
@@ -169,10 +182,15 @@ def _network_table(graph: OligopolyGraph, masks: np.ndarray,
                    mass: Sequence[float | np.ndarray]) -> np.ndarray:
     """rho * (sum of mass[v]^2 over present vertices + 2 mass[a] mass[b] over
     agreements with both ends present), per mask; vertex v is present when
-    bit v is set.
+    bit v is set. It serves `fine_table`, and `coarse_table` at or above
+    the 2^53 guard.
 
-    `mass[v]` is a number or an array with one entry per mask. Every term is
-    an integer, so the sum is exact before the one product with rho.
+    `mass[v]` is a number or an array with one entry per mask, each at most
+    the crowd size. So every term is an integer, and below 2^53 (the
+    network sum with every crowd present) every term and every partial sum
+    is exact before the one product with rho. At or above it, products and
+    sums may round, and the result is that of this order: the vertices,
+    then the agreements.
     """
     total = np.zeros(masks.shape)
     terms = [(v, v, 1.0) for v in range(graph.n_vertices)]
@@ -184,18 +202,64 @@ def _network_table(graph: OligopolyGraph, masks: np.ndarray,
     return total
 
 
+def _whole_sum(graph: OligopolyGraph) -> int:
+    """`network_sum` of the graph with every crowd present."""
+    sizes = graph.crowd_sizes
+    return network_sum(sizes, (sizes[a] * sizes[b] for a, b in graph.edges))
+
+
 def _grand_value(graph: OligopolyGraph) -> float:
     """The network value with every system and crowd present, summed in exact
     integers and rounded once (a float table rounds the products first)."""
+    return graph.rho * _whole_sum(graph)
+
+
+def _byte_network_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """`_network_table` with every crowd whole, for a graph whose network sum
+    is below 2^53: one `byte_sum_table` gather of each byte of vertices'
+    network sums (its squares and the agreements inside it, per subset),
+    one masked term per agreement across a byte edge, then rho. Every
+    entry and partial sum is an exact integer, so the bits are
+    `_network_table`'s."""
     sizes = graph.crowd_sizes
-    return graph.rho * (sum(n * n for n in sizes)
-                        + sum(2 * sizes[a] * sizes[b] for a, b in graph.edges))
+    # the quadratic form: squares on the diagonal, n_a n_b inside a byte
+    form = np.diag(np.array(sizes, dtype=np.int64) ** 2)
+    cross = []
+    for a, b in graph.edges:
+        if a >> 3 == b >> 3:
+            form[a, b] = form[b, a] = sizes[a] * sizes[b]
+        else:
+            cross.append((np.uint64((1 << a) | (1 << b)), float(2 * sizes[a] * sizes[b])))
+
+    def byte_sums(lo: int, hi: int) -> np.ndarray:
+        bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo)) & 1
+        return ((bits @ form[lo:hi, lo:hi]) * bits).sum(axis=1).astype(np.float64)
+
+    inner = byte_sum_table(graph.n_vertices, byte_sums)
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        total = inner(masks)
+        for present, term in cross:
+            total += ((masks & present) == present) * term
+        total *= graph.rho
+        return total
+
+    return table
 
 
 def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """The network value over vertex-set masks, with every crowd whole."""
-    mass = [float(n) for n in graph.crowd_sizes]
-    return lambda masks: _network_table(graph, masks, mass)
+    """The network value over vertex-set masks, with every crowd whole: the
+    byte tables of `_byte_network_table` below the 2^53 guard, else
+    `_network_table`. The guard is checked, and the tables built, on the
+    first call."""
+    @functools.cache
+    def network() -> Callable[[np.ndarray], np.ndarray]:
+        if _whole_sum(graph) < _EXACT_SUMS:
+            return _byte_network_table(graph)
+        mass = [float(n) for n in graph.crowd_sizes]
+        return lambda masks: _network_table(graph, masks, mass)
+
+    return lambda masks: network()(masks)
 
 
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 from fairshare import models
+from fairshare.oligopoly import network_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -126,6 +127,30 @@ def test_a_tree_matches_itself_on_the_classes(tmp_path):
         assert 9 <= len(payoffs) <= 18, op
         assert any(a == b for a, b in zip(payoffs, payoffs[1:])), op
         assert "-apart-" not in op or payoffs[1] == payoffs[3] == payoffs[5], op
+
+
+def test_a_tree_matches_itself_on_the_graphs(tmp_path):
+    tool = load_tool()
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("graphs",))
+    assert (n_ops, differ) == (2 * len(tool.GRAPH_SCENARIOS), [])
+    sums, inside_a_byte, vertices = [], set(), []
+    for model, params in tool.GRAPH_SCENARIOS.values():
+        assert model == "oligopoly_coarse"
+        sizes = {v["id"]: v["size"] for v in params["vertices"]}
+        sums.append(network_sum(sizes.values(), [sizes[a] * sizes[b] for a, b in params["edges"]]))
+        inside_a_byte.update(int(a[1:]) >> 3 == int(b[1:]) >> 3 for a, b in params["edges"])
+        vertices.append(len(sizes))
+    # crowds on both sides of the byte tables' 2^53 guard and at it, and
+    # agreements inside a byte and across byte edges
+    assert min(sums) < 1 << 52 < max(s for s in sums if s < 1 << 53)
+    assert 1 << 53 in sums and max(sums) > 1 << 53
+    assert inside_a_byte == {True, False} and max(vertices) == 64
+    ops, argvs = tool._graphs_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    for op, (code, out, err) in zip(ops, results):
+        assert (code, err) == (0, ""), op
+        allocations = json.loads(out)["allocations"]
+        assert ("exact" in allocations) == (op.endswith("/all") and "-64/" not in op), op
 
 
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):

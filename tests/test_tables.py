@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fairshare import geo
+from fairshare import geo, oligopoly
 from fairshare.checks import ParamsError
 from fairshare.cli import EXIT_CAP, main
 from fairshare.core import (
@@ -136,6 +136,88 @@ def test_network_table_equals_its_reference_bit_for_bit(model):
 
 rhos = st.floats(0.1, 5.0)
 sizes = st.integers(0, 20)
+
+
+@st.composite
+def byte_graphs(draw, vertices):
+    """Coarse graphs with crowds up to 2^20, whose agreements are drawn apart
+    inside a byte of vertices and across byte edges."""
+    n_vertices = draw(vertices)
+    pairs = list(itertools.combinations(range(n_vertices), 2))
+    edges = []
+    for inside in (True, False):
+        group = [(a, b) for a, b in pairs if (a >> 3 == b >> 3) == inside]
+        if group:
+            edges += draw(st.lists(st.sampled_from(group), unique=True, max_size=2 * n_vertices))
+    crowds = draw(st.lists(st.integers(0, 1 << 20), min_size=n_vertices, max_size=n_vertices))
+    graph = OligopolyGraph.from_spec([(f"v{v}", n) for v, n in enumerate(crowds)],
+                                     [(f"v{a}", f"v{b}") for a, b in edges], draw(rhos))
+    assert oligopoly._whole_sum(graph) < 1 << 53  # the byte tables serve it
+    return graph
+
+
+def byte_masks(n, seed):
+    """Every mask of n <= 12 bits; above, every subset of each byte beside 4
+    drawn fillings of the other bits, so every entry of every byte table is read."""
+    if n <= 12:
+        return np.arange(1 << n, dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    out = []
+    for lo in range(0, n, 8):
+        byte = ((1 << min(8, n - lo)) - 1) << lo
+        fills = rng.integers(0, 1 << n, 4).tolist()
+        out += [(fill & ~byte) | (sub << lo) for fill in fills for sub in range((byte >> lo) + 1)]
+    return np.array(out, dtype=np.uint64)
+
+
+def assert_coarse_bits(graph, masks):
+    reference = REFERENCES["oligopoly_coarse"](graph)
+    expected = np.array([reference(Coalition(int(m))) for m in masks])
+    got = MODELS["oligopoly_coarse"].game(graph).table(masks)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(byte_graphs(st.integers(1, 20)), st.integers(0, 2 ** 32 - 1))
+def test_coarse_byte_tables_give_the_reference_bits(graph, seed):
+    assert_coarse_bits(graph, byte_masks(graph.n_vertices, seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(byte_graphs(st.one_of(st.just(64), st.integers(40, 63))), st.integers(0, 2 ** 32 - 1))
+def test_coarse_byte_tables_give_the_reference_bits_at_40_to_64_vertices(graph, seed):
+    # drawn over every vertex bit, so at 64 vertices half the masks set bit 63
+    n = graph.n_vertices
+    drawn = np.random.default_rng(seed).integers(0, 1 << 64, 256, dtype=np.uint64)
+    masks = np.append(drawn >> np.uint64(64 - n), np.uint64((1 << n) - 1))
+    assert_coarse_bits(graph, masks)
+
+
+def guard_graph(*crowds):
+    return OligopolyGraph.from_spec(
+        [(f"v{v}", n) for v, n in enumerate(crowds)],
+        [("v0", "v9"), ("v2", "v3"), ("v1", "v8"), ("v4", "v6")], rho=1.37)
+
+
+@pytest.mark.parametrize("crowds, fallback", [
+    ((1 << 26,) + (0,) * 9, False),             # network sum 2^52
+    ((1 << 26, 1 << 26) + (0,) * 8, True),      # 2^53
+    ((1 << 27, 3, 5, 7, 11, 13, 17, 19, 23, 29), True),   # about 2^54
+])
+def test_coarse_table_takes_the_byte_tables_below_2_to_the_53(monkeypatch, crowds, fallback):
+    graph = guard_graph(*crowds)
+    masks = np.arange(1 << 10, dtype=np.uint64)
+    expected = oligopoly._network_table(graph, masks, [float(n) for n in crowds])
+    calls = []
+    network_table = oligopoly._network_table
+    monkeypatch.setattr(oligopoly, "_network_table",
+                        lambda *args: calls.append(args) or network_table(*args))
+    table = oligopoly.coarse_table(graph)
+    assert calls == []  # nothing is built before the first call
+    assert np.array_equal(table(masks).view(np.int64), expected.view(np.int64))
+    assert len(calls) == fallback
+    if not fallback:
+        assert_coarse_bits(graph, masks)
 
 
 @st.composite

@@ -35,7 +35,12 @@ between players 8 and 9, `geo` and `geo_founder` censuses with duplicate
 agents, next to each other and apart, and `oligopoly_fine` graphs with equal
 crowds, so the exact engine's payoff bits are compared where a player takes
 the payoff of the least player of its class and where the byte sums keep it
-from doing so.
+from doing so. The `graphs` operations solve `oligopoly_coarse` rosters
+under each of `WEIGHTS_RUNS`: agreements inside one byte of vertices and
+across byte edges, crowds whose network sum is below the 2^53 guard of the
+coarse table's byte tables, at it and above it, and one 64-vertex graph,
+above the exact cap, that is sampled, so the bits of the coarse table are
+compared on inputs that no generated workload draws.
 An uncaught exception is recorded as its type and message in place of the
 exit code. The scenario directory is replaced by a fixed placeholder in
 stdout and stderr. Each operation whose exit code, stdout or stderr differs
@@ -45,6 +50,7 @@ is listed, and the exit status is 1 if there is any.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -58,7 +64,7 @@ import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
              "invalid_scenarios", "invalid_records", "formats", "flags", "sampler", "sweeps",
-             "weights", "classes")
+             "weights", "classes", "graphs")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
@@ -126,6 +132,33 @@ CLASS_SCENARIOS = {
         "edges": [["a", "b"], ["b", "c"], ["a", "c"]], "rho": 1.0}),
     "oligopoly_fine-pair-18": ("oligopoly_fine", {
         "vertices": [{"id": v, "size": 8} for v in "ab"], "edges": [["a", "b"]], "rho": 2.0}),
+}
+
+
+def _coarse(sizes: list[int], edges: list[tuple[int, int]], rho: float) -> tuple[str, dict]:
+    return ("oligopoly_coarse", {
+        "vertices": [{"id": f"s{v}", "size": n} for v, n in enumerate(sizes)],
+        "edges": [[f"s{a}", f"s{b}"] for a, b in edges], "rho": rho})
+
+
+# oligopoly_coarse rosters: the `-guard` ones have network sums of about
+# 1.8 * 2^52, exactly 2^53 and 5.3 * 2^52, and the byte edges sit between
+# vertices 7 and 8, 15 and 16, ...
+_NEAR_GUARD = [1 << 26, 1 << 25, 1 << 24, 7, 5, 3, 1, 0, 9, 2]
+_NEAR_GUARD_EDGES = [(0, 2), (0, 3), (1, 4), (8, 9), (2, 9), (5, 8)]
+GRAPH_SCENARIOS = {
+    "inside-byte-8": _coarse([3, 1, 4, 1, 5, 9, 2, 6],
+                             [(a, b) for a, b in itertools.combinations(range(8), 2)
+                              if (a + b) % 3], 1.37),
+    "across-bytes-17": _coarse([(5 * v) % 11 for v in range(17)],
+                               [(v, v + 1) for v in range(16)]
+                               + [(0, 16), (3, 12), (7, 15), (2, 5)], 0.3),
+    "below-guard-10": _coarse(_NEAR_GUARD, _NEAR_GUARD_EDGES, 1.1),
+    "at-guard-2": _coarse([1 << 26, 1 << 26], [], 1.1),
+    "above-guard-10": _coarse([1 << 27] + _NEAR_GUARD[1:], _NEAR_GUARD_EDGES, 1.1),
+    "sampled-64": _coarse([(7 * v) % 13 for v in range(64)],
+                          [(v, (v + 1) % 64) for v in range(64)]
+                          + [(v, v + 9) for v in range(0, 55, 6)], 0.7),
 }
 WEIGHTS_RUNS = (("--method", "all"), ("--method", "sample", "--seed", "3", "--permutations", "50"))
 PLACEHOLDER = "<scenario-dir>"
@@ -261,12 +294,14 @@ def _scenario_ops(workload: str, scenarios: dict, runs: tuple) -> Callable:
 
 _weights_ops = _scenario_ops("weights", WEIGHT_SCENARIOS, WEIGHTS_RUNS)
 _classes_ops = _scenario_ops("classes", CLASS_SCENARIOS, (("--method", "exact"),))
+_graphs_ops = _scenario_ops("graphs", GRAPH_SCENARIOS, WEIGHTS_RUNS)
 
 
 # the workloads whose operations are fixed, not built by perfbench/gen.py
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
              "formats": _formats_ops, "flags": _flags_ops, "sampler": _sampler_ops,
-             "sweeps": _sweeps_ops, "weights": _weights_ops, "classes": _classes_ops}
+             "sweeps": _sweeps_ops, "weights": _weights_ops, "classes": _classes_ops,
+             "graphs": _graphs_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
