@@ -39,10 +39,6 @@ from fairshare.core import (
     check_roster_size,
 )
 
-# Below this network sum every term and every partial sum of a network table
-# is an exact integer in a float, so any order of addition gives one result.
-_EXACT_SUMS = 1 << 53
-
 
 def network_sum(sizes: Iterable[int], products: Iterable[int]) -> int:
     """The network value without rho as an exact integer: the squares of the
@@ -178,66 +174,41 @@ class OligopolyGraph:
 
 # --- coarse grain: one agent per system --------------------------------------
 
-def _network_table(graph: OligopolyGraph, masks: np.ndarray,
-                   mass: Sequence[float | np.ndarray]) -> np.ndarray:
-    """rho * (sum of mass[v]^2 over present vertices + 2 mass[a] mass[b] over
-    agreements with both ends present), per mask; vertex v is present when
-    bit v is set. It serves `fine_table`, and `coarse_table` at or above
-    the 2^53 guard.
-
-    `mass[v]` is a number or an array with one entry per mask, each at most
-    the crowd size. So every term is an integer, and below 2^53 (the
-    network sum with every crowd present) every term and every partial sum
-    is exact before the one product with rho. At or above it, products and
-    sums may round, and the result is that of this order: the vertices,
-    then the agreements.
-    """
-    total = np.zeros(masks.shape)
-    terms = [(v, v, 1.0) for v in range(graph.n_vertices)]
-    for a, b, factor in terms + [(a, b, 2.0) for a, b in graph.edges]:
-        present = np.uint64((1 << a) | (1 << b))
-        term = np.multiply(mass[a], mass[b], dtype=np.float64) * factor
-        total += ((masks & present) == present) * term
-    total *= graph.rho
-    return total
-
-
-def _whole_sum(graph: OligopolyGraph) -> int:
-    """`network_sum` of the graph with every crowd present."""
-    sizes = graph.crowd_sizes
-    return network_sum(sizes, (sizes[a] * sizes[b] for a, b in graph.edges))
-
-
 def _grand_value(graph: OligopolyGraph) -> float:
     """The network value with every system and crowd present, summed in exact
     integers and rounded once (a float table rounds the products first)."""
-    return graph.rho * _whole_sum(graph)
-
-
-def _byte_network_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """`_network_table` with every crowd whole, for a graph whose network sum
-    is below 2^53: one `byte_sum_table` gather of each byte of vertices'
-    network sums (its squares and the agreements inside it, per subset),
-    one masked term per agreement across a byte edge, then rho. Every
-    entry and partial sum is an exact integer, so the bits are
-    `_network_table`'s."""
     sizes = graph.crowd_sizes
-    # the quadratic form: squares on the diagonal, n_a n_b inside a byte
-    form = np.diag(np.array(sizes, dtype=np.int64) ** 2)
-    cross = []
-    for a, b in graph.edges:
-        if a >> 3 == b >> 3:
-            form[a, b] = form[b, a] = sizes[a] * sizes[b]
-        else:
-            cross.append((np.uint64((1 << a) | (1 << b)), float(2 * sizes[a] * sizes[b])))
+    return graph.rho * network_sum(sizes, (sizes[a] * sizes[b] for a, b in graph.edges))
 
-    def byte_sums(lo: int, hi: int) -> np.ndarray:
-        bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo)) & 1
-        return ((bits @ form[lo:hi, lo:hi]) * bits).sum(axis=1).astype(np.float64)
 
-    inner = byte_sum_table(graph.n_vertices, byte_sums)
+def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """The network value over vertex-set masks, with every crowd whole: one
+    `byte_sum_table` gather of each byte of vertices' network sums (its
+    squares and the agreements inside it, per subset), one masked term per
+    agreement across a byte edge, then rho. All is built on the first call.
+    Each term is an integer rounded once, so below a network sum of 2^53 no
+    sum rounds; above it the nonnegative sums err by a few units of 2^-53."""
+    sizes = graph.crowd_sizes
+
+    @functools.cache
+    def network() -> tuple[Callable[[np.ndarray], np.ndarray], list[tuple[np.uint64, float]]]:
+        # the quadratic form: squares on the diagonal, n_a n_b inside a byte
+        form = np.diag(np.array([n * n for n in sizes], dtype=np.float64))
+        cross = []
+        for a, b in graph.edges:
+            if a >> 3 == b >> 3:
+                form[a, b] = form[b, a] = sizes[a] * sizes[b]
+            else:
+                cross.append((np.uint64((1 << a) | (1 << b)), float(2 * sizes[a] * sizes[b])))
+
+        def byte_sums(lo: int, hi: int) -> np.ndarray:
+            bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo)) & 1
+            return ((bits @ form[lo:hi, lo:hi]) * bits).sum(axis=1)
+
+        return byte_sum_table(graph.n_vertices, byte_sums), cross
 
     def table(masks: np.ndarray) -> np.ndarray:
+        inner, cross = network()
         total = inner(masks)
         for present, term in cross:
             total += ((masks & present) == present) * term
@@ -245,21 +216,6 @@ def _byte_network_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndar
         return total
 
     return table
-
-
-def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """The network value over vertex-set masks, with every crowd whole: the
-    byte tables of `_byte_network_table` below the 2^53 guard, else
-    `_network_table`. The guard is checked, and the tables built, on the
-    first call."""
-    @functools.cache
-    def network() -> Callable[[np.ndarray], np.ndarray]:
-        if _whole_sum(graph) < _EXACT_SUMS:
-            return _byte_network_table(graph)
-        mass = [float(n) for n in graph.crowd_sizes]
-        return lambda masks: _network_table(graph, masks, mass)
-
-    return lambda masks: network()(masks)
 
 
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
@@ -283,6 +239,22 @@ def minor_blocks(graph: OligopolyGraph) -> tuple[range, ...]:
     come first, then one contiguous block per vertex, in vertex order."""
     starts = itertools.accumulate(graph.crowd_sizes, initial=graph.n_vertices)
     return tuple(range(start, start + n) for start, n in zip(starts, graph.crowd_sizes))
+
+
+def _network_table(graph: OligopolyGraph, masks: np.ndarray,
+                   mass: Sequence[np.ndarray]) -> np.ndarray:
+    """rho * (sum of mass[v]^2 over present vertices + 2 mass[a] mass[b] over
+    agreements with both ends present), per mask; vertex v is present when
+    bit v is set, and mass[v] holds one crowd count per mask. A roster of at
+    most 64 players keeps every term and partial sum a small exact integer."""
+    total = np.zeros(masks.shape)
+    terms = [(v, v, 1.0) for v in range(graph.n_vertices)]
+    for a, b, factor in terms + [(a, b, 2.0) for a, b in graph.edges]:
+        present = np.uint64((1 << a) | (1 << b))
+        term = np.multiply(mass[a], mass[b], dtype=np.float64) * factor
+        total += ((masks & present) == present) * term
+    total *= graph.rho
+    return total
 
 
 def fine_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:

@@ -146,7 +146,12 @@ def test_cli_census_agent_count_is_capped(tmp_path, capsys, command):
 HUGE_ROSTERS = {
     "single": {"n": 100_000_000, "k": 2},
     "profit": {"n": 100_000_000, "k": 2, "member_cost": 0.5},
+    # an agreement from the 65th vertex to the first, whose presence mask
+    # needs bit 64, so the refusal must come before the table is built
+    "oligopoly_coarse": {"vertices": [{"id": f"v{v}", "size": 1} for v in range(65)],
+                         "edges": [["v0", "v64"]]},
     "oligopoly_fine": {"vertices": [{"id": "a", "size": 100_000_000}]},
+    "geo": {"census": {"m": 1_000_000, "d": {"1": 5}}, "variant": "met"},
     "geo_founder": {"census": {"m": 1_000_000, "d": {"1": 5}}, "variant": "met"},
 }
 

@@ -140,7 +140,8 @@ def test_a_tree_matches_itself_on_the_graphs(tmp_path):
         sums.append(network_sum(sizes.values(), [sizes[a] * sizes[b] for a, b in params["edges"]]))
         inside_a_byte.update(int(a[1:]) >> 3 == int(b[1:]) >> 3 for a, b in params["edges"])
         vertices.append(len(sizes))
-    # crowds on both sides of the byte tables' 2^53 guard and at it, and
+    # network sums on both sides of 2^53, where the coarse table's sums
+    # start to round, and at it, and
     # agreements inside a byte and across byte edges
     assert min(sums) < 1 << 52 < max(s for s in sums if s < 1 << 53)
     assert 1 << 53 in sums and max(sums) > 1 << 53

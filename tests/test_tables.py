@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from fairshare.models import (
     WeightedCssParams,
     weighted_game,
 )
-from fairshare.oligopoly import OligopolyGraph
+from fairshare.oligopoly import OligopolyGraph, network_sum
 from fairshare.scenarios import MODELS, build_game, load_scenario
 from reference import (
     Coalition,
@@ -136,12 +137,20 @@ def test_network_table_equals_its_reference_bit_for_bit(model):
 
 rhos = st.floats(0.1, 5.0)
 sizes = st.integers(0, 20)
+SMALL_CROWDS = st.integers(0, 1 << 20)
+
+
+def whole_sum(graph):
+    """The network sum without rho with every crowd present, exactly."""
+    crowds = graph.crowd_sizes
+    return network_sum(crowds, (crowds[a] * crowds[b] for a, b in graph.edges))
 
 
 @st.composite
-def byte_graphs(draw, vertices):
-    """Coarse graphs with crowds up to 2^20, whose agreements are drawn apart
-    inside a byte of vertices and across byte edges."""
+def byte_graphs(draw, vertices, crowd=SMALL_CROWDS):
+    """Coarse graphs whose agreements are drawn apart inside a byte of
+    vertices and across byte edges; with the default crowds, up to 2^20,
+    every network sum is below 2^53."""
     n_vertices = draw(vertices)
     pairs = list(itertools.combinations(range(n_vertices), 2))
     edges = []
@@ -149,10 +158,10 @@ def byte_graphs(draw, vertices):
         group = [(a, b) for a, b in pairs if (a >> 3 == b >> 3) == inside]
         if group:
             edges += draw(st.lists(st.sampled_from(group), unique=True, max_size=2 * n_vertices))
-    crowds = draw(st.lists(st.integers(0, 1 << 20), min_size=n_vertices, max_size=n_vertices))
+    crowds = draw(st.lists(crowd, min_size=n_vertices, max_size=n_vertices))
     graph = OligopolyGraph.from_spec([(f"v{v}", n) for v, n in enumerate(crowds)],
                                      [(f"v{a}", f"v{b}") for a, b in edges], draw(rhos))
-    assert oligopoly._whole_sum(graph) < 1 << 53  # the byte tables serve it
+    assert crowd is not SMALL_CROWDS or whole_sum(graph) < 1 << 53  # no sum rounds
     return graph
 
 
@@ -170,11 +179,32 @@ def byte_masks(n, seed):
     return np.array(out, dtype=np.uint64)
 
 
+def drawn_masks(n, seed):
+    """256 masks drawn over every vertex bit, so at 64 vertices half of them
+    set bit 63, and the mask of every vertex."""
+    drawn = np.random.default_rng(seed).integers(0, 1 << 64, 256, dtype=np.uint64)
+    return np.append(drawn >> np.uint64(64 - n), np.uint64((1 << n) - 1))
+
+
 def assert_coarse_bits(graph, masks):
     reference = REFERENCES["oligopoly_coarse"](graph)
     expected = np.array([reference(Coalition(int(m))) for m in masks])
     got = MODELS["oligopoly_coarse"].game(graph).table(masks)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def assert_coarse_within_summation_bound(graph, masks):
+    """Each value is within (V + 2E + 10) units of 2^-53 of rho times the
+    exact network sum of its present vertices, relative: every term is
+    nonnegative, so the error of each sum is bounded by its term count."""
+    got = MODELS["oligopoly_coarse"].game(graph).table(masks)
+    bound = Fraction(graph.n_vertices + 2 * len(graph.edges) + 10, 1 << 53)
+    crowds = graph.crowd_sizes
+    for mask, value in zip(masks.tolist(), got.tolist()):
+        exact = Fraction(graph.rho) * network_sum(
+            (n for v, n in enumerate(crowds) if mask >> v & 1),
+            (crowds[a] * crowds[b] for a, b in graph.edges if mask >> a & 1 and mask >> b & 1))
+        assert abs(Fraction(value) - exact) <= bound * exact
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,37 +216,36 @@ def test_coarse_byte_tables_give_the_reference_bits(graph, seed):
 @settings(max_examples=20, deadline=None)
 @given(byte_graphs(st.one_of(st.just(64), st.integers(40, 63))), st.integers(0, 2 ** 32 - 1))
 def test_coarse_byte_tables_give_the_reference_bits_at_40_to_64_vertices(graph, seed):
-    # drawn over every vertex bit, so at 64 vertices half the masks set bit 63
-    n = graph.n_vertices
-    drawn = np.random.default_rng(seed).integers(0, 1 << 64, 256, dtype=np.uint64)
-    masks = np.append(drawn >> np.uint64(64 - n), np.uint64((1 << n) - 1))
-    assert_coarse_bits(graph, masks)
+    assert_coarse_bits(graph, drawn_masks(graph.n_vertices, seed))
 
 
-def guard_graph(*crowds):
-    return OligopolyGraph.from_spec(
+@settings(max_examples=60, deadline=None)
+@given(byte_graphs(st.integers(1, 64), st.integers(0, 1 << 100)), st.integers(0, 2 ** 32 - 1))
+def test_coarse_table_is_within_a_summation_bound_at_every_crowd_size(graph, seed):
+    # crowds up to 2^100 put network sums far on both sides of 2^53
+    assert_coarse_within_summation_bound(graph, drawn_masks(graph.n_vertices, seed))
+
+
+@pytest.mark.parametrize("crowds", [
+    (1 << 26,) + (0,) * 9,                      # network sum 2^52
+    (1 << 26, 1 << 26) + (0,) * 8,              # 2^53
+    (1 << 27, 3, 5, 7, 11, 13, 17, 19, 23, 29),   # about 2^54
+])
+def test_coarse_table_builds_nothing_before_its_first_call(monkeypatch, crowds):
+    graph = OligopolyGraph.from_spec(
         [(f"v{v}", n) for v, n in enumerate(crowds)],
         [("v0", "v9"), ("v2", "v3"), ("v1", "v8"), ("v4", "v6")], rho=1.37)
-
-
-@pytest.mark.parametrize("crowds, fallback", [
-    ((1 << 26,) + (0,) * 9, False),             # network sum 2^52
-    ((1 << 26, 1 << 26) + (0,) * 8, True),      # 2^53
-    ((1 << 27, 3, 5, 7, 11, 13, 17, 19, 23, 29), True),   # about 2^54
-])
-def test_coarse_table_takes_the_byte_tables_below_2_to_the_53(monkeypatch, crowds, fallback):
-    graph = guard_graph(*crowds)
-    masks = np.arange(1 << 10, dtype=np.uint64)
-    expected = oligopoly._network_table(graph, masks, [float(n) for n in crowds])
     calls = []
-    network_table = oligopoly._network_table
-    monkeypatch.setattr(oligopoly, "_network_table",
-                        lambda *args: calls.append(args) or network_table(*args))
+    byte_sum_table = oligopoly.byte_sum_table
+    monkeypatch.setattr(oligopoly, "byte_sum_table",
+                        lambda *args: calls.append(args) or byte_sum_table(*args))
     table = oligopoly.coarse_table(graph)
-    assert calls == []  # nothing is built before the first call
-    assert np.array_equal(table(masks).view(np.int64), expected.view(np.int64))
-    assert len(calls) == fallback
-    if not fallback:
+    assert calls == []
+    masks = np.arange(1 << 10, dtype=np.uint64)
+    assert np.array_equal(table(masks), table(masks))
+    assert len(calls) == 1  # built once
+    assert_coarse_within_summation_bound(graph, masks)
+    if whole_sum(graph) <= 1 << 53:
         assert_coarse_bits(graph, masks)
 
 

@@ -37,10 +37,10 @@ crowds, so the exact engine's payoff bits are compared where a player takes
 the payoff of the least player of its class and where the byte sums keep it
 from doing so. The `graphs` operations solve `oligopoly_coarse` rosters
 under each of `WEIGHTS_RUNS`: agreements inside one byte of vertices and
-across byte edges, crowds whose network sum is below the 2^53 guard of the
-coarse table's byte tables, at it and above it, and one 64-vertex graph,
-above the exact cap, that is sampled, so the bits of the coarse table are
-compared on inputs that no generated workload draws.
+across byte edges, crowds whose network sum is below 2^53, where no sum of
+the coarse table rounds, at it and above it, where its sums round, and one
+64-vertex graph, above the exact cap, that is sampled, so the bits of the
+coarse table are compared on inputs that no generated workload draws.
 An uncaught exception is recorded as its type and message in place of the
 exit code. The scenario directory is replaced by a fixed placeholder in
 stdout and stderr. Each operation whose exit code, stdout or stderr differs
@@ -142,7 +142,8 @@ def _coarse(sizes: list[int], edges: list[tuple[int, int]], rho: float) -> tuple
 
 
 # oligopoly_coarse rosters: the `-guard` ones have network sums of about
-# 1.8 * 2^52, exactly 2^53 and 5.3 * 2^52, and the byte edges sit between
+# 1.8 * 2^52, exactly 2^53 and 5.3 * 2^52, around the largest sum at which
+# no sum of the coarse table rounds, and the byte edges sit between
 # vertices 7 and 8, 15 and 16, ...
 _NEAR_GUARD = [1 << 26, 1 << 25, 1 << 24, 7, 5, 3, 1, 0, 9, 2]
 _NEAR_GUARD_EDGES = [(0, 2), (0, 3), (1, 4), (8, 9), (2, 9), (5, 8)]
