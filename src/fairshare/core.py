@@ -25,12 +25,15 @@ _SAMPLE_BLOCK_MASKS = 8192
 # player's marginals are reduced, this many at a time.
 _EXACT_BLOCK = 1 << 15
 
-# Peak bytes of the exact engine: 8 per coalition for the value table and 4
-# for the size weights, which have one entry per coalition without a given
-# player; plus, per block, the masks and up to five same-length temporaries
-# of a batch table, 8 bytes each.
-EXACT_BYTES_PER_COALITION = 12
-EXACT_BYTES_PER_BLOCK = 6 * 8 * _EXACT_BLOCK
+# Peak bytes of the exact engine: 8 per coalition for the value table, plus
+# max(6, n - 13) block-sized arrays of 8-byte entries, `EXACT_BYTES_PER_BLOCK`
+# each. While the table is built, they are the masks and up to five
+# same-length temporaries of a batch table. While it is reduced, they are one
+# array of size weights per popcount of a block's start (n - 15 of them, from
+# 16 players), then the gains, and at most one block of temporaries: a `bool`
+# block of the class search, or numpy's buffers for a strided subtraction.
+EXACT_BYTES_PER_COALITION = 8
+EXACT_BYTES_PER_BLOCK = 8 * _EXACT_BLOCK
 
 
 class RosterTooLargeError(ValueError):
@@ -255,7 +258,7 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
             f"full coalition table needs 2^{n} evaluations, above the cap of {cap} "
             "players; use shapley_sample for larger rosters")
     size = 1 << n
-    need = size * EXACT_BYTES_PER_COALITION + EXACT_BYTES_PER_BLOCK
+    need = size * EXACT_BYTES_PER_COALITION + max(6, n - 13) * EXACT_BYTES_PER_BLOCK
     if (physical := _physical_memory()) is not None and need > physical:
         raise RosterTooLargeError(
             f"exact engine needs {need} bytes for 2^{n} coalitions, more than the "
@@ -269,6 +272,7 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
         if start == 0:  # a table of one block is that block's array
             values = block if block.size == size else np.empty(size)
         values[start:start + masks.size] = block
+        del masks, block  # before the next block's are made
     return values
 
 
@@ -313,35 +317,82 @@ def _probes(n: int) -> tuple[np.ndarray, ...]:
     return probes
 
 
-def _swap_keeps_bits(ints: np.ndarray, i: int, j: int) -> bool:
-    """Whether a table's `int64` bit patterns are unchanged when players i < j
-    swap, comparing `_split_pair`'s views a block of whole rows at a time (2^15
-    pairs, or one row if more) and stopping at the first block that differs."""
-    only_i, only_j = _split_pair(ints, i, j)
-    rows = max(1, _EXACT_BLOCK >> (j - 1))
-    # an axis of at most 4 entries is too short an inner loop
-    inner = list(itertools.product(*(range(m) if m <= 4 else [slice(None)]
-                                     for m in only_i.shape[1:])))
-    for r in range(0, only_i.shape[0], rows):
-        a, b = only_i[r:r + rows], only_j[r:r + rows]
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two `int64` views of one shape (rows, mid, low) hold the same
+    bits, compared a block of at most 2^15 entries (whole rows where they
+    fit) at a time, stopping at the first block that differs."""
+    rows, mid, low = a.shape
+
+    def cuts(size: int, step: int) -> Sequence:
+        # an axis of at most 4 entries is too short an inner loop
+        return range(size) if size <= 4 else [slice(k, k + step) for k in range(0, size, step)]
+
+    inner = list(itertools.product(cuts(mid, max(1, _EXACT_BLOCK // low)),
+                                   cuts(low, _EXACT_BLOCK)))
+    step = max(1, _EXACT_BLOCK // (mid * low))
+    for r in range(0, rows, step):
+        x, y = a[r:r + step], b[r:r + step]
         for m, c in inner:
-            if not (a[:, m, c] == b[:, m, c]).all():
+            if not (x[:, m, c] == y[:, m, c]).all():
                 return False
     return True
+
+
+def _swap_keeps_bits(ints: np.ndarray, i: int, j: int) -> bool:
+    """Whether a table's `int64` bit patterns are unchanged when players i < j
+    swap: `_split_pair`'s views, compared by `_same_bits`."""
+    return _same_bits(*_split_pair(ints, i, j))
+
+
+def _cycle_keeps_bits(ints: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether a table's `int64` bit patterns are unchanged when players
+    lo..hi-1 move one place up, and player hi - 1 to lo. A coalition with
+    player hi - 1 out or in (t = 0 or 1) and players lo..hi-2 as r is
+    compared, by `_same_bits`, with its image: r as players lo+1..hi-1 and t
+    as player lo. Both are views of the table, so nothing is gathered."""
+    n = ints.size.bit_length() - 1
+    above, run, below = 1 << (n - hi), 1 << (hi - lo - 1), 1 << lo
+    top = ints.reshape(above, 2, run, below)     # [.., hi - 1, lo..hi-2, ..]
+    bottom = ints.reshape(above, run, 2, below)  # [.., lo+1..hi-1, lo, ..]
+    return all(_same_bits(top[:, t], bottom[:, :, t]) for t in (0, 1))
 
 
 def exact_classes(values: np.ndarray) -> tuple[int, ...]:
     """Per player of a mask-indexed table, the least player of its exact-swap
     class: players linked by swaps that keep the table's `int64` bits, so any
     two of a class swap exactly (+0.0 against -0.0, or two NaN payloads, is a
-    difference). Pairs whose `_probes` keep their bits are taken neighbours
-    first, and each not yet linked is compared in full by `_swap_keeps_bits`."""
+    difference).
+
+    Each maximal run of at least six players lo..hi-1 whose neighbour pairs
+    all keep their `_probes`' bits is first tried whole: the swap of lo and
+    lo + 1 and the cycle lo -> lo + 1 -> .. -> hi - 1 -> lo generate every
+    permutation of the run, so if both keep the bits (one `_swap_keeps_bits`
+    and one `_cycle_keeps_bits`), every pair of the run swaps exactly. The
+    two read about as much as five pair scans, which is why a shorter run
+    is left to the pairs. Then the pairs whose probes keep their bits are taken
+    neighbours first, and each not yet linked, nor refuted by a run's first
+    swap, is compared in full by `_swap_keeps_bits`. The classes are the
+    connected components of the exact-swap graph either way."""
     n = values.size.bit_length() - 1
     _check_table(values, n)
     ints = np.asarray(values, dtype=np.float64).view(np.int64)
     _, _, first, second, with_first, with_second = _probes(n)
     alive = (ints[with_first] == ints[with_second]).all(axis=1)
     least = list(range(n))
+    lo = 0
+    # pair p < n - 1 is the neighbours (p, p + 1), and the first one ruled
+    # out ends the run of players lo..p
+    for hi, linked in enumerate(alive[:n - 1].tolist() + [False], start=1):
+        if linked:
+            continue
+        if hi - lo >= 6:
+            if not _swap_keeps_bits(ints, lo, lo + 1):
+                alive[lo] = False
+            elif _cycle_keeps_bits(ints, lo, hi):
+                least[lo:hi] = [lo] * (hi - lo)
+            else:
+                least[lo + 1] = lo
+        lo = hi
     for i, j in zip(first[alive].tolist(), second[alive].tolist()):
         if least[i] != least[j] and _swap_keeps_bits(ints, i, j):
             low, high = sorted((least[i], least[j]))
@@ -386,13 +437,13 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     half = 1 << (n - 1)
     block = min(_EXACT_BLOCK, half)
     # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!. In `_split` order, the k-th
-    # coalition without player i has popcount(k) members, so one array of
-    # weights serves every player.
+    # coalition without player i has popcount(k) members, so the same weights
+    # serve every player. A block's start is a multiple of the block, so its
+    # k-th weight is by_size[popcount(start) + popcount(k)]: one block of
+    # weights per popcount of a start serves every block.
     by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
-    weights = np.empty(half)
-    for start in range(0, half, block):
-        weights[start:start + block] = by_size[
-            np.bitwise_count(np.arange(start, start + block, dtype=np.uint64))]
+    sizes = np.bitwise_count(np.arange(block, dtype=np.uint64))
+    shifted = [by_size[sizes + c] for c in range(n - block.bit_length() + 1)]
     classes = exact_classes(values)
     gains, payoffs = np.empty(block), []
     for i, least in enumerate(classes):
@@ -408,7 +459,7 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
             # a row of at most 4 entries is too short an inner loop
             for x in range(cols) if cols <= 4 else [slice(None)]:
                 np.subtract(w1[:, x], w0[:, x], out=out[:, x])
-            gains *= weights[start:start + block]
+            gains *= shifted[start.bit_count()]
             parts.append(np.sum(gains))
         payoffs.append(_tree_sum(parts))
     return Allocation(tuple(payoffs), float(values[-1]))

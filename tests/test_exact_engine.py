@@ -71,6 +71,19 @@ def swap_checks(monkeypatch):
     return calls
 
 
+def cycle_checks(monkeypatch):
+    """Record (lo, hi, verdict) of every cycle check of players lo..hi-1."""
+    calls = []
+    check = core._cycle_keeps_bits
+
+    def recorded(ints, lo, hi):
+        calls.append((lo, hi, check(ints, lo, hi)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(core, "_cycle_keeps_bits", recorded)
+    return calls
+
+
 def count_reductions(monkeypatch):
     """The number of players whose marginals are reduced: one `_tree_sum` each."""
     sums = []
@@ -164,6 +177,35 @@ def test_a_run_of_interchangeable_players_gets_one_payoff(sizes, seed):
     assert len(set(run_payoffs.view(np.int64).tolist())) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_run_broken_past_its_probes_keeps_the_classes(data):
+    # a table symmetric on players lo..hi-1, at least six, but for one
+    # coalition that no probe holds, in a drawn block of 2^15 coalitions;
+    # runs from player 0 (a lowest axis of one entry in the cycle check's
+    # views), to the top player (one row) and 17 players (four blocks, and
+    # rows cut into blocks) are drawn often
+    n = data.draw(st.one_of(st.just(17), st.integers(6, 17)), label="n")
+    lo = data.draw(st.one_of(st.just(0), st.integers(0, n - 6)), label="lo")
+    hi = data.draw(st.one_of(st.just(n), st.integers(lo + 6, n)), label="hi")
+    masks = np.arange(1 << n, dtype=np.uint64)
+    run = np.uint64(((1 << (hi - lo)) - 1) << lo)
+    count = np.bitwise_count(masks & run)
+    packed = (masks & ~run) | (((np.uint64(1) << count) - np.uint64(1)) << np.uint64(lo))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="table seed")
+    values = heavy_tailed(np.random.default_rng(seed), 1 << n)[packed]
+    block = data.draw(st.integers(0, (1 << max(0, n - 15)) - 1), label="block")
+    probes = set(np.concatenate(core._probes(n)[4:], axis=None).tolist())
+    broken = data.draw(st.integers(block << 15, min(1 << n, (block + 1) << 15) - 1).filter(
+        lambda s: s not in probes and 0 < (s & int(run)).bit_count() < hi - lo), label="broken")
+    values.view(np.int64)[broken] ^= 1
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cycles = cycle_checks(monkeypatch)
+        assert core.exact_classes(values) == exact_classes_whole(values)
+        assert_same_bits(table_game(values))
+    assert not any(ok for _, _, ok in cycles)
+
+
 def test_a_difference_past_every_probe_in_the_last_block_is_found(monkeypatch):
     # 18 players: each pair has 2^16 coalitions holding one of the two, two
     # blocks of 2^15. Only the coalition of everyone but players 0 and 9
@@ -205,13 +247,15 @@ def test_a_swap_that_changes_bits_but_not_floats_is_reduced(monkeypatch, low, hi
 
 def test_an_anonymous_crowd_is_reduced_once(monkeypatch):
     # single: the founder and one crowd member are reduced; the other 18
-    # members take the first member's payoff, linked by the 18 neighbour
-    # swaps alone, so no pair further apart is scanned
+    # members take the first member's payoff, linked by the swap of members
+    # 1 and 2 and the cycle of all 19 alone, so no other pair is scanned
     calls = swap_checks(monkeypatch)
+    cycles = cycle_checks(monkeypatch)
     sums = count_reductions(monkeypatch)
     allocation = shapley_exact(single_game(SingleCssParams(n=19, k=2, rho=1.0)))
     assert len(sums) == 2
-    assert calls == [(i, i + 1, True) for i in range(1, 19)]
+    assert calls == [(1, 2, True)]
+    assert cycles == [(1, 20, True)]
     assert len(set(allocation.payoffs[1:])) == 1
 
 

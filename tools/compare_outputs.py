@@ -32,11 +32,14 @@ that no generated workload draws. The `classes` operations solve, with
 interchangeable players: `weighted` with repeated weights inside one byte of
 the weight-sum table, in runs and alternating, and across the byte edge
 between players 8 and 9, `geo` and `geo_founder` censuses with duplicate
-agents, next to each other and apart, and `oligopoly_fine` graphs with equal
-crowds, so the exact engine's payoff bits are compared where a player takes
-the payoff of the least player of its class and where the byte sums keep it
-from doing so. The `graphs` operations solve `oligopoly_coarse` rosters
-under each of `WEIGHTS_RUNS`: agreements inside one byte of vertices and
+agents, next to each other and apart, `oligopoly_fine` graphs with equal
+crowds, and runs of at least six interchangeable neighbours: from the first
+player, to the last, and broken by one different weight. So the exact
+engine's payoff bits are compared where a player takes the payoff of the
+least player of its class, where the byte sums keep it from doing so, and
+where one swap check and one cycle check prove a whole run. The `graphs`
+operations solve `oligopoly_coarse` rosters under each of `WEIGHTS_RUNS`:
+agreements inside one byte of vertices and
 across byte edges, crowds whose network sum is below 2^53, where no sum of
 the coarse table rounds, at it and above it, where its sums round, and one
 64-vertex graph, above the exact cap, that is sampled, so the bits of the
@@ -106,7 +109,9 @@ WEIGHT_SCENARIOS = {
                                         "variant": "lin", "rho": 1.0}),
 }
 # rosters of 9-18 players with classes of interchangeable players; in the
-# `-apart` ones, players 1, 3 and 5 are one class
+# `-apart` ones, players 1, 3 and 5 are one class, and the `-run` ones hold
+# a run of at least six interchangeable neighbours from player 0, to the top
+# player, or two such runs on either side of one different weight
 _DUPLICATES = {"1": 3, "2": 3, "3": 3, "4": 3, "5,6": 2, "7,8": 2, "9": 1, "10": 1, "11": 1,
                "12": 1}
 CLASS_SCENARIOS = {
@@ -132,6 +137,13 @@ CLASS_SCENARIOS = {
         "edges": [["a", "b"], ["b", "c"], ["a", "c"]], "rho": 1.0}),
     "oligopoly_fine-pair-18": ("oligopoly_fine", {
         "vertices": [{"id": v, "size": 8} for v in "ab"], "edges": [["a", "b"]], "rho": 2.0}),
+    "geo-met-run-from-0-14": ("geo", {"census": {"m": 14, "d": {
+        **{str(a): 3 for a in range(1, 11)}, "11": 1, "12": 4, "13": 6, "14": 2}},
+        "variant": "met", "rho": 1.0}),
+    "weighted-run-to-top-14": ("weighted", {"weights": [0.2, 0.9, 0.45] + [0.375] * 10,
+                                            "alpha": 1.0, "rho": 1.0, "k": 2}),
+    "weighted-run-broken-16": ("weighted", {"weights": [0.25] * 7 + [0.6] + [0.25] * 7,
+                                            "alpha": 1.0, "rho": 1.0, "k": 2}),
 }
 
 
