@@ -28,7 +28,7 @@ _EXACT_BLOCK = 1 << 15
 # Peak bytes of the exact engine: 8 per coalition for the value table, plus
 # max(6, n - 13) block-sized arrays of 8-byte entries, `EXACT_BYTES_PER_BLOCK`
 # each. While the table is built, they are the masks and up to five
-# same-length temporaries of a batch table. While it is reduced, they are one
+# same-length temporaries of a game's `value`. While it is reduced, they are one
 # array of size weights per popcount of a block's start (n - 15 of them, from
 # 16 players), then the gains, and at most one block of temporaries: a `bool`
 # block of the class search, or numpy's buffers for a strided subtraction.
@@ -72,23 +72,18 @@ def check_roster_size(n_players: int) -> None:
 class CoalitionGame:
     """A roster plus a characteristic function mapping coalitions to value.
 
-    The characteristic function must be pure: the same coalition always maps
+    The characteristic function, `value`, maps a `uint64` array of coalition
+    masks (bit i is player i), in any order, to one value per mask, in an
+    array of the same shape. It must be pure: the same coalition always maps
     to the same value, independent of evaluation order, so results never
-    depend on how the engine happens to enumerate coalitions.
-
-    It is given as `value`, called with one coalition mask at a time as an
-    `int` (bit i is player i), or as `table`, which maps a `uint64` array of
-    coalition masks, in any order, to a `float64` array of their values with
-    the same shape. Both fields are kept as given; every computation in this
-    module reads the game through `evaluate`, which uses the table when there
-    is one.
+    depend on how the engine happens to enumerate coalitions. Every
+    computation in this module reads the game through `evaluate`.
     """
 
     n_players: int
-    value: Callable[[int], float] | None = None
+    value: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     players: tuple[PlayerId, ...] = ()
-    table: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         check_roster_size(self.n_players)
@@ -97,18 +92,15 @@ class CoalitionGame:
                 PlayerId(PlayerTag.CROWD, str(i)) for i in range(self.n_players)))
         elif len(self.players) != self.n_players:
             raise ValueError("player roster length does not match n_players")
-        if self.value is None and self.table is None:
-            raise ValueError("a game needs a value or a table")
 
     def evaluate(self, masks: np.ndarray) -> np.ndarray:
-        """Values of a `uint64` array of coalition masks: the table's, or one
-        `value` call per mask, listed a block at a time."""
-        if self.table is not None:
-            return np.asarray(self.table(masks), dtype=np.float64)
-        blocks = (masks[i:i + _SAMPLE_BLOCK_MASKS].tolist()
-                  for i in range(0, masks.size, _SAMPLE_BLOCK_MASKS))
-        return np.fromiter(map(self.value, itertools.chain.from_iterable(blocks)),
-                           dtype=np.float64, count=masks.size)
+        """`value` of a `uint64` array of coalition masks, as `float64`;
+        refuses an array that is not one value per mask."""
+        values = np.asarray(self.value(masks), dtype=np.float64)
+        if values.shape != masks.shape:
+            raise ValueError(f"value of {self.label or 'game'} returned shape "
+                             f"{values.shape} for masks of shape {masks.shape}")
+        return values
 
     @property
     def grand_coalition(self) -> int:
@@ -221,21 +213,22 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
 
     Without a founder, player i carries units[i]. With one, player 0 gates
     the game: a coalition without it is worth zero, and player i carries
-    units[i - 1]. `worth` maps an array of masses to their values. A mass is
-    `weight_sum_table`'s sum, in its byte order, and `worth` is applied to
-    every mask of a call before the ones without the founder are set to 0.0,
-    so a coalition's value does not depend on the masks it is evaluated with.
+    units[i - 1]. `worth` maps an array of masses to their values. The
+    game's `value` takes each mass as `weight_sum_table`'s sum, in its byte
+    order, and applies `worth` to every mask of a call before the ones
+    without the founder are set to 0.0, so a coalition's value does not
+    depend on the masks it is evaluated with.
     """
     first = int(founder)
     mass = weight_sum_table(units, first_bit=first)
 
-    def table(masks: np.ndarray) -> np.ndarray:
+    def value(masks: np.ndarray) -> np.ndarray:
         values = worth(mass(masks))
         if founder:
             values[(masks & np.uint64(1)) == 0] = 0.0
         return values
 
-    return CoalitionGame(len(units) + first, label=label, players=players, table=table)
+    return CoalitionGame(len(units) + first, value, label, players)
 
 
 def _physical_memory() -> int | None:
@@ -266,9 +259,6 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
     for start in range(0, size, _EXACT_BLOCK):
         masks = np.arange(start, min(size, start + _EXACT_BLOCK), dtype=np.uint64)
         block = game.evaluate(masks)
-        if block.shape != masks.shape:
-            raise ValueError(f"batch table of {game.label or 'game'} returned shape "
-                             f"{block.shape} for {masks.size} masks, expected ({size},) in all")
         if start == 0:  # a table of one block is that block's array
             values = block if block.size == size else np.empty(size)
         values[start:start + masks.size] = block
@@ -470,7 +460,7 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
     """Founder-gated game whose value depends only on the crowd head count.
 
     Player 0 is the founder; a coalition without it is worth zero, one with
-    it and s crowd members is worth crowd_value(s). The batch table calls
+    it and s crowd members is worth crowd_value(s). The game's `value` calls
     crowd_value n + 1 times, once per crowd count, on its first call and
     keeps the levels for later ones, so building the game stays O(1) at any
     n. Each value is a level as crowd_value returned it: a mask without the
@@ -483,7 +473,7 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
     def levels() -> np.ndarray:
         return np.array([0.0] + [float(crowd_value(m)) for m in range(n + 1)])
 
-    def table(masks: np.ndarray) -> np.ndarray:
+    def value(masks: np.ndarray) -> np.ndarray:
         index = masks & np.uint64(1)
         np.negative(index, out=index)  # all ones with the founder, else 0
         index &= masks
@@ -491,8 +481,7 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
         np.bitwise_count(index, out=index.view(np.int64))
         return levels()[index.view(np.int64)]
 
-    return CoalitionGame(n + 1, label=label or "anonymous crowd game",
-                         players=crowd_players(n), table=table)
+    return CoalitionGame(n + 1, value, label or "anonymous crowd game", crowd_players(n))
 
 
 def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> Allocation:
@@ -526,7 +515,7 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     # totals, and the rest are a block's join orders, weighted by their
     # marginals. A running total starts at +0.0 and so is never -0.0, which
     # makes 0.0 + total, the first addition of a bin, exact. Spent arrays go
-    # at once, so a block holds these two buffers, its masks and the table's
+    # at once, so a block holds these two buffers, its masks and the game's
     # own arrays.
     order = np.empty(n + block * n, dtype=np.intp)
     weights = np.empty(order.size)

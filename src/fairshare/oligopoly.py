@@ -220,8 +220,7 @@ def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 def coarse_game(graph: OligopolyGraph) -> CoalitionGame:
     players = tuple(PlayerId(PlayerTag.CSS_VERTEX, vid) for vid in graph.vertex_ids)
-    return CoalitionGame(graph.n_vertices, label="coarse oligopoly", players=players,
-                         table=coarse_table(graph))
+    return CoalitionGame(graph.n_vertices, coarse_table(graph), "coarse oligopoly", players)
 
 
 def shapley_coarse(graph: OligopolyGraph) -> Allocation:
@@ -271,8 +270,7 @@ def fine_game(graph: OligopolyGraph) -> CoalitionGame:
     players = [PlayerId(PlayerTag.FOUNDER, vid) for vid in graph.vertex_ids]
     for vid, n in zip(graph.vertex_ids, graph.crowd_sizes):
         players += (PlayerId(PlayerTag.CROWD, f"{vid}/u{j}") for j in range(1, n + 1))
-    return CoalitionGame(len(players), label="fine oligopoly", players=tuple(players),
-                         table=fine_table(graph))
+    return CoalitionGame(len(players), fine_table(graph), "fine oligopoly", tuple(players))
 
 
 def shapley_fine_closed(graph: OligopolyGraph) -> Allocation:

@@ -95,9 +95,12 @@ EMPTY_COALITION = Coalition(0)
 
 def scalar_game(n_players: int, value: Callable[[Coalition], float], label: str = "",
                 players: tuple = ()) -> CoalitionGame:
-    """A game from a scalar function of a `Coalition`: the game's `value` is
-    called with an int mask, which this wraps before each call."""
-    return CoalitionGame(n_players, lambda mask: value(Coalition(mask)), label, players)
+    """A game from a scalar function of a `Coalition`: the game's `value`
+    calls it once per mask of the array it is given, in array order."""
+    def batch(masks: np.ndarray) -> np.ndarray:
+        return np.array([value(Coalition(mask)) for mask in masks.tolist()], dtype=np.float64)
+
+    return CoalitionGame(n_players, batch, label, players)
 
 
 # --- engines ---------------------------------------------------------------------------
@@ -223,9 +226,9 @@ def add_games(game_a: CoalitionGame, game_b: CoalitionGame,
     if game_a.n_players != game_b.n_players:
         raise ValueError(
             f"roster mismatch: {game_a.n_players} vs {game_b.n_players} players")
-    return CoalitionGame(game_a.n_players, label=label or f"{game_a.label} + {game_b.label}",
-                         players=game_a.players,
-                         table=lambda masks: game_a.evaluate(masks) + game_b.evaluate(masks))
+    return CoalitionGame(game_a.n_players,
+                         lambda masks: game_a.evaluate(masks) + game_b.evaluate(masks),
+                         label or f"{game_a.label} + {game_b.label}", game_a.players)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 import argparse
 import collections
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -984,6 +986,36 @@ def test_traced_names_live_on_cli_with_their_modules():
         assert getattr(cli, name).__module__ == f"fairshare.{module}", name
 
 
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_a_game_traced_through_its_value_prints_the_same_bytes(monkeypatch, path):
+    # the benchmark tracer counts evaluations by replacing each built game's
+    # `value` with `dataclasses.replace`; that must leave the output as it is,
+    # and see every `evaluate` call
+    argv = ["solve", "--scenario", str(path), "--method", "all", "--format", "json"]
+    plain = run_cli(argv)
+    values, evaluations = [], []
+    evaluate = CoalitionGame.evaluate
+
+    def counted_evaluate(game, masks):
+        evaluations.append(masks.size)
+        return evaluate(game, masks)
+
+    def traced_build_game(scenario, build=cli.build_game):
+        game = build(scenario)
+
+        def counting(masks, value=game.value):
+            values.append(masks.size)
+            return value(masks)
+
+        return dataclasses.replace(game, value=counting)
+
+    monkeypatch.setattr(CoalitionGame, "evaluate", counted_evaluate)
+    monkeypatch.setattr(cli, "build_game", traced_build_game)
+    assert run_cli(argv) == plain
+    assert plain[0] == 0
+    assert values and values == evaluations
+
+
 def test_exact_engine_reaches_the_table_through_core(monkeypatch):
     calls = []
     table = core.coalition_value_table
@@ -993,7 +1025,7 @@ def test_exact_engine_reaches_the_table_through_core(monkeypatch):
         return table(*args, **kwargs)
 
     monkeypatch.setattr(core, "coalition_value_table", counted)
-    game = CoalitionGame(3, lambda s: float(s.bit_count() ** 2))
+    game = CoalitionGame(3, lambda masks: np.bitwise_count(masks).astype(np.float64) ** 2)
     core.check_axioms(game, shapley_exact(game))
     assert calls == [game, game]
 

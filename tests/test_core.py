@@ -66,13 +66,21 @@ from reference import (
 )
 
 
+def head_count(masks):
+    return np.bitwise_count(masks).astype(np.float64)
+
+
+def nothing(masks):
+    return np.zeros(masks.shape)
+
+
 def additive_game(n):
-    return CoalitionGame(n, lambda s: float(s.bit_count()), "additive")
+    return CoalitionGame(n, head_count, "additive")
 
 
 def table_game(table, n):
     """Game backed by an explicit value table indexed by coalition mask."""
-    return CoalitionGame(n, lambda s: float(table[int(s)]), "table")
+    return CoalitionGame(n, lambda masks: table[masks], "table")
 
 
 def random_table_game(rng, n):
@@ -104,14 +112,14 @@ def test_coalition_rejects_bad_indices():
 
 def test_game_roster_validation():
     with pytest.raises(ValueError):
-        CoalitionGame(0, lambda s: 0.0)
+        CoalitionGame(0, nothing)
     with pytest.raises(ValueError):
-        CoalitionGame(65, lambda s: 0.0)
+        CoalitionGame(65, nothing)
     with pytest.raises(ValueError, match="roster length"):
-        CoalitionGame(2, lambda s: 0.0, players=(PlayerId(PlayerTag.CROWD, "a"),))
-    with pytest.raises(ValueError, match="value or a table"):
+        CoalitionGame(2, nothing, players=(PlayerId(PlayerTag.CROWD, "a"),))
+    with pytest.raises(TypeError, match="value"):
         CoalitionGame(3)
-    game = CoalitionGame(3, lambda s: 0.0)
+    game = CoalitionGame(3, nothing)
     assert [(p.tag, p.name) for p in game.players] == [(PlayerTag.CROWD, str(i))
                                                        for i in range(3)]
     assert game.grand_coalition == 0b111
@@ -169,7 +177,7 @@ def test_exact_three_player_founder_game():
 
 
 def test_exact_null_game():
-    alloc = shapley_exact(CoalitionGame(4, lambda s: 0.0))
+    alloc = shapley_exact(CoalitionGame(4, nothing))
     assert alloc.payoffs == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -272,8 +280,7 @@ def test_exact_memory_of_one_class_of_twenty_stays_within_the_guard():
     # the README's quadratic head-count game: players 0 to 19 form one class,
     # proved by a swap check and a cycle check over the whole table, whose
     # comparisons must stay blocked
-    game = CoalitionGame(20, label="quadratic head count",
-                         table=lambda masks: np.bitwise_count(masks).astype(np.float64) ** 2)
+    game = CoalitionGame(20, lambda masks: head_count(masks) ** 2, "quadratic head count")
     assert exact_peak_bytes(game) <= exact_guard_bytes(20)
     assert core.exact_classes(coalition_value_table(game)) == (0,) * 20
 
@@ -631,30 +638,30 @@ def test_scalar_only_game_samples_like_its_table():
 
 
 def test_a_game_keeps_its_functions_as_given():
-    scalar = CoalitionGame(3, lambda s: float(s.bit_count()))
     batch = single_game(SingleCssParams(n=4, k=2, rho=1.0))
-    assert scalar.table is None and scalar.value is not None
-    assert batch.value is None and batch.table is not None
+    assert [f.name for f in dataclasses.fields(CoalitionGame)] == [
+        "n_players", "value", "label", "players"]
+    assert callable(batch.value)
+    counts = CoalitionGame(3, np.bitwise_count)
     masks = np.arange(8, dtype=np.uint64)
-    assert scalar.evaluate(masks).tolist() == [float(int(m).bit_count()) for m in masks]
-    # a scalar value is called with each mask as a plain int
+    # the integer counts are returned as float64
+    assert counts.evaluate(masks).dtype == np.float64
+    assert counts.evaluate(masks).tolist() == [float(int(m).bit_count()) for m in masks]
+    # value is called once, with the mask array itself
     seen = []
-    CoalitionGame(3, lambda s: seen.append(type(s)) or 0.0).evaluate(masks)
-    assert seen == [int] * 8
+    CoalitionGame(3, lambda masks: seen.append(masks) or nothing(masks)).evaluate(masks)
+    assert len(seen) == 1 and seen[0] is masks
 
 
 def test_replaced_function_is_the_one_computed_with():
-    # both fields are kept as given, so dataclasses.replace of either one
-    # replaces what the game computes
-    scalar = CoalitionGame(3, lambda s: float(s.bit_count()))
-    zero = dataclasses.replace(scalar, value=lambda s: 0.0)
+    # the function is kept as given, so dataclasses.replace of it replaces
+    # what the game computes
+    batch = CoalitionGame(3, head_count)
+    zero = dataclasses.replace(batch, value=nothing)
     assert shapley_exact(zero).payoffs == (0.0, 0.0, 0.0)
     assert shapley_sample(zero, 10).payoffs == (0.0, 0.0, 0.0)
     assert check_axioms(zero, shapley_exact(zero)).null_players == (0, 1, 2)
-    assert not supermodular_whole(coalition_value_table(
-        dataclasses.replace(scalar, value=lambda s: math.sqrt(s.bit_count()))))
-    batch = CoalitionGame(3, table=lambda masks: np.bitwise_count(masks).astype(float))
-    doubled = dataclasses.replace(batch, table=lambda masks: 2.0 * np.bitwise_count(masks))
+    doubled = dataclasses.replace(batch, value=lambda masks: 2.0 * np.bitwise_count(masks))
     assert doubled.evaluate(np.array([0b111], dtype=np.uint64)).tolist() == [6.0]
     assert marginal_value(doubled, Coalition(0b1), 1) == 2.0
     with pytest.raises(ValueError, match="outside the roster"):
@@ -663,29 +670,16 @@ def test_replaced_function_is_the_one_computed_with():
     assert shapley_sample(doubled, 10).payoffs == (2.0, 2.0, 2.0)
     assert check_axioms(doubled, shapley_exact(doubled)).symmetric_pairs == (
         (0, 1), (0, 2), (1, 2))
-    squared = dataclasses.replace(batch, table=lambda masks: np.bitwise_count(masks) ** 2.0)
+    squared = dataclasses.replace(batch, value=lambda masks: np.bitwise_count(masks) ** 2.0)
     assert supermodular_whole(coalition_value_table(squared))
     assert not supermodular_whole(coalition_value_table(
-        dataclasses.replace(squared, table=lambda masks: np.sqrt(np.bitwise_count(masks)))))
-    # a value given beside a table is never called: the table is what computes
-    calls = []
-
-    def counting(s):
-        calls.append(int(s))
-        return 0.0
-
-    counted = dataclasses.replace(squared, value=counting)
-    assert shapley_exact(counted) == shapley_exact(squared)
-    assert shapley_sample(counted, 10) == shapley_sample(squared, 10)
-    assert check_axioms(counted, shapley_exact(counted)).null_players == ()
-    assert supermodular_whole(coalition_value_table(counted))
-    assert marginal_value(counted, Coalition(0b1), 1) == 3.0
-    assert calls == []
-    # another game's evaluate serves as a table; its absent table does not
-    borrowed = CoalitionGame(3, table=scalar.evaluate)
-    assert borrowed.evaluate(np.array([0b11], dtype=np.uint64)).tolist() == [2.0]
-    with pytest.raises(ValueError, match="a value or a table"):
-        CoalitionGame(3, table=scalar.table)
+        dataclasses.replace(squared, value=lambda masks: np.sqrt(np.bitwise_count(masks)))))
+    # another game's evaluate serves as a value function
+    borrowed = CoalitionGame(3, squared.evaluate)
+    assert borrowed.evaluate(np.array([0b11], dtype=np.uint64)).tolist() == [4.0]
+    assert shapley_exact(borrowed) == shapley_exact(squared)
+    with pytest.raises(TypeError, match="table"):
+        CoalitionGame(3, table=head_count)
 
 
 @pytest.mark.parametrize("n, rows", [(1, 5), (7, 1), (7, 50), (64, 3)])
@@ -725,24 +719,47 @@ def test_sampler_is_bit_identical_to_the_loop_on_any_table(data):
     values = rng.normal(size=size) * 2.0 ** rng.integers(-30, 30, size)
     values[rng.random(size) < 0.2] = 0.0
     values[rng.random(size) < 0.1] = -0.0
-    game = CoalitionGame(n, table=lambda masks: values[masks])
+    game = CoalitionGame(n, lambda masks: values[masks])
     n_permutations = data.draw(st.integers(1, 2 * sample_block(game) + 3), label="permutations")
     seed = data.draw(st.integers(0, 2 ** 63 - 1), label="seed")
     assert (shapley_sample(game, n_permutations, seed)
             == loop_shapley_sample(lambda s: float(values[s]), n, n_permutations, seed))
 
 
-def test_table_game_sampler_makes_no_value_calls():
+def test_sampler_calls_value_once_per_block_with_a_mask_array():
     game = single_game(SingleCssParams(n=30, k=2, rho=1.0))
     calls = []
 
-    def value(s, scalar=game.value):
-        calls.append(int(s))
-        return scalar(s)
+    def value(masks, batch=game.value):
+        calls.append(masks)
+        return batch(masks)
 
-    game = dataclasses.replace(game, value=value)
-    shapley_sample(game, 3 * sample_block(game) + 5, seed=1)
-    assert calls == []
+    blocks = 3
+    counted = dataclasses.replace(game, value=value)
+    allocation = shapley_sample(counted, blocks * sample_block(game) + 5, seed=1)
+    assert allocation == shapley_sample(game, blocks * sample_block(game) + 5, seed=1)
+    # the empty and the grand coalition, then one call per block of join orders
+    assert len(calls) == 1 + blocks + 1
+    assert all(isinstance(m, np.ndarray) and m.dtype == np.uint64 and m.ndim == 1
+               for m in calls)
+
+
+def test_sampler_refuses_a_value_of_the_wrong_shape_by_label():
+    # one value per mask: the sampler's first call, its two ends, gets one
+    game = CoalitionGame(5, lambda masks: np.zeros(1), "one short")
+    with pytest.raises(ValueError, match=r"value of one short returned shape \(1,\) "
+                                         r"for masks of shape \(2,\)"):
+        shapley_sample(game, 10)
+    # two values whatever the call: right for the two ends, wrong for the
+    # block of 10 join orders of 5 players
+    game = CoalitionGame(5, lambda masks: np.zeros(2), "pair")
+    with pytest.raises(ValueError, match=r"value of pair returned shape \(2,\) "
+                                         r"for masks of shape \(50,\)"):
+        shapley_sample(game, 10)
+    # a column of values, one per mask
+    game = CoalitionGame(5, lambda masks: head_count(masks)[:, None], "column")
+    with pytest.raises(ValueError, match=r"value of column returned shape \(2, 1\)"):
+        shapley_sample(game, 10)
 
 
 def test_sampler_stderr_does_not_cancel_on_an_additive_game():
@@ -873,8 +890,7 @@ SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
 
 
 def drawn_game(values):
-    return CoalitionGame(values.size.bit_length() - 1, label="drawn",
-                         table=lambda masks: values[masks])
+    return CoalitionGame(values.size.bit_length() - 1, lambda masks: values[masks], "drawn")
 
 
 def kind_index(kind):
@@ -1004,7 +1020,7 @@ def test_linearity_of_two_founder_games():
 
 def test_linearity_with_zero_game():
     a = single_game(SingleCssParams(n=4, k=2, rho=2.5))
-    zero = CoalitionGame(5, lambda s: 0.0)
+    zero = CoalitionGame(5, nothing)
     report = check_linearity(a, zero)
     assert report.ok
     assert shapley_exact(add_games(a, zero)).payoffs == shapley_exact(a).payoffs
@@ -1027,7 +1043,7 @@ def test_founder_power_games_are_supermodular(k, n):
 
 
 def test_concave_game_is_not_supermodular():
-    game = CoalitionGame(4, lambda s: math.sqrt(s.bit_count()))
+    game = CoalitionGame(4, lambda masks: np.sqrt(head_count(masks)))
     assert not supermodular_whole(coalition_value_table(game))
 
 

@@ -48,8 +48,7 @@ def assert_same_bits(game):
 
 
 def table_game(values):
-    return CoalitionGame(values.size.bit_length() - 1, label="drawn",
-                         table=lambda masks: values[masks])
+    return CoalitionGame(values.size.bit_length() - 1, lambda masks: values[masks], "drawn")
 
 
 def popcount_table(rng, n):
@@ -146,12 +145,12 @@ def test_drawn_tables_keep_the_bits(n, seed, extremes):
 
 def test_a_wrong_shape_in_a_later_block_is_refused():
     # 2^17 coalitions are evaluated in several blocks; the second returns too few values
-    def table(masks):
+    def value(masks):
         return np.zeros(masks.size - (masks[0] > 0))
 
-    game = CoalitionGame(17, label="short", table=table)
-    with pytest.raises(ValueError, match=r"batch table of short returned shape .*"
-                                         r"expected \(131072,\)"):
+    game = CoalitionGame(17, value, "short")
+    with pytest.raises(ValueError, match=r"value of short returned shape \(32767,\) "
+                                         r"for masks of shape \(32768,\)"):
         coalition_value_table(game)
 
 

@@ -1,10 +1,10 @@
 """Batch coalition tables against the models' reference functions.
 
-A bundled game carries only its batch `table`; its model's scalar function
-in `reference` (`value_single`, `value_coarse`, `nu_met`, ...) is what the
-table must agree with on every coalition, in any mask order. The
-exhaustive computations must give the same results on a scalar-only game
-built from the reference.
+A bundled game's `value` maps an array of coalition masks to their values;
+its model's scalar function in `reference` (`value_single`, `value_coarse`,
+`nu_met`, ...) is what that table must agree with on every coalition, in
+any mask order. The exhaustive computations must give the same results on
+a game built from the reference by `scalar_game`.
 """
 
 import dataclasses
@@ -84,7 +84,7 @@ REFERENCES = {
 
 def assert_table_matches(game, reference):
     masks = shuffled_masks(game.n_players)
-    batch = game.table(masks)
+    batch = game.value(masks)
     assert batch.dtype == np.float64 and batch.shape == masks.shape
     scalar = np.array([reference(Coalition(int(m))) for m in masks])
     np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0)
@@ -101,7 +101,18 @@ def scalar_only(game, reference):
 
 
 def failing_value(*args):
-    raise AssertionError("scalar value called on the batch path")
+    raise AssertionError("called where nothing may be computed")
+
+
+def mask_arrays_only(game, calls):
+    """The game with a `value` that takes nothing but one `uint64` array of
+    masks per call, and appends each array's size to `calls`."""
+    def value(masks, batch=game.value):
+        assert isinstance(masks, np.ndarray) and masks.dtype == np.uint64, type(masks)
+        calls.append(masks.size)
+        return batch(masks)
+
+    return dataclasses.replace(game, value=value)
 
 
 # --- table == reference scalar value -----------------------------------------------
@@ -132,7 +143,7 @@ def test_network_table_equals_its_reference_bit_for_bit(model):
     reference = REFERENCES[model](graph)
     masks = np.arange(1 << 14, dtype=np.uint64)
     expected = np.array([reference(Coalition(int(m))) for m in masks])
-    assert np.array_equal(game.table(masks), expected)
+    assert np.array_equal(game.value(masks), expected)
 
 
 rhos = st.floats(0.1, 5.0)
@@ -189,7 +200,7 @@ def drawn_masks(n, seed):
 def assert_coarse_bits(graph, masks):
     reference = REFERENCES["oligopoly_coarse"](graph)
     expected = np.array([reference(Coalition(int(m))) for m in masks])
-    got = MODELS["oligopoly_coarse"].game(graph).table(masks)
+    got = MODELS["oligopoly_coarse"].game(graph).value(masks)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -197,7 +208,7 @@ def assert_coarse_within_summation_bound(graph, masks):
     """Each value is within (V + 2E + 10) units of 2^-53 of rho times the
     exact network sum of its present vertices, relative: every term is
     nonnegative, so the error of each sum is bounded by its term count."""
-    got = MODELS["oligopoly_coarse"].game(graph).table(masks)
+    got = MODELS["oligopoly_coarse"].game(graph).value(masks)
     bound = Fraction(graph.n_vertices + 2 * len(graph.edges) + 10, 1 << 53)
     crowds = graph.crowd_sizes
     for mask, value in zip(masks.tolist(), got.tolist()):
@@ -313,32 +324,34 @@ def test_generated_table_matches_scalar_value(model):
 
 
 def test_table_shape_is_checked():
-    game = CoalitionGame(3, lambda s: 0.0, "short", table=lambda masks: np.zeros(2))
-    with pytest.raises(ValueError, match="shape"):
+    game = CoalitionGame(3, lambda masks: np.zeros(2), "short")
+    with pytest.raises(ValueError, match=r"value of short returned shape \(2,\) "
+                                         r"for masks of shape \(8,\)"):
         coalition_value_table(game)
 
 
 def test_table_path_makes_no_scalar_calls():
     game = weighted_game(WeightedCssParams((1.0, 2.0, 0.5), alpha=1.5))
-    batch_only = dataclasses.replace(game, value=failing_value)
-    assert shapley_exact(batch_only) == shapley_exact(game)
-    assert check_axioms(batch_only, shapley_exact(game)).all_ok
-    assert supermodular_whole(coalition_value_table(batch_only))
+    calls = []
+    checked = mask_arrays_only(game, calls)
+    assert shapley_exact(checked) == shapley_exact(game)
+    assert check_axioms(checked, shapley_exact(game)).all_ok
+    assert supermodular_whole(coalition_value_table(checked))
+    assert calls == [1 << game.n_players] * 3
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_bundled_games_are_computed_from_the_table_alone(path):
     # the benchmark tracer counts evaluations by replacing `value` this way
+    game = build_game(load_scenario(path))
     calls = []
-
-    def counting(s):
-        calls.append(int(s))
-        return 0.0
-
-    game = dataclasses.replace(build_game(load_scenario(path)), value=counting)
-    check_axioms(game, shapley_exact(game))
-    shapley_sample(game, 20, seed=1)
-    assert calls == []
+    checked = mask_arrays_only(game, calls)
+    exact = shapley_exact(checked)
+    assert exact == shapley_exact(game)
+    assert check_axioms(checked, exact) == check_axioms(game, exact)
+    assert shapley_sample(checked, 20, seed=1) == shapley_sample(game, 20, seed=1)
+    # two tables of 2^n masks, the sampler's two ends and its one block
+    assert calls == [1 << game.n_players] * 2 + [2, 20 * game.n_players]
 
 
 # --- scalar-only games keep their results -----------------------------------------
@@ -383,7 +396,7 @@ def test_scalar_only_axioms_find_hand_built_null_and_symmetric_players():
 def test_scalar_only_supermodularity():
     assert supermodular_whole(coalition_value_table(hand_built_game()))
     assert not supermodular_whole(coalition_value_table(
-        CoalitionGame(4, lambda s: float(s.bit_count()) ** 0.5)))
+        scalar_game(4, lambda s: float(s.size) ** 0.5)))
     # the pair (1, 3) is the only one whose joint gain falls short
     dip = scalar_game(4, lambda s: float(s.size ** 2 - 3 * ((1 in s) and (3 in s))))
     assert not supermodular_whole(coalition_value_table(dip))
@@ -400,10 +413,12 @@ def test_add_games_keeps_the_batch_path():
         return reference_a(s) + reference_b(s)
 
     assert_table_matches(add_games(game_a, game_b), reference)
-    batch_a = dataclasses.replace(game_a, value=failing_value)
-    batch_b = dataclasses.replace(game_b, value=failing_value)
-    assert check_linearity(batch_a, batch_b).ok
-    # a scalar-only operand is wrapped into a table when it is built
+    calls = []
+    checked_a, checked_b = mask_arrays_only(game_a, calls), mask_arrays_only(game_b, calls)
+    assert check_linearity(checked_a, checked_b).ok
+    # one table of each game alone, and one of each for their sum
+    assert calls == [1 << game_a.n_players] * 4
+    # an operand built by `scalar_game` adds the same way
     assert_table_matches(add_games(game_a, scalar_only(game_b, reference_b)), reference)
 
 
