@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation failure, 3 computational cap exceeded,
 4 I/O error. The exact-engine cap is --exact-cap, which defaults to
-`DEFAULT_EXACT_CAP`.
+`DEFAULT_EXACT_CAP`; a sample is capped at `MAX_SAMPLE_MASKS` coalition values.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from fairshare import core
 from fairshare.checks import ParamsError, check_int
 from fairshare.core import (
     DEFAULT_EXACT_CAP,
+    MAX_SAMPLE_MASKS,
     RosterTooLargeError,
     check_axioms,
     shapley_exact,
@@ -60,7 +61,8 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
     """Run the scenario's requested method(s) and assemble a report.
 
     method=all runs the closed form, the exact engine (when the roster fits
-    under the cap), the sampler (when the scenario has a sample config), the
+    under the cap), the sampler (when the scenario has a sample config of at
+    most `MAX_SAMPLE_MASKS` coalition values), the
     axiom checks, and the cross-method discrepancy table. The axiom checks
     reuse the exact engine's coalition table when they scan the whole roster.
     """
@@ -89,7 +91,18 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
                     f"exact engine skipped: {game.n_players} players above cap {exact_cap}")
         if method == "sample" or (method == "all" and scenario.sample is not None):
             cfg = scenario.sample or SampleConfig()
-            allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
+            masks = cfg.permutations * game.n_players
+            if masks <= MAX_SAMPLE_MASKS:
+                allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
+            elif method == "sample":
+                raise RosterTooLargeError(
+                    f"sample.permutations: {cfg.permutations} permutations of "
+                    f"{game.n_players} players need {masks} coalition values, above the "
+                    f"sampler's cap of {MAX_SAMPLE_MASKS}; lower --permutations")
+            else:
+                notes.append(f"sampler skipped: {cfg.permutations} permutations of "
+                             f"{game.n_players} players above cap {MAX_SAMPLE_MASKS} "
+                             "coalition values")
 
     for key, alloc in allocations.items():
         _check_finite(key, alloc.payoffs + (alloc.grand_value,) + (alloc.stderr or ())
@@ -127,6 +140,10 @@ def sweep_scenario(scenario: Scenario, n_values: Sequence[int]) -> SweepReport:
         raise ParamsError(
             [f"model: '{scenario.model}' does not support sweeping; "
              f"use {', '.join(names)}, or {last}"])
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ParamsError(["--n-values: crowd sizes must be strictly ascending"])
+    if min(n_values, default=1) < 1:
+        raise ParamsError(["--n-values: crowd sizes must be >= 1"])
     rows = share_sweep(MODELS[scenario.model].closed, scenario.params, list(n_values))
     for row in rows:  # a degenerate row has no shares
         _check_finite(f"n={row.n}", (row.founder_payoff, row.grand_value,

@@ -15,6 +15,7 @@ import numpy as np
 DEFAULT_EXACT_CAP = 22      # 2^22 coalition evaluations, seconds-scale
 DEFAULT_STRUCTURE_CAP = 14  # pair scans: O(n^2 * 2^n) at worst, when no probe rules a pair out
 MAX_PLAYERS = 64            # coalitions are fixed-width bit masks
+MAX_SAMPLE_MASKS = 1 << 32  # sampled coalitions (permutations x players), minutes-scale
 AXIOM_TOL = 1e-9            # axiom payoffs compare within this, times max(1, |grand|)
 
 # Coalition masks per sampler block: 64 KB per block-sized array, however
@@ -487,7 +488,8 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
 def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> Allocation:
     """Monte Carlo Shapley estimate from uniform random join orders.
 
-    Unbiased and deterministic for a fixed seed. Standard errors are the
+    Unbiased and deterministic for a fixed seed. Refuses, before drawing, more
+    than `MAX_SAMPLE_MASKS` coalition values. Standard errors are the
     sample standard deviation of each player's observed marginals divided
     by sqrt(n_permutations) (zero when only one permutation is drawn). The
     squares are taken about each player's marginal in the first join order
@@ -504,6 +506,10 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
     n = game.n_players
+    if n_permutations * n > MAX_SAMPLE_MASKS:
+        raise RosterTooLargeError(
+            f"sampler needs {n_permutations * n} coalition values for {n_permutations} "
+            f"permutations of {n} players, above the cap of {MAX_SAMPLE_MASKS}")
     rng = np.random.default_rng(seed)
     sums = np.zeros(n)
     sumsq = np.zeros(n)

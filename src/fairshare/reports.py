@@ -1,17 +1,18 @@
 """Report objects and their JSON / CSV / text renderings.
 
-JSON output is stable-ordered (sorted keys) so identical runs produce
-identical bytes; allocation CSVs always carry the header
-`player_id,tag,payoff,share`.
+JSON output is the exact bytes of `json.dumps(payload, sort_keys=True,
+indent=2)`, written by `_json`, so identical runs produce identical bytes;
+allocation CSVs always carry the header `player_id,tag,payoff,share`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -209,10 +210,66 @@ class EmpiricalReport:
             f"{est.distance_to_band:.4f} from the nearest bound)\n")
 
 
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+# Encoders of values of exactly these types, which `_json` looks up for each
+# item of a container in place of calling itself
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json(value: Any, indent: str) -> str:
+    """The string `json.dumps(value, sort_keys=True, indent=2)` writes for a value
+    nested under `indent`, with its `isinstance` tests in its order. That encoder
+    runs one generator per value, as `json.dumps` does for any indent; this one
+    returns strings, and joins a list of finite floats in one call.
+
+    Raises TypeError on a value JSON cannot hold, as `json.dumps` does, and on a
+    key that is not a str."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = indent + "  "
+    scalar = _SCALARS.get
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # a finite sum has no NaN or infinite term
+        if all(type(item) is float for item in value) and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        else:
+            items = [enc(v) if (enc := scalar(type(v))) else _json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the key encoder refuses a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: "
+                 f"{enc(v) if (enc := scalar(type(v))) else _json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render(report, fmt: str = "text") -> str:
     """Render a report in one of: json, csv, text."""
     if fmt == "json":
-        return json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
+        return _json(report.to_payload(), "") + "\n"
     if fmt == "csv":
         header, rows = report.csv_table()
         buffer = io.StringIO()

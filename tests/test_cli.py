@@ -550,6 +550,41 @@ def test_cli_bad_sampler_flag_names_flag(tmp_path, capsys, flag, bad):
     assert flag in capsys.readouterr().err
 
 
+def test_cli_sample_above_the_mask_cap_is_refused_before_drawing(monkeypatch, capsys):
+    # 10^12 join orders of 4 players would take hours; nothing may be drawn
+    def never(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(cli, "shapley_sample", never)
+    trio = str(SCENARIO_DIR / "weighted_trio.json")
+    code = main(["solve", "--scenario", trio, "--method", "sample",
+                 "--permutations", str(10 ** 12), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == ("error: sample.permutations: 1000000000000 permutations of 4 players "
+                   f"need 4000000000000 coalition values, above the sampler's cap of "
+                   f"{core.MAX_SAMPLE_MASKS}; lower --permutations\n")
+    # under method all the sampler is skipped with a note, as the exact engine is
+    code = main(["solve", "--scenario", trio, "--method", "all",
+                 "--permutations", str(10 ** 12), "--format", "json"])
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert (code, err) == (EXIT_OK, "")
+    assert list(payload["allocations"]) == ["closed_form", "exact"]
+    assert payload["notes"] == [
+        f"sampler skipped: 1000000000000 permutations of 4 players above cap "
+        f"{core.MAX_SAMPLE_MASKS} coalition values"]
+
+
+def test_cli_sample_at_the_mask_cap_runs(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SAMPLE_MASKS", 4 * 25)
+    trio = str(SCENARIO_DIR / "weighted_trio.json")
+    for permutations, code, sampled in (("25", EXIT_OK, True), ("26", EXIT_CAP, False)):
+        assert main(["solve", "--scenario", trio, "--method", "sample",
+                     "--permutations", permutations, "--format", "json"]) == code
+        assert ('"sampled"' in capsys.readouterr().out) == sampled
+
+
 @pytest.mark.parametrize("method", ["exact", "all"])
 @pytest.mark.parametrize("cap", ["-1", "0"])
 def test_cli_exact_cap_below_one_names_flag(capsys, method, cap):
@@ -758,6 +793,18 @@ def test_cli_sweep_bad_n_values(capsys):
                  "--n-values", "10,abc"])
     assert code == EXIT_VALIDATION
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_values, error", [
+    ("5,3", "--n-values: crowd sizes must be strictly ascending"),
+    ("10,10", "--n-values: crowd sizes must be strictly ascending"),
+    ("0,1", "--n-values: crowd sizes must be >= 1"),
+    ("-4", "--n-values: crowd sizes must be >= 1"),
+])
+def test_cli_sweep_refused_n_values_name_the_flag(capsys, n_values, error):
+    code = main(["sweep", "--scenario", METCALFE, "--n-values", n_values])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {error}\n")
 
 
 def test_cli_sweep_landmarks(capsys):

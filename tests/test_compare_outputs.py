@@ -78,14 +78,17 @@ def test_a_tree_matches_itself_on_the_sampler(tmp_path):
 def test_a_tree_matches_itself_on_the_sweeps(tmp_path):
     tool = load_tool()
     n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("sweeps",))
-    assert (n_ops, differ) == (7, [])
+    assert (n_ops, differ) == (9, [])
     # the golden sweeps hold every bundled scenario whose model sweeps
     models_of = {path.stem: json.loads(path.read_text(encoding="utf-8"))["model"]
                  for path in tool.SCENARIO_DIR.glob("*.json")}
     assert {models_of[stem] for stem in tool.SWEEP_SCENARIOS} == set(models.SPECS)
     ops, argvs = tool._sweeps_ops(tmp_path)
     results = tool._run_all(ROOT / "src", argvs, tmp_path)
-    *refused, (code, out, err) = results
+    *refused, descending, below_one, (code, out, err) = results
+    # a refused list of crowd sizes names the flag
+    assert descending == [2, "", "error: --n-values: crowd sizes must be strictly ascending\n"]
+    assert below_one == [2, "", "error: --n-values: crowd sizes must be >= 1\n"]
     for op, (code_r, out_r, err_r) in zip(ops, refused):
         assert models_of[op.removeprefix("sweeps/refused-")] not in models.SPECS
         assert (code_r, out_r) == (2, "")
@@ -152,6 +155,26 @@ def test_a_tree_matches_itself_on_the_graphs(tmp_path):
         assert (code, err) == (0, ""), op
         allocations = json.loads(out)["allocations"]
         assert ("exact" in allocations) == (op.endswith("/all") and "-64/" not in op), op
+
+
+def test_a_tree_matches_itself_on_the_labels(tmp_path):
+    tool = load_tool()
+    n_scenarios = len(list(tool.SCENARIO_DIR.glob("*.json")))
+    n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("labels",))
+    assert (n_ops, differ) == (3 * len(tool.LABELS) * n_scenarios, [])
+    # every operation solves; the JSON echoes the label as written, and the
+    # text prints it raw
+    ops, argvs = tool._labels_ops(tmp_path)
+    results = tool._run_all(ROOT / "src", argvs, tmp_path)
+    for op, (code, out, err) in zip(ops, results):
+        assert (code, err) == (0, ""), op
+        label = tool.LABELS[int(op.split("/")[2].removeprefix("label"))]
+        if op.endswith("/json"):
+            assert out.isascii() and json.loads(out)["scenario"]["label"] == label, op
+        elif op.endswith("/text"):
+            assert out.startswith(f"scenario: {label} (model="), op
+        else:
+            assert out.startswith("player_id,tag,payoff,share\n"), op
 
 
 def test_a_changed_tree_is_listed_op_by_op(tmp_path):

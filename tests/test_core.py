@@ -192,6 +192,23 @@ def test_exact_cap_error_names_sampler():
         coalition_value_table(additive_game(6), cap=5)
 
 
+def test_sampler_refuses_more_masks_than_its_cap_before_drawing(monkeypatch):
+    calls = []
+
+    def head_count(masks):
+        calls.append(masks.size)
+        return np.bitwise_count(masks).astype(float)
+
+    game = CoalitionGame(4, head_count, "heads")
+    with pytest.raises(RosterTooLargeError, match="4000000000000 coalition values"):
+        shapley_sample(game, 10 ** 12)
+    assert calls == []
+    monkeypatch.setattr(core, "MAX_SAMPLE_MASKS", 4 * 25)
+    assert shapley_sample(game, 25).payoffs == (1.0,) * 4
+    with pytest.raises(RosterTooLargeError, match="above the cap of 100"):
+        shapley_sample(game, 26)
+
+
 def test_exact_matches_permutation_average_on_random_games():
     rng = np.random.default_rng(101)
     for n in range(1, 9):

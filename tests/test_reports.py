@@ -1,16 +1,29 @@
 """Tests for report rendering: JSON determinism, CSV shape, text output."""
 
+import enum
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.cli import solve_scenario, sweep_scenario
 from fairshare.core import Allocation, crowd_players
-from fairshare.reports import ALLOCATION_CSV_HEADER, SolveReport, emit, render
-from fairshare.scenarios import load_scenario, parse_scenario
+from fairshare.empirical import load_revenue_records, parse_window, revenue_share
+from fairshare.reports import (
+    ALLOCATION_CSV_HEADER,
+    EmpiricalReport,
+    SolveReport,
+    _json,
+    emit,
+    render,
+)
+from fairshare.scenarios import SWEEPABLE, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def solve(path):
@@ -128,3 +141,88 @@ def test_primary_allocation_is_the_first_the_solve_ran():
         key: key for key in allocations}
     assert payload["sampled"]["stderr"] == [0.5, 0.5]
     assert payload["exact"]["stderr"] is None
+
+
+# --- the JSON encoder writes json.dumps's bytes -----------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, control characters, non-ASCII and an astral character
+# are drawn often, next to hypothesis's own strings
+STRINGS = st.one_of(st.text(), st.text(alphabet='"\\/\x00\x1f\x7f\b\n\t\u00e9\u2028\U0001f600a'))
+FLOATS = st.floats(allow_subnormal=True)     # +-0.0, +-inf and NaN included
+NUMPY_FLOATS = FLOATS.map(np.float64)
+SCALARS = st.one_of(st.none(), st.booleans(), STRINGS, FLOATS, NUMPY_FLOATS,
+                    st.integers(-(2 ** 80), 2 ** 80), st.sampled_from([2 ** 64, -(2 ** 64) - 1]))
+VALUES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    st.dictionaries(STRINGS, children),
+    # lists that are all floats take the joined path, unless one is not finite
+    st.lists(FLOATS, min_size=1), st.lists(FLOATS, min_size=1).map(tuple),
+    st.lists(st.one_of(FLOATS, NUMPY_FLOATS, st.integers(), st.none()), min_size=1)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALUES)
+def test_json_encoder_writes_the_bytes_of_json_dumps(value):
+    assert _json(value, "") == dumps(value)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ([], "[]"), ({}, "{}"), ((), "[]"), ({"a": [], "b": {}}, '{\n  "a": [],\n  "b": {}\n}'),
+    (np.float64(1.0), "1.0"), ([np.float64(0.5), 1.5], "[\n  0.5,\n  1.5\n]"),
+    ([1.0, float("nan"), -float("inf")], "[\n  1.0,\n  NaN,\n  -Infinity\n]"),
+    ([1e308, 1e308], "[\n  1e+308,\n  1e+308\n]"),      # a sum that overflows
+    ([-0.0, 5e-324], "[\n  -0.0,\n  5e-324\n]"), (2 ** 70, str(2 ** 70)),
+    ({"\u00e9\"": "\\\x01"}, '{\n  "\\u00e9\\"": "\\\\\\u0001"\n}'),
+])
+def test_json_encoder_cases(value, expected):
+    assert _json(value, "") == dumps(value) == expected
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Tag(str, enum.Enum):
+    CROWD = "crowd"
+
+
+class Tenth(float):
+    def __repr__(self):
+        return "a tenth"
+
+
+def test_json_encoder_writes_subclasses_as_their_base_type():
+    value = {"level": Level.HIGH, "tag": Tag.CROWD, "tenths": [Tenth(0.1), Tenth(0.2)],
+             "one": Tenth(0.1), "keys": {Tag.CROWD: [Level.HIGH]}}
+    assert _json(value, "") == dumps(value)
+    assert '"level": 3' in dumps(value) and '"tag": "crowd"' in dumps(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), [1.0, np.int64(3)], {"a": object()},
+                                   {1: 2.0}, {"a": {2: "b"}}, {("a",): 1}])
+def test_json_encoder_refuses_what_json_cannot_hold_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _json(value, "")
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
+def test_every_bundled_report_renders_the_bytes_of_json_dumps(path):
+    scenario = load_scenario(path)
+    reports = [solve_scenario(scenario)]
+    if scenario.model in SWEEPABLE:
+        reports.append(sweep_scenario(scenario, [1, 2, 10, 1000, 10 ** 6]))
+    for report in reports:
+        assert render(report, "json") == dumps(report.to_payload()) + "\n"
+
+
+def test_an_empirical_report_renders_the_bytes_of_json_dumps():
+    estimate = revenue_share(load_revenue_records(None), 3.0e10,
+                             parse_window("2018H2..2021H1"), "YouTube")
+    report = EmpiricalReport(estimate)
+    assert render(report, "json") == dumps(report.to_payload()) + "\n"

@@ -22,8 +22,9 @@ solve every bundled scenario with `--method sample` at each seed and
 permutation count of `SAMPLER_RUNS`, so the sampler's output bits are
 compared on one join order, on two, and across a block edge. The `sweeps` operations
 sweep every bundled scenario outside the golden sweeps, whose models do not
-sweep, so the refusal is compared, and render one text sweep at n = 10^22,
-wider than the renderer's least `n` column. The `weights` operations solve
+sweep, so the refusal is compared, refuse the crowd sizes of
+`REFUSED_N_VALUES`, and render one text sweep at n = 10^22, wider than the
+renderer's least `n` column. The `weights` operations solve
 `weighted` scenarios with extreme weights and `geo` / `geo_founder`
 censuses whose effective sizes are thirds and sevenths, under each of
 `WEIGHTS_RUNS`, so the bits of the weight-sum tables are compared on inputs
@@ -43,7 +44,11 @@ agreements inside one byte of vertices and
 across byte edges, crowds whose network sum is below 2^53, where no sum of
 the coarse table rounds, at it and above it, where its sums round, and one
 64-vertex graph, above the exact cap, that is sampled, so the bits of the
-coarse table are compared on inputs that no generated workload draws.
+coarse table are compared on inputs that no generated workload draws. The
+`labels` operations solve every bundled scenario under each label of
+`LABELS`, with quotes, backslashes, control characters, non-ASCII and JSON's
+own punctuation, rendered as JSON, text and CSV, so the string escapes of
+the JSON encoder are compared.
 An uncaught exception is recorded as its type and message in place of the
 exit code. The scenario directory is replaced by a fixed placeholder in
 stdout and stderr. Each operation whose exit code, stdout or stderr differs
@@ -67,7 +72,7 @@ import gen  # noqa: E402
 
 WORKLOADS = ("exact_cap", "audit_small", "sample_large", "closed_scale", "known_defects",
              "invalid_scenarios", "invalid_records", "formats", "flags", "sampler", "sweeps",
-             "weights", "classes", "graphs")
+             "weights", "classes", "graphs", "labels")
 CORPUS = ROOT / "tests" / "invalid_scenarios.json"
 RECORDS_CORPUS = ROOT / "tests" / "invalid_records.json"
 SCENARIO_DIR = ROOT / "scenarios"
@@ -76,6 +81,8 @@ SWEEP_SCENARIOS = ("single_metcalfe", "profit_infra_costs", "weighted_trio")
 SWEEP_N_VALUES = "1,2,10,1000"
 # a crowd size whose digits overflow the least width of the text `n` column
 WIDE_N = str(10 ** 22)
+# crowd sizes that `sweep` refuses: descending, and below 1
+REFUSED_N_VALUES = ("5,3", "0,1")
 # the solve flags that no workload passes, each run on FLAGS_SCENARIO
 FLAGS_SCENARIO = SCENARIO_DIR / "weighted_trio.json"
 FLAG_SETS = tuple(("--exact-cap", cap, "--method", method)
@@ -174,6 +181,13 @@ GRAPH_SCENARIOS = {
                           + [(v, v + 9) for v in range(0, 55, 6)], 0.7),
 }
 WEIGHTS_RUNS = (("--method", "all"), ("--method", "sample", "--seed", "3", "--permutations", "50"))
+# scenario labels that the JSON encoder must escape: quotes and backslashes,
+# every kind of control character, non-ASCII up to an astral character, and
+# JSON's and CSV's own punctuation
+LABELS = ('quote " backslash \\ slash / and \\u0041',
+          "tab\t newline\n return\r nul\x00 unit\x1f del\x7f backspace\b",
+          "\u00e9 \u00fc \u4e2d\u6587 \u2028 \U0001f600",
+          '{"label": [1, 2.5, null]}, "csv,cell"')
 PLACEHOLDER = "<scenario-dir>"
 
 # Reads a JSON list of argv lists on stdin; writes one [exit code, stdout,
@@ -274,16 +288,36 @@ def _sampler_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
 
 def _sweeps_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
     """Op ids and argvs that sweep each bundled scenario outside `SWEEP_SCENARIOS`,
-    and render one text sweep at `WIDE_N`."""
+    refuse each of `REFUSED_N_VALUES`, and render one text sweep at `WIDE_N`."""
     ops, argvs = [], []
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         if path.stem not in SWEEP_SCENARIOS:
             ops.append(f"sweeps/refused-{path.stem}")
             argvs.append(["sweep", "--scenario", str(path), "--n-values", SWEEP_N_VALUES])
     stem = SWEEP_SCENARIOS[0]
+    for n_values in REFUSED_N_VALUES:
+        ops.append(f"sweeps/{stem}-n{n_values}")
+        argvs.append(["sweep", "--scenario", str(SCENARIO_DIR / f"{stem}.json"),
+                      "--n-values", n_values])
     ops.append(f"sweeps/{stem}-n{WIDE_N}/text")
     argvs.append(["sweep", "--scenario", str(SCENARIO_DIR / f"{stem}.json"),
                   "--n-values", WIDE_N, "--format", "text"])
+    return ops, argvs
+
+
+def _labels_ops(work_dir: Path) -> tuple[list[str], list[list[str]]]:
+    """Op ids and argvs that solve each bundled scenario under each of `LABELS`,
+    with its own method, as JSON, text and CSV."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    ops, argvs = [], []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for number, label in enumerate(LABELS):
+            labelled = work_dir / f"{path.stem}-label{number}.json"
+            labelled.write_text(json.dumps({**data, "label": label}), encoding="utf-8")
+            for fmt in ("json", "text", "csv"):
+                ops.append(f"labels/{path.stem}/label{number}/{fmt}")
+                argvs.append(["solve", "--scenario", str(labelled), "--format", fmt])
     return ops, argvs
 
 
@@ -314,7 +348,7 @@ _graphs_ops = _scenario_ops("graphs", GRAPH_SCENARIOS, WEIGHTS_RUNS)
 FIXED_OPS = {"invalid_scenarios": _corpus_ops, "invalid_records": _records_ops,
              "formats": _formats_ops, "flags": _flags_ops, "sampler": _sampler_ops,
              "sweeps": _sweeps_ops, "weights": _weights_ops, "classes": _classes_ops,
-             "graphs": _graphs_ops}
+             "graphs": _graphs_ops, "labels": _labels_ops}
 
 
 def compare(old_src: Path, new_src: Path, seed: int,
