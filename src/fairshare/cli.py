@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 validation failure, 3 computational cap exceeded,
 4 I/O error. The exact-engine cap is --exact-cap, which defaults to
 `DEFAULT_EXACT_CAP`; a sample is capped at `MAX_SAMPLE_MASKS` coalition values.
+
+A game is built without numpy and computed with it, so only
+`solve --method exact|sample|all` loads numpy: `validate`, `sweep`,
+`empirical` and a closed solve never do.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import functools
 import math
 import sys
 from typing import Sequence
-
-import numpy as np
 
 from fairshare import core
 from fairshare.checks import ParamsError, check_int
@@ -71,38 +73,40 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
     allocations = {}
     notes = []
     report = values = None
-    # an overflow is refused below, by name, rather than warned about here
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method in ("closed", "all"):
-            report = closed_report(scenario)
-            allocations["closed_form"] = (closed_allocation(scenario) if report is None
-                                          else report.as_allocation())
-        if method in ("exact", "all"):
-            if game.n_players <= exact_cap:
-                # through `core`, so a wrapper on it there sees every table build
-                values = core.coalition_value_table(game, cap=exact_cap)
-                allocations["exact"] = shapley_exact(game, values=values)
-            elif method == "exact":
-                raise RosterTooLargeError(
-                    f"exact method requested for {game.n_players} players, above the "
-                    f"cap of {exact_cap}; raise --exact-cap or use method 'sample'")
-            else:
-                notes.append(
-                    f"exact engine skipped: {game.n_players} players above cap {exact_cap}")
-        if method == "sample" or (method == "all" and scenario.sample is not None):
-            cfg = scenario.sample or SampleConfig()
-            masks = cfg.permutations * game.n_players
-            if masks <= MAX_SAMPLE_MASKS:
-                allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
-            elif method == "sample":
-                raise RosterTooLargeError(
-                    f"sample.permutations: {cfg.permutations} permutations of "
-                    f"{game.n_players} players need {masks} coalition values, above the "
-                    f"sampler's cap of {MAX_SAMPLE_MASKS}; lower --permutations")
-            else:
-                notes.append(f"sampler skipped: {cfg.permutations} permutations of "
-                             f"{game.n_players} players above cap {MAX_SAMPLE_MASKS} "
-                             "coalition values")
+    if method in ("closed", "all"):
+        report = closed_report(scenario)
+        allocations["closed_form"] = (closed_allocation(scenario) if report is None
+                                      else report.as_allocation())
+    if method != "closed":
+        import numpy as np
+        # an overflow is refused below, by name, rather than warned about here
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method in ("exact", "all"):
+                if game.n_players <= exact_cap:
+                    # through `core`, so a wrapper on it there sees every table build
+                    values = core.coalition_value_table(game, cap=exact_cap)
+                    allocations["exact"] = shapley_exact(game, values=values)
+                elif method == "exact":
+                    raise RosterTooLargeError(
+                        f"exact method requested for {game.n_players} players, above the "
+                        f"cap of {exact_cap}; raise --exact-cap or use method 'sample'")
+                else:
+                    notes.append(
+                        f"exact engine skipped: {game.n_players} players above cap {exact_cap}")
+            if method == "sample" or (method == "all" and scenario.sample is not None):
+                cfg = scenario.sample or SampleConfig()
+                masks = cfg.permutations * game.n_players
+                if masks <= MAX_SAMPLE_MASKS:
+                    allocations["sampled"] = shapley_sample(game, cfg.permutations, cfg.seed)
+                elif method == "sample":
+                    raise RosterTooLargeError(
+                        f"sample.permutations: {cfg.permutations} permutations of "
+                        f"{game.n_players} players need {masks} coalition values, above the "
+                        f"sampler's cap of {MAX_SAMPLE_MASKS}; lower --permutations")
+                else:
+                    notes.append(f"sampler skipped: {cfg.permutations} permutations of "
+                                 f"{game.n_players} players above cap {MAX_SAMPLE_MASKS} "
+                                 "coalition values")
 
     for key, alloc in allocations.items():
         _check_finite(key, alloc.payoffs + (alloc.grand_value,) + (alloc.stderr or ())

@@ -1,4 +1,9 @@
-"""Coalition games, the exact Shapley engine, and fairness-axiom checks."""
+"""Coalition games, the exact Shapley engine, and fairness-axiom checks.
+
+A game is built without numpy and computed with it: each function that
+evaluates, tabulates, reduces, samples or audits a game imports numpy itself,
+so building a game, and the result types, load no numpy.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,10 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EXACT_CAP = 22      # 2^22 coalition evaluations, seconds-scale
 DEFAULT_STRUCTURE_CAP = 14  # pair scans: O(n^2 * 2^n) at worst, when no probe rules a pair out
@@ -97,6 +103,7 @@ class CoalitionGame:
     def evaluate(self, masks: np.ndarray) -> np.ndarray:
         """`value` of a `uint64` array of coalition masks, as `float64`;
         refuses an array that is not one value per mask."""
+        import numpy as np
         values = np.asarray(self.value(masks), dtype=np.float64)
         if values.shape != masks.shape:
             raise ValueError(f"value of {self.label or 'game'} returned shape "
@@ -148,6 +155,7 @@ def _subset_sums(chunk: Sequence[float]) -> np.ndarray:
     largest (power-of-two) denominator, the sums are built exactly by
     doubling, and int/int true division rounds each once, correctly, as
     `math.fsum` does (a zero sum to +0.0)."""
+    import numpy as np
     ratios = [float(w).as_integer_ratio() for w in chunk]
     scale = max(d for _, d in ratios)
     sums = [0]
@@ -176,10 +184,12 @@ def byte_sum_table(n_bits: int, byte_table: Callable[[int, int], np.ndarray],
     """
     @functools.cache
     def byte_tables() -> list[tuple[np.int64, np.int64, np.ndarray]]:
+        import numpy as np
         return [(np.int64(first_bit + lo), np.int64((1 << (hi - lo)) - 1), byte_table(lo, hi))
                 for lo, hi in ((lo, min(lo + 8, n_bits)) for lo in range(0, n_bits, 8))]
 
     def table(masks: np.ndarray) -> np.ndarray:
+        import numpy as np
         signed = masks.view(np.int64)
         index = np.empty(masks.shape, dtype=np.int64)
         total = np.zeros(masks.shape)
@@ -224,6 +234,7 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
     mass = weight_sum_table(units, first_bit=first)
 
     def value(masks: np.ndarray) -> np.ndarray:
+        import numpy as np
         values = worth(mass(masks))
         if founder:
             values[(masks & np.uint64(1)) == 0] = 0.0
@@ -246,6 +257,7 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
     before allocating, a roster above the cap or one whose tables would not
     fit in physical memory.
     """
+    import numpy as np
     n = game.n_players
     if n > cap:
         raise RosterTooLargeError(
@@ -269,6 +281,7 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
 
 def _check_table(values: np.ndarray, n: int) -> None:
     """Refuse a caller's table that is not one value per coalition of n players."""
+    import numpy as np
     if np.shape(values) != (1 << n,):
         raise ValueError(f"a coalition table of {n} players has shape ({1 << n},), "
                          f"got {np.shape(values)}")
@@ -295,6 +308,7 @@ def _probes(n: int) -> tuple[np.ndarray, ...]:
     both with i added, and with j added instead. The probes are the empty and
     the full coalition and the patterns 0101.., 1010.., 0011.., 1100.., with
     those players' bits cleared."""
+    import numpy as np
     full = (1 << n) - 1
     patterns = np.array([0, full] + [int(p * 16, 16) & full for p in "5A3C"], dtype=np.intp)
     bits = np.left_shift(1, np.arange(n, dtype=np.intp))
@@ -364,6 +378,7 @@ def exact_classes(values: np.ndarray) -> tuple[int, ...]:
     neighbours first, and each not yet linked, nor refuted by a run's first
     swap, is compared in full by `_swap_keeps_bits`. The classes are the
     connected components of the exact-swap graph either way."""
+    import numpy as np
     n = values.size.bit_length() - 1
     _check_table(values, n)
     ints = np.asarray(values, dtype=np.float64).view(np.int64)
@@ -420,6 +435,7 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     weighted marginals are the same bits in the same order. A member further
     off would sum the same marginals in another order.
     """
+    import numpy as np
     n = game.n_players
     if values is None:
         values = coalition_value_table(game)
@@ -472,9 +488,11 @@ def anonymous_game(crowd_value: Callable[[int], float], n: int,
 
     @functools.cache
     def levels() -> np.ndarray:
+        import numpy as np
         return np.array([0.0] + [float(crowd_value(m)) for m in range(n + 1)])
 
     def value(masks: np.ndarray) -> np.ndarray:
+        import numpy as np
         index = masks & np.uint64(1)
         np.negative(index, out=index)  # all ones with the founder, else 0
         index &= masks
@@ -503,6 +521,7 @@ def shapley_sample(game: CoalitionGame, n_permutations: int, seed: int = 0) -> A
     in the order drawn, because `np.bincount` adds its weights one at a time,
     in input order.
     """
+    import numpy as np
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
     n = game.n_players
@@ -594,6 +613,7 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
     class is not scanned in a finite table, where its gap is exactly 0; with
     an inf or NaN entry, equal bits can give inf - inf = NaN, a failed scan.
     """
+    import numpy as np
     n = game.n_players
     if allocation.n_players != n:
         raise ValueError("allocation does not match the game roster")

@@ -7,7 +7,8 @@ endpoint systems are present contributes twice the product of their present
 crowds (so two fully-merged systems are worth (n_u + n_w)^2).
 
 The coarse model treats each system as a single agent; the fine model makes
-every founder and every crowd member a separate agent.
+every founder and every crowd member a separate agent. A game is built
+without numpy and computed with it: its table imports numpy when called.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from fairshare.checks import (
     ModelSpec,
@@ -38,6 +37,9 @@ from fairshare.core import (
     byte_sum_table,
     check_roster_size,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def network_sum(sizes: Iterable[int], products: Iterable[int]) -> int:
@@ -192,6 +194,7 @@ def coarse_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
 
     @functools.cache
     def network() -> tuple[Callable[[np.ndarray], np.ndarray], list[tuple[np.uint64, float]]]:
+        import numpy as np
         # the quadratic form: squares on the diagonal, n_a n_b inside a byte
         form = np.diag(np.array([n * n for n in sizes], dtype=np.float64))
         cross = []
@@ -246,6 +249,7 @@ def _network_table(graph: OligopolyGraph, masks: np.ndarray,
     agreements with both ends present), per mask; vertex v is present when
     bit v is set, and mass[v] holds one crowd count per mask. A roster of at
     most 64 players keeps every term and partial sum a small exact integer."""
+    import numpy as np
     total = np.zeros(masks.shape)
     terms = [(v, v, 1.0) for v in range(graph.n_vertices)]
     for a, b, factor in terms + [(a, b, 2.0) for a, b in graph.edges]:
@@ -259,10 +263,18 @@ def _network_table(graph: OligopolyGraph, masks: np.ndarray,
 def fine_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
     """The fine-grain value over player masks: the network value with each
     major as its system's presence bit and the popcount of its minor block
-    as the mass, so a crowd member without its major adds nothing."""
-    blocks = [np.uint64(((1 << len(b)) - 1) << b.start) for b in minor_blocks(graph)]
-    return lambda masks: _network_table(graph, masks, [np.bitwise_count(masks & b)
-                                                       for b in blocks])
+    as the mass, so a crowd member without its major adds nothing. The
+    blocks' masks are made on the first call."""
+    @functools.cache
+    def blocks() -> list[np.uint64]:
+        import numpy as np
+        return [np.uint64(((1 << len(b)) - 1) << b.start) for b in minor_blocks(graph)]
+
+    def table(masks: np.ndarray) -> np.ndarray:
+        import numpy as np
+        return _network_table(graph, masks, [np.bitwise_count(masks & b) for b in blocks()])
+
+    return table
 
 
 def fine_game(graph: OligopolyGraph) -> CoalitionGame:

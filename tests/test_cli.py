@@ -7,6 +7,8 @@ import dataclasses
 import inspect
 import io
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -1031,6 +1033,77 @@ TRACED_NAMES = {
 def test_traced_names_live_on_cli_with_their_modules():
     for name, module in TRACED_NAMES.items():
         assert getattr(cli, name).__module__ == f"fairshare.{module}", name
+
+
+# --- commands in a fresh interpreter: where numpy loads ----------------------------
+
+# Runs each argv of a JSON list on stdin through `fairshare.cli.main` in one
+# process and prints, as JSON, whether `import fairshare.cli` loaded numpy and
+# each command's exit code, stdout and stderr. argv[1] is the source root;
+# argv[2] == "poison" makes every import of numpy raise ImportError.
+FRESH_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "poison":
+    sys.modules["numpy"] = None
+import fairshare
+import fairshare.cli
+loaded = sys.modules.get("numpy") is not None
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fairshare.cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy_at_import": loaded, "results": results}))
+"""
+
+
+def run_fresh(argvs, *, poison):
+    """(whether the import loaded numpy, [code, stdout, stderr] per argv),
+    from one new interpreter."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, src, "poison" if poison else ""],
+                          input=json.dumps(argvs), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    return result["numpy_at_import"], [tuple(r) for r in result["results"]]
+
+
+def test_numpy_free_commands_run_with_numpy_poisoned():
+    # a game is built without numpy: validate, a closed solve, sweep and
+    # empirical print the same bytes in a process where numpy cannot load
+    argvs = [["validate", "--scenario", str(path)] for path in BUNDLED]
+    argvs += [["solve", "--scenario", str(path), "--method", "closed", "--format", fmt]
+              for path in BUNDLED for fmt in ("json", "csv", "text")]
+    argvs += [["sweep", "--scenario", str(path), "--n-values", "1,2,10,1000", "--format", "json"]
+              for path in BUNDLED if load_scenario(path).model in SWEEPABLE]
+    argvs += [["empirical", "--payout", "30", "--window", "2018H2..2021H1",
+               "--format", "json"]]
+    assert any(argv[0] == "sweep" for argv in argvs)
+    loaded, results = run_fresh(argvs, poison=True)
+    assert not loaded
+    assert len(results) == len(argvs)
+    for argv, result in zip(argvs, results):
+        assert result == run_cli(argv), argv
+        assert result[0] == EXIT_OK, argv
+
+
+def test_first_engine_call_loads_numpy_and_prints_the_golden_bytes():
+    # in-process tests import numpy before fairshare; this is the path of a
+    # new process, where numpy first loads inside a solve
+    golden = Path(__file__).resolve().parent / "golden"
+    stems = ("weighted_trio", "oligopoly_fine_pair")
+    argvs = [["validate", "--scenario", METCALFE]] + [
+        ["solve", "--scenario", str(SCENARIO_DIR / f"{stem}.json"), "--method", "all",
+         "--format", "json"] for stem in stems]
+    loaded, results = run_fresh(argvs, poison=False)
+    assert not loaded
+    assert [code for code, _, _ in results] == [EXIT_OK] * 3
+    for stem, (_, out, err) in zip(stems, results[1:]):
+        assert err == ""
+        assert out.encode("utf-8") == (golden / f"solve_{stem}.json").read_bytes(), stem
 
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
