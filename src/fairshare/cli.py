@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from typing import Sequence
@@ -49,8 +50,9 @@ EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_IO = 4
 
-def _max_gap(a, b) -> float:
-    return max(abs(x - y) for x, y in zip(a.payoffs, b.payoffs))
+# the `ShareReport` fields a solve reports as diagnostics, in output order
+DIAGNOSTICS = ("founder_share", "crowd_share", "founder_to_crowd_ratio",
+               "asymptotic_founder_share", "degenerate")
 
 
 def _check_finite(where: str, numbers: Sequence[float]) -> None:
@@ -63,16 +65,16 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
     """Run the scenario's requested method(s) and assemble a report.
 
     method=all runs the closed form, the exact engine (when the roster fits
-    under the cap), the sampler (when the scenario has a sample config of at
-    most `MAX_SAMPLE_MASKS` coalition values), the
-    axiom checks, and the cross-method discrepancy table. The axiom checks
-    reuse the exact engine's coalition table when they scan the whole roster.
+    under the cap and its tables in memory), the sampler (when the scenario
+    has a sample config of at most `MAX_SAMPLE_MASKS` coalition values), the
+    axiom checks on the exact engine's table and classes, if it ran, and the
+    cross-method discrepancy table.
     """
     game = build_game(scenario)
     method = scenario.method
     allocations = {}
     notes = []
-    report = values = None
+    report = values = classes = None
     if method in ("closed", "all"):
         report = closed_report(scenario)
         allocations["closed_form"] = (closed_allocation(scenario) if report is None
@@ -83,9 +85,15 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
         with np.errstate(over="ignore", invalid="ignore"):
             if method in ("exact", "all"):
                 if game.n_players <= exact_cap:
-                    # through `core`, so a wrapper on it there sees every table build
-                    values = core.coalition_value_table(game, cap=exact_cap)
-                    allocations["exact"] = shapley_exact(game, values=values)
+                    try:  # through `core`, so a wrapper on it there sees every table build
+                        values = core.coalition_value_table(game, cap=exact_cap)
+                    except RosterTooLargeError as exc:
+                        if method == "exact":
+                            raise
+                        notes.append(f"exact engine skipped: {exc}")
+                    else:
+                        classes = core.exact_classes(values)
+                        allocations["exact"] = shapley_exact(game, values=values, classes=classes)
                 elif method == "exact":
                     raise RosterTooLargeError(
                         f"exact method requested for {game.n_players} players, above the "
@@ -112,27 +120,13 @@ def solve_scenario(scenario: Scenario, *, exact_cap: int = DEFAULT_EXACT_CAP) ->
         _check_finite(key, alloc.payoffs + (alloc.grand_value,) + (alloc.stderr or ())
                       + (alloc.shares() or ()))
 
-    keys = list(allocations)
-    discrepancies = {}
-    for pos, key_a in enumerate(keys):
-        for key_b in keys[pos + 1:]:
-            discrepancies[f"{key_a}_vs_{key_b}"] = _max_gap(
-                allocations[key_a], allocations[key_b])
-
-    axioms = None
-    if method == "all":
-        reference = allocations.get("exact", allocations["closed_form"])
-        axioms = check_axioms(game, reference, values=values)
-
-    diagnostics = None
-    if report is not None:
-        diagnostics = {
-            "founder_share": report.founder_share,
-            "crowd_share": report.crowd_share,
-            "founder_to_crowd_ratio": report.founder_to_crowd_ratio,
-            "asymptotic_founder_share": report.asymptotic_founder_share,
-            "degenerate": report.degenerate,
-        }
+    discrepancies = {  # the largest payoff gap of each pair of methods
+        f"{a}_vs_{b}": max(abs(x - y) for x, y in zip(allocations[a].payoffs,
+                                                      allocations[b].payoffs))
+        for a, b in itertools.combinations(allocations, 2)}
+    axioms = None if method != "all" else check_axioms(
+        allocations.get("exact", allocations["closed_form"]), values=values, classes=classes)
+    diagnostics = None if report is None else {key: getattr(report, key) for key in DIAGNOSTICS}
 
     return SolveReport(scenario_to_data(scenario), game.players, allocations,
                        discrepancies, axioms, diagnostics, tuple(notes))

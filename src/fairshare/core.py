@@ -279,12 +279,15 @@ def coalition_value_table(game: CoalitionGame, *, cap: int = DEFAULT_EXACT_CAP) 
     return values
 
 
-def _check_table(values: np.ndarray, n: int) -> None:
-    """Refuse a caller's table that is not one value per coalition of n players."""
+def _check_table(values: np.ndarray, n: int, classes: Sequence[int] | None = None) -> None:
+    """Refuse a caller's table that is not one value per coalition of n
+    players, or classes that are not one per player."""
     import numpy as np
     if np.shape(values) != (1 << n,):
         raise ValueError(f"a coalition table of {n} players has shape ({1 << n},), "
                          f"got {np.shape(values)}")
+    if classes is not None and len(classes) != n:
+        raise ValueError(f"the classes of {n} players have {n} entries, got {len(classes)}")
 
 
 def _split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -413,14 +416,16 @@ def _tree_sum(parts: list[float]) -> float:
     return float(parts[0])
 
 
-def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> Allocation:
+def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None,
+                  classes: Sequence[int] | None = None) -> Allocation:
     """Exact Shapley payoffs via the subset-weighted sum.
 
     Player i receives sum over coalitions S not containing i of
     |S|! (n-|S|-1)! / n! times the marginal value of joining S. `values`,
     when given, is the game's `coalition_value_table`, used in place of
     building it again; without it the table is built here, under
-    `DEFAULT_EXACT_CAP`.
+    `DEFAULT_EXACT_CAP`. `classes`, when given, is `exact_classes(values)`,
+    else it is searched here.
 
     Each player's weighted marginals are summed a block at a time, and the
     block sums are added as a binary tree: for power-of-two blocks of at
@@ -439,8 +444,7 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     n = game.n_players
     if values is None:
         values = coalition_value_table(game)
-    else:
-        _check_table(values, n)
+    _check_table(values, n, classes)
     half = 1 << (n - 1)
     block = min(_EXACT_BLOCK, half)
     # 1 / (n * C(n-1, s)) equals s! (n-s-1)! / n!. In `_split` order, the k-th
@@ -451,7 +455,8 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None) -> A
     by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
     sizes = np.bitwise_count(np.arange(block, dtype=np.uint64))
     shifted = [by_size[sizes + c] for c in range(n - block.bit_length() + 1)]
-    classes = exact_classes(values)
+    if classes is None:
+        classes = exact_classes(values)
     gains, payoffs = np.empty(block), []
     for i, least in enumerate(classes):
         if least < i:
@@ -598,27 +603,29 @@ class AxiomReport:
         return self.efficiency_ok and self.null_ok and self.symmetry_ok
 
 
-def check_axioms(game: CoalitionGame, allocation: Allocation, *,
-                 values: np.ndarray | None = None) -> AxiomReport:
-    """Report-only audit of an allocation against the fairness axioms.
+def check_axioms(allocation: Allocation, *, values: np.ndarray | None = None,
+                 classes: Sequence[int] | None = None) -> AxiomReport:
+    """Report-only audit of an allocation against the fairness axioms; it
+    evaluates no game.
 
-    Null players and interchangeable pairs are detected by exhaustive scan
-    of the coalition table (`values`, when given, else built here) when the
-    roster is within `DEFAULT_STRUCTURE_CAP`; above it only efficiency is
-    checked and the report is marked non-exhaustive.
+    Null players and interchangeable pairs are detected by exhaustive scan of
+    the game's `coalition_value_table`, `values`, when the roster is within
+    `DEFAULT_STRUCTURE_CAP`; without a table, or above the cap, only
+    efficiency is checked and the report is marked non-exhaustive. `classes`,
+    when given, is `exact_classes(values)`, else it is searched here.
     Payoffs compare within `AXIOM_TOL * max(1, |grand|)` plus 3 stderr if sampled.
 
     A player or pair with one probe coalition's gap above the detection
-    tolerance is ruled out without a full scan. A pair of one `exact_classes`
-    class is not scanned in a finite table, where its gap is exactly 0; with
-    an inf or NaN entry, equal bits can give inf - inf = NaN, a failed scan.
+    tolerance is ruled out without a full scan. In a finite table a pair of
+    one class has a gap of exactly 0, and of two classes only their least
+    players are scanned: if i and i' swap exactly, the swap gaps of (i', k)
+    are those of (i, k), permuted. An inf or NaN entry can make equal bits a
+    failed scan (inf - inf is NaN), so there each player is its own class.
     """
     import numpy as np
-    n = game.n_players
-    if allocation.n_players != n:
-        raise ValueError("allocation does not match the game roster")
+    n = allocation.n_players
     if values is not None:
-        _check_table(values, n)
+        _check_table(values, n, classes)
     grand = allocation.grand_value
     stderr = allocation.stderr or (0.0,) * n  # present exactly when sampled
     slack = AXIOM_TOL * max(1.0, abs(grand))
@@ -628,10 +635,8 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
 
     nulls: tuple[int, ...] = ()
     pairs: tuple[tuple[int, int], ...] = ()
-    exhaustive = n <= DEFAULT_STRUCTURE_CAP
+    exhaustive = values is not None and n <= DEFAULT_STRUCTURE_CAP
     if exhaustive:
-        if values is None:
-            values = coalition_value_table(game)
         detect_tol = 1e-12 * max(1.0, abs(grand))
         bits, solo, first, second, with_first, with_second = _probes(n)
         # NaN > detect_tol is false, so a NaN probe leaves the verdict to the full scan
@@ -640,11 +645,15 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
                       if np.max(np.abs(np.subtract(*_split(values, i)))) <= detect_tol)
         gaps = np.abs(values[with_first] - values[with_second])
         alive = ~np.any(gaps > detect_tol, axis=1)
-        classes = exact_classes(values) if alive.any() and np.isfinite(values).all() else range(n)
-        pairs = tuple(sorted(
-            (i, j) for i, j in zip(first[alive].tolist(), second[alive].tolist())
-            if classes[i] == classes[j]
-            or np.max(np.abs(np.subtract(*_split_pair(values, i, j)))) <= detect_tol))
+        if alive.any():
+            classes = (range(n) if not np.isfinite(values).all()
+                       else exact_classes(values) if classes is None else classes)
+
+        @functools.cache
+        def symmetric(a: int, b: int) -> bool:  # two classes, by their least players a <= b
+            return a == b or np.max(np.abs(np.subtract(*_split_pair(values, a, b)))) <= detect_tol
+        pairs = tuple(sorted((i, j) for i, j in zip(first[alive].tolist(), second[alive].tolist())
+                             if symmetric(*sorted((classes[i], classes[j])))))
 
     payoffs = allocation.payoffs
     null_ok = all(abs(payoffs[i]) <= slack + 3.0 * stderr[i] for i in nulls)
@@ -653,4 +662,3 @@ def check_axioms(game: CoalitionGame, allocation: Allocation, *,
         for i, j in pairs)
     return AxiomReport(efficiency_ok, efficiency_gap, nulls, null_ok,
                        pairs, symmetry_ok, exhaustive)
-

@@ -87,6 +87,11 @@ def repeated_fsum(pattern: Sequence[float], n: int) -> float:
     exact = sum(map(Fraction, pattern[:r]))
     if q:  # with q = 0 the pattern past n, inf and nan too, is not summed
         exact += q * sum(map(Fraction, pattern))
+    return _round(exact)
+
+
+def _round(exact: Fraction) -> float:
+    """`exact` rounded once to a float, or an infinity of its sign past the float range."""
     try:
         return float(exact)
     except OverflowError:
@@ -273,7 +278,14 @@ def _share_report(founder_payoff: float, member_pattern: tuple[float, ...], n: i
 def single_game(params: SingleCssParams) -> CoalitionGame:
     """The crowd-count game rho * m^k - cost * m, for revenue and profit alike."""
     rho, k, cost = params.rho, params.k, params.cost
-    return anonymous_game(lambda m: rho * m ** k - cost * m, params.n,
+
+    def level(m: int) -> float:
+        try:
+            return rho * m ** k - cost * m
+        except OverflowError:  # m ** k is past the float range: round the exact level once
+            return _round(Fraction(rho) * m ** k - Fraction(cost) * m)
+
+    return anonymous_game(level, params.n,
                           f"crowd CSS (n={params.n}, k={k}, rho={rho}, cost={cost})")
 
 

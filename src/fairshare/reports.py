@@ -111,22 +111,15 @@ class SolveReport:
             lines.append(f"discrepancy {pair}: max per-player {gap:.3g}")
         if self.axioms is not None:
             ax = self.axioms
-            lines.append(
-                "axioms: efficiency {}, null players {}, symmetry {}{}".format(
-                    "ok" if ax.efficiency_ok else "FAIL",
-                    "ok" if ax.null_ok else "FAIL",
-                    "ok" if ax.symmetry_ok else "FAIL",
-                    "" if ax.exhaustive else " (detection skipped: roster too large)"))
+            verdicts = ["ok" if ok else "FAIL" for ok in (ax.efficiency_ok, ax.null_ok,
+                                                          ax.symmetry_ok)]
+            lines.append("axioms: efficiency {}, null players {}, symmetry {}".format(*verdicts)
+                         + ("" if ax.exhaustive else " (detection skipped: no exhaustive scan)"))
         if self.diagnostics:
-            parts = []
-            for key, value in self.diagnostics.items():
-                if isinstance(value, float):
-                    parts.append(f"{key}={value:.6g}")
-                else:
-                    parts.append(f"{key}={value}")
-            lines.append("diagnostics: " + ", ".join(parts))
-        for note in self.notes:
-            lines.append(f"note: {note}")
+            lines.append("diagnostics: " + ", ".join(
+                f"{key}={value:.6g}" if isinstance(value, float) else f"{key}={value}"
+                for key, value in self.diagnostics.items()))
+        lines += [f"note: {note}" for note in self.notes]
         return "\n".join(lines) + "\n"
 
 

@@ -84,10 +84,11 @@ def _read_params(spec: ModelSpec, params: dict, closed: bool,
     return typed
 
 
-def _read_scenario(data: Any) -> tuple[list[str], Scenario | None]:
-    """Every violation in a scenario object, and the Scenario when there is none."""
+def parse_scenario(data: Any) -> Scenario:
+    """Validate and build a typed Scenario; raises one ParamsError listing
+    every violation on any problem."""
     if not isinstance(data, dict):
-        return ["scenario: expected a JSON object"], None
+        raise ParamsError(["scenario: expected a JSON object"])
     errors: list[str] = []
     check_keys(data, ("model", "params", "method", "sample", "label"),
                errors, "scenario")
@@ -115,17 +116,9 @@ def _read_scenario(data: Any) -> tuple[list[str], Scenario | None]:
     elif check_object(params, errors, "params") and spec is not None:
         typed = _read_params(spec, params, method in ("closed", "all"), errors)
     if errors:
-        return errors, None
-    return [], Scenario(model, typed, method,
-                        None if sample is None else SampleConfig(**sample), label)
-
-
-def parse_scenario(data: Any) -> Scenario:
-    """Validate and build a typed Scenario; raises ParamsError on any problem."""
-    errors, scenario = _read_scenario(data)
-    if errors:
         raise ParamsError(errors)
-    return scenario
+    return Scenario(model, typed, method,
+                    None if sample is None else SampleConfig(**sample), label)
 
 
 def load_scenario(path: str | Path, *, method: str | None = None,

@@ -324,7 +324,7 @@ def test_criterion_7_axiom_suite():
     failures = []
     start = time.perf_counter()
     for label, game in model_zoo():
-        report = check_axioms(game, shapley_exact(game))
+        report = check_axioms(shapley_exact(game), values=coalition_value_table(game))
         if not report.all_ok:
             failures.append(f"{label}: axiom check failed ({report})")
     pairs = [

@@ -7,9 +7,11 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,11 @@ def test_cli_exponent_is_capped(tmp_path, capsys, model, command):
 
 
 NON_FINITE = {
+    # rho * 3 ** 1023 is past the float range, so the level at m = 3 is inf
+    "single exact": ({"model": "single", "method": "exact",
+                      "params": {"n": 3, "k": 1023}}, "exact"),
+    "single sample": ({"model": "single", "method": "sample", "sample": {"permutations": 10},
+                       "params": {"n": 3, "k": 1023}}, "sampled"),
     # inf ** 2 - inf ** 2 makes the exact payoffs [inf, nan, nan]
     "weighted exact": ({"model": "weighted", "method": "exact",
                         "params": {"weights": [1.0, 2.0], "k": 5000}}, "exact"),
@@ -205,6 +212,18 @@ def test_cli_solve_refuses_a_non_finite_result(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {key}: result is not finite" in captured.err
+
+
+@pytest.mark.parametrize("method", ["exact", "sample"])
+def test_cli_solves_a_crowd_level_that_only_its_exact_value_holds(tmp_path, capsys, method):
+    # 3 ** 1023 is past the float range, but rho times it, about 1.3e188, is not
+    path = write_scenario(tmp_path, {"model": "single", "method": method,
+                                     "sample": {"permutations": 10},
+                                     "params": {"n": 3, "k": 1023, "rho": 1e-300}})
+    assert main(["solve", "--scenario", str(path), "--format", "json"]) == EXIT_OK
+    [allocation] = json.loads(capsys.readouterr().out)["allocations"].values()
+    assert allocation["grand_value"] == float(Fraction(1e-300) * 3 ** 1023)
+    assert all(map(math.isfinite, allocation["payoffs"]))
 
 
 def test_cli_sweep_refuses_a_non_finite_row(tmp_path, capsys):
@@ -1146,8 +1165,11 @@ def test_exact_engine_reaches_the_table_through_core(monkeypatch):
 
     monkeypatch.setattr(core, "coalition_value_table", counted)
     game = CoalitionGame(3, lambda masks: np.bitwise_count(masks).astype(np.float64) ** 2)
-    core.check_axioms(game, shapley_exact(game))
-    assert calls == [game, game]
+    allocation = shapley_exact(game)
+    assert calls == [game]
+    # the audit reads only the table it is given, and builds none
+    core.check_axioms(allocation)
+    assert calls == [game]
 
 
 
@@ -1180,11 +1202,48 @@ def test_method_all_builds_one_table_for_exact_and_the_audit(monkeypatch, data):
 
 
 @pytest.mark.parametrize("data", AUDITED)
-def test_audit_builds_its_own_table_when_exact_is_skipped(monkeypatch, data):
+def test_method_all_searches_the_classes_once(monkeypatch, data):
+    # one class search per table, whose classes the exact engine and the
+    # audit share
+    tables = []
+    search = core.exact_classes
+
+    def counted(values):
+        tables.append(values)
+        return search(values)
+
+    monkeypatch.setattr(core, "exact_classes", counted)
+    report = solve_scenario(parse_scenario(data))
+    assert len(tables) == 1 and tables[0].size == 1 << len(report.players)
+    assert report.axioms.exhaustive and report.axioms.all_ok
+
+
+@pytest.mark.parametrize("data", AUDITED)
+def test_audit_builds_no_table_when_exact_is_skipped(monkeypatch, data):
+    # a cap the roster exceeds leaves the audit no table: it checks
+    # efficiency only, and says its detection was skipped
     scenario = parse_scenario(data)
-    default = solve_scenario(scenario)
-    n = len(default.players)
+    n = len(solve_scenario(scenario).players)
     sizes = count_tables(monkeypatch)
     below = solve_scenario(scenario, exact_cap=n - 1)
-    assert "exact" not in below.allocations and sizes == [n]
-    assert below.axioms == default.axioms
+    assert "exact" not in below.allocations and sizes == []
+    axioms = below.axioms
+    assert not axioms.exhaustive and axioms.efficiency_ok and axioms.all_ok
+    assert axioms.null_players == () and axioms.symmetric_pairs == ()
+    assert below.to_text().count("(detection skipped: no exhaustive scan)") == 1
+
+
+def test_method_all_notes_a_table_beyond_physical_memory(monkeypatch, capsys):
+    # the exact engine is skipped with a note, and the other methods still run
+    monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 10)
+    trio = str(SCENARIO_DIR / "weighted_trio.json")
+    assert main(["solve", "--scenario", trio, "--method", "all", "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["allocations"]) == ["closed_form"]
+    assert payload["axioms"]["exhaustive"] is False
+    [note] = payload["notes"]
+    assert note.startswith("exact engine skipped: exact engine needs ")
+    assert note.endswith(" bytes for 2^4 coalitions, more than the 1024 bytes of physical memory")
+    assert main(["solve", "--scenario", trio, "--method", "exact"]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == "" and "1024 bytes of physical memory" in captured.err

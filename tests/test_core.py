@@ -677,7 +677,8 @@ def test_replaced_function_is_the_one_computed_with():
     zero = dataclasses.replace(batch, value=nothing)
     assert shapley_exact(zero).payoffs == (0.0, 0.0, 0.0)
     assert shapley_sample(zero, 10).payoffs == (0.0, 0.0, 0.0)
-    assert check_axioms(zero, shapley_exact(zero)).null_players == (0, 1, 2)
+    assert check_axioms(shapley_exact(zero),
+                        values=coalition_value_table(zero)).null_players == (0, 1, 2)
     doubled = dataclasses.replace(batch, value=lambda masks: 2.0 * np.bitwise_count(masks))
     assert doubled.evaluate(np.array([0b111], dtype=np.uint64)).tolist() == [6.0]
     assert marginal_value(doubled, Coalition(0b1), 1) == 2.0
@@ -685,7 +686,8 @@ def test_replaced_function_is_the_one_computed_with():
         marginal_value(doubled, Coalition(0b1000), 0)
     assert shapley_exact(doubled).payoffs == (2.0, 2.0, 2.0)
     assert shapley_sample(doubled, 10).payoffs == (2.0, 2.0, 2.0)
-    assert check_axioms(doubled, shapley_exact(doubled)).symmetric_pairs == (
+    assert check_axioms(shapley_exact(doubled),
+                        values=coalition_value_table(doubled)).symmetric_pairs == (
         (0, 1), (0, 2), (1, 2))
     squared = dataclasses.replace(batch, value=lambda masks: np.bitwise_count(masks) ** 2.0)
     assert supermodular_whole(coalition_value_table(squared))
@@ -820,7 +822,7 @@ def test_sampler_block_holds_few_block_sized_arrays():
 
 def test_axioms_pass_on_exact_founder_game():
     game = single_game(SingleCssParams(n=3, k=2, rho=1.0))
-    report = check_axioms(game, shapley_exact(game))
+    report = check_axioms(shapley_exact(game), values=coalition_value_table(game))
     assert report.exhaustive
     assert report.all_ok
     # all crowd members are mutually interchangeable
@@ -831,7 +833,7 @@ def test_axioms_catch_scaled_payoffs():
     game = single_game(SingleCssParams(n=3, k=2, rho=1.0))
     alloc = shapley_exact(game)
     doubled = Allocation(tuple(2 * p for p in alloc.payoffs), alloc.grand_value)
-    report = check_axioms(game, doubled)
+    report = check_axioms(doubled)
     assert not report.efficiency_ok
     assert not report.all_ok
 
@@ -839,7 +841,7 @@ def test_axioms_catch_scaled_payoffs():
 def test_axioms_null_player_gets_zero():
     # a zero-weight member adds nothing to any coalition
     game = weighted_game(WeightedCssParams(weights=(1.0, 2.0, 0.0)))
-    report = check_axioms(game, shapley_exact(game))
+    report = check_axioms(shapley_exact(game), values=coalition_value_table(game))
     assert report.null_players == (3,)
     assert report.null_ok
     assert report.all_ok
@@ -847,7 +849,8 @@ def test_axioms_null_player_gets_zero():
 
 def test_axioms_sampled_gets_stderr_slack():
     game = single_game(SingleCssParams(n=5, k=2, rho=1.0))
-    report = check_axioms(game, shapley_sample(game, 4_000, seed=2))
+    report = check_axioms(shapley_sample(game, 4_000, seed=2),
+                          values=coalition_value_table(game))
     assert report.efficiency_ok
     assert report.symmetry_ok
 
@@ -864,7 +867,7 @@ def audit_verdicts(scale):
     for game in (additive, quadratic):
         verdicts.append(supermodular_whole(coalition_value_table(game)))
         for alloc in (shapley_exact(game), shapley_sample(game, 200, seed=1)):
-            report = check_axioms(game, alloc)
+            report = check_axioms(alloc, values=coalition_value_table(game))
             verdicts.append((report.efficiency_ok, report.null_ok, report.symmetry_ok,
                              report.null_players, report.symmetric_pairs))
     return verdicts
@@ -881,7 +884,7 @@ def test_audit_verdicts_do_not_depend_on_the_scale():
 
 def test_axioms_above_detect_cap_is_not_exhaustive():
     game = additive_game(DEFAULT_STRUCTURE_CAP + 1)
-    report = check_axioms(game, shapley_exact(game))
+    report = check_axioms(shapley_exact(game), values=coalition_value_table(game))
     assert not report.exhaustive
     assert report.efficiency_ok
     assert report.null_players == ()
@@ -894,13 +897,28 @@ def test_a_given_table_of_the_wrong_shape_is_refused(shape):
     allocation = shapley_exact(game)
     wrong = np.zeros(shape)
     with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
-        check_axioms(game, allocation, values=wrong)
+        check_axioms(allocation, values=wrong)
     # above the structure cap the table is not scanned, but is still refused
     n = DEFAULT_STRUCTURE_CAP + 1
     with pytest.raises(ValueError, match=rf"{n} players has shape \({1 << n},\)"):
-        check_axioms(additive_game(n), Allocation((0.0,) * n, 0.0), values=wrong)
+        check_axioms(Allocation((0.0,) * n, 0.0), values=wrong)
     with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
         shapley_exact(game, values=wrong)
+
+
+@pytest.mark.parametrize("classes", [(0, 0, 0), (0, 1, 2, 3, 4), ()], ids=len)
+def test_given_classes_of_the_wrong_length_are_refused(classes):
+    # classes are one per player; the table's shape is checked first
+    game = additive_game(4)
+    values = coalition_value_table(game)
+    allocation = shapley_exact(game)
+    for refused in (lambda: shapley_exact(game, values=values, classes=classes),
+                    lambda: check_axioms(allocation, values=values, classes=classes)):
+        with pytest.raises(ValueError, match=rf"classes of 4 players have 4 entries, "
+                                             rf"got {len(classes)}"):
+            refused()
+    with pytest.raises(ValueError, match=r"4 players has shape \(16,\)"):
+        check_axioms(allocation, values=values[:8], classes=classes)
 
 
 SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
@@ -962,12 +980,15 @@ def audit_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(audit_tables())
 def test_audit_finds_what_the_exhaustive_scan_finds(drawn):
+    # the same with the classes searched by the audit and given to it
     values, grand = drawn
     n = values.size.bit_length() - 1
+    allocation = Allocation((0.0,) * n, grand)
     with np.errstate(invalid="ignore"):
-        report = check_axioms(drawn_game(values), Allocation((0.0,) * n, grand))
         expected = axiom_structure(values, grand)
-    assert (report.null_players, report.symmetric_pairs) == expected
+        for classes in (None, core.exact_classes(values)):
+            report = check_axioms(allocation, values=values, classes=classes)
+            assert (report.null_players, report.symmetric_pairs) == expected
 
 
 @pytest.mark.parametrize("special", [math.inf, math.nan], ids=["inf", "nan"])
@@ -980,9 +1001,10 @@ def test_equal_special_swap_images_are_not_symmetric(special):
     values[[1, 2]] = special
     assert core.exact_classes(values) == (0, 0, 2, 2)
     with np.errstate(invalid="ignore"):
-        report = check_axioms(drawn_game(values), Allocation((0.0,) * n, 4.0))
         expected = axiom_structure(values, 4.0)
-    assert (report.null_players, report.symmetric_pairs) == expected == ((), ((2, 3),))
+        for classes in (None, core.exact_classes(values)):
+            report = check_axioms(Allocation((0.0,) * n, 4.0), values=values, classes=classes)
+            assert (report.null_players, report.symmetric_pairs) == expected == ((), ((2, 3),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1019,11 +1041,46 @@ def test_interchangeable_crowd_is_scanned_once_per_member(monkeypatch):
         scans.append((i, j))
         return split_pair(values, i, j)
 
+    values = coalition_value_table(game)
     monkeypatch.setattr(core, "_split_pair", counted)
-    report = check_axioms(game, allocation)
+    report = check_axioms(allocation, values=values)
     assert report.symmetric_pairs == tuple(itertools.combinations(range(1, 14), 2))
     assert report.all_ok
     assert scans == [(1, 2)]
+    # with the classes given, the audit compares no pair
+    classes = core.exact_classes(values)
+    scans.clear()
+    assert check_axioms(allocation, values=values, classes=classes) == report
+    assert scans == []
+
+
+def test_audit_scans_one_pair_per_pair_of_classes(monkeypatch):
+    # v and x carry equal crowds on a triangle, so they are symmetric
+    # vertices, and w's one crowd member swaps exactly with w. Four pairs of
+    # players from different classes pass the probes: the majors v and x, and
+    # w with each member of x's crowd. One float scan per pair of classes
+    # settles them: the swap gaps of (w, 8) are those of (w, 7), permuted.
+    graph = OligopolyGraph.from_spec([("v", 3), ("w", 1), ("x", 3)],
+                                     [("v", "w"), ("v", "x"), ("w", "x")], rho=1.0)
+    game = fine_game(graph)
+    values = coalition_value_table(game)
+    classes = core.exact_classes(values)
+    assert classes == (0, 1, 2, 3, 3, 3, 1, 7, 7, 7)
+    scans = []
+    split_pair = core._split_pair
+
+    def counted(values, i, j):
+        scans.append((i, j))
+        return split_pair(values, i, j)
+
+    monkeypatch.setattr(core, "_split_pair", counted)
+    allocation = shapley_exact(game, values=values, classes=classes)
+    report = check_axioms(allocation, values=values, classes=classes)
+    assert scans == [(0, 2), (1, 7)]
+    assert (report.null_players, report.symmetric_pairs) == axiom_structure(
+        values, allocation.grand_value)
+    assert report.symmetric_pairs == ((1, 6), (3, 4), (3, 5), (4, 5), (7, 8), (7, 9), (8, 9))
+    assert report.all_ok
 
 
 # --- linearity -------------------------------------------------------------------

@@ -298,6 +298,39 @@ def test_exponent_is_bounded_where_n_to_the_k_leaves_the_float_range(cls):
         cls(n=1, k=MAX_EXPONENT + 1)
 
 
+def crowd_levels(params):
+    """The game's values of the founder with m = 0..n crowd members."""
+    masks = np.array([(1 << (m + 1)) - 1 for m in range(params.n + 1)], dtype=np.uint64)
+    return single_game(params).evaluate(masks).tolist()
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1.0])
+def test_a_crowd_level_past_the_float_range_is_rounded_once(rho):
+    # 3 ** 1023 is about 1.3e488: at rho = 1e-300 the level at m = 3 is the
+    # exact level, about 1.3e188, rounded once; at rho = 1 it is inf
+    params = ProfitCssParams(n=3, k=MAX_EXPONENT, rho=rho, member_cost=0.5)
+    levels = crowd_levels(params)
+    assert levels[:3] == [rho * m ** MAX_EXPONENT - 0.5 * m for m in range(3)]
+    exact = Fraction(rho) * 3 ** MAX_EXPONENT - Fraction(0.5) * 3
+    assert levels[3] == (float(exact) if rho < 1.0 else math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(1, MAX_EXPONENT),
+       st.floats(1e-300, 1e300), st.floats(0.0, 1e300))
+def test_crowd_levels_keep_the_float_expression_where_it_computes(n, k, rho, cost):
+    # where rho * m ** k - cost * m raises, the level is the exact value,
+    # rounded to nearest, or inf from 2^1024 - 2^970 up, where that rounds
+    levels = crowd_levels(ProfitCssParams(n=n, k=k, rho=rho, member_cost=cost))
+    for m, level in enumerate(levels):
+        try:
+            expected = rho * m ** k - cost * m
+        except OverflowError:
+            exact = Fraction(rho) * m ** k - Fraction(cost) * m
+            expected = float(exact) if exact < 2 ** 1024 - 2 ** 970 else math.inf
+        assert level == expected, m
+
+
 def test_closed_profit_small_example():
     params = ProfitCssParams(n=3, k=2, rho=1.0, founder_cost=1.0)
     report = closed_profit(params)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fairshare.core import (
     PlayerTag,
     check_axioms,
+    coalition_value_table,
     shapley_exact,
 )
 from fairshare.oligopoly import (
@@ -351,7 +352,8 @@ def test_fine_game_decomposes_into_vertex_and_edge_pieces():
 
 def test_fine_allocations_satisfy_axioms():
     graph = pair_graph(rho=1.5)
-    report = check_axioms(fine_game(graph), shapley_fine_closed(graph))
+    report = check_axioms(shapley_fine_closed(graph),
+                          values=coalition_value_table(fine_game(graph)))
     assert report.all_ok
 
 
