@@ -35,7 +35,9 @@ _EXACT_BLOCK = 1 << 15
 # Peak bytes of the exact engine: 8 per coalition for the value table, plus
 # max(6, n - 13) block-sized arrays of 8-byte entries, `EXACT_BYTES_PER_BLOCK`
 # each. While the table is built, they are the masks and up to five
-# same-length temporaries of a game's `value`. While it is reduced, they are one
+# same-length temporaries of a game's `value` (the fine oligopoly's, under 4.5
+# at 22 players, are a `uint8` crowd count per vertex, one masked `uint64` copy
+# at a time, `int16` sums and the values). While it is reduced, they are one
 # array of size weights per popcount of a block's start (n - 15 of them, from
 # 16 players), then the gains, and at most one block of temporaries: a `bool`
 # block of the class search, or numpy's buffers for a strided subtraction.
@@ -226,9 +228,9 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
     the game: a coalition without it is worth zero, and player i carries
     units[i - 1]. `worth` maps an array of masses to their values. The
     game's `value` takes each mass as `weight_sum_table`'s sum, in its byte
-    order, and applies `worth` to every mask of a call before the ones
-    without the founder are set to 0.0, so a coalition's value does not
-    depend on the masks it is evaluated with.
+    order, and applies `worth` to every mask of a call; the ones without the
+    founder then select +0.0 and the rest keep `worth`'s bits, so a
+    coalition's value does not depend on the masks it is evaluated with.
     """
     first = int(founder)
     mass = weight_sum_table(units, first_bit=first)
@@ -237,7 +239,7 @@ def mass_game(units: Sequence[float], worth: Callable, label: str,
         import numpy as np
         values = worth(mass(masks))
         if founder:
-            values[(masks & np.uint64(1)) == 0] = 0.0
+            np.putmask(values, (masks & np.uint64(1)) == 0, 0.0)
         return values
 
     return CoalitionGame(len(units) + first, value, label, players)
@@ -451,10 +453,13 @@ def shapley_exact(game: CoalitionGame, *, values: np.ndarray | None = None,
     # coalition without player i has popcount(k) members, so the same weights
     # serve every player. A block's start is a multiple of the block, so its
     # k-th weight is by_size[popcount(start) + popcount(k)]: one block of
-    # weights per popcount of a start serves every block.
+    # weights per popcount of a start serves every block. The popcounts are
+    # counted in place, so each gather reads an intp index, not a cast copy.
     by_size = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
-    sizes = np.bitwise_count(np.arange(block, dtype=np.uint64))
-    shifted = [by_size[sizes + c] for c in range(n - block.bit_length() + 1)]
+    sizes = np.arange(block, dtype=np.intp)
+    np.bitwise_count(sizes, out=sizes)
+    shifted = [by_size[c:][sizes] for c in range(n - block.bit_length() + 1)]
+    del sizes  # a block of 8-byte counts, before the reduction's blocks are made
     if classes is None:
         classes = exact_classes(values)
     gains, payoffs = np.empty(block), []

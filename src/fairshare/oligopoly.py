@@ -243,36 +243,31 @@ def minor_blocks(graph: OligopolyGraph) -> tuple[range, ...]:
     return tuple(range(start, start + n) for start, n in zip(starts, graph.crowd_sizes))
 
 
-def _network_table(graph: OligopolyGraph, masks: np.ndarray,
-                   mass: Sequence[np.ndarray]) -> np.ndarray:
-    """rho * (sum of mass[v]^2 over present vertices + 2 mass[a] mass[b] over
-    agreements with both ends present), per mask; vertex v is present when
-    bit v is set, and mass[v] holds one crowd count per mask. A roster of at
-    most 64 players keeps every term and partial sum a small exact integer."""
-    import numpy as np
-    total = np.zeros(masks.shape)
-    terms = [(v, v, 1.0) for v in range(graph.n_vertices)]
-    for a, b, factor in terms + [(a, b, 2.0) for a, b in graph.edges]:
-        present = np.uint64((1 << a) | (1 << b))
-        term = np.multiply(mass[a], mass[b], dtype=np.float64) * factor
-        total += ((masks & present) == present) * term
-    total *= graph.rho
-    return total
-
-
 def fine_table(graph: OligopolyGraph) -> Callable[[np.ndarray], np.ndarray]:
     """The fine-grain value over player masks: the network value with each
     major as its system's presence bit and the popcount of its minor block
-    as the mass, so a crowd member without its major adds nothing. The
-    blocks' masks are made on the first call."""
+    as the mass, so a crowd member without its major adds nothing.
+
+    Per vertex, last first, x_v = popcount(mask & block_v) * (bit v) in
+    `uint8`; N = sum_v x_v (x_v + 2 sum of x_w over agreements (v, w), w > v)
+    in `int16` is exact, as 64 players hold at most 63 crowd members (N <=
+    3969). One `float64` product with rho rounds it. Made on the first call."""
     @functools.cache
-    def blocks() -> list[np.uint64]:
+    def vertices() -> list[tuple[int, np.uint64, np.uint64, list[int]]]:
         import numpy as np
-        return [np.uint64(((1 << len(b)) - 1) << b.start) for b in minor_blocks(graph)]
+        return [(v, np.uint64(1 << v), np.uint64(((1 << len(b)) - 1) << b.start),
+                 [w for a, w in graph.edges if a == v])
+                for v, b in reversed(list(enumerate(minor_blocks(graph))))]
 
     def table(masks: np.ndarray) -> np.ndarray:
         import numpy as np
-        return _network_table(graph, masks, [np.bitwise_count(masks & b) for b in blocks()])
+        x: dict[int, np.ndarray] = {}
+        total = np.zeros(masks.shape, dtype=np.int16)
+        for v, major, block, later in vertices():
+            x[v] = x_v = np.bitwise_count(masks & block) * np.bitwise_count(masks & major)
+            near = sum((x[w] for w in later), np.zeros(masks.shape, dtype=np.int16))
+            total += (2 * near + x_v) * x_v
+        return np.multiply(total, graph.rho, dtype=np.float64)
 
     return table
 

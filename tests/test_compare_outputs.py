@@ -136,10 +136,14 @@ def test_a_tree_matches_itself_on_the_graphs(tmp_path):
     tool = load_tool()
     n_ops, differ = tool.compare(ROOT / "src", ROOT / "src", 5, ("graphs",))
     assert (n_ops, differ) == (2 * len(tool.GRAPH_SCENARIOS), [])
-    sums, inside_a_byte, vertices = [], set(), []
-    for model, params in tool.GRAPH_SCENARIOS.values():
-        assert model == "oligopoly_coarse"
+    sums, inside_a_byte, vertices, players = [], set(), [], {}
+    for name, (model, params) in tool.GRAPH_SCENARIOS.items():
         sizes = {v["id"]: v["size"] for v in params["vertices"]}
+        if model == "oligopoly_fine":
+            players[name] = len(sizes) + sum(sizes.values())
+            continue
+        assert model == "oligopoly_coarse"
+        players[name] = len(sizes)
         sums.append(network_sum(sizes.values(), [sizes[a] * sizes[b] for a, b in params["edges"]]))
         inside_a_byte.update(int(a[1:]) >> 3 == int(b[1:]) >> 3 for a, b in params["edges"])
         vertices.append(len(sizes))
@@ -149,12 +153,19 @@ def test_a_tree_matches_itself_on_the_graphs(tmp_path):
     assert min(sums) < 1 << 52 < max(s for s in sums if s < 1 << 53)
     assert 1 << 53 in sums and max(sums) > 1 << 53
     assert inside_a_byte == {True, False} and max(vertices) == 64
+    # fine rosters at 17-22 players, an empty crowd and a triangle among
+    # them, and sampled ones up to 64 players
+    fine = {name: n for name, n in players.items() if name.startswith("fine-")}
+    assert {n for n in fine.values() if n <= 22} >= {17, 22} and max(fine.values()) == 64
+    assert any(v["size"] == 0 for v in tool.GRAPH_SCENARIOS["fine-empty-crowd-17"][1]["vertices"])
+    assert len(tool.GRAPH_SCENARIOS["fine-triangle-21"][1]["edges"]) == 3
     ops, argvs = tool._graphs_ops(tmp_path)
     results = tool._run_all(ROOT / "src", argvs, tmp_path)
     for op, (code, out, err) in zip(ops, results):
         assert (code, err) == (0, ""), op
         allocations = json.loads(out)["allocations"]
-        assert ("exact" in allocations) == (op.endswith("/all") and "-64/" not in op), op
+        name, method = op.split("/")[1:]
+        assert ("exact" in allocations) == (method == "all" and players[name] <= 22), op
 
 
 def test_a_tree_matches_itself_on_the_labels(tmp_path):

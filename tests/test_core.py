@@ -376,6 +376,35 @@ def test_founder_mass_table_covers_bit_63():
     assert game.evaluate(masks).tolist() == expected
 
 
+def test_founder_gate_selects_and_keeps_the_bits_of_every_value():
+    # masses 0..15 are exact; three of them map to inf, nan and -0.0
+    special = {1.0: np.inf, 2.0: np.nan, 3.0: -0.0}
+
+    def worth(mass):
+        return np.array([special.get(m, 2.5 * m) for m in mass.tolist()])
+
+    game = mass_game([1.0, 2.0, 4.0, 8.0], worth, "gated", crowd_players(4), founder=True)
+    seen = []
+
+    def value(masks, batch=game.value):
+        values = batch(masks)
+        seen.append((masks, values.copy()))
+        return values
+
+    checked = dataclasses.replace(game, value=value)
+    coalition_value_table(checked)
+    shapley_sample(checked, 30, seed=3)
+    assert len(seen) == 3  # the table, then the sampler's two ends and one block
+    for masks, values in seen:
+        founder = (masks & np.uint64(1)) == 1
+        mass = (masks >> np.uint64(1)).astype(np.float64)  # the units are powers of 2
+        expected = np.where(founder, worth(mass), 0.0)
+        assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+    bits = {b for masks, values in seen
+            for b in values[(masks & np.uint64(1)) == 1].view(np.int64).tolist()}
+    assert {np.float64(v).view(np.int64) for v in special.values()} <= bits
+
+
 def test_anonymous_table_covers_bit_63():
     game = anonymous_game(lambda s: 0.5 * s * s - 3.0, 63)
     masks = masks_with_bit_63(3)

@@ -151,6 +151,60 @@ sizes = st.integers(0, 20)
 SMALL_CROWDS = st.integers(0, 1 << 20)
 
 
+@st.composite
+def fine_rosters(draw):
+    """Fine graphs of 1-32 vertices and up to 64 players, empty crowds
+    included, with no agreements, every agreement or a drawn set of them."""
+    n_vertices = draw(st.integers(1, 32))
+    room, crowds = 64 - n_vertices, []
+    for _ in range(n_vertices):
+        crowds.append(draw(st.integers(0, room)))
+        room -= crowds[-1]
+    pairs = list(itertools.combinations(range(n_vertices), 2))
+    edges = draw(st.one_of(st.just([]), st.just(pairs),
+                           st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])))
+    return OligopolyGraph.from_spec([(f"v{v}", n) for v, n in enumerate(crowds)],
+                                    [(f"v{a}", f"v{b}") for a, b in edges], draw(rhos))
+
+
+def fine_masks(n, seed):
+    """256 drawn masks of n players (at 64, bit 63 is set in the first 128),
+    then the prefix masks of 4 drawn join orders, as the sampler makes them."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(0, 1 << 64, 256, dtype=np.uint64) >> np.uint64(64 - n)
+    drawn[:128] |= np.uint64(1 << (n - 1))
+    orders = np.array([rng.permutation(n) for _ in range(4)], dtype=np.uint64)
+    prefixes = np.bitwise_or.accumulate(np.uint64(1) << orders, axis=1)
+    return np.concatenate([drawn, prefixes.ravel()])
+
+
+def assert_fine_bits(graph, masks):
+    reference = REFERENCES["oligopoly_fine"](graph)
+    expected = np.array([reference(Coalition(int(m))) for m in masks])
+    got = oligopoly.fine_table(graph)(masks)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fine_rosters(), st.integers(0, 2 ** 32 - 1))
+def test_fine_table_gives_the_reference_bits(graph, seed):
+    assert_fine_bits(graph, fine_masks(graph.n_vertices + sum(graph.crowd_sizes), seed))
+
+
+@pytest.mark.parametrize("crowds, complete, grand", [
+    ((63,), False, 63 * 63),          # the largest network sum, 3969
+    ((1,) * 32, True, 32 * 32),       # the most vertices and agreements
+])
+def test_fine_table_at_both_ends_of_its_int16_sums(crowds, complete, grand):
+    pairs = itertools.combinations(range(len(crowds)), 2) if complete else ()
+    graph = OligopolyGraph.from_spec([(f"v{v}", n) for v, n in enumerate(crowds)],
+                                     [(f"v{a}", f"v{b}") for a, b in pairs], rho=1.37)
+    masks = fine_masks(64, seed=len(crowds))
+    assert_fine_bits(graph, masks)
+    every = np.array([(1 << 64) - 1], dtype=np.uint64)
+    assert oligopoly.fine_table(graph)(every).tolist() == [1.37 * grand]
+
+
 def whole_sum(graph):
     """The network sum without rho with every crowd present, exactly."""
     crowds = graph.crowd_sizes

@@ -44,7 +44,10 @@ agreements inside one byte of vertices and
 across byte edges, crowds whose network sum is below 2^53, where no sum of
 the coarse table rounds, at it and above it, where its sums round, and one
 64-vertex graph, above the exact cap, that is sampled, so the bits of the
-coarse table are compared on inputs that no generated workload draws. The
+coarse table are compared on inputs that no generated workload draws. They
+solve `oligopoly_fine` rosters the same way: of 17 to 22 players, one with
+an empty crowd and one a triangle, and of 40 to 64, sampled, so the fine
+table's bits are compared at the exact cap and at 64 players. The
 `labels` operations solve every bundled scenario under each label of
 `LABELS`, with quotes, backslashes, control characters, non-ASCII and JSON's
 own punctuation, rendered as JSON, text and CSV, so the string escapes of
@@ -58,6 +61,7 @@ is listed, and the exit status is 1 if there is any.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import subprocess
@@ -154,10 +158,14 @@ CLASS_SCENARIOS = {
 }
 
 
-def _coarse(sizes: list[int], edges: list[tuple[int, int]], rho: float) -> tuple[str, dict]:
-    return ("oligopoly_coarse", {
+def _graph(model: str, sizes: list[int], edges, rho: float) -> tuple[str, dict]:
+    return (model, {
         "vertices": [{"id": f"s{v}", "size": n} for v, n in enumerate(sizes)],
         "edges": [[f"s{a}", f"s{b}"] for a, b in edges], "rho": rho})
+
+
+_coarse = functools.partial(_graph, "oligopoly_coarse")
+_fine = functools.partial(_graph, "oligopoly_fine")
 
 
 # oligopoly_coarse rosters: the `-guard` ones have network sums of about
@@ -179,6 +187,15 @@ GRAPH_SCENARIOS = {
     "sampled-64": _coarse([(7 * v) % 13 for v in range(64)],
                           [(v, (v + 1) % 64) for v in range(64)]
                           + [(v, v + 9) for v in range(0, 55, 6)], 0.7),
+    # oligopoly_fine rosters of 17-22 players, under the exact cap, and of
+    # 40-64, sampled; the `-64` ones are the two ends of the fine table's
+    # integer sums: one crowd of 63, and 32 crowds of one on a complete graph
+    "fine-empty-crowd-17": _fine([5, 0, 6, 2], [(0, 1), (1, 2), (0, 2), (2, 3)], 1.37),
+    "fine-triangle-21": _fine([6, 6, 6], [(0, 1), (1, 2), (0, 2)], 1.0),
+    "fine-cycle-22": _fine([7, 5, 4, 2], [(0, 1), (1, 2), (2, 3), (0, 3)], 0.3),
+    "fine-sampled-40": _fine([12, 9, 8, 7], [(0, 1), (1, 2), (0, 2), (2, 3)], 2.5),
+    "fine-one-crowd-64": _fine([63], [], 1.1),
+    "fine-complete-64": _fine([1] * 32, itertools.combinations(range(32), 2), 0.7),
 }
 WEIGHTS_RUNS = (("--method", "all"), ("--method", "sample", "--seed", "3", "--permutations", "50"))
 # scenario labels that the JSON encoder must escape: quotes and backslashes,
